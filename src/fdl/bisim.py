@@ -16,14 +16,37 @@ bisimulation when it satisfies, for the enabled features, the conditions
 A crisp bisimulation is the {0,1}-valued special case of the same
 conditions.
 
+The conditions are written down once, as a table: at a pair (x, x') every
+condition instance is a row ``(code, name, witness, strength, rhs)`` that
+reads ``min(Z(x,x'), strength) <= rhs``, where ``strength`` is a degree of
+the models (1 for FB2, FB5, FB8, FB9 and FB10) and ``rhs`` is monotone in
+Z.  :func:`check_bisim` reports the rows with ``min(Z(x,x'), strength) >
+rhs``.  By residuation ``Z(x,x') <= strength -> rhs``, so the per-pair
+ceiling :func:`condition_bound`, the minimum of ``strength -> rhs`` over the
+rows, is exact.  Rows with ``strength <= rhs`` can neither fail nor lower
+the ceiling and are left out of the table.
+
 The greatest bisimulation is computed by a residuated greatest-fixpoint
-iteration: every condition has the shape ``Z(x,x') (x) lhs <= rhs`` with the
-right side monotone in Z, so ``Z(x,x') <= lhs -> rhs`` by residuation and
-the per-pair ceiling :func:`condition_bound` is exact.  All ceilings are
-built from entries of Z and the two models via min, max, n-th-largest and
-the Goedel residuum, which only ever select among their inputs or return 1;
-hence every intermediate value stays inside the finite degree universe of
-the two models and the descending iteration terminates.
+iteration that lowers every entry to its ceiling until nothing changes.
+All ceilings are built from entries of Z and the two models via min, max,
+n-th-largest and the Goedel residuum, which only ever select among their
+inputs or return 1; hence every intermediate value stays inside the finite
+degree universe of the two models and the descending iteration terminates.
+
+The same closure lets the tables hold ranks instead of degrees.  Rank k is
+the k-th smallest degree of the universe, so rank 0 is degree 0 and the top
+rank is degree 1, and the operations above act on ranks exactly as on the
+degrees they stand for.  The universe is :func:`degree_universe` of the two
+models, plus the values of a candidate relation when a caller supplies
+one.  Ranks turn back into ``Fraction`` degrees only at the API edge: in
+:class:`CandidateRelation`, in :class:`Violation` and in the value of
+:func:`condition_bound`.
+
+FB6(n) and FB7(n) enumerate the n-subsets of a successor set, which is
+exponential in its size.  Before enumerating, the subsets over all bounds
+n are counted, and more than ``SUBSET_BUDGET`` of them raise
+:class:`BudgetError`; the checker and the fixpoint read the same table, so
+both stop.
 """
 
 from __future__ import annotations
@@ -31,15 +54,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
-from .godel import ONE, ZERO, format_degree, godel_iff, godel_implies, nth_largest, parse_degree
+from .godel import ONE, ZERO, format_degree, parse_degree
 from .interp import Interpretation, degree_universe
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
 MODES = ("fuzzy", "crisp")
+
+# Most n-subsets that FB6(n)/FB7(n) may enumerate for one successor set,
+# summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.
+SUBSET_BUDGET = 2**14
 
 
 @dataclass(frozen=True)
@@ -125,32 +153,62 @@ def dump_relation(candidate: CandidateRelation) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# shared tables
+# rank tables
+
+
+def _successors(matrix, rank) -> List[List[Tuple[int, int]]]:
+    """Each element's successors in a role matrix as ``(index, rank)``
+    pairs, in index order."""
+    return [[(y, rank[v]) for y, v in enumerate(row) if v] for row in matrix]
+
+
+def _transpose(succ):
+    """Predecessor lists from successor lists, in index order."""
+    pred = [[] for _ in succ]
+    for x, row in enumerate(succ):
+        for y, r in row:
+            pred[y].append((x, r))
+    return pred
 
 
 class _Context:
-    """Positional tables for one (model, model, features) triple."""
+    """Rank tables for one (model, model, features) triple.
 
-    def __init__(self, ia: Interpretation, ib: Interpretation, features: FeatureSet):
+    ``extra`` adds degrees that occur in neither model, the entries of a
+    candidate relation, to the universe.
+    """
+
+    def __init__(
+        self, ia: Interpretation, ib: Interpretation, features: FeatureSet, extra=()
+    ):
         self.ia, self.ib, self.features = ia, ib, features
         self.na, self.nb = len(ia.domain), len(ib.domain)
-        self.concept_names = sorted(set(ia.concepts) | set(ib.concepts))
+        self.universe = tuple(sorted(set(degree_universe(ia, ib)).union(extra)))
+        self.top = len(self.universe) - 1
+        self.rank = rank = {v: k for k, v in enumerate(self.universe)}
         self.conc = [
-            (name, ia.concept_row(name), ib.concept_row(name))
-            for name in self.concept_names
+            (
+                name,
+                [rank[v] for v in ia.concept_row(name)],
+                [rank[v] for v in ib.concept_row(name)],
+            )
+            for name in sorted(set(ia.concepts) | set(ib.concepts))
         ]
-        role_names = sorted(set(ia.roles) | set(ib.roles))
-        self.role_names = role_names
-        self.basic: List[Tuple[str, List[Tuple[Fraction, ...]], List[Tuple[Fraction, ...]]]] = []
-        for name in role_names:
-            ra, rb = ia.role_relation(name).matrix, ib.role_relation(name).matrix
-            self.basic.append((name, ra, rb))
+        # per basic role: each element's successors as (index, rank) pairs
+        self.basic: List[Tuple[str, list, list]] = []
+        self.self_loops: List[Tuple[str, List[int], List[int]]] = []
+        for name in sorted(set(ia.roles) | set(ib.roles)):
+            mat_a, mat_b = ia.role_relation(name).matrix, ib.role_relation(name).matrix
+            succ_a, succ_b = _successors(mat_a, rank), _successors(mat_b, rank)
+            self.basic.append((name, succ_a, succ_b))
             if features.inverse:
-                self.basic.append(
+                self.basic.append((name + "-", _transpose(succ_a), _transpose(succ_b)))
+            if features.self_loops:
+                self.self_loops.append(
                     (
-                        name + "-",
-                        tuple(zip(*ra)),
-                        tuple(zip(*rb)),
+                        name,
+                        [rank[row[x]] for x, row in enumerate(mat_a)],
+                        [rank[row[y]] for y, row in enumerate(mat_b)],
                     )
                 )
         self.individual_pairs: List[Tuple[str, int, int]] = []
@@ -163,21 +221,13 @@ class _Context:
                 self.individual_pairs.append(
                     (name, ia.index(ia.individuals[name]), ib.index(ib.individuals[name]))
                 )
-        self.self_loops: List[Tuple[str, Tuple[Fraction, ...], Tuple[Fraction, ...]]] = []
-        if features.self_loops:
-            for name in role_names:
-                ra = ia.role_relation(name).matrix
-                rb = ib.role_relation(name).matrix
-                self.self_loops.append(
-                    (
-                        name,
-                        tuple(ra[i][i] for i in range(self.na)),
-                        tuple(rb[j][j] for j in range(self.nb)),
-                    )
-                )
         cap = max(self.na, self.nb)
         self.q_bounds = self._effective(features.q_bounds, cap)
         self.n_bounds = self._effective(features.n_bounds, cap)
+        # the largest successor set whose n-subsets fit the budget
+        self.subset_limit = next(
+            (k - 1 for k in range(1, cap + 1) if self.subsets(k) > SUBSET_BUDGET), cap
+        )
 
     @staticmethod
     def _effective(bounds, cap: int) -> Tuple[int, ...]:
@@ -186,171 +236,175 @@ class _Context:
             return tuple(range(1, cap + 1))
         return tuple(sorted(bounds))
 
-    def static_bound(self, i: int, j: int) -> Fraction:
-        """Ceiling from the conditions that do not mention other Z entries."""
-        bound = ONE
-        for _name, row_a, row_b in self.conc:
-            v = godel_iff(row_a[i], row_b[j])
-            if v < bound:
-                bound = v
-                if bound == ZERO:
-                    return ZERO
-        for _name, xa, xb in self.individual_pairs:
-            if (i == xa) != (j == xb):
-                return ZERO
-        for _name, diag_a, diag_b in self.self_loops:
-            v = godel_iff(diag_a[i], diag_b[j])
-            if v < bound:
-                bound = v
-                if bound == ZERO:
-                    return ZERO
-        return bound
+    def subsets(self, k: int) -> int:
+        """How many n-subsets FB6(n)/FB7(n) enumerate for k successors."""
+        return sum(comb(k, n) for n in self.q_bounds)
+
+    def ranks(self, rel: FuzzyRelation) -> List[List[int]]:
+        rank = self.rank
+        return [[rank[v] for v in row] for row in rel.matrix]
+
+    def relation(self, z: Sequence[Sequence[int]]) -> FuzzyRelation:
+        universe = self.universe
+        return FuzzyRelation(
+            self.ia.domain, self.ib.domain, [[universe[r] for r in row] for row in z]
+        )
 
 
-def _violations(
-    ctx: _Context, z: Sequence[Sequence[Fraction]], stop_early: bool
-) -> Iterator[Violation]:
-    """Yield every broken condition; with ``stop_early`` stop at the first."""
-    ia, ib = ctx.ia, ctx.ib
-    na, nb = ctx.na, ctx.nb
-    for i in range(na):
-        zi = z[i]
-        for j in range(nb):
-            val = zi[j]
-            if val == ZERO:
-                continue
-            x, x_prime = ia.domain[i], ib.domain[j]
-            for name, row_a, row_b in ctx.conc:
-                limit = godel_iff(row_a[i], row_b[j])
-                if val > limit:
-                    yield Violation("FB2", x, x_prime, symbol=name, lhs=val, rhs=limit)
-                    if stop_early:
-                        return
-            for name, xa, xb in ctx.individual_pairs:
-                if (i == xa) != (j == xb):
-                    yield Violation("FB5", x, x_prime, symbol=name, lhs=val, rhs=ZERO)
-                    if stop_early:
-                        return
-            for name, diag_a, diag_b in ctx.self_loops:
-                limit = godel_iff(diag_a[i], diag_b[j])
-                if val > limit:
-                    yield Violation(
-                        "FB10", x, x_prime, symbol=name, lhs=val, rhs=limit
+def _candidate_context(ia, ib, features, rel: FuzzyRelation) -> _Context:
+    return _Context(ia, ib, features, {v for row in rel.matrix for v in row})
+
+
+# ---------------------------------------------------------------------------
+# the table of conditions
+
+
+def _static_rows(ctx: _Context, i: int, j: int):
+    """The rows of pair (i, j) that do not read Z: FB2, FB5 and FB10."""
+    top = ctx.top
+    for name, row_a, row_b in ctx.conc:
+        a, b = row_a[i], row_b[j]
+        if a != b:
+            yield "FB2", name, None, top, a if a < b else b
+    for name, xa, xb in ctx.individual_pairs:
+        if (i == xa) != (j == xb):
+            yield "FB5", name, None, top, 0
+    for name, diag_a, diag_b in ctx.self_loops:
+        a, b = diag_a[i], diag_b[j]
+        if a != b:
+            yield "FB10", name, None, top, a if a < b else b
+
+
+def _relational_rows(ctx: _Context, z, i: int, j: int):
+    """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9."""
+    top = ctx.top
+    dom_a, dom_b = ctx.ia.domain, ctx.ib.domain
+    for label, succ_a, succ_b in ctx.basic:
+        sa, sb = succ_a[i], succ_b[j]
+        for y, d in sa:
+            zy = z[y]
+            best = 0
+            for y2, e in sb:
+                v = zy[y2] if zy[y2] < e else e
+                if v > best:
+                    best = v
+                    if best >= d:
+                        break
+            if best < d:
+                yield "FB3", label, (dom_a[y],), d, best
+        for y2, d in sb:
+            best = 0
+            for y, e in sa:
+                v = z[y][y2] if z[y][y2] < e else e
+                if v > best:
+                    best = v
+                    if best >= d:
+                        break
+            if best < d:
+                yield "FB4", label, (dom_b[y2],), d, best
+    if ctx.features.universal:
+        for y, best in enumerate(map(max, z)):
+            if best < top:
+                yield "FB8", None, (dom_a[y],), top, best
+        for y2, best in enumerate(map(max, zip(*z))):
+            if best < top:
+                yield "FB9", None, (dom_b[y2],), top, best
+    if ctx.q_bounds:
+        # per role, each successor's degree and name, and the scores
+        # min(Z, other side's degree) it gives the other side's successors
+        scored = []
+        for label, succ_a, succ_b in ctx.basic:
+            sa, sb = succ_a[i], succ_b[j]
+            for k in (len(sa), len(sb)):
+                if k > ctx.subset_limit:
+                    raise BudgetError(
+                        f"qualified counting over {k} successors needs "
+                        f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
                     )
-                    if stop_early:
-                        return
-            for label, mat_a, mat_b in ctx.basic:
-                row_a, row_b = mat_a[i], mat_b[j]
-                for y in range(na):
-                    d = row_a[y]
-                    if d == ZERO:
-                        continue
-                    need = val if val <= d else d
-                    zy = z[y]
-                    if all(min(zy[y2], row_b[y2]) < need for y2 in range(nb)):
-                        best = max(
-                            (min(zy[y2], row_b[y2]) for y2 in range(nb)), default=ZERO
+            forth = [
+                (d, dom_a[y], [min(z[y][y2], e) for y2, e in sb]) for y, d in sa
+            ]
+            back = [
+                (e, dom_b[y2], [min(z[y][y2], d) for y, d in sa]) for y2, e in sb
+            ]
+            scored.append((label, forth, back))
+        for n in ctx.q_bounds:
+            for label, forth, back in scored:
+                for code, side in ((f"FB6({n})", forth), (f"FB7({n})", back)):
+                    for subset in combinations(side, n):
+                        strength = min([d for d, _x, _s in subset])
+                        scores = sorted(
+                            map(max, zip(*[s for _d, _x, s in subset])), reverse=True
                         )
-                        yield Violation(
-                            "FB3", x, x_prime, role=label,
-                            witness=(ia.domain[y],), lhs=need, rhs=best,
-                        )
-                        if stop_early:
-                            return
-                for y2 in range(nb):
-                    d = row_b[y2]
-                    if d == ZERO:
-                        continue
-                    need = val if val <= d else d
-                    if all(min(z[y][y2], row_a[y]) < need for y in range(na)):
-                        best = max(
-                            (min(z[y][y2], row_a[y]) for y in range(na)), default=ZERO
-                        )
-                        yield Violation(
-                            "FB4", x, x_prime, role=label,
-                            witness=(ib.domain[y2],), lhs=need, rhs=best,
-                        )
-                        if stop_early:
-                            return
-            if ctx.features.universal:
-                for y in range(na):
-                    best = max(z[y])
-                    if val > best:
-                        yield Violation(
-                            "FB8", x, x_prime, witness=(ia.domain[y],), lhs=val, rhs=best
-                        )
-                        if stop_early:
-                            return
-                for y2 in range(nb):
-                    best = max(z[y][y2] for y in range(na))
-                    if val > best:
-                        yield Violation(
-                            "FB9", x, x_prime, witness=(ib.domain[y2],), lhs=val, rhs=best
-                        )
-                        if stop_early:
-                            return
-            for n in ctx.q_bounds:
-                for label, mat_a, mat_b in ctx.basic:
-                    row_a, row_b = mat_a[i], mat_b[j]
-                    succ_a = [y for y in range(na) if row_a[y] > ZERO]
-                    if len(succ_a) >= n:
-                        for subset in combinations(succ_a, n):
-                            tau = min(val, min(row_a[y] for y in subset))
-                            scores = [
-                                min(row_b[y2], max(z[y][y2] for y in subset))
-                                for y2 in range(nb)
-                            ]
-                            got = nth_largest(scores, n)
-                            if tau > got:
-                                yield Violation(
-                                    f"FB6({n})", x, x_prime, role=label,
-                                    witness=tuple(ia.domain[y] for y in subset),
-                                    lhs=tau, rhs=got,
-                                )
-                                if stop_early:
-                                    return
-                    succ_b = [y2 for y2 in range(nb) if row_b[y2] > ZERO]
-                    if len(succ_b) >= n:
-                        for subset in combinations(succ_b, n):
-                            tau = min(val, min(row_b[y2] for y2 in subset))
-                            scores = [
-                                min(row_a[y], max(z[y][y2] for y2 in subset))
-                                for y in range(na)
-                            ]
-                            got = nth_largest(scores, n)
-                            if tau > got:
-                                yield Violation(
-                                    f"FB7({n})", x, x_prime, role=label,
-                                    witness=tuple(ib.domain[y2] for y2 in subset),
-                                    lhs=tau, rhs=got,
-                                )
-                                if stop_early:
-                                    return
-            for n in ctx.n_bounds:
-                for label, mat_a, mat_b in ctx.basic:
-                    row_a, row_b = mat_a[i], mat_b[j]
-                    pos_a = sorted((v for v in row_a if v > ZERO), reverse=True)
-                    if len(pos_a) >= n:
-                        tau = min(val, pos_a[n - 1])
-                        got = nth_largest(row_b, n)
-                        if tau > got:
-                            yield Violation(
-                                f"FB6n({n})", x, x_prime, role=label,
-                                lhs=tau, rhs=got,
-                            )
-                            if stop_early:
-                                return
-                    pos_b = sorted((v for v in row_b if v > ZERO), reverse=True)
-                    if len(pos_b) >= n:
-                        tau = min(val, pos_b[n - 1])
-                        got = nth_largest(row_a, n)
-                        if tau > got:
-                            yield Violation(
-                                f"FB7n({n})", x, x_prime, role=label,
-                                lhs=tau, rhs=got,
-                            )
-                            if stop_early:
-                                return
+                        got = scores[n - 1] if len(scores) >= n else 0
+                        if strength > got:
+                            witness = tuple([x for _d, x, _s in subset])
+                            yield code, label, witness, strength, got
+    if ctx.n_bounds:
+        levels = [
+            (
+                label,
+                sorted((d for _y, d in succ_a[i]), reverse=True),
+                sorted((d for _y, d in succ_b[j]), reverse=True),
+            )
+            for label, succ_a, succ_b in ctx.basic
+        ]
+        for n in ctx.n_bounds:
+            for label, da, db in levels:
+                # only the n strongest successors bind
+                for code, mine, other in ((f"FB6n({n})", da, db), (f"FB7n({n})", db, da)):
+                    if len(mine) >= n:
+                        got = other[n - 1] if len(other) >= n else 0
+                        if mine[n - 1] > got:
+                            yield code, label, None, mine[n - 1], got
+
+
+def _rows(ctx: _Context, z, i: int, j: int):
+    """Every row of pair (i, j) under rank matrix ``z`` with strength > rhs.
+
+    A row ``(code, name, witness, strength, rhs)`` holds when
+    ``min(Z(i,j), strength) <= rhs``.  ``name`` is the concept, individual
+    or role name for FB2, FB5 and FB10, the role for FB3, FB4, FB6 and FB7,
+    and None for FB8 and FB9.  The order is the report order of
+    :func:`check_bisim`.
+    """
+    yield from _static_rows(ctx, i, j)
+    yield from _relational_rows(ctx, z, i, j)
+
+
+def _ceiling(rows, bound: int) -> int:
+    """min of ``bound`` and ``strength -> rhs`` over ``rows``, whose rows all
+    have strength > rhs and so contribute their rhs."""
+    for row in rows:
+        if row[4] < bound:
+            bound = row[4]
+            if bound == 0:
+                break
+    return bound
+
+
+_SYMBOL_CODES = ("FB2", "FB5", "FB10")
+
+
+def _violations(ctx: _Context, z) -> Iterator[Violation]:
+    """Yield every broken condition of rank matrix ``z``, pair by pair."""
+    universe = ctx.universe
+    for i, x in enumerate(ctx.ia.domain):
+        zi = z[i]
+        for j, x_prime in enumerate(ctx.ib.domain):
+            val = zi[j]
+            if val == 0:
+                continue
+            for code, name, witness, strength, rhs in _rows(ctx, z, i, j):
+                lhs = val if val < strength else strength
+                if lhs > rhs:
+                    symbol = code in _SYMBOL_CODES
+                    yield Violation(
+                        code, x, x_prime,
+                        role=None if symbol else name,
+                        symbol=name if symbol else None,
+                        witness=witness, lhs=universe[lhs], rhs=universe[rhs],
+                    )
 
 
 def check_bisim(
@@ -367,17 +421,9 @@ def check_bisim(
     rel = z.relation if isinstance(z, CandidateRelation) else z
     if rel.rows != ia.domain or rel.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
-    ctx = _Context(ia, ib, features)
-    found = tuple(_violations(ctx, rel.matrix, stop_early=False))
+    ctx = _candidate_context(ia, ib, features, rel)
+    found = tuple(_violations(ctx, ctx.ranks(rel)))
     return ConditionReport(satisfied=not found, violations=found)
-
-
-def _satisfies(ctx: _Context, z) -> bool:
-    return next(_violations(ctx, z, stop_early=True), None) is None
-
-
-# ---------------------------------------------------------------------------
-# the refinement step
 
 
 def condition_bound(
@@ -391,111 +437,9 @@ def condition_bound(
     """Largest value v such that setting Z(x,x') = v, all other entries
     fixed, satisfies every condition locally."""
     rel = z.relation if isinstance(z, CandidateRelation) else z
-    ctx = _Context(ia, ib, features)
-    return _bound(ctx, rel.matrix, ia.index(x), ib.index(x_prime))
-
-
-def _bound(ctx: _Context, z, i: int, j: int) -> Fraction:
-    bound = ctx.static_bound(i, j)
-    if bound == ZERO:
-        return ZERO
-    na, nb = ctx.na, ctx.nb
-    for _label, mat_a, mat_b in ctx.basic:
-        row_a, row_b = mat_a[i], mat_b[j]
-        for y in range(na):
-            d = row_a[y]
-            if d == ZERO:
-                continue
-            zy = z[y]
-            best = ZERO
-            for y2 in range(nb):
-                v = zy[y2] if zy[y2] <= row_b[y2] else row_b[y2]
-                if v > best:
-                    best = v
-                    if best >= d:
-                        break
-            limit = godel_implies(d, best)
-            if limit < bound:
-                bound = limit
-                if bound == ZERO:
-                    return ZERO
-        for y2 in range(nb):
-            d = row_b[y2]
-            if d == ZERO:
-                continue
-            best = ZERO
-            for y in range(na):
-                v = z[y][y2] if z[y][y2] <= row_a[y] else row_a[y]
-                if v > best:
-                    best = v
-                    if best >= d:
-                        break
-            limit = godel_implies(d, best)
-            if limit < bound:
-                bound = limit
-                if bound == ZERO:
-                    return ZERO
-    if ctx.features.universal:
-        for y in range(na):
-            limit = max(z[y])
-            if limit < bound:
-                bound = limit
-                if bound == ZERO:
-                    return ZERO
-        for y2 in range(nb):
-            limit = max(z[y][y2] for y in range(na))
-            if limit < bound:
-                bound = limit
-                if bound == ZERO:
-                    return ZERO
-    for n in ctx.q_bounds:
-        for _label, mat_a, mat_b in ctx.basic:
-            row_a, row_b = mat_a[i], mat_b[j]
-            succ_a = [y for y in range(na) if row_a[y] > ZERO]
-            if len(succ_a) >= n:
-                for subset in combinations(succ_a, n):
-                    strength = min(row_a[y] for y in subset)
-                    scores = [
-                        min(row_b[y2], max(z[y][y2] for y in subset))
-                        for y2 in range(nb)
-                    ]
-                    limit = godel_implies(strength, nth_largest(scores, n))
-                    if limit < bound:
-                        bound = limit
-                        if bound == ZERO:
-                            return ZERO
-            succ_b = [y2 for y2 in range(nb) if row_b[y2] > ZERO]
-            if len(succ_b) >= n:
-                for subset in combinations(succ_b, n):
-                    strength = min(row_b[y2] for y2 in subset)
-                    scores = [
-                        min(row_a[y], max(z[y][y2] for y2 in subset))
-                        for y in range(na)
-                    ]
-                    limit = godel_implies(strength, nth_largest(scores, n))
-                    if limit < bound:
-                        bound = limit
-                        if bound == ZERO:
-                            return ZERO
-    for n in ctx.n_bounds:
-        for _label, mat_a, mat_b in ctx.basic:
-            row_a, row_b = mat_a[i], mat_b[j]
-            pos_a = sorted((v for v in row_a if v > ZERO), reverse=True)
-            if len(pos_a) >= n:
-                # only the n strongest successors bind
-                limit = godel_implies(pos_a[n - 1], nth_largest(row_b, n))
-                if limit < bound:
-                    bound = limit
-                    if bound == ZERO:
-                        return ZERO
-            pos_b = sorted((v for v in row_b if v > ZERO), reverse=True)
-            if len(pos_b) >= n:
-                limit = godel_implies(pos_b[n - 1], nth_largest(row_a, n))
-                if limit < bound:
-                    bound = limit
-                    if bound == ZERO:
-                        return ZERO
-    return bound
+    ctx = _candidate_context(ia, ib, features, rel)
+    rows = _rows(ctx, ctx.ranks(rel), ia.index(x), ib.index(x_prime))
+    return ctx.universe[_ceiling(rows, ctx.top)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +464,18 @@ def greatest_bisim(
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     ctx = _Context(ia, ib, features)
-    na, nb = ctx.na, ctx.nb
-    z: List[List[Fraction]] = []
+    na, nb, top = ctx.na, ctx.nb, ctx.top
+    crisp = mode == "crisp"
+    z: List[List[int]] = []
     for i in range(na):
-        row = []
-        for j in range(nb):
-            v = ctx.static_bound(i, j)
-            if mode == "crisp" and v != ONE:
-                v = ZERO
-            row.append(v)
-        z.append(row)
+        row = [_ceiling(_static_rows(ctx, i, j), top) for j in range(nb)]
+        z.append([0 if v < top else top for v in row] if crisp else row)
     order = list(_pair_order) if _pair_order is not None else [
         (i, j) for i in range(na) for j in range(nb)
     ]
     # every ceiling is a selection over the degree universe, so each entry
     # can strictly drop at most |universe| times
-    sweep_limit = na * nb * len(degree_universe(ia, ib)) + 2
+    sweep_limit = na * nb * len(ctx.universe) + 2
     sweeps = 0
     changed = True
     while changed:
@@ -547,17 +487,19 @@ def greatest_bisim(
         changed = False
         for i, j in order:
             current = z[i][j]
-            if current == ZERO:
+            if current == 0:
                 continue
-            limit = _bound(ctx, z, i, j)
-            if mode == "crisp":
-                new = current if limit == ONE else ZERO
+            # Z already lies below the static rows, so only the rest can
+            # lower it; in crisp mode any row drops the pair to 0
+            rows = _relational_rows(ctx, z, i, j)
+            if crisp:
+                new = current if next(rows, None) is None else 0
             else:
-                new = current if current <= limit else limit
+                new = _ceiling(rows, current)
             if new != current:
                 z[i][j] = new
                 changed = True
-    return CandidateRelation(FuzzyRelation(ia.domain, ib.domain, z), mode)
+    return CandidateRelation(ctx.relation(z), mode)
 
 
 def bisimilar(
@@ -609,34 +551,32 @@ def brute_force_greatest(
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     ctx = _Context(ia, ib, features)
-    na, nb = ctx.na, ctx.nb
+    na, nb, top = ctx.na, ctx.nb, ctx.top
     if na * nb > 16:
         raise BudgetError(
             f"brute-force search over {na * nb} pairs is out of budget (max 16)"
         )
-    universe = degree_universe(ia, ib)
-    if mode == "crisp":
-        universe = (ZERO, ONE)
     pairs = [(i, j) for i in range(na) for j in range(nb)]
-    choices: List[List[Fraction]] = []
+    choices: List[Sequence[int]] = []
     total = 1
     for i, j in pairs:
-        ceiling = ctx.static_bound(i, j)
-        if mode == "crisp" and ceiling != ONE:
-            ceiling = ZERO
-        allowed = [v for v in universe if v <= ceiling]
+        ceiling = _ceiling(_static_rows(ctx, i, j), top)
+        if mode == "crisp":
+            allowed: Sequence[int] = (0, top) if ceiling == top else (0,)
+        else:
+            allowed = range(ceiling + 1)
         choices.append(allowed)
         total *= len(allowed)
         if total > max_candidates:
             raise BudgetError(
                 f"brute-force search needs more than {max_candidates} candidates"
             )
-    best = [[ZERO] * nb for _ in range(na)]
-    z = [[ZERO] * nb for _ in range(na)]
+    best = [[0] * nb for _ in range(na)]
+    z = [[0] * nb for _ in range(na)]
 
     def descend(k: int) -> None:
         if k == len(pairs):
-            if _satisfies(ctx, z):
+            if next(_violations(ctx, z), None) is None:
                 for (i, j) in pairs:
                     if z[i][j] > best[i][j]:
                         best[i][j] = z[i][j]
@@ -645,7 +585,7 @@ def brute_force_greatest(
         for v in choices[k]:
             z[i][j] = v
             descend(k + 1)
-        z[i][j] = ZERO
+        z[i][j] = 0
 
     descend(0)
-    return CandidateRelation(FuzzyRelation(ia.domain, ib.domain, best), mode)
+    return CandidateRelation(ctx.relation(best), mode)

@@ -418,8 +418,9 @@ def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
     in increasing order.
 
     The Goedel connectives other than involutive negation only ever select
-    among their inputs or return 1, so this set is closed under them; it is
-    the value alphabet for fixpoint computations.
+    among their inputs or return 1, so this set is closed under them.  It is
+    the rank alphabet of :mod:`fdl.bisim`: there a degree is stored as its
+    position in this tuple, 0 for degree 0 and ``len - 1`` for degree 1.
     """
     values = {ZERO, ONE}
     for interp in interps:

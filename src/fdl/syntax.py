@@ -63,28 +63,34 @@ class FeatureSet:
 
     @classmethod
     def parse(cls, text: str) -> "FeatureSet":
-        """Parse a comma list such as ``"I,O,U,Self,Q2,N3"``; "" is empty."""
+        """Parse a comma list such as ``"I,O,U,Self,Q2,N3"``; "" is empty.
+
+        ``Q*`` and ``N*`` enable every bound n, as :meth:`format` writes them.
+        """
         kwargs = {
             "inverse": False,
             "nominals": False,
             "universal": False,
             "self_loops": False,
         }
-        q, n = set(), set()
+        bounds = {"Q": set(), "N": set()}
         for raw in text.split(","):
             token = raw.strip()
             if not token:
                 continue
             if token in _FEATURE_WORDS:
                 kwargs[_FEATURE_WORDS[token]] = True
+            elif token in ("Q*", "N*"):
+                bounds[token[0]] = None
             elif token[0] in "QN" and token[1:].isdigit() and int(token[1:]) >= 1:
-                (q if token[0] == "Q" else n).add(int(token[1:]))
+                if bounds[token[0]] is not None:
+                    bounds[token[0]].add(int(token[1:]))
             else:
                 raise InputError(
                     f"unknown feature token {token!r}; expected I, O, U, Self, "
-                    f"Q<n> or N<n>"
+                    f"Q<n>, N<n>, Q* or N*"
                 )
-        return cls(q_bounds=frozenset(q), n_bounds=frozenset(n), **kwargs)
+        return cls(q_bounds=bounds["Q"], n_bounds=bounds["N"], **kwargs)
 
     def format(self) -> str:
         parts = []

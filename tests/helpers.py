@@ -212,3 +212,31 @@ def random_concept(
         rng.choice(sorted(features.n_bounds)),
         random_basic_role(rng, features, role_names),
     )
+
+
+def counting_hub_pair(d):
+    """A hub with d graded r-successors and a copy with the successors in
+    reverse order; the two hubs are isomorphic, so bisimilar."""
+    models = []
+    for prefix, order in (("h", range(d)), ("g", range(d - 1, -1, -1))):
+        models.append(Interpretation(
+            [f"{prefix}0"] + [f"{prefix}{k + 1}" for k in range(d)],
+            {"a": f"{prefix}0"},
+            {"A": {f"{prefix}{k + 1}": F(1 + o % 2, 2) for k, o in enumerate(order)}},
+            {"r": {(f"{prefix}0", f"{prefix}{k + 1}"): F(1 + o % 4, 4)
+                   for k, o in enumerate(order)}},
+        ))
+    return models[0], models[1]
+
+
+def chain_pair(n, d, p, q):
+    """Two r-chains of n elements with edge degree d; the last element of
+    the first has A = p, that of the second A = q."""
+    models = []
+    for prefix, end in (("a", p), ("b", q)):
+        dom = [f"{prefix}{i}" for i in range(n)]
+        models.append(Interpretation(
+            dom, {"a": dom[0]}, {"A": {dom[-1]: end}},
+            {"r": {(dom[i], dom[i + 1]): d for i in range(n - 1)}},
+        ))
+    return models[0], models[1]

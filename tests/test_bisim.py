@@ -32,7 +32,9 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
-from helpers import POOL3, POOL4, random_features, random_model
+from helpers import (
+    POOL3, POOL4, chain_pair, counting_hub_pair, random_features, random_model,
+)
 
 NO_FEATURES = FeatureSet.none()
 
@@ -93,6 +95,35 @@ class TestCheckBisim:
         forth = [v for v in report.violations if v.condition == "FB6(2)"]
         assert forth and forth[0].x == "u"
         assert set(forth[0].witness) == {"v2", "v3"}
+
+    def test_candidate_degree_outside_both_models(self):
+        # 37/100 occurs in neither model, so the candidate's own values join
+        # the degree universe; reported degrees and the bound stay exact
+        ia, ib = hub_pair()
+        z = entries(
+            ia.domain,
+            ib.domain,
+            {("u", "u'"): F(9, 10), ("v", "v'"): 1, ("w", "w'"): F(37, 100)},
+        )
+        report = check_bisim(ia, ib, z, NO_FEATURES)
+        got = [
+            (v.condition, v.x, v.x_prime, v.role, v.witness, v.lhs, v.rhs)
+            for v in report.violations
+        ]
+        assert got == [
+            ("FB3", "u", "u'", "r", ("w",), F(9, 10), F(37, 100)),
+            ("FB4", "u", "u'", "r", ("v'",), F(9, 10), F(7, 10)),
+            ("FB4", "u", "u'", "r", ("w'",), F(9, 10), F(37, 100)),
+        ]
+        assert all(type(v.lhs) is F and type(v.rhs) is F for v in report.violations)
+        bound = condition_bound(ia, ib, z, NO_FEATURES, "u", "u'")
+        assert bound == F(37, 100) and type(bound) is F
+        patched = entries(
+            ia.domain,
+            ib.domain,
+            {("u", "u'"): bound, ("v", "v'"): 1, ("w", "w'"): F(37, 100)},
+        )
+        assert check_bisim(ia, ib, patched, NO_FEATURES).satisfied
 
     def test_candidate_relation_mode_invariant(self):
         with pytest.raises(InputError):
@@ -348,6 +379,20 @@ class TestGreatest:
                 oracle = brute_force_greatest(ia, ib, features, mode)
                 assert fix.relation == oracle.relation
 
+    @pytest.mark.parametrize("features", ["", "I,O"])
+    def test_chain_closed_form_beyond_brute_force(self, features):
+        # deep propagation on 14 x 14 pairs, far past brute_force_greatest:
+        # the end atoms differ (p < q < d), and the difference travels the
+        # whole chain, so only the diagonal survives, at degree p
+        d, p, q = F(4, 5), F(1, 5), F(3, 5)
+        ia, ib = chain_pair(14, d, p, q)
+        fs = FeatureSet.parse(features)
+        diagonal = {(f"a{i}", f"b{i}"): p for i in range(14)}
+        fuzzy = greatest_bisim(ia, ib, fs, "fuzzy")
+        assert fuzzy.relation == entries(ia.domain, ib.domain, diagonal)
+        crisp = greatest_bisim(ia, ib, fs, "crisp")
+        assert crisp.relation == entries(ia.domain, ib.domain, {})
+
     def test_brute_force_budget_guard(self):
         rng = random.Random(89)
         ia = random_model(rng, "x", 5, POOL4)
@@ -368,6 +413,34 @@ class TestGreatest:
             greatest_bisim(ia, ib, NO_FEATURES, "sharp")
         with pytest.raises(InputError):
             brute_force_greatest(ia, ib, NO_FEATURES, "sharp")
+
+
+class TestCountingBudget:
+    # FB6(n)/FB7(n) enumerate n-subsets of a successor set; the count over
+    # the enabled bounds is checked before enumerating
+    def test_wide_hub_refused_by_checker_and_fixpoint(self):
+        ia, ib = counting_hub_pair(16)
+        features = FeatureSet(q_bounds=frozenset(range(1, 17)))
+        allones = FuzzyRelation.constant(ia.domain, ib.domain, F(1))
+        with pytest.raises(BudgetError, match="65535 subsets"):
+            check_bisim(ia, ib, allones, features)
+        with pytest.raises(BudgetError):
+            condition_bound(ia, ib, allones, features, "h0", "g0")
+        for mode in ("fuzzy", "crisp"):
+            with pytest.raises(BudgetError):
+                greatest_bisim(ia, ib, features, mode)
+        with pytest.raises(BudgetError):
+            greatest_bisim(ia, ib, FeatureSet(q_bounds=None))
+
+    def test_budget_counts_enabled_bounds_only(self):
+        ia, ib = counting_hub_pair(16)
+        assert bisimilar(ia, ib, FeatureSet.parse("Q1,Q2,Q16"), "crisp").holds
+
+    def test_out_degree_eleven_stays_within_budget(self):
+        # the largest hubs of the fixpoint benchmark: 2047 subsets
+        ia, ib = counting_hub_pair(11)
+        features = FeatureSet(q_bounds=frozenset(range(1, 12)))
+        assert bisimilar(ia, ib, features, "fuzzy").holds
 
 
 class TestClosureLaws:

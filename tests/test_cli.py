@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
 from fdl.bisim import load_relation
+from helpers import counting_hub_pair
 
 
 @pytest.fixture
@@ -104,6 +106,27 @@ class TestCheck:
         assert code == 1
         assert "FB4" in out
 
+    def test_json_degrees_outside_both_models(self, files, tmp_path):
+        rel = tmp_path / "z.json"
+        rel.write_text(json.dumps({"mode": "fuzzy", "entries": [
+            ["u", "u'", "0.9"], ["v", "v'", "1"], ["w", "w'", "37/100"],
+        ]}))
+        code, out, _ = run_cli(
+            ["--json", "check", "-l", files["hub_a"], "-r", files["hub_b"],
+             "-z", str(rel), "--features", ""]
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert not payload["satisfied"]
+        assert [
+            (v["condition"], v["witness"], v["lhs"], v["rhs"])
+            for v in payload["violations"]
+        ] == [
+            ("FB3", ["w"], "0.9", "0.37"),
+            ("FB4", ["v'"], "0.9", "0.7"),
+            ("FB4", ["w'"], "0.9", "0.37"),
+        ]
+
     def test_satisfied(self, files, tmp_path):
         rel = tmp_path / "z.json"
         rel.write_text(
@@ -142,6 +165,34 @@ class TestBisimilar:
         assert code == 1
         doc = json.loads(out)
         assert doc["bisimilar"] is False and doc["failing_individual"] == "a"
+
+    def test_unbounded_counting_features(self, files):
+        # "Q*" is what FeatureSet.format writes for unbounded counting
+        code, out, _ = run_cli(
+            ["--json", "bisimilar", "-l", files["fold_a"], "-r", files["fold_b"],
+             "--features", "I,Q*", "--mode", "crisp"]
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failing_individual"] == "a"
+        code, out, _ = run_cli(
+            ["eval", "-m", files["fan"], "-c", ">= 5 r- . A", "--features", "I,Q*"]
+        )
+        assert code == 0
+
+    def test_counting_budget_stops_wide_hub(self, tmp_path):
+        paths = []
+        for k, model in enumerate(counting_hub_pair(16)):
+            path = tmp_path / f"hub{k}.json"
+            path.write_text(json.dumps(dump_interpretation(model)))
+            paths.append(str(path))
+        features = ",".join(f"Q{n}" for n in range(1, 17))
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "budget" in err
 
 
 class TestMinimizePrune:

@@ -57,6 +57,23 @@ class TestFeatureSet:
         assert features.n_bounds == frozenset({2})
         assert FeatureSet.parse(features.format()) == features
 
+    def test_format_parse_round_trip(self):
+        rng = random.Random(151)
+
+        def bounds():
+            return rng.choice(
+                [None, frozenset(), frozenset(rng.sample(range(1, 6), rng.randint(1, 3)))]
+            )
+
+        samples = [FeatureSet.none(), FeatureSet.permissive()] + [
+            FeatureSet(*(rng.random() < 0.5 for _ in range(4)), bounds(), bounds())
+            for _ in range(50)
+        ]
+        for features in samples:
+            assert FeatureSet.parse(features.format()) == features
+        assert FeatureSet.parse("Q*,Q2").q_bounds is None
+        assert FeatureSet.parse("N3,N*").n_bounds is None
+
     def test_empty_string(self):
         assert FeatureSet.parse("") == FeatureSet.none()
 
