@@ -21,7 +21,6 @@ from .godel import (
     degree,
     format_degree,
     godel_and,
-    godel_apply,
     godel_iff,
     godel_implies,
     godel_not,

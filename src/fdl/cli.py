@@ -13,6 +13,7 @@ import sys
 from typing import List, Optional
 
 from .bisim import (
+    CandidateRelation,
     bisimilar,
     check_bisim,
     dump_relation,
@@ -274,15 +275,9 @@ def _dispatch(args, out, err) -> int:
             for (x, y), c in result.separators.items()
             if c is not None
         }
+        mode = "crisp" if fragment is Sublanguage.DELTA_EXISTENTIAL else "fuzzy"
         payload = {
-            "matrix": {
-                "mode": "crisp" if fragment is Sublanguage.DELTA_EXISTENTIAL else "fuzzy",
-                "entries": [
-                    [x, y, format_degree(v)]
-                    for x, y, v in result.matrix.entries()
-                    if v != 0
-                ],
-            },
+            "matrix": dump_relation(CandidateRelation(result.matrix, mode)),
             "separators": separators,
             "concepts_used": result.concepts_used,
         }

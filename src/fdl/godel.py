@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import InputError
 
@@ -116,23 +116,6 @@ def involutive_not(p: Fraction) -> Fraction:
 def baaz_delta(p: Fraction) -> Fraction:
     """Projection onto {0, 1}: 1 exactly when p == 1."""
     return ONE if p == ONE else ZERO
-
-
-_UNARY = {"neg": godel_not, "inv_neg": involutive_not, "delta": baaz_delta}
-_BINARY = {"and": godel_and, "or": godel_or, "implies": godel_implies, "iff": godel_iff}
-
-
-def godel_apply(connective: str, p: Fraction, q: Optional[Fraction] = None) -> Fraction:
-    """Apply a named connective; arity mismatches raise :class:`InputError`."""
-    if connective in _UNARY:
-        if q is not None:
-            raise InputError(f"connective {connective!r} takes one argument")
-        return _UNARY[connective](p)
-    if connective in _BINARY:
-        if q is None:
-            raise InputError(f"connective {connective!r} takes two arguments")
-        return _BINARY[connective](p, q)
-    raise InputError(f"unknown connective {connective!r}")
 
 
 def nth_largest(values: Iterable[Fraction], n: int) -> Fraction:

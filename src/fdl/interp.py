@@ -44,9 +44,6 @@ class FuzzySet:
     def at(self, element: str) -> Fraction:
         return self.degrees[self.elements.index(element)]
 
-    def as_dict(self) -> Dict[str, Fraction]:
-        return dict(zip(self.elements, self.degrees))
-
     def __iter__(self):
         return iter(zip(self.elements, self.degrees))
 

@@ -25,6 +25,7 @@ from .syntax import (
     Role,
     Sublanguage,
     Test,
+    children,
     classify_sublanguage,
     to_text,
 )
@@ -124,32 +125,6 @@ class KnowledgeBase:
         return self.tbox + self.abox
 
 
-def holds(interp: Interpretation, item: KbItem) -> bool:
-    """Does the interpretation validate the assertion or inclusion?"""
-    if isinstance(item, SameIndividual):
-        return interp.individual(item.a) == interp.individual(item.b)
-    if isinstance(item, DistinctIndividual):
-        return interp.individual(item.a) != interp.individual(item.b)
-    evaluator = ConceptEvaluator(interp)
-    if isinstance(item, ConceptAssertion):
-        value = evaluator.concept_values(item.concept)[
-            interp.index(interp.individual(item.individual))
-        ]
-        return _CMP[item.cmp](value, item.threshold)
-    if isinstance(item, RoleAssertion):
-        rel = evaluator.role_values(item.role)
-        value = rel.at(interp.individual(item.a), interp.individual(item.b))
-        return _CMP[item.cmp](value, item.threshold)
-    if isinstance(item, Gci):
-        lhs = evaluator.concept_values(item.lhs)
-        rhs = evaluator.concept_values(item.rhs)
-        check = _GCI_REL[item.rel]
-        return all(
-            check(godel_implies(p, q), item.threshold) for p, q in zip(lhs, rhs)
-        )
-    raise InputError(f"not an assertion or inclusion: {item!r}")
-
-
 @dataclass(frozen=True)
 class ValidationResult:
     valid: bool
@@ -157,21 +132,52 @@ class ValidationResult:
     witness_element: Optional[str] = None
 
 
+def _failure(
+    interp: Interpretation, evaluator: ConceptEvaluator, item: KbItem
+) -> Optional[ValidationResult]:
+    """How ``item`` fails on ``interp``, with a witness element for
+    inclusions; None when it holds."""
+    if isinstance(item, Gci):
+        lhs = evaluator.concept_values(item.lhs)
+        rhs = evaluator.concept_values(item.rhs)
+        check = _GCI_REL[item.rel]
+        for x, p, q in zip(interp.domain, lhs, rhs):
+            if not check(godel_implies(p, q), item.threshold):
+                return ValidationResult(False, item, x)
+        return None
+    if isinstance(item, SameIndividual):
+        ok = interp.individual(item.a) == interp.individual(item.b)
+    elif isinstance(item, DistinctIndividual):
+        ok = interp.individual(item.a) != interp.individual(item.b)
+    elif isinstance(item, ConceptAssertion):
+        value = evaluator.concept_values(item.concept)[
+            interp.index(interp.individual(item.individual))
+        ]
+        ok = _CMP[item.cmp](value, item.threshold)
+    elif isinstance(item, RoleAssertion):
+        rel = evaluator.role_values(item.role)
+        value = rel.at(interp.individual(item.a), interp.individual(item.b))
+        ok = _CMP[item.cmp](value, item.threshold)
+    else:
+        raise InputError(f"not an assertion or inclusion: {item!r}")
+    return None if ok else ValidationResult(False, item)
+
+
 def validates(interp: Interpretation, items: Sequence[KbItem]) -> ValidationResult:
     """Check every item; report the first failure with a witness element
-    for inclusions."""
+    for inclusions.  One evaluator serves the whole box, so subconcepts
+    shared between items are evaluated once."""
+    evaluator = ConceptEvaluator(interp)
     for item in items:
-        if isinstance(item, Gci):
-            evaluator = ConceptEvaluator(interp)
-            lhs = evaluator.concept_values(item.lhs)
-            rhs = evaluator.concept_values(item.rhs)
-            check = _GCI_REL[item.rel]
-            for x, p, q in zip(interp.domain, lhs, rhs):
-                if not check(godel_implies(p, q), item.threshold):
-                    return ValidationResult(False, item, x)
-        elif not holds(interp, item):
-            return ValidationResult(False, item)
+        failure = _failure(interp, evaluator, item)
+        if failure is not None:
+            return failure
     return ValidationResult(True)
+
+
+def holds(interp: Interpretation, item: KbItem) -> bool:
+    """Does the interpretation validate the assertion or inclusion?"""
+    return validates(interp, [item]).valid
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +406,7 @@ def _in_language(item: KbItem, mode: str, features: FeatureSet) -> bool:
 def _test_concepts(role: Role) -> List[Concept]:
     if isinstance(role, Test):
         return [role.concept]
-    found: List[Concept] = []
-    for attr in ("left", "right", "role"):
-        child = getattr(role, attr, None)
-        if isinstance(child, Role):
-            found.extend(_test_concepts(child))
-    return found
+    return [c for child in children(role) for c in _test_concepts(child)]
 
 
 def invariance_probe(
@@ -425,14 +426,15 @@ def invariance_probe(
         are_bisimilar = None
         notes.append(f"bisimilarity undecided: {exc}")
 
+    eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)
     outcomes = []
     for item in items:
         outcomes.append(
             ItemOutcome(
                 item=item,
                 in_language=_in_language(item, mode, features),
-                holds_left=holds(ia, item),
-                holds_right=holds(ib, item),
+                holds_left=_failure(ia, eva, item) is None,
+                holds_right=_failure(ib, evb, item) is None,
             )
         )
 

@@ -10,11 +10,11 @@ a richer quotient carrier and are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .bisim import greatest_bisim
 from .errors import FeatureError, ModelError
-from .godel import ONE, ZERO
+from .godel import ZERO
 from .interp import Interpretation, reachability
 from .syntax import FeatureSet
 
@@ -29,41 +29,24 @@ class Partition:
     def is_identity(self) -> bool:
         return all(len(block) == 1 for block in self.blocks)
 
-    def block_containing(self, element: str) -> Tuple[str, ...]:
-        return self.blocks[self.block_of[element]]
-
 
 def strong_partition(interp: Interpretation, features: FeatureSet) -> Partition:
-    """Equivalence classes of the greatest crisp auto-bisimulation."""
+    """Equivalence classes of the greatest crisp auto-bisimulation.
+
+    Elements are grouped by the set their row marks.  The relation is an
+    equivalence exactly when every group's row marks that group itself
+    (reflexive, and related means equal rows), which costs O(n^2) to check.
+    """
     z = greatest_bisim(interp, interp, features, mode="crisp").relation
-    n = len(interp.domain)
-    matrix = z.matrix
-    for i in range(n):
-        if matrix[i][i] != ONE:
-            raise AssertionError("internal: strong bisimilarity lost reflexivity")
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i]:
-                raise AssertionError("internal: strong bisimilarity lost symmetry")
-            if matrix[i][j] == ONE:
-                for k in range(n):
-                    if matrix[j][k] == ONE and matrix[i][k] != ONE:
-                        raise AssertionError(
-                            "internal: strong bisimilarity lost transitivity"
-                        )
-    block_of: Dict[str, int] = {}
-    blocks: List[List[str]] = []
-    for i, x in enumerate(interp.domain):
-        placed = False
-        for b, members in enumerate(blocks):
-            if matrix[i][interp.index(members[0])] == ONE:
-                members.append(x)
-                block_of[x] = b
-                placed = True
-                break
-        if not placed:
-            block_of[x] = len(blocks)
-            blocks.append([x])
-    return Partition(tuple(tuple(b) for b in blocks), block_of)
+    groups: Dict[FrozenSet[int], List[int]] = {}
+    for i, row in enumerate(z.matrix):
+        groups.setdefault(frozenset(j for j, v in enumerate(row) if v), []).append(i)
+    for marked, members in groups.items():
+        if marked != frozenset(members):
+            raise AssertionError("internal: strong bisimilarity is not an equivalence")
+    blocks = tuple(tuple(interp.domain[i] for i in members) for members in groups.values())
+    block_of = {x: b for b, members in enumerate(blocks) for x in members}
+    return Partition(blocks, block_of)
 
 
 def _block_id(members: Tuple[str, ...]) -> str:

@@ -13,7 +13,8 @@ Grammar (ASCII), binding strength high to low:
   role and is reserved.
 
 ``exists r . self`` expresses local reflexivity and requires a plain role
-name.  Feature use is validated against the supplied :class:`FeatureSet`.
+name.  The finished tree is checked once against the supplied
+:class:`FeatureSet` by :func:`fdl.syntax.validate`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .errors import FeatureError, InputError, ParseError
+from .errors import InputError, ParseError
 from .godel import parse_degree
 from . import syntax as s
 
@@ -75,9 +76,8 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, features: s.FeatureSet):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.features = features
         self.i = 0
 
     # -- token plumbing ------------------------------------------------
@@ -139,8 +139,6 @@ class _Parser:
                     raise ParseError(
                         "local reflexivity takes a plain role name", tok.pos
                     )
-                if not self.features.self_loops:
-                    raise FeatureError("local reflexivity needs feature Self")
                 return s.SelfLoop(role.name)
             return s.Exists(role, self.prefixed())
         if self.eat("forall"):
@@ -157,11 +155,7 @@ class _Parser:
                 raise ParseError("number restrictions take a basic role", tok.pos)
             if self.eat("."):
                 filler = self.prefixed()
-                if not self.features.allows_qualified(n):
-                    raise FeatureError(f"qualified number restriction needs feature Q{n}")
                 return s.AtLeast(n, role, filler) if qualified_at_least else s.Less(n, role, filler)
-            if not self.features.allows_unqualified(n):
-                raise FeatureError(f"unqualified number restriction needs feature N{n}")
             return s.AtLeastUnq(n, role) if qualified_at_least else s.LessUnq(n, role)
         return self.atom()
 
@@ -180,8 +174,6 @@ class _Parser:
         if self.eat("{"):
             name = self.take("name").text
             self.take("}")
-            if not self.features.nominals:
-                raise FeatureError(f"nominal {{{name}}} needs feature O")
             return s.Nominal(name)
         if self.eat("("):
             inner = self.concept()
@@ -209,8 +201,6 @@ class _Parser:
         node = self.role_atom()
         while True:
             if self.eat("-"):
-                if not self.features.inverse:
-                    raise FeatureError("inverse roles need feature I")
                 node = s.Inverse(node)
             elif self.eat("*"):
                 node = s.Star(node)
@@ -231,8 +221,6 @@ class _Parser:
             pass
         self.i = saved
         if self.eat("U"):
-            if not self.features.universal:
-                raise FeatureError("the universal role needs feature U")
             return s.Universal()
         if self.at("name"):
             return s.RoleName(self.take("name").text)
@@ -266,7 +254,7 @@ def parse(
     if kind not in ("concept", "role"):
         raise InputError(f"kind must be 'concept' or 'role', got {kind!r}")
     features = features if features is not None else s.FeatureSet.permissive()
-    parser = _Parser(text, features)
+    parser = _Parser(text)
     node = parser.concept() if kind == "concept" else parser.role()
     trailing = parser.cur
     if trailing.kind != "end":

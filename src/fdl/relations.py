@@ -70,9 +70,6 @@ class FuzzyRelation:
     def at(self, x: str, y: str) -> Fraction:
         return self.matrix[self._ri[x]][self._ci[y]]
 
-    def __getitem__(self, pair: Tuple[str, str]) -> Fraction:
-        return self.at(*pair)
-
     def entries(self) -> Iterator[Tuple[str, str, Fraction]]:
         for i, x in enumerate(self.rows):
             for j, y in enumerate(self.cols):
@@ -128,7 +125,11 @@ class FuzzyRelation:
 
 
 def rel_sup(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
-    """Pointwise max of a nonempty family over identical index sets."""
+    """Pointwise max of a nonempty family over identical index sets.
+
+    Public as part of the relation algebra: bisimulations are closed under
+    it, which ``test_bisim`` and ``test_acceptance`` check.
+    """
     rels = list(relations)
     if not rels:
         raise InputError(
@@ -149,6 +150,11 @@ def rel_sup(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
 
 
 def pointwise_leq(smaller: FuzzyRelation, larger: FuzzyRelation) -> bool:
+    """Is ``smaller`` below ``larger`` everywhere?
+
+    Public as part of the relation algebra: its order, which ``test_kb``
+    uses to compare indistinguishability matrices with bisimulations.
+    """
     if smaller.rows != larger.rows or smaller.cols != larger.cols:
         raise InputError("comparison requires identical row/col sequences")
     return all(
@@ -159,7 +165,11 @@ def pointwise_leq(smaller: FuzzyRelation, larger: FuzzyRelation) -> bool:
 
 
 def cap(rel: FuzzyRelation, bound) -> FuzzyRelation:
-    """Pointwise min with a constant degree."""
+    """Pointwise min with a constant degree.
+
+    Public as part of the relation algebra: bisimulations are closed under
+    it, which ``test_bisim`` and ``test_acceptance`` check.
+    """
     b = degree(bound)
     return FuzzyRelation(
         rel.rows,

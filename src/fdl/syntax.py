@@ -16,10 +16,10 @@ share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
-from typing import FrozenSet, Optional, Union
+from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from .errors import FeatureError, InputError
 from .godel import ONE, ZERO, degree, format_degree
@@ -312,6 +312,34 @@ class LessUnq(Concept):
 
 Expr = Union[Concept, Role]
 
+# The fields of each node class that hold sub-expressions, in field order:
+# those annotated Concept or Role (annotations are strings in this module).
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls) if f.type in ("Concept", "Role"))
+    for cls in Role.__subclasses__() + Concept.__subclasses__()
+}
+
+
+def children(expr: Expr) -> Tuple[Expr, ...]:
+    """The direct sub-expressions of a node, in field order."""
+    try:
+        names = _CHILD_FIELDS[type(expr)]
+    except KeyError:
+        raise InputError(f"not a concept or role: {expr!r}") from None
+    if not names:
+        return ()
+    return tuple([getattr(expr, name) for name in names])
+
+
+def _map_children(expr: Expr, transform: Callable[[Expr], Expr]) -> Expr:
+    """A copy of ``expr`` with ``transform`` applied to each direct
+    sub-expression; leaves come back unchanged."""
+    kids = children(expr)
+    if not kids:
+        return expr
+    names = _CHILD_FIELDS[type(expr)]
+    return replace(expr, **{name: transform(kid) for name, kid in zip(names, kids)})
+
 
 # ---------------------------------------------------------------------------
 # feature well-formedness
@@ -319,53 +347,24 @@ Expr = Union[Concept, Role]
 
 def validate(expr: Expr, features: FeatureSet) -> None:
     """Raise :class:`FeatureError` if ``expr`` uses a disabled feature."""
-    if isinstance(expr, Inverse):
-        if not features.inverse:
-            raise FeatureError(f"inverse roles need feature I: {to_text(expr)}")
-        validate(expr.role, features)
-    elif isinstance(expr, Universal):
-        if not features.universal:
-            raise FeatureError("the universal role needs feature U")
-    elif isinstance(expr, (Compose, RoleUnion)):
-        validate(expr.left, features)
-        validate(expr.right, features)
-    elif isinstance(expr, Star):
-        validate(expr.role, features)
-    elif isinstance(expr, Test):
-        validate(expr.concept, features)
-    elif isinstance(expr, RoleName):
-        pass
-    elif isinstance(expr, Nominal):
-        if not features.nominals:
-            raise FeatureError(f"nominals need feature O: {to_text(expr)}")
-    elif isinstance(expr, SelfLoop):
-        if not features.self_loops:
-            raise FeatureError(f"local reflexivity needs feature Self: {to_text(expr)}")
-    elif isinstance(expr, (AtLeast, Less)):
-        if not features.allows_qualified(expr.n):
-            raise FeatureError(
-                f"qualified number restriction needs feature Q{expr.n}: {to_text(expr)}"
-            )
-        validate(expr.role, features)
-        validate(expr.filler, features)
-    elif isinstance(expr, (AtLeastUnq, LessUnq)):
-        if not features.allows_unqualified(expr.n):
-            raise FeatureError(
-                f"unqualified number restriction needs feature N{expr.n}: {to_text(expr)}"
-            )
-        validate(expr.role, features)
-    elif isinstance(expr, (Not, InvNeg, Delta)):
-        validate(expr.concept, features)
-    elif isinstance(expr, (And, Or, Implies)):
-        validate(expr.left, features)
-        validate(expr.right, features)
-    elif isinstance(expr, (Exists, Forall)):
-        validate(expr.role, features)
-        validate(expr.filler, features)
-    elif isinstance(expr, (Constant, ConceptName)):
-        pass
-    else:
-        raise InputError(f"not a concept or role: {expr!r}")
+    if isinstance(expr, Inverse) and not features.inverse:
+        raise FeatureError(f"inverse roles need feature I: {to_text(expr)}")
+    if isinstance(expr, Universal) and not features.universal:
+        raise FeatureError("the universal role needs feature U")
+    if isinstance(expr, Nominal) and not features.nominals:
+        raise FeatureError(f"nominals need feature O: {to_text(expr)}")
+    if isinstance(expr, SelfLoop) and not features.self_loops:
+        raise FeatureError(f"local reflexivity needs feature Self: {to_text(expr)}")
+    if isinstance(expr, (AtLeast, Less)) and not features.allows_qualified(expr.n):
+        raise FeatureError(
+            f"qualified number restriction needs feature Q{expr.n}: {to_text(expr)}"
+        )
+    if isinstance(expr, (AtLeastUnq, LessUnq)) and not features.allows_unqualified(expr.n):
+        raise FeatureError(
+            f"unqualified number restriction needs feature N{expr.n}: {to_text(expr)}"
+        )
+    for child in children(expr):
+        validate(child, features)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +459,11 @@ def to_text(expr: Expr) -> str:
 
 
 def inverse_normal_form(role: Role) -> Role:
-    """Push inverses down so they apply to role names only."""
+    """Push inverses down so they apply to role names only.
+
+    Roles inside concept tests are normalised too; given a concept, every
+    role nested in it is.
+    """
     if isinstance(role, Inverse):
         inner = role.role
         if isinstance(inner, RoleName):
@@ -484,30 +487,7 @@ def inverse_normal_form(role: Role) -> Role:
         if isinstance(inner, Test):
             return inverse_normal_form(inner)
         raise InputError(f"not a role: {inner!r}")
-    if isinstance(role, Compose):
-        return Compose(inverse_normal_form(role.left), inverse_normal_form(role.right))
-    if isinstance(role, RoleUnion):
-        return RoleUnion(inverse_normal_form(role.left), inverse_normal_form(role.right))
-    if isinstance(role, Star):
-        return Star(inverse_normal_form(role.role))
-    if isinstance(role, Test):
-        return Test(_inf_in_concept(role.concept))
-    return role
-
-
-def _inf_in_concept(c: Concept) -> Concept:
-    """Apply inverse normal form to every role nested inside a concept."""
-    if isinstance(c, (Exists, Forall)):
-        return type(c)(inverse_normal_form(c.role), _inf_in_concept(c.filler))
-    if isinstance(c, (AtLeast, Less)):
-        return type(c)(c.n, inverse_normal_form(c.role), _inf_in_concept(c.filler))
-    if isinstance(c, (AtLeastUnq, LessUnq)):
-        return type(c)(c.n, inverse_normal_form(c.role))
-    if isinstance(c, (Not, InvNeg, Delta)):
-        return type(c)(_inf_in_concept(c.concept))
-    if isinstance(c, (And, Or, Implies)):
-        return type(c)(_inf_in_concept(c.left), _inf_in_concept(c.right))
-    return c
+    return _map_children(role, inverse_normal_form)
 
 
 def rewrite_definable(c: Concept) -> Concept:
@@ -515,7 +495,8 @@ def rewrite_definable(c: Concept) -> Concept:
 
     ``not C`` becomes ``C -> 0``; ``C or D`` becomes
     ``((C -> D) -> D) and ((D -> C) -> C)``.  The Baaz projection unfolds to
-    its defining shape first; involutive negation is left intact.
+    its defining shape first; involutive negation is left intact.  Concepts
+    inside role tests are rewritten too.
     """
     if isinstance(c, Delta):
         return rewrite_definable(Not(InvNeg(c.concept)))
@@ -528,29 +509,7 @@ def rewrite_definable(c: Concept) -> Concept:
             Implies(Implies(left, right), right),
             Implies(Implies(right, left), left),
         )
-    if isinstance(c, InvNeg):
-        return InvNeg(rewrite_definable(c.concept))
-    if isinstance(c, And):
-        return And(rewrite_definable(c.left), rewrite_definable(c.right))
-    if isinstance(c, Implies):
-        return Implies(rewrite_definable(c.left), rewrite_definable(c.right))
-    if isinstance(c, (Exists, Forall)):
-        return type(c)(_rewrite_in_role(c.role), rewrite_definable(c.filler))
-    if isinstance(c, (AtLeast, Less)):
-        return type(c)(c.n, c.role, rewrite_definable(c.filler))
-    return c
-
-
-def _rewrite_in_role(r: Role) -> Role:
-    if isinstance(r, Test):
-        return Test(rewrite_definable(r.concept))
-    if isinstance(r, (Compose, RoleUnion)):
-        return type(r)(_rewrite_in_role(r.left), _rewrite_in_role(r.right))
-    if isinstance(r, Star):
-        return Star(_rewrite_in_role(r.role))
-    if isinstance(r, Inverse):
-        return Inverse(_rewrite_in_role(r.role))
-    return r
+    return _map_children(c, rewrite_definable)
 
 
 # ---------------------------------------------------------------------------
@@ -593,87 +552,42 @@ class _Usage:
     free_implies: bool = False      # an implication with no constant side
 
 
-def _scan_concept(c: Concept, u: _Usage) -> None:
-    if isinstance(c, (Constant, ConceptName, Nominal, SelfLoop)):
+def _scan(expr: Expr, u: _Usage) -> None:
+    if isinstance(expr, Not) and isinstance(expr.concept, InvNeg):
+        # the Baaz shape: this pair of negations is sanctioned
+        u.has_not = u.has_invneg = True
+        _scan(expr.concept.concept, u)
         return
-    if isinstance(c, Delta):
+    if isinstance(expr, Delta):
         u.has_invneg = True
-        _scan_concept(c.concept, u)
-        return
-    if isinstance(c, Not):
-        u.has_not = True
-        if isinstance(c.concept, InvNeg):
-            # the Baaz shape: this pair of negations is sanctioned
-            u.has_invneg = True
-            _scan_concept(c.concept.concept, u)
-        else:
-            u.loose_not = True
-            _scan_concept(c.concept, u)
-        return
-    if isinstance(c, InvNeg):
-        u.has_invneg = True
-        u.loose_invneg = True
-        _scan_concept(c.concept, u)
-        return
-    if isinstance(c, And):
-        _scan_concept(c.left, u)
-        _scan_concept(c.right, u)
-        return
-    if isinstance(c, Or):
+    elif isinstance(expr, Not):
+        u.has_not = u.loose_not = True
+    elif isinstance(expr, InvNeg):
+        u.has_invneg = u.loose_invneg = True
+    elif isinstance(expr, Or):
         u.disjunction = True
-        _scan_concept(c.left, u)
-        _scan_concept(c.right, u)
-        return
-    if isinstance(c, Implies):
-        if not isinstance(c.left, Constant) and not isinstance(c.right, Constant):
+    elif isinstance(expr, Implies):
+        if not isinstance(expr.left, Constant) and not isinstance(expr.right, Constant):
             u.free_implies = True
-        _scan_concept(c.left, u)
-        _scan_concept(c.right, u)
-        return
-    if isinstance(c, (Exists, Forall)):
-        if isinstance(c, Forall):
-            u.forall = True
-        _scan_role(c.role, u)
-        _scan_concept(c.filler, u)
-        return
-    if isinstance(c, (AtLeast, Less)):
-        if isinstance(c, Less):
-            u.less = True
-        _scan_role(c.role, u)
-        _scan_concept(c.filler, u)
-        return
-    if isinstance(c, (AtLeastUnq, LessUnq)):
-        if isinstance(c, LessUnq):
-            u.less = True
-        _scan_role(c.role, u)
-        return
-    raise InputError(f"not a concept: {c!r}")
-
-
-def _scan_role(r: Role, u: _Usage) -> None:
-    if isinstance(r, (RoleName, Universal)):
-        return
-    if isinstance(r, Inverse):
-        if not isinstance(r.role, RoleName):
+    elif isinstance(expr, Forall):
+        u.forall = True
+    elif isinstance(expr, (Less, LessUnq)):
+        u.less = True
+    elif isinstance(expr, Inverse):
+        if not isinstance(expr.role, RoleName):
             u.role_constructors = True
-        _scan_role(r.role, u)
-        return
-    if isinstance(r, (Compose, RoleUnion, Star)):
+    elif isinstance(expr, (Compose, RoleUnion, Star, Test)):
         u.role_constructors = True
-        for child in (r.left, r.right) if not isinstance(r, Star) else (r.role,):
-            _scan_role(child, u)
-        return
-    if isinstance(r, Test):
-        u.role_constructors = True
-        _scan_concept(r.concept, u)
-        return
-    raise InputError(f"not a role: {r!r}")
+    for child in children(expr):
+        _scan(child, u)
 
 
 def classify_sublanguage(c: Concept, features: FeatureSet) -> FrozenSet[Sublanguage]:
     """The exact set of sublanguages whose grammar admits ``c``."""
+    if not isinstance(c, Concept):
+        raise InputError(f"not a concept: {c!r}")
     u = _Usage()
-    _scan_concept(c, u)
+    _scan(c, u)
     tags = {Sublanguage.EXTENDED}
     if not u.has_invneg:
         tags.add(Sublanguage.CORE)
@@ -699,52 +613,46 @@ def classify_sublanguage(c: Concept, features: FeatureSet) -> FrozenSet[Sublangu
     return frozenset(tags)
 
 
+# Per node class: the leading tag of its structural key, the field whose
+# text is the key's label (None for an empty label), and the child fields.
+_KEYS: Dict[type, Tuple[int, Optional[str], Tuple[str, ...]]] = {
+    cls: (tag, label, _CHILD_FIELDS[cls])
+    for cls, (tag, label) in {
+        Constant: (0, "value"),
+        ConceptName: (1, "name"),
+        Nominal: (2, "individual"),
+        SelfLoop: (3, "role_name"),
+        Not: (4, None),
+        InvNeg: (5, None),
+        Delta: (6, None),
+        And: (7, None),
+        Or: (8, None),
+        Implies: (9, None),
+        Exists: (10, None),
+        Forall: (11, None),
+        AtLeast: (12, "n"),
+        Less: (13, "n"),
+        AtLeastUnq: (14, "n"),
+        LessUnq: (15, "n"),
+        RoleName: (20, "name"),
+        Universal: (21, None),
+        Inverse: (22, None),
+        Star: (23, None),
+        Compose: (24, None),
+        RoleUnion: (25, None),
+        Test: (26, None),
+    }.items()
+}
+
+
 def structural_key(expr: Expr):
-    """A total, deterministic ordering key over syntax trees."""
-    if isinstance(expr, Constant):
-        return (0, str(expr.value), ())
-    if isinstance(expr, ConceptName):
-        return (1, expr.name, ())
-    if isinstance(expr, Nominal):
-        return (2, expr.individual, ())
-    if isinstance(expr, SelfLoop):
-        return (3, expr.role_name, ())
-    if isinstance(expr, RoleName):
-        return (20, expr.name, ())
-    if isinstance(expr, Universal):
-        return (21, "", ())
-    if isinstance(expr, Inverse):
-        return (22, "", (structural_key(expr.role),))
-    if isinstance(expr, Star):
-        return (23, "", (structural_key(expr.role),))
-    if isinstance(expr, Compose):
-        return (24, "", (structural_key(expr.left), structural_key(expr.right)))
-    if isinstance(expr, RoleUnion):
-        return (25, "", (structural_key(expr.left), structural_key(expr.right)))
-    if isinstance(expr, Test):
-        return (26, "", (structural_key(expr.concept),))
-    if isinstance(expr, Not):
-        return (4, "", (structural_key(expr.concept),))
-    if isinstance(expr, InvNeg):
-        return (5, "", (structural_key(expr.concept),))
-    if isinstance(expr, Delta):
-        return (6, "", (structural_key(expr.concept),))
-    if isinstance(expr, And):
-        return (7, "", (structural_key(expr.left), structural_key(expr.right)))
-    if isinstance(expr, Or):
-        return (8, "", (structural_key(expr.left), structural_key(expr.right)))
-    if isinstance(expr, Implies):
-        return (9, "", (structural_key(expr.left), structural_key(expr.right)))
-    if isinstance(expr, Exists):
-        return (10, "", (structural_key(expr.role), structural_key(expr.filler)))
-    if isinstance(expr, Forall):
-        return (11, "", (structural_key(expr.role), structural_key(expr.filler)))
-    if isinstance(expr, AtLeast):
-        return (12, str(expr.n), (structural_key(expr.role), structural_key(expr.filler)))
-    if isinstance(expr, Less):
-        return (13, str(expr.n), (structural_key(expr.role), structural_key(expr.filler)))
-    if isinstance(expr, AtLeastUnq):
-        return (14, str(expr.n), (structural_key(expr.role),))
-    if isinstance(expr, LessUnq):
-        return (15, str(expr.n), (structural_key(expr.role),))
-    raise InputError(f"not a concept or role: {expr!r}")
+    """A total, deterministic ordering key over syntax trees:
+    ``(tag, label, keys of the children)``."""
+    try:
+        tag, label, names = _KEYS[type(expr)]
+    except KeyError:
+        raise InputError(f"not a concept or role: {expr!r}") from None
+    text = "" if label is None else str(getattr(expr, label))
+    if not names:  # leaves are most nodes; skip building an empty list
+        return (tag, text, ())
+    return (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))

@@ -14,6 +14,7 @@ from fdl import (
     FeatureSet,
     Forall,
     Implies,
+    InputError,
     Interpretation,
     InvNeg,
     Inverse,
@@ -28,10 +29,33 @@ from fdl import (
     Star,
     Test,
     Universal,
+    baaz_delta,
+    godel_and,
+    godel_iff,
+    godel_implies,
+    godel_not,
+    godel_or,
+    involutive_not,
 )
 
 POOL3 = (F(0), F(1, 2), F(1))
 POOL4 = (F(0), F(1, 3), F(2, 3), F(1))
+
+_UNARY = {"neg": godel_not, "inv_neg": involutive_not, "delta": baaz_delta}
+_BINARY = {"and": godel_and, "or": godel_or, "implies": godel_implies, "iff": godel_iff}
+
+
+def godel_apply(connective, p, q=None):
+    """Apply a named connective; arity mismatches raise :class:`InputError`."""
+    if connective in _UNARY:
+        if q is not None:
+            raise InputError(f"connective {connective!r} takes one argument")
+        return _UNARY[connective](p)
+    if connective in _BINARY:
+        if q is None:
+            raise InputError(f"connective {connective!r} takes two arguments")
+        return _BINARY[connective](p, q)
+    raise InputError(f"unknown connective {connective!r}")
 
 
 def random_model(

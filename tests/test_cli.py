@@ -258,6 +258,31 @@ class TestHm:
         assert any("delta" in text for text in doc["separators"].values())
 
 
+    def test_json_output_pinned(self, files):
+        code, out, _ = run_cli(
+            ["--json", "hm", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "",
+             "--fragment", "prime", "--depth", "1"]
+        )
+        assert code == 0
+        expected = {
+            "matrix": {
+                "mode": "fuzzy",
+                "entries": [
+                    ["u", "u'", "1"],
+                    ["v", "v'", "1"],
+                    ["v", "w'", "0.8"],
+                    ["w", "v'", "0.8"],
+                    ["w", "w'", "1"],
+                ],
+            },
+            "separators": {
+                "u|v'": "A", "u|w'": "A", "v|u'": "A", "v|w'": "A", "w|u'": "A", "w|v'": "A",
+            },
+            "concepts_used": 62,
+        }
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+
 class TestHarness:
     def test_deterministic_output(self, files):
         argv = ["--json", "bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "", "--mode", "fuzzy"]

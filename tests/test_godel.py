@@ -10,7 +10,6 @@ from fdl import (
     degree,
     format_degree,
     godel_and,
-    godel_apply,
     godel_iff,
     godel_implies,
     godel_not,
@@ -18,6 +17,7 @@ from fdl import (
     nth_largest,
     parse_degree,
 )
+from helpers import godel_apply
 
 degrees = st.fractions(min_value=0, max_value=1, max_denominator=60)
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import fdl.kb
 from fdl import (
     ConceptAssertion,
     FeatureSet,
@@ -170,6 +171,37 @@ def random_social(rng):
         concepts={"Post": {}},
         roles={"interestedIn": edges, "shares": {}, "relatedTo": {}},
     )
+
+
+class TestOneEvaluatorPerBox:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        instances = []
+
+        class CountingEvaluator(fdl.kb.ConceptEvaluator):
+            def __init__(self, interp):
+                super().__init__(interp)
+                instances.append(self)
+
+        monkeypatch.setattr(fdl.kb, "ConceptEvaluator", CountingEvaluator)
+        return instances
+
+    @staticmethod
+    def box():
+        return social_tbox() + [
+            ConceptAssertion(parse_concept("exists interestedIn . {fashion}"), "fashion", "<=", F(0)),
+            RoleAssertion(parse_role("interestedIn"), "fashion", "shopping", "<=", F(0)),
+        ]
+
+    def test_validates_builds_one(self, built):
+        assert len(self.box()) == 6
+        assert validates(social_model(), self.box()).valid
+        assert len(built) == 1
+
+    def test_invariance_probe_builds_one_per_model(self, built):
+        report = invariance_probe(social_model(), social_model(), FINITE_ALL, "crisp", self.box())
+        assert report.agreement and not report.flag
+        assert len(built) == 2
 
 
 class TestKbDocuments:

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import fdl.minimize
 from fdl import (
     FeatureError,
     FeatureSet,
+    CandidateRelation,
     FuzzyRelation,
     Interpretation,
     ModelError,
@@ -50,6 +52,30 @@ class TestStrongPartition:
         assert strong_partition(model, FeatureSet(universal=True)).blocks == (
             strong_partition(model, NO_FEATURES).blocks
         )
+
+
+    @pytest.mark.parametrize(
+        "pairs, blocks",
+        [
+            ([("a", "c"), ("c", "a")], (("a", "c"), ("b",))),
+            ([("a", "b")], None),  # not symmetric
+            ([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")], None),  # not transitive
+        ],
+    )
+    def test_relation_must_be_an_equivalence(self, monkeypatch, pairs, blocks):
+        model = Interpretation(["a", "b", "c"], {}, {}, {})
+        entries = {(x, x): F(1) for x in model.domain}
+        entries.update({pair: F(1) for pair in pairs})
+        relation = FuzzyRelation.from_entries(model.domain, model.domain, entries)
+        monkeypatch.setattr(
+            fdl.minimize, "greatest_bisim",
+            lambda *args, **kwargs: CandidateRelation(relation, "crisp"),
+        )
+        if blocks is None:
+            with pytest.raises(AssertionError):
+                strong_partition(model, NO_FEATURES)
+        else:
+            assert strong_partition(model, NO_FEATURES).blocks == blocks
 
 
 class TestQuotient:

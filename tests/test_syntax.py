@@ -21,6 +21,7 @@ from fdl import (
     InvNeg,
     Inverse,
     Less,
+    LessUnq,
     Nominal,
     Not,
     Or,
@@ -43,6 +44,7 @@ from fdl import (
     to_text,
     validate,
 )
+from fdl.syntax import structural_key
 from helpers import random_concept, random_features
 
 PERMISSIVE = FeatureSet.permissive()
@@ -310,6 +312,46 @@ class TestClassification:
                 assert Sublanguage.DELTA in tags
             if Sublanguage.CORE in tags:
                 assert Sublanguage.DELTA in tags
+
+
+class TestStructuralKey:
+    def test_pinned_for_every_node_class(self):
+        # Enumeration order, and so the separators ``fdl hm`` prints,
+        # follows these keys; they must not change.
+        a, r = ConceptName("A"), RoleName("r")
+        ka, kr = (1, "A", ()), (20, "r", ())
+        cases = [
+            (Constant(F(1, 2)), (0, "1/2", ())),
+            (a, ka),
+            (Nominal("a"), (2, "a", ())),
+            (SelfLoop("r"), (3, "r", ())),
+            (Not(a), (4, "", (ka,))),
+            (InvNeg(a), (5, "", (ka,))),
+            (Delta(a), (6, "", (ka,))),
+            (And(a, Constant(F(1))), (7, "", (ka, (0, "1", ())))),
+            (Or(a, a), (8, "", (ka, ka))),
+            (Implies(a, a), (9, "", (ka, ka))),
+            (Exists(r, a), (10, "", (kr, ka))),
+            (Forall(r, a), (11, "", (kr, ka))),
+            (AtLeast(2, r, a), (12, "2", (kr, ka))),
+            (Less(3, r, a), (13, "3", (kr, ka))),
+            (AtLeastUnq(2, Inverse(r)), (14, "2", ((22, "", (kr,)),))),
+            (LessUnq(1, r), (15, "1", (kr,))),
+            (r, kr),
+            (Universal(), (21, "", ())),
+            (Inverse(r), (22, "", (kr,))),
+            (Star(r), (23, "", (kr,))),
+            (Compose(r, Universal()), (24, "", (kr, (21, "", ())))),
+            (RoleUnion(r, r), (25, "", (kr, kr))),
+            (Test(a), (26, "", (ka,))),
+        ]
+        assert len({type(node) for node, _ in cases}) == 23
+        for node, key in cases:
+            assert structural_key(node) == key, node
+
+    def test_rejects_non_expressions(self):
+        with pytest.raises(InputError):
+            structural_key("A")
 
 
 class TestEnumeration:
