@@ -156,19 +156,9 @@ def dump_relation(candidate: CandidateRelation) -> dict:
 # rank tables
 
 
-def _successors(matrix, rank) -> List[List[Tuple[int, int]]]:
-    """Each element's successors in a role matrix as ``(index, rank)``
-    pairs, in index order."""
-    return [[(y, rank[v]) for y, v in enumerate(row) if v] for row in matrix]
-
-
-def _transpose(succ):
-    """Predecessor lists from successor lists, in index order."""
-    pred = [[] for _ in succ]
-    for x, row in enumerate(succ):
-        for y, r in row:
-            pred[y].append((x, r))
-    return pred
+def _ranked(lists, rank) -> List[List[Tuple[int, int]]]:
+    """Successor or predecessor lists with each degree replaced by its rank."""
+    return [[(y, rank[d]) for y, d in row] for row in lists]
 
 
 class _Context:
@@ -198,17 +188,23 @@ class _Context:
         self.basic: List[Tuple[str, list, list]] = []
         self.self_loops: List[Tuple[str, List[int], List[int]]] = []
         for name in sorted(set(ia.roles) | set(ib.roles)):
-            mat_a, mat_b = ia.role_relation(name).matrix, ib.role_relation(name).matrix
-            succ_a, succ_b = _successors(mat_a, rank), _successors(mat_b, rank)
-            self.basic.append((name, succ_a, succ_b))
+            self.basic.append(
+                (name, _ranked(ia.successors(name), rank), _ranked(ib.successors(name), rank))
+            )
             if features.inverse:
-                self.basic.append((name + "-", _transpose(succ_a), _transpose(succ_b)))
+                self.basic.append(
+                    (
+                        name + "-",
+                        _ranked(ia.predecessors(name), rank),
+                        _ranked(ib.predecessors(name), rank),
+                    )
+                )
             if features.self_loops:
                 self.self_loops.append(
                     (
                         name,
-                        [rank[row[x]] for x, row in enumerate(mat_a)],
-                        [rank[row[y]] for y, row in enumerate(mat_b)],
+                        [rank[v] for v in ia.self_degrees(name)],
+                        [rank[v] for v in ib.self_degrees(name)],
                     )
                 )
         self.individual_pairs: List[Tuple[str, int, int]] = []
@@ -275,9 +271,29 @@ def _static_rows(ctx: _Context, i: int, j: int):
             yield "FB10", name, None, top, a if a < b else b
 
 
-def _relational_rows(ctx: _Context, z, i: int, j: int):
-    """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9."""
+def _universal_rows(ctx: _Context, z) -> tuple:
+    """The FB8 and FB9 rows, which are the same at every pair: one per row
+    or column of Z whose maximum is below 1.  Empty without feature U."""
+    if not ctx.features.universal:
+        return ()
     top = ctx.top
+    dom_a, dom_b = ctx.ia.domain, ctx.ib.domain
+    fb8 = [
+        ("FB8", None, (dom_a[y],), top, best)
+        for y, best in enumerate(map(max, z))
+        if best < top
+    ]
+    fb9 = [
+        ("FB9", None, (dom_b[y2],), top, best)
+        for y2, best in enumerate(map(max, zip(*z)))
+        if best < top
+    ]
+    return tuple(fb8 + fb9)
+
+
+def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
+    """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9, with
+    ``universal`` the FB8/FB9 rows from :func:`_universal_rows`."""
     dom_a, dom_b = ctx.ia.domain, ctx.ib.domain
     for label, succ_a, succ_b in ctx.basic:
         sa, sb = succ_a[i], succ_b[j]
@@ -302,13 +318,7 @@ def _relational_rows(ctx: _Context, z, i: int, j: int):
                         break
             if best < d:
                 yield "FB4", label, (dom_b[y2],), d, best
-    if ctx.features.universal:
-        for y, best in enumerate(map(max, z)):
-            if best < top:
-                yield "FB8", None, (dom_a[y],), top, best
-        for y2, best in enumerate(map(max, zip(*z))):
-            if best < top:
-                yield "FB9", None, (dom_b[y2],), top, best
+    yield from universal
     if ctx.q_bounds:
         # per role, each successor's degree and name, and the scores
         # min(Z, other side's degree) it gives the other side's successors
@@ -359,7 +369,7 @@ def _relational_rows(ctx: _Context, z, i: int, j: int):
                             yield code, label, None, mine[n - 1], got
 
 
-def _rows(ctx: _Context, z, i: int, j: int):
+def _rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     """Every row of pair (i, j) under rank matrix ``z`` with strength > rhs.
 
     A row ``(code, name, witness, strength, rhs)`` holds when
@@ -369,7 +379,7 @@ def _rows(ctx: _Context, z, i: int, j: int):
     :func:`check_bisim`.
     """
     yield from _static_rows(ctx, i, j)
-    yield from _relational_rows(ctx, z, i, j)
+    yield from _relational_rows(ctx, z, i, j, universal)
 
 
 def _ceiling(rows, bound: int) -> int:
@@ -389,13 +399,14 @@ _SYMBOL_CODES = ("FB2", "FB5", "FB10")
 def _violations(ctx: _Context, z) -> Iterator[Violation]:
     """Yield every broken condition of rank matrix ``z``, pair by pair."""
     universe = ctx.universe
+    universal = _universal_rows(ctx, z)
     for i, x in enumerate(ctx.ia.domain):
         zi = z[i]
         for j, x_prime in enumerate(ctx.ib.domain):
             val = zi[j]
             if val == 0:
                 continue
-            for code, name, witness, strength, rhs in _rows(ctx, z, i, j):
+            for code, name, witness, strength, rhs in _rows(ctx, z, i, j, universal):
                 lhs = val if val < strength else strength
                 if lhs > rhs:
                     symbol = code in _SYMBOL_CODES
@@ -438,7 +449,8 @@ def condition_bound(
     fixed, satisfies every condition locally."""
     rel = z.relation if isinstance(z, CandidateRelation) else z
     ctx = _candidate_context(ia, ib, features, rel)
-    rows = _rows(ctx, ctx.ranks(rel), ia.index(x), ib.index(x_prime))
+    z_ranks = ctx.ranks(rel)
+    rows = _rows(ctx, z_ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, z_ranks))
     return ctx.universe[_ceiling(rows, ctx.top)]
 
 
@@ -485,13 +497,17 @@ def greatest_bisim(
                 "internal: fixpoint did not converge within the degree-universe bound"
             )
         changed = False
+        # Z only falls during a sweep, so these maxima can only be too
+        # high, which lowers nothing wrongly; the last sweep changes
+        # nothing, so there they are exact
+        universal = _universal_rows(ctx, z)
         for i, j in order:
             current = z[i][j]
             if current == 0:
                 continue
             # Z already lies below the static rows, so only the rest can
             # lower it; in crisp mode any row drops the pair to 0
-            rows = _relational_rows(ctx, z, i, j)
+            rows = _relational_rows(ctx, z, i, j, universal)
             if crisp:
                 new = current if next(rows, None) is None else 0
             else:

@@ -2,9 +2,15 @@
 
 An :class:`Interpretation` fixes a nonempty ordered domain, an assignment
 of individual names to elements, and graded valuations for concept and
-role names.  Valuations are total: anything unlisted is 0.  Instances are
-immutable after construction and the evaluator is pure, so concurrent use
+role names.  Valuations are total: anything unlisted is 0.  A role name is
+stored sparsely, as each element's positive successors; a dense
+:class:`FuzzyRelation` is built only for callers that ask for one.
+Instances do not change after construction (predecessor lists are
+computed once, on first use) and the evaluator is pure, so concurrent use
 is safe.
+
+The evaluator grades quantifiers by pushing the filler's vector through
+the role expression, so its cost follows the edges, never n x n.
 
 Element order everywhere follows the declaration order of the domain,
 which keeps all outputs deterministic.
@@ -12,10 +18,12 @@ which keeps all outputs deterministic.
 
 from __future__ import annotations
 
+import heapq
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError
 from .godel import (
@@ -33,6 +41,9 @@ from .godel import (
 from .relations import FuzzyRelation
 from . import syntax as s
 
+# One element's positive (index, degree) successors or predecessors.
+Edges = Tuple[Tuple[int, Fraction], ...]
+
 
 @dataclass(frozen=True)
 class FuzzySet:
@@ -49,9 +60,14 @@ class FuzzySet:
 
 
 class Interpretation:
-    """A finite fuzzy interpretation."""
+    """A finite fuzzy interpretation.
 
-    __slots__ = ("domain", "individuals", "concepts", "roles", "_index")
+    Each role name is stored as per-element successor lists of
+    ``(index, degree)`` pairs, sorted by index, with zero degrees dropped.
+    Predecessor lists are built on first use.
+    """
+
+    __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_pred")
 
     def __init__(
         self,
@@ -83,28 +99,32 @@ class Interpretation:
                 row[self._index[element]] = degree(value)
             self.concepts[name] = tuple(row)
 
-        self.roles: Dict[str, FuzzyRelation] = {}
+        self.roles: Dict[str, Tuple[Edges, ...]] = {}
         for name, value in (roles or {}).items():
             self.roles[name] = self._coerce_role(name, value)
+        self._pred: Dict[str, Tuple[Edges, ...]] = {}
 
-    def _coerce_role(self, name: str, value) -> FuzzyRelation:
+    def _coerce_role(self, name: str, value) -> Tuple[Edges, ...]:
+        """Successor lists from a FuzzyRelation over the domain, a mapping
+        ``{(x, y): degree}`` or an iterable of ``(x, y, degree)``."""
         if isinstance(value, FuzzyRelation):
             if value.rows != self.domain or value.cols != self.domain:
                 raise ModelError(f"role {name!r} is not indexed by the domain")
-            return value
-        if isinstance(value, Mapping):
-            entries = dict(value)
+            triples = value.entries()
+        elif isinstance(value, Mapping):
+            triples = ((x, y, d) for (x, y), d in value.items())
         else:
-            entries = {}
-            for item in value:
-                x, y, d = item
-                if (x, y) in entries:
-                    raise ModelError(f"role {name!r} lists the edge ({x}, {y}) twice")
-                entries[(x, y)] = d
-        for (x, y) in entries:
-            if x not in self._index or y not in self._index:
+            triples = value
+        index = self._index
+        succ: List[Dict[int, Fraction]] = [{} for _ in self.domain]
+        for x, y, d in triples:
+            if x not in index or y not in index:
                 raise ModelError(f"role {name!r} uses an unknown element in edge ({x}, {y})")
-        return FuzzyRelation.from_entries(self.domain, self.domain, entries)
+            row, j = succ[index[x]], index[y]
+            if j in row:
+                raise ModelError(f"role {name!r} lists the edge ({x}, {y}) twice")
+            row[j] = degree(d)
+        return tuple(tuple((j, d) for j, d in sorted(row.items()) if d) for row in succ)
 
     # -- accessors -------------------------------------------------------
 
@@ -124,17 +144,56 @@ class Interpretation:
         """Valuation of a concept name; all-zero when unlisted."""
         return self.concepts.get(name, (ZERO,) * len(self.domain))
 
+    def successors(self, name: str) -> Tuple[Edges, ...]:
+        """Each element's positive ``(index, degree)`` successors under a
+        role name, in index order; none when unlisted."""
+        succ = self.roles.get(name)
+        return succ if succ is not None else ((),) * len(self.domain)
+
+    def predecessors(self, name: str) -> Tuple[Edges, ...]:
+        """Each element's positive ``(index, degree)`` predecessors under a
+        role name, in index order; built on first use."""
+        pred = self._pred.get(name)
+        if pred is None:
+            lists: List[List[Tuple[int, Fraction]]] = [[] for _ in self.domain]
+            for i, row in enumerate(self.successors(name)):
+                for j, d in row:
+                    lists[j].append((i, d))
+            pred = self._pred[name] = tuple(map(tuple, lists))
+        return pred
+
+    def edges(self, name: str) -> Iterator[Tuple[str, str, Fraction]]:
+        """The positive edges of a role name as ``(x, y, degree)``, in
+        index order."""
+        domain = self.domain
+        for i, row in enumerate(self.successors(name)):
+            for j, d in row:
+                yield domain[i], domain[j], d
+
+    def self_degrees(self, name: str) -> Tuple[Fraction, ...]:
+        """Each element's self-loop degree under a role name."""
+        return tuple(
+            next((d for j, d in row if j == i), ZERO)
+            for i, row in enumerate(self.successors(name))
+        )
+
     def role_relation(self, name: str) -> FuzzyRelation:
-        """Valuation of a role name; all-zero when unlisted."""
-        rel = self.roles.get(name)
-        if rel is None:
-            rel = FuzzyRelation.constant(self.domain, self.domain, ZERO)
-        return rel
+        """Valuation of a role name as a dense relation; all-zero when
+        unlisted.  For callers that want a :class:`FuzzyRelation`; the
+        evaluator and :mod:`fdl.bisim` read the successor lists."""
+        n = len(self.domain)
+        matrix = [[ZERO] * n for _ in range(n)]
+        for i, row in enumerate(self.successors(name)):
+            for j, d in row:
+                matrix[i][j] = d
+        return FuzzyRelation(self.domain, self.domain, matrix)
 
     def is_crisp(self) -> bool:
         return all(
             v in (ZERO, ONE) for row in self.concepts.values() for v in row
-        ) and all(rel.is_crisp() for rel in self.roles.values())
+        ) and all(
+            d == ONE for succ in self.roles.values() for row in succ for _j, d in row
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Interpretation):
@@ -196,11 +255,10 @@ def dump_interpretation(interp: Interpretation) -> dict:
             for x, v in zip(interp.domain, row)
             if v != ZERO
         }
-    roles = {}
-    for name, rel in interp.roles.items():
-        roles[name] = [
-            [x, y, format_degree(v)] for x, y, v in rel.entries() if v != ZERO
-        ]
+    roles = {
+        name: [[x, y, format_degree(v)] for x, y, v in interp.edges(name)]
+        for name in interp.roles
+    }
     return {
         "domain": list(interp.domain),
         "individuals": dict(interp.individuals),
@@ -213,11 +271,31 @@ def dump_interpretation(interp: Interpretation) -> dict:
 # evaluation
 
 
+# A quantifier's filler vector travels through a role as a dict holding only
+# the entries that differ from the quantifier's neutral value: 0 for exists,
+# 1 for forall.  Per quantifier: that value, the edge operation, the order
+# in which one value is better than another (max for exists, min for
+# forall), and a heap key that puts the best value first.
+_EXISTS = (ZERO, godel_and, operator.gt, operator.neg)
+_FORALL = (ONE, godel_implies, operator.lt, operator.pos)
+
+
 class ConceptEvaluator:
     """Memoizing evaluator bound to one interpretation.
 
-    The cache is confined to the instance, so results are deterministic and
-    identical to un-memoized evaluation.
+    ``exists R . C`` and ``forall R . C`` push the vector of C through R in
+    inverse normal form, using the Goedel identities
+
+    * ``Q (R ; S) . C`` = ``Q R . Q S . C`` for both quantifiers;
+    * ``exists (R | S) . C`` = max, ``forall (R | S) . C`` = min;
+    * ``exists D? . C`` = ``D and C``, ``forall D? . C`` = ``D -> C``;
+    * ``exists R* . C`` is the least solution of ``v = max(C, exists R . v)``
+      and ``forall R* . C`` the greatest of ``v = min(C, forall R . v)``.
+
+    A role name moves each entry to the element's predecessors, so the
+    work follows the edges and no n x n role is built.  The cache is
+    confined to the instance, so results are deterministic and identical to
+    un-memoized evaluation.
     """
 
     def __init__(self, interp: Interpretation):
@@ -233,9 +311,16 @@ class ConceptEvaluator:
         return cached
 
     def role_values(self, r: s.Role) -> FuzzyRelation:
+        """The relation denoted by ``r``; its column b is ``exists r . {b}``."""
         cached = self._roles.get(r)
         if cached is None:
-            cached = self._eval_role(r)
+            domain = self.interp.domain
+            role = s.inverse_normal_form(r)
+            matrix = [[ZERO] * len(domain) for _ in domain]
+            for b in range(len(domain)):
+                for a, v in self._push(role, {b: ONE}, _EXISTS).items():
+                    matrix[a][b] = v
+            cached = FuzzyRelation(domain, domain, matrix)
             self._roles[r] = cached
         return cached
 
@@ -268,102 +353,102 @@ class ConceptEvaluator:
             left = self.concept_values(c.left)
             right = self.concept_values(c.right)
             return tuple(godel_implies(p, q) for p, q in zip(left, right))
-        if isinstance(c, s.Exists):
-            rel = self.role_values(c.role).matrix
+        if isinstance(c, (s.Exists, s.Forall)):
+            quantifier = _EXISTS if isinstance(c, s.Exists) else _FORALL
+            neutral = quantifier[0]
             filler = self.concept_values(c.filler)
-            return tuple(
-                max((godel_and(rel[i][j], filler[j]) for j in range(n)), default=ZERO)
-                for i in range(n)
-            )
-        if isinstance(c, s.Forall):
-            rel = self.role_values(c.role).matrix
-            filler = self.concept_values(c.filler)
-            return tuple(
-                min((godel_implies(rel[i][j], filler[j]) for j in range(n)), default=ONE)
-                for i in range(n)
-            )
+            vector = {b: v for b, v in enumerate(filler) if v != neutral}
+            pushed = self._push(s.inverse_normal_form(c.role), vector, quantifier)
+            return tuple(pushed.get(a, neutral) for a in range(n))
         if isinstance(c, s.SelfLoop):
-            rel = interp.role_relation(c.role_name).matrix
-            return tuple(rel[i][i] for i in range(n))
-        if isinstance(c, s.AtLeast):
-            rel = self.role_values(c.role).matrix
+            return interp.self_degrees(c.role_name)
+        if isinstance(c, (s.AtLeast, s.Less)):
             filler = self.concept_values(c.filler)
-            return tuple(
-                nth_largest((godel_and(rel[i][j], filler[j]) for j in range(n)), c.n)
-                for i in range(n)
-            )
-        if isinstance(c, s.Less):
-            rel = self.role_values(c.role).matrix
-            filler = self.concept_values(c.filler)
-            return tuple(
-                ONE
-                if sum(1 for j in range(n) if godel_and(rel[i][j], filler[j]) > ZERO) < c.n
-                else ZERO
-                for i in range(n)
-            )
-        if isinstance(c, s.AtLeastUnq):
-            rel = self.role_values(c.role).matrix
-            return tuple(nth_largest(rel[i], c.n) for i in range(n))
-        if isinstance(c, s.LessUnq):
-            rel = self.role_values(c.role).matrix
-            return tuple(
-                ONE if sum(1 for v in rel[i] if v > ZERO) < c.n else ZERO
-                for i in range(n)
-            )
-        raise ModelError(f"not a concept: {c!r}")
+            graded = [[godel_and(d, filler[b]) for b, d in row] for row in self._basic(c.role)]
+        elif isinstance(c, (s.AtLeastUnq, s.LessUnq)):
+            graded = [[d for _b, d in row] for row in self._basic(c.role)]
+        else:
+            raise ModelError(f"not a concept: {c!r}")
+        if isinstance(c, (s.AtLeast, s.AtLeastUnq)):
+            return tuple(nth_largest(row, c.n) for row in graded)
+        return tuple(ONE if sum(1 for v in row if v) < c.n else ZERO for row in graded)
 
-    def _eval_role(self, r: s.Role) -> FuzzyRelation:
-        interp = self.interp
-        domain = interp.domain
-        n = len(domain)
-        if isinstance(r, s.RoleName):
-            return interp.role_relation(r.name)
-        if isinstance(r, s.Universal):
-            return FuzzyRelation.constant(domain, domain, ONE)
-        if isinstance(r, s.Inverse):
-            return self.role_values(r.role).inverse()
+    def _basic(self, role: s.Role, forward: bool = True):
+        """Successor lists of a basic role, or predecessor lists when not
+        ``forward``."""
+        if isinstance(role, s.Inverse):
+            role, forward = role.role, not forward
+        if forward:
+            return self.interp.successors(role.name)
+        return self.interp.predecessors(role.name)
+
+    def _push(self, r: s.Role, vector: Dict[int, Fraction], quantifier) -> Dict[int, Fraction]:
+        """``Q r . v`` for a role in inverse normal form, where ``vector``
+        and the result hold the entries of v and of the answer that differ
+        from Q's neutral value."""
+        if not vector:
+            return vector
+        neutral, edge, better, _key = quantifier
+        if isinstance(r, (s.RoleName, s.Inverse)):
+            out: Dict[int, Fraction] = {}
+            predecessors = self._basic(r, forward=False)
+            for b, x in vector.items():
+                for a, d in predecessors[b]:
+                    v = edge(d, x)
+                    if better(v, out.get(a, neutral)):
+                        out[a] = v
+            return out
         if isinstance(r, s.Compose):
-            return self.role_values(r.left).compose(self.role_values(r.right))
+            return self._push(r.left, self._push(r.right, vector, quantifier), quantifier)
         if isinstance(r, s.RoleUnion):
-            left = self.role_values(r.left).matrix
-            right = self.role_values(r.right).matrix
-            return FuzzyRelation(
-                domain,
-                domain,
-                [
-                    [max(left[i][j], right[i][j]) for j in range(n)]
-                    for i in range(n)
-                ],
-            )
-        if isinstance(r, s.Star):
-            # max-min transitive closure, then force the diagonal to 1 for
-            # the empty iteration.
-            base = [list(row) for row in self.role_values(r.role).matrix]
-            for k in range(n):
-                row_k = base[k]
-                for i in range(n):
-                    via = base[i][k]
-                    if via == ZERO:
-                        continue
-                    row_i = base[i]
-                    for j in range(n):
-                        v = via if via <= row_k[j] else row_k[j]
-                        if v > row_i[j]:
-                            row_i[j] = v
-            for i in range(n):
-                base[i][i] = ONE
-            return FuzzyRelation(domain, domain, base)
+            out = self._push(r.left, vector, quantifier)
+            for a, v in self._push(r.right, vector, quantifier).items():
+                if better(v, out.get(a, neutral)):
+                    out[a] = v
+            return out
         if isinstance(r, s.Test):
             values = self.concept_values(r.concept)
-            return FuzzyRelation(
-                domain,
-                domain,
-                [
-                    [values[i] if i == j else ZERO for j in range(n)]
-                    for i in range(n)
-                ],
-            )
+            out = {}
+            for a, x in vector.items():
+                v = edge(values[a], x)
+                if better(v, neutral):
+                    out[a] = v
+            return out
+        if isinstance(r, s.Universal):
+            best = neutral
+            for v in vector.values():
+                if better(v, best):
+                    best = v
+            return dict.fromkeys(range(len(self.interp.domain)), best)
+        if isinstance(r, s.Star):
+            return self._star(r.role, vector, quantifier)
         raise ModelError(f"not a role: {r!r}")
+
+    def _star(self, r: s.Role, vector: Dict[int, Fraction], quantifier) -> Dict[int, Fraction]:
+        """``Q r* . v``: a widest-path search that settles the elements in
+        order of value, best first, and pushes each group of equal values
+        through ``r`` once.  A push never yields a value better than its
+        input, so a settled value is final."""
+        neutral, _edge, better, key = quantifier
+        result = dict(vector)
+        heap = [(key(v), a) for a, v in vector.items()]
+        heapq.heapify(heap)
+        settled = set()
+        while heap:
+            k, a = heapq.heappop(heap)
+            if a in settled:
+                continue
+            group = {a: result[a]}
+            while heap and heap[0][0] == k:
+                a = heapq.heappop(heap)[1]
+                if a not in settled:
+                    group[a] = result[a]
+            settled.update(group)
+            for a, v in self._push(r, group, quantifier).items():
+                if better(v, result.get(a, neutral)):
+                    result[a] = v
+                    heapq.heappush(heap, (key(v), a))
+        return result
 
 
 def eval_concept(interp: Interpretation, c: s.Concept) -> FuzzySet:
@@ -391,13 +476,12 @@ def reachability(
     """
     n = len(interp.domain)
     forward = [set() for _ in range(n)]
-    for rel in interp.roles.values():
-        for i in range(n):
-            for j in range(n):
-                if rel.matrix[i][j] > ZERO:
-                    forward[i].add(j)
-                    if features.inverse:
-                        forward[j].add(i)
+    for succ in interp.roles.values():
+        for i, row in enumerate(succ):
+            for j, _d in row:
+                forward[i].add(j)
+                if features.inverse:
+                    forward[j].add(i)
     seen = {interp.index(x) for x in interp.individuals.values()}
     frontier = list(seen)
     while frontier:
@@ -423,7 +507,7 @@ def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
     for interp in interps:
         for row in interp.concepts.values():
             values.update(row)
-        for rel in interp.roles.values():
-            for matrix_row in rel.matrix:
-                values.update(matrix_row)
+        for succ in interp.roles.values():
+            for row in succ:
+                values.update(d for _j, d in row)
     return tuple(sorted(values))

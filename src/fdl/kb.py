@@ -21,7 +21,9 @@ from .parsing import parse_concept, parse_role
 from .relations import FuzzyRelation
 from .syntax import (
     Concept,
+    Exists,
     FeatureSet,
+    Nominal,
     Role,
     Sublanguage,
     Test,
@@ -155,8 +157,10 @@ def _failure(
         ]
         ok = _CMP[item.cmp](value, item.threshold)
     elif isinstance(item, RoleAssertion):
-        rel = evaluator.role_values(item.role)
-        value = rel.at(interp.individual(item.a), interp.individual(item.b))
+        # the degree R(a, b) is exists R . {b} at a
+        value = evaluator.concept_values(Exists(item.role, Nominal(item.b)))[
+            interp.index(interp.individual(item.a))
+        ]
         ok = _CMP[item.cmp](value, item.threshold)
     else:
         raise InputError(f"not an assertion or inclusion: {item!r}")

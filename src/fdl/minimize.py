@@ -10,6 +10,7 @@ a richer quotient carrier and are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .bisim import greatest_bisim
@@ -80,24 +81,29 @@ def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
                     )
             values[block_name] = first
         concepts[name] = values
+    block = [partition.block_of[x] for x in interp.domain]
     roles = {}
-    for name, rel in interp.roles.items():
+    for name in interp.roles:
+        # per element, the supremum of its edges into each target block
+        sups: List[Dict[int, Fraction]] = []
+        for row in interp.successors(name):
+            sup: Dict[int, Fraction] = {}
+            for j, d in row:
+                b = block[j]
+                if d > sup.get(b, ZERO):
+                    sup[b] = d
+            sups.append(sup)
         entries = {}
-        for src_members, src_id in zip(partition.blocks, ids):
-            for dst_members, dst_id in zip(partition.blocks, ids):
-                sups = []
-                for x in src_members:
-                    i = interp.index(x)
-                    sups.append(
-                        max(rel.matrix[i][interp.index(y)] for y in dst_members)
-                    )
-                if any(v != sups[0] for v in sups[1:]):
+        for members, src_id in zip(partition.blocks, ids):
+            first = sups[interp.index(members[0])]
+            for other in members[1:]:
+                if sups[interp.index(other)] != first:
                     raise AssertionError(
                         f"internal: role {name!r} supremum differs across block "
                         f"{src_id} representatives"
                     )
-                if sups[0] != ZERO:
-                    entries[(src_id, dst_id)] = sups[0]
+            for b, d in first.items():
+                entries[(src_id, ids[b])] = d
         roles[name] = entries
     return Interpretation(ids, individuals, concepts, roles)
 
@@ -133,14 +139,10 @@ def prune_unreachable(interp: Interpretation, features: FeatureSet) -> Interpret
         name: {x: row[interp.index(x)] for x in kept if row[interp.index(x)] != ZERO}
         for name, row in interp.concepts.items()
     }
-    roles = {}
-    for name, rel in interp.roles.items():
-        roles[name] = {
-            (x, y): rel.at(x, y)
-            for x in kept
-            for y in kept
-            if rel.at(x, y) != ZERO
-        }
+    roles = {
+        name: [(x, y, d) for x, y, d in interp.edges(name) if x in reachable and y in reachable]
+        for name in interp.roles
+    }
     return Interpretation(kept, dict(interp.individuals), concepts, roles)
 
 

@@ -1,8 +1,11 @@
 """Dense fuzzy relations between two ordered element sequences.
 
 A relation stores one degree for every (row, col) pair; absence is not a
-state.  Domains in this package are desk-scale, so dense storage is both
-simpler and faster than sparse maps.  Instances are immutable.
+state.  It holds what is naturally dense: bisimulation candidates Z, which
+relate every pair, and outputs such as ``eval_role`` and the
+indistinguishability matrices.  Roles of an interpretation are stored
+sparsely in :mod:`fdl.interp`, and the evaluator never builds a relation
+for them.  Instances are immutable.
 """
 
 from __future__ import annotations
@@ -79,7 +82,10 @@ class FuzzyRelation:
         return all(v == ZERO or v == ONE for row in self.matrix for v in row)
 
     def inverse(self) -> "FuzzyRelation":
-        """Transpose: result(y, x) = self(x, y)."""
+        """Transpose: result(y, x) = self(x, y).
+
+        Part of the relation algebra that the tests check bisimulations
+        and role values against; the evaluator does not use it."""
         flipped = [
             [self.matrix[i][j] for i in range(len(self.rows))]
             for j in range(len(self.cols))
@@ -87,7 +93,9 @@ class FuzzyRelation:
         return FuzzyRelation(self.cols, self.rows, flipped)
 
     def compose(self, other: "FuzzyRelation") -> "FuzzyRelation":
-        """Max-min product; requires cols(self) == rows(other)."""
+        """Max-min product; requires cols(self) == rows(other).
+
+        Part of the relation algebra, like :meth:`inverse`."""
         if self.cols != other.rows:
             raise InputError(
                 "cannot compose: column elements of the left relation differ "

@@ -95,10 +95,8 @@ def rename_model(interp, mapping):
         for name, row in interp.concepts.items()
     }
     roles = {
-        name: {
-            (mapping[x], mapping[y]): v for x, y, v in rel.entries() if v
-        }
-        for name, rel in interp.roles.items()
+        name: {(mapping[x], mapping[y]): v for x, y, v in interp.edges(name)}
+        for name in interp.roles
     }
     return Interpretation(domain, individuals, concepts, roles)
 

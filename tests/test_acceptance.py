@@ -282,8 +282,8 @@ def _mutate(rng, model):
         for name in renamed.concepts
     }
     roles = {
-        name: {(x, y): v for x, y, v in rel.entries() if v}
-        for name, rel in renamed.roles.items()
+        name: {(x, y): v for x, y, v in renamed.edges(name)}
+        for name in renamed.roles
     }
     if rng.random() < 0.5 and concepts:
         name = rng.choice(sorted(concepts))

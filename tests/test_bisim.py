@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -413,6 +414,50 @@ class TestGreatest:
             greatest_bisim(ia, ib, NO_FEATURES, "sharp")
         with pytest.raises(InputError):
             brute_force_greatest(ia, ib, NO_FEATURES, "sharp")
+
+
+class TestUniversalRole:
+    # the FB8/FB9 row and column maxima of Z are computed once per sweep of
+    # the fixpoint and once per call of check_bisim and condition_bound
+
+    @staticmethod
+    def ring(n):
+        dom = [f"x{i}" for i in range(n)]
+        return Interpretation(
+            dom, {}, {"A": {x: F(1, 2) for x in dom}},
+            {"r": {(dom[i], dom[(i + 1) % n]): F(3, 4) for i in range(n)}},
+        )
+
+    def test_uniform_ring_same_under_u(self):
+        ring = self.ring(90)
+        with_u = greatest_bisim(ring, ring, FeatureSet.parse("I,U"), "crisp")
+        without = greatest_bisim(ring, ring, FeatureSet.parse("I"), "crisp")
+        assert with_u.relation == without.relation
+        assert with_u.relation == FuzzyRelation.constant(ring.domain, ring.domain, 1)
+
+    def test_unmatched_element_empties_relation(self):
+        # w has no partner, so its FB9 column maximum is 0 at every pair
+        one = Interpretation(["u"], concepts={"A": {"u": 1}})
+        two = Interpretation(["v", "w"], concepts={"A": {"v": 1}})
+        u = FeatureSet(universal=True)
+        for mode in ("fuzzy", "crisp"):
+            assert greatest_bisim(one, two, NO_FEATURES, mode).at("u", "v") == 1
+            assert greatest_bisim(one, two, u, mode).at("u", "v") == 0
+        full = entries(one.domain, two.domain, {("u", "v"): 1})
+        report = check_bisim(one, two, full, u)
+        assert [(v.condition, v.witness) for v in report.violations] == [("FB9", ("w",))]
+        assert condition_bound(one, two, full, u, "u", "v") == 0
+
+    def test_matches_brute_force_under_u(self):
+        rng = random.Random(97)
+        for _ in range(12):
+            ia = random_model(rng, "x", rng.randint(1, 3), POOL3, individual_names=("a",))
+            ib = random_model(rng, "y", rng.randint(1, 3), POOL3, individual_names=("a",))
+            features = replace(random_features(rng), universal=True)
+            for mode in ("fuzzy", "crisp"):
+                fix = greatest_bisim(ia, ib, features, mode)
+                assert fix.relation == brute_force_greatest(ia, ib, features, mode).relation
+                assert check_bisim(ia, ib, fix, features).satisfied
 
 
 class TestCountingBudget:

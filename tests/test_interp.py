@@ -1,8 +1,13 @@
+import importlib.util
+import json
 import random
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import fdl.interp
 from fdl import (
     Constant,
     FeatureSet,
@@ -11,6 +16,7 @@ from fdl import (
     Interpretation,
     ModelError,
     Not,
+    RoleAssertion,
     Star,
     Test,
     degree_universe,
@@ -24,6 +30,7 @@ from fdl import (
     reachability,
     rel_sup,
     rewrite_definable,
+    validates,
 )
 from fdl.fixtures import fan_model, twin_islands
 from helpers import POOL4, random_concept, random_features, random_model, random_role
@@ -63,6 +70,36 @@ class TestLoading:
         doc = {"domain": ["u"], "roles": {"r": [["u", "u", "0.5"], ["u", "u", "0.6"]]}}
         with pytest.raises(ModelError):
             load_interpretation(doc)
+
+    def test_duplicate_edge_with_zero_degree(self):
+        doc = {"domain": ["u"], "roles": {"r": [["u", "u", "0"], ["u", "u", "0.6"]]}}
+        with pytest.raises(ModelError):
+            load_interpretation(doc)
+
+    def test_zero_degree_edge_is_dropped(self):
+        with_zero = load_interpretation(
+            {"domain": ["u", "v"], "roles": {"r": [["u", "v", "0"], ["v", "u", "1/2"]]}}
+        )
+        without = load_interpretation(
+            {"domain": ["u", "v"], "roles": {"r": [["v", "u", "1/2"]]}}
+        )
+        assert with_zero == without
+        assert with_zero.successors("r") == ((), ((0, F(1, 2)),))
+        assert json.dumps(dump_interpretation(with_zero)) == json.dumps(
+            dump_interpretation(without)
+        )
+
+    def test_relation_value_accepted_as_role(self):
+        model = fan_model()
+        again = Interpretation(
+            model.domain,
+            concepts={"A": dict(zip(model.domain, model.concept_row("A")))},
+            roles={"r": model.role_relation("r")},
+        )
+        assert again == model
+        assert again.predecessors("r")[1] == ((0, F(9, 10)),)
+        with pytest.raises(ModelError):
+            Interpretation(["u"], roles={"r": FuzzyRelation.identity(["v"])})
 
     def test_missing_role_is_all_zero(self):
         model = load_interpretation({"domain": ["u"], "concepts": {"A": {"u": "1"}}})
@@ -210,3 +247,211 @@ class TestReachability:
             ["u", "v"], {"a": "u"}, roles={"r": [("u", "v", F(1, 2))]}
         )
         assert reachability(model, FeatureSet.none()) == ({"u", "v"}, True)
+
+
+class TestNoDenseRole:
+    """Evaluation pushes vectors through roles and builds no n x n role."""
+
+    CONCEPTS = [
+        "1/2", "A", "{a}", "not A", "inv A", "delta A", "A and B", "A or B",
+        "A -> B", "exists r . A", "forall r- . A", "exists r . self",
+        ">= 2 r . A", "< 2 r- . B", ">= 2 r", "< 3 r-",
+        "exists U . A", "forall (r ; s-) . B", "exists (r | s) . A",
+        "forall (A? ; r)* . B", "exists ((r | s-)* ; (B? ; U)) . A",
+    ]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        instances = []
+
+        class CountingRelation(FuzzyRelation):
+            def __init__(self, *args):
+                super().__init__(*args)
+                instances.append(self)
+
+        monkeypatch.setattr(fdl.interp, "FuzzyRelation", CountingRelation)
+        return instances
+
+    @staticmethod
+    def model():
+        return random_model(
+            random.Random(71), "x", 50, POOL4, concept_names=("A", "B"),
+            role_names=("r", "s"), individual_names=("a", "b"), density=0.06,
+        )
+
+    def test_concepts_and_role_assertions_build_none(self, built):
+        model = self.model()
+        evaluator = fdl.interp.ConceptEvaluator(model)
+        for text in self.CONCEPTS:
+            assert len(evaluator.concept_values(parse_concept(text))) == 50
+        box = [RoleAssertion(parse_role("(r ; s-)*"), "a", "b", ">=", F(0))]
+        assert validates(model, box).valid
+        assert built == []
+
+    def test_counter_sees_a_requested_relation(self, built):
+        eval_role(self.model(), parse_role("r ; s"))
+        assert len(built) == 1
+
+
+class TestLongChain:
+    """Quantifiers over paths on a 2000-element r-chain, against closed forms.
+
+    Edges x_i -> x_{i+1} have degree 4/5, except a weak link of 3/10 out of
+    x_1500.  A is 1/2 everywhere except 1/5 at x_300, 1 at x_1000 and 9/10
+    at x_1700.
+    """
+
+    N = 2000
+    SPECIAL = {300: F(1, 5), 1000: F(1), 1700: F(9, 10)}
+
+    @classmethod
+    def model(cls):
+        domain = [f"x{i}" for i in range(cls.N)]
+        edges = [
+            (domain[i], domain[i + 1], F(3, 10) if i == 1500 else F(4, 5))
+            for i in range(cls.N - 1)
+        ]
+        a = {x: cls.SPECIAL.get(i, F(1, 2)) for i, x in enumerate(domain)}
+        return Interpretation(
+            domain, {"a": domain[0], "b": domain[-1]}, {"A": a}, {"r": edges}
+        )
+
+    def expected(self, text, i):
+        n, a = self.N, self.SPECIAL
+        if text == "exists (r ; r) . A":
+            if i >= n - 2:
+                return F(0)
+            if i in (1499, 1500):
+                return F(3, 10)
+            return {298: F(1, 5), 998: F(4, 5), 1698: F(4, 5)}.get(i, F(1, 2))
+        if text == "exists r* . A":
+            if i in a and i != 300:
+                return a[i]
+            if i < 1000 or 1500 < i < 1700:
+                return F(4, 5)
+            return F(1, 2)
+        if text == "forall r* . A":
+            return F(1, 5) if i <= 300 else F(1, 2)
+        if text == "exists (r | r-)* . A":
+            return a[i] if i in (1000, 1700) else F(4, 5)
+        raise KeyError(text)
+
+    def test_paths_match_closed_forms(self):
+        model = self.model()
+        start = time.perf_counter()
+        for text in (
+            "exists (r ; r) . A", "exists r* . A", "forall r* . A", "exists (r | r-)* . A",
+        ):
+            values = eval_concept(model, parse_concept(text)).degrees
+            assert list(values) == [self.expected(text, i) for i in range(self.N)], text
+        # r*(x_0, x_1999) crosses the weak link; nothing leads back
+        star = parse_role("r*")
+        assert validates(model, [RoleAssertion(star, "a", "b", ">=", F(3, 10))]).valid
+        assert not validates(model, [RoleAssertion(star, "a", "b", ">", F(3, 10))]).valid
+        assert validates(model, [RoleAssertion(star, "b", "a", "<=", F(0))]).valid
+        assert time.perf_counter() - start < 10
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("fdl_bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgainstReference:
+    """The evaluator against the benchmark's reference evaluator, which
+    shares no code with ``fdl``, on random models and expressions."""
+
+    POOL = (F(0), F(1, 4), F(2, 5), F(1, 2), F(3, 4), F(1))
+
+    def document(self, rng, ref):
+        size = rng.randint(1, 8)
+        domain = [f"e{i}" for i in range(size)]
+        density = rng.choice([0.15, 0.35, 0.6])
+        return {
+            "domain": domain,
+            "individuals": {"a": rng.choice(domain), "b": rng.choice(domain)},
+            "concepts": {
+                name: {x: ref.degree_text(rng.choice(self.POOL)) for x in domain}
+                for name in ("A", "B")
+            },
+            "roles": {
+                name: [
+                    [x, y, ref.degree_text(rng.choice(self.POOL[1:]))]
+                    for x in domain for y in domain if rng.random() < density
+                ]
+                for name in ("r", "s")
+            },
+        }
+
+    def basic(self, rng):
+        role = ("role", rng.choice("rs"))
+        return ("invr", role) if rng.random() < 0.4 else role
+
+    def role(self, rng, depth):
+        if depth <= 0:
+            return self.basic(rng)
+        kind = rng.choice(["basic", "invr", "comp", "union", "star", "test"])
+        if kind == "basic":
+            return self.basic(rng)
+        if kind in ("invr", "star"):
+            return (kind, self.role(rng, depth - 1))
+        if kind == "test":
+            return ("test", self.concept(rng, depth - 1))
+        return (kind, self.role(rng, depth - 1), self.role(rng, depth - 1))
+
+    def concept(self, rng, depth):
+        leaves = ["const", "atom", "nom"]
+        kind = rng.choice(leaves if depth <= 0 else leaves + [
+            "not", "inv", "delta", "and", "or", "imp", "exists", "forall",
+            "atleast", "less", "atleastu", "lessu",
+        ])
+        if kind == "const":
+            return ("const", rng.choice(self.POOL))
+        if kind == "atom":
+            return ("atom", rng.choice("AB"))
+        if kind == "nom":
+            return ("nom", rng.choice("ab"))
+        if kind in ("not", "inv", "delta"):
+            return (kind, self.concept(rng, depth - 1))
+        if kind in ("and", "or", "imp"):
+            return (kind, self.concept(rng, depth - 1), self.concept(rng, depth - 1))
+        if kind in ("exists", "forall"):
+            return (kind, self.role(rng, depth - 1), self.concept(rng, depth - 1))
+        n = rng.randint(1, 3)
+        if kind in ("atleast", "less"):
+            return (kind, n, self.basic(rng), self.concept(rng, depth - 1))
+        return (kind, n, self.basic(rng))
+
+    def test_random_models(self):
+        ref = _load_reference()
+        rng = random.Random(2026)
+        for _ in range(300):
+            doc = self.document(rng, ref)
+            model = load_interpretation(doc)
+            mine = fdl.interp.ConceptEvaluator(model)
+            theirs = ref.Evaluator(ref.Model(doc))
+            for _ in range(8):
+                c = self.concept(rng, rng.randint(1, 4))
+                want = theirs.concept(c)
+                got = mine.concept_values(parse_concept(ref.text(c)))
+                assert list(got) == want, ref.text(c)
+                # the reference has no universal role and no self loops
+                top = mine.concept_values(parse_concept(f"exists U . {ref.text(c)}"))
+                assert set(top) == {max(want)}
+                bottom = mine.concept_values(parse_concept(f"forall U . {ref.text(c)}"))
+                assert set(bottom) == {min(want)}
+            for name in ("r", "s"):
+                loops = [row.get(i, F(0)) for i, row in enumerate(theirs.role(("role", name)))]
+                got = mine.concept_values(parse_concept(f"exists {name} . self"))
+                assert list(got) == loops
+            for _ in range(2):
+                r = self.role(rng, rng.randint(1, 3))
+                got = mine.role_values(parse_role(ref.text(r))).matrix
+                want = [
+                    [row.get(j, F(0)) for j in range(len(doc["domain"]))]
+                    for row in theirs.role(r)
+                ]
+                assert [list(row) for row in got] == want, ref.text(r)
