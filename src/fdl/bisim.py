@@ -58,7 +58,7 @@ from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
-from .godel import ONE, ZERO, format_degree, parse_degree
+from .godel import ONE, ZERO, format_degree
 from .interp import Interpretation, degree_universe
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
@@ -131,14 +131,21 @@ def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> Candida
     """Read ``{"mode": "fuzzy", "entries": [["u", "u'", "0.8"], ...]}``."""
     if not isinstance(document, dict):
         raise InputError("a relation document must be a JSON object")
-    mode = document.get("mode", "fuzzy")
+    unknown = set(document) - {"mode", "entries"}
+    if unknown:
+        raise InputError(f"unknown relation document keys: {sorted(unknown)}")
+    items = document.get("entries", [])
+    if not isinstance(items, list):
+        raise InputError("relation entries must be a list of [row, col, degree]")
     entries = {}
-    for item in document.get("entries", ()):
-        if len(item) != 3:
+    for item in items:
+        if not (isinstance(item, list) and len(item) == 3
+                and isinstance(item[0], str) and isinstance(item[1], str)):
             raise InputError(f"relation entry must be [row, col, degree]: {item!r}")
         x, y, d = item
-        entries[(x, y)] = parse_degree(str(d))
-    return CandidateRelation(FuzzyRelation.from_entries(rows, cols, entries), mode)
+        entries[(x, y)] = d
+    relation = FuzzyRelation.from_entries(rows, cols, entries)
+    return CandidateRelation(relation, document.get("mode", "fuzzy"))
 
 
 def dump_relation(candidate: CandidateRelation) -> dict:
@@ -247,8 +254,13 @@ class _Context:
         )
 
 
-def _candidate_context(ia, ib, features, rel: FuzzyRelation) -> _Context:
-    return _Context(ia, ib, features, {v for row in rel.matrix for v in row})
+def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
+    """The context for checking candidate ``z``, and ``z`` in ranks."""
+    rel = z.relation if isinstance(z, CandidateRelation) else z
+    if rel.rows != ia.domain or rel.cols != ib.domain:
+        raise InputError("candidate relation is not indexed by the two domains")
+    ctx = _Context(ia, ib, features, {v for row in rel.matrix for v in row})
+    return ctx, ctx.ranks(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +441,8 @@ def check_bisim(
     ``z`` may be a :class:`FuzzyRelation` or a :class:`CandidateRelation`;
     crisp candidates run the identical checks.
     """
-    rel = z.relation if isinstance(z, CandidateRelation) else z
-    if rel.rows != ia.domain or rel.cols != ib.domain:
-        raise InputError("candidate relation is not indexed by the two domains")
-    ctx = _candidate_context(ia, ib, features, rel)
-    found = tuple(_violations(ctx, ctx.ranks(rel)))
+    ctx, z_ranks = _candidate_context(ia, ib, features, z)
+    found = tuple(_violations(ctx, z_ranks))
     return ConditionReport(satisfied=not found, violations=found)
 
 
@@ -447,9 +456,7 @@ def condition_bound(
 ) -> Fraction:
     """Largest value v such that setting Z(x,x') = v, all other entries
     fixed, satisfies every condition locally."""
-    rel = z.relation if isinstance(z, CandidateRelation) else z
-    ctx = _candidate_context(ia, ib, features, rel)
-    z_ranks = ctx.ranks(rel)
+    ctx, z_ranks = _candidate_context(ia, ib, features, z)
     rows = _rows(ctx, z_ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, z_ranks))
     return ctx.universe[_ceiling(rows, ctx.top)]
 

@@ -76,54 +76,79 @@ class Interpretation:
         concepts: Optional[Mapping[str, Mapping[str, object]]] = None,
         roles: Optional[Mapping[str, object]] = None,
     ):
+        if not isinstance(domain, (list, tuple)) or not all(isinstance(x, str) for x in domain):
+            raise ModelError("the domain must be a list of element id strings")
         self.domain: Tuple[str, ...] = tuple(domain)
         if not self.domain:
             raise ModelError("the domain must be nonempty")
         if len(set(self.domain)) != len(self.domain):
             raise ModelError("duplicate element ids in the domain")
         self._index = {x: i for i, x in enumerate(self.domain)}
+        for what, value in (("individuals", individuals), ("concepts", concepts), ("roles", roles)):
+            if not isinstance(value, (Mapping, type(None))):
+                raise ModelError(f"{what} must be a JSON object, got {value!r}")
 
         self.individuals: Dict[str, str] = dict(individuals or {})
         for name, target in self.individuals.items():
-            if target not in self._index:
+            if not isinstance(target, str) or target not in self._index:
                 raise ModelError(f"individual {name!r} maps to unknown element {target!r}")
+
+        # Models repeat a few degree texts, so each is parsed once.  Only
+        # strings are keys: True == 1 == 1.0 share a hash, and degree() must
+        # still see (and refuse) every bool and float.
+        parsed: Dict[str, Fraction] = {}
+
+        def grade(value) -> Fraction:
+            if not isinstance(value, str):
+                return degree(value)
+            if value not in parsed:
+                parsed[value] = degree(value)
+            return parsed[value]
 
         self.concepts: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
+            if not isinstance(valuation, Mapping):
+                raise ModelError(f"concept {name!r} must map elements to degrees")
             row = [ZERO] * len(self.domain)
-            for element, value in dict(valuation).items():
+            for element, value in valuation.items():
                 if element not in self._index:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[self._index[element]] = degree(value)
+                row[self._index[element]] = grade(value)
             self.concepts[name] = tuple(row)
 
         self.roles: Dict[str, Tuple[Edges, ...]] = {}
         for name, value in (roles or {}).items():
-            self.roles[name] = self._coerce_role(name, value)
+            self.roles[name] = self._coerce_role(name, value, grade)
         self._pred: Dict[str, Tuple[Edges, ...]] = {}
 
-    def _coerce_role(self, name: str, value) -> Tuple[Edges, ...]:
+    def _coerce_role(self, name: str, value, grade) -> Tuple[Edges, ...]:
         """Successor lists from a FuzzyRelation over the domain, a mapping
-        ``{(x, y): degree}`` or an iterable of ``(x, y, degree)``."""
+        ``{(x, y): degree}`` or a list of ``(x, y, degree)``."""
         if isinstance(value, FuzzyRelation):
             if value.rows != self.domain or value.cols != self.domain:
                 raise ModelError(f"role {name!r} is not indexed by the domain")
             triples = value.entries()
         elif isinstance(value, Mapping):
-            triples = ((x, y, d) for (x, y), d in value.items())
-        else:
+            triples = [pair + (d,) if isinstance(pair, tuple) else pair
+                       for pair, d in value.items()]
+        elif isinstance(value, (list, tuple)):
             triples = value
+        else:
+            raise ModelError(f"role {name!r} must be a list of [x, y, degree] edges")
         index = self._index
         succ: List[Dict[int, Fraction]] = [{} for _ in self.domain]
-        for x, y, d in triples:
-            if x not in index or y not in index:
+        for edge in triples:
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+                raise ModelError(f"role {name!r}: an edge must be [x, y, degree], got {edge!r}")
+            x, y, d = edge
+            if not (isinstance(x, str) and isinstance(y, str) and x in index and y in index):
                 raise ModelError(f"role {name!r} uses an unknown element in edge ({x}, {y})")
             row, j = succ[index[x]], index[y]
             if j in row:
                 raise ModelError(f"role {name!r} lists the edge ({x}, {y}) twice")
-            row[j] = degree(d)
+            row[j] = grade(d)
         return tuple(tuple((j, d) for j, d in sorted(row.items()) if d) for row in succ)
 
     # -- accessors -------------------------------------------------------

@@ -8,7 +8,7 @@ interpretations; it does no entailment reasoning.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -188,97 +188,86 @@ def holds(interp: Interpretation, item: KbItem) -> bool:
 # documents
 
 
+# Each box item class: its "kind" tag in the ABox (None for the TBox's
+# inclusions) and the document key of each dataclass field, in field order.
+_ITEM_KEYS = {
+    Gci: (None, ("lhs", "rhs", "rel", "p")),
+    SameIndividual: ("same", ("a", "b")),
+    DistinctIndividual: ("distinct", ("a", "b")),
+    ConceptAssertion: ("concept", ("c", "a", "cmp", "p")),
+    RoleAssertion: ("role", ("r", "a", "b", "cmp", "p")),
+}
+_KINDS = {kind: cls for cls, (kind, _keys) in _ITEM_KEYS.items() if kind}
+_DEFAULTS = {"rel": ">=", "cmp": ">="}
+
+
+def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet]):
+    if type_name != "Fraction" and not isinstance(value, str):
+        raise InputError(f"the value of {key!r} must be a string, got {value!r}")
+    if type_name == "Concept":
+        return parse_concept(value, features)
+    if type_name == "Role":
+        return parse_role(value, features)
+    return value  # thresholds go to the item's own degree() check
+
+
+def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
+    if not isinstance(entry, dict):
+        raise InputError(f"a {box} entry must be a JSON object, got {entry!r}")
+    entry = dict(entry)
+    if box == "tbox":
+        cls = Gci
+    else:
+        kind = entry.pop("kind", None)
+        cls = _KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise InputError(f"unknown assertion kind {kind!r}")
+    keys = _ITEM_KEYS[cls][1]
+    unknown = set(entry) - set(keys)
+    if unknown:
+        raise InputError(f"unknown keys in a {box} entry: {sorted(unknown)}")
+    values = []
+    for field, key in zip(fields(cls), keys):
+        value = entry.get(key, _DEFAULTS.get(key))
+        if value is None:
+            raise InputError(f"a {box} entry needs a value for {key!r}: {entry!r}")
+        values.append(_load_field(field.type, key, value, features))
+    return cls(*values)
+
+
 def load_kb(document, features: Optional[FeatureSet] = None) -> KnowledgeBase:
     """Read ``{"tbox": [{"lhs": ..., "rhs": ..., "rel": ">=", "p": ...}],
     "abox": [{"kind": "concept", ...}, {"kind": "same", ...}, ...]}``.
 
     Concept and role fields hold grammar text parsed under ``features``
-    (permissive by default).
+    (permissive by default); ``rel`` and ``cmp`` default to ``">="``.
     """
     if not isinstance(document, dict):
         raise InputError("a TBox/ABox document must be a JSON object")
     unknown = set(document) - {"tbox", "abox"}
     if unknown:
         raise InputError(f"unknown TBox/ABox document keys: {sorted(unknown)}")
-    tbox = []
-    for entry in document.get("tbox", ()):
-        tbox.append(
-            Gci(
-                parse_concept(str(entry["lhs"]), features),
-                parse_concept(str(entry["rhs"]), features),
-                entry.get("rel", ">="),
-                str(entry["p"]),
-            )
-        )
-    abox: List[Assertion] = []
-    for entry in document.get("abox", ()):
-        kind = entry.get("kind")
-        if kind == "same":
-            abox.append(SameIndividual(entry["a"], entry["b"]))
-        elif kind == "distinct":
-            abox.append(DistinctIndividual(entry["a"], entry["b"]))
-        elif kind == "concept":
-            abox.append(
-                ConceptAssertion(
-                    parse_concept(str(entry["c"]), features),
-                    entry["a"],
-                    entry.get("cmp", ">="),
-                    str(entry["p"]),
-                )
-            )
-        elif kind == "role":
-            abox.append(
-                RoleAssertion(
-                    parse_role(str(entry["r"]), features),
-                    entry["a"],
-                    entry["b"],
-                    entry.get("cmp", ">="),
-                    str(entry["p"]),
-                )
-            )
-        else:
-            raise InputError(f"unknown assertion kind {kind!r}")
-    return KnowledgeBase(tuple(tbox), tuple(abox))
+    boxes = {}
+    for box in ("tbox", "abox"):
+        entries = document.get(box, [])
+        if not isinstance(entries, list):
+            raise InputError(f"{box!r} must be a list of objects")
+        boxes[box] = tuple(_load_item(box, entry, features) for entry in entries)
+    return KnowledgeBase(**boxes)
+
+
+def _dump_item(item: KbItem) -> dict:
+    kind, keys = _ITEM_KEYS[type(item)]
+    entry = {"kind": kind} if kind else {}
+    for field, key in zip(fields(item), keys):
+        write = {"str": str, "Fraction": format_degree}.get(field.type, to_text)
+        entry[key] = write(getattr(item, field.name))
+    return entry
 
 
 def dump_kb(kb: KnowledgeBase) -> dict:
-    tbox = [
-        {
-            "lhs": to_text(g.lhs),
-            "rhs": to_text(g.rhs),
-            "rel": g.rel,
-            "p": format_degree(g.threshold),
-        }
-        for g in kb.tbox
-    ]
-    abox = []
-    for a in kb.abox:
-        if isinstance(a, SameIndividual):
-            abox.append({"kind": "same", "a": a.a, "b": a.b})
-        elif isinstance(a, DistinctIndividual):
-            abox.append({"kind": "distinct", "a": a.a, "b": a.b})
-        elif isinstance(a, ConceptAssertion):
-            abox.append(
-                {
-                    "kind": "concept",
-                    "c": to_text(a.concept),
-                    "a": a.individual,
-                    "cmp": a.cmp,
-                    "p": format_degree(a.threshold),
-                }
-            )
-        else:
-            abox.append(
-                {
-                    "kind": "role",
-                    "r": to_text(a.role),
-                    "a": a.a,
-                    "b": a.b,
-                    "cmp": a.cmp,
-                    "p": format_degree(a.threshold),
-                }
-            )
-    return {"tbox": tbox, "abox": abox}
+    """Inverse of :func:`load_kb`."""
+    return {"tbox": [_dump_item(g) for g in kb.tbox], "abox": [_dump_item(a) for a in kb.abox]}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -82,7 +83,7 @@ class FeatureSet:
                 kwargs[_FEATURE_WORDS[token]] = True
             elif token in ("Q*", "N*"):
                 bounds[token[0]] = None
-            elif token[0] in "QN" and token[1:].isdigit() and int(token[1:]) >= 1:
+            elif re.fullmatch(r"[QN][0-9]+", token) and int(token[1:]) >= 1:  # ASCII digits
                 if bounds[token[0]] is not None:
                     bounds[token[0]].add(int(token[1:]))
             else:

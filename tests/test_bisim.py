@@ -168,6 +168,16 @@ class TestConditionBound:
         allones = FuzzyRelation.constant(ia.domain, ib.domain, F(1))
         assert condition_bound(ia, ib, allones, ALL_FEATURES, "v", "v") == F(1, 2)
 
+    def test_candidate_must_be_indexed_by_the_domains(self):
+        ia, ib = hub_pair()  # 3 x 3
+        elsewhere = FuzzyRelation.constant(["p", "q"], ["s", "t", "w"], F(1))
+        reordered = FuzzyRelation.constant(tuple(reversed(ia.domain)), ib.domain, F(1))
+        for z in (elsewhere, reordered, CandidateRelation(reordered)):
+            with pytest.raises(InputError):
+                condition_bound(ia, ib, z, NO_FEATURES, "u", "u'")
+            with pytest.raises(InputError):
+                check_bisim(ia, ib, z, NO_FEATURES)
+
     def test_exactness_against_local_violation_oracle(self):
         # the bound is the exact threshold: any universe value above it
         # breaks some condition at the pair, anything at or below breaks none

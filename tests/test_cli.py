@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import fdl.cli
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
@@ -330,3 +332,211 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+
+# Each subcommand's options as ``--help`` shows them: option -> (every
+# option string, required, choices, default).  The top level is "".
+SURFACE = {
+    "": {
+        "-h": (("-h", "--help"), False, None, None),
+        "--json": (("--json",), False, None, None),
+    },
+    "eval": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-m": (("-m", "--model"), True, None, None),
+        "-c": (("-c", "--concept"), True, None, None),
+        "-e": (("-e", "--element"), False, None, None),
+        "--features": (("--features",), False, None, None),
+    },
+    "bisim": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-l": (("-l", "--left"), True, None, None),
+        "-r": (("-r", "--right"), True, None, None),
+        "--features": (("--features",), True, None, None),
+        "--mode": (("--mode",), False, ("fuzzy", "crisp"), None),
+        "-o": (("-o", "--output"), False, None, None),
+    },
+    "check": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-l": (("-l", "--left"), True, None, None),
+        "-r": (("-r", "--right"), True, None, None),
+        "-z": (("-z", "--relation"), True, None, None),
+        "--features": (("--features",), True, None, None),
+    },
+    "bisimilar": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-l": (("-l", "--left"), True, None, None),
+        "-r": (("-r", "--right"), True, None, None),
+        "--features": (("--features",), True, None, None),
+        "--mode": (("--mode",), False, ("fuzzy", "crisp"), None),
+    },
+    "minimize": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-m": (("-m", "--model"), True, None, None),
+        "--features": (("--features",), True, None, None),
+        "--prune": (("--prune",), False, None, None),
+    },
+    "prune": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-m": (("-m", "--model"), True, None, None),
+        "--features": (("--features",), True, None, None),
+    },
+    "validate": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-m": (("-m", "--model"), True, None, None),
+        # one of the two is required
+        "--tbox": (("--tbox",), "one of --tbox --abox", None, None),
+        "--abox": (("--abox",), "one of --tbox --abox", None, None),
+        "--features": (("--features",), False, None, None),
+    },
+    "hm": {
+        "-h": (("-h", "--help"), False, None, None),
+        "-l": (("-l", "--left"), True, None, None),
+        "-r": (("-r", "--right"), True, None, None),
+        "--features": (("--features",), True, None, None),
+        "--fragment": (("--fragment",), True, ("prime", "delta"), None),
+        "--depth": (("--depth",), True, None, None),
+        "--budget": (("--budget",), False, None, "20000"),
+    },
+    "selftest": {
+        "-h": (("-h", "--help"), False, None, None),
+    },
+}
+
+
+def _help_surface(text):
+    """Options of one ``--help`` text, in the shape of ``SURFACE``."""
+    usage, _, rest = text.partition("\n\n")
+    usage = " ".join(usage.split())
+    groups = re.findall(r"\(([^)]*)\)", usage)
+    optional = " ".join(re.findall(r"\[([^\]]*)\]", usage))
+    surface = {}
+    for line in rest.split("\n\n")[-1].splitlines()[1:]:
+        if not line.lstrip().startswith("-"):
+            continue  # a help text continued on its own line
+        spec, _, help_text = line.strip().partition("  ")
+        strings = tuple(part.split()[0] for part in spec.split(", "))
+        first = strings[0]
+        choices = re.search(r"\{([^}]*)\}", spec)
+        default = re.search(r"\(default (\S+)\)", help_text)
+        group = next((g for g in groups if re.search(rf"{first}\b", g)), None)
+        if group is not None:
+            required = "one of " + " ".join(re.findall(r"--?\w+", group))
+        else:
+            required = not re.search(rf"(^|\s|\[){re.escape(first)}\b", optional)
+        surface[first] = (
+            strings,
+            required,
+            tuple(choices.group(1).split(",")) if choices else None,
+            default.group(1) if default else None,
+        )
+    return surface
+
+
+class TestSurface:
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_options_pinned(self, command, capsys):
+        argv = [command, "--help"] if command else ["--help"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _help_surface(captured.out) == SURFACE[command]
+
+    def test_subcommands_pinned(self, capsys):
+        assert main(["--help"]) == 0
+        listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == [c for c in SURFACE if c]
+
+    def test_defaults(self, files):
+        # --mode is fuzzy, and eval/validate accept every feature by default
+        code, out, _ = run_cli(
+            ["--json", "bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", ""]
+        )
+        assert code == 0 and json.loads(out)["mode"] == "fuzzy"
+        code, out, _ = run_cli(
+            ["--json", "bisimilar", "-l", files["fold_a"], "-r", files["fold_b"], "--features", "I"]
+        )
+        assert code == 0 and json.loads(out)["mode"] == "fuzzy"
+        code, out, _ = run_cli(["eval", "-m", files["fan"], "-c", "exists U . A"])
+        assert code == 0
+
+
+GOOD_MODEL = {"domain": ["u", "v"], "individuals": {"a": "u"},
+              "concepts": {"A": {"v": "0.5"}}, "roles": {"r": [["u", "v", "0.9"]]}}
+PAIR = ["-l", "{model}", "-r", "{model}", "--features", ""]
+EVAL_DOC = ["eval", "-m", "{doc}", "-c", "A"]
+CHECK_DOC = ["check", *PAIR, "-z", "{doc}"]
+
+# name -> (argv with {model}/{doc} placeholders, the JSON written to {doc})
+MALFORMED = {
+    "unknown command": (["bogus"], None),
+    "missing option": (["eval", "-c", "A"], None),
+    "bad choice": (["bisim", *PAIR, "--mode", "sharp"], None),
+    "bad integer": (["hm", *PAIR, "--fragment", "prime", "--depth", "two"], None),
+    "both boxes": (["validate", "-m", "{model}", "--tbox", "{model}", "--abox", "{model}"], None),
+    "superscript bound": (["minimize", "-m", "{model}", "--features", "Q²"], None),
+    "circled bound": (["eval", "-m", "{model}", "-c", "A", "--features", "N①"], None),
+    "edge of two": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": [["u", "u"]]}}),
+    "role as object": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": {"u": "1"}}}),
+    "valuation as list": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": ["u"]}}),
+    "individuals as list": (EVAL_DOC, {**GOOD_MODEL, "individuals": ["a"]}),
+    "numeric domain": (EVAL_DOC, {"domain": [1, 2]}),
+    "domain as text": (EVAL_DOC, {"domain": "uv"}),
+    "relation key": (CHECK_DOC, {"mode": "fuzzy", "entries": [], "rows": []}),
+    "relation float": (CHECK_DOC, {"entries": [["u", "u", 0.5]]}),
+    "relation entry": (CHECK_DOC, {"entries": [[["u"], "u", "1"]]}),
+    "box missing key": (
+        ["validate", "-m", "{model}", "--abox", "{doc}"],
+        {"abox": [{"kind": "concept", "c": "A", "p": "0.5"}]},
+    ),
+    "box unknown key": (
+        ["validate", "-m", "{model}", "--abox", "{doc}"],
+        {"abox": [{"kind": "same", "a": "a", "b": "a", "c": "A"}]},
+    ),
+    "box entry not object": (["validate", "-m", "{model}", "--abox", "{doc}"], {"abox": ["a = a"]}),
+    "tbox not list": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": {"lhs": "A", "rhs": "A", "p": "1"}},
+    ),
+    "abox not list": (["validate", "-m", "{model}", "--abox", "{doc}"], {"abox": "same"}),
+    "box float threshold": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": [{"lhs": "A", "rhs": "A", "p": 0.5}]},
+    ),
+    "box concept not text": (
+        ["validate", "-m", "{model}", "--abox", "{doc}"],
+        {"abox": [{"kind": "concept", "c": 1, "a": "a", "p": "1"}]},
+    ),
+    "box unknown kind": (
+        ["validate", "-m", "{model}", "--abox", "{doc}"],
+        {"abox": [{"kind": ["same"], "a": "a", "b": "a"}]},
+    ),
+}
+
+
+class TestErrors:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_exits_2(self, case, tmp_path, capsys):
+        template, document = MALFORMED[case]
+        paths = {"model": tmp_path / "model.json", "doc": tmp_path / "doc.json"}
+        paths["model"].write_text(json.dumps(GOOD_MODEL))
+        paths["doc"].write_text(json.dumps(document))
+        argv = [arg.format(**paths) for arg in template]
+        out, err = io.StringIO(), io.StringIO()
+        assert main(argv, out=out, err=err) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert capsys.readouterr() == ("", "")
+
+    def test_parser_built_once(self, files, monkeypatch):
+        built = []
+        original = fdl.cli.argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(fdl.cli.argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(["eval", "-m", files["fan"], "-c", "A"])[0] == 0
+        assert run_cli(["prune", "-m", files["islands"], "--features", ""])[0] == 0
+        assert built == []

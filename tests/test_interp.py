@@ -13,6 +13,7 @@ from fdl import (
     FeatureSet,
     FuzzyRelation,
     Implies,
+    InputError,
     Interpretation,
     ModelError,
     Not,
@@ -112,6 +113,47 @@ class TestLoading:
     def test_unknown_individual_target(self):
         with pytest.raises(ModelError):
             Interpretation(["u"], individuals={"a": "x"})
+
+    @pytest.mark.parametrize("first, second", [("1", 1.0), (1, True), ("1", True), (0, False)])
+    def test_floats_and_bools_refused_after_equal_degrees(self, first, second):
+        # each degree text is parsed once per model; equal values of
+        # other types must still be refused
+        doc = {"domain": ["u", "v"], "concepts": {"A": {"u": first, "v": second}}}
+        with pytest.raises(InputError):
+            load_interpretation(doc)
+
+    def test_repeated_degree_texts_parse_alike(self):
+        doc = {"domain": ["u", "v"], "concepts": {"A": {"u": "0.5", "v": "1/2"}},
+               "roles": {"r": [["u", "v", "0.5"], ["v", "u", "0.5"]]}}
+        model = load_interpretation(doc)
+        assert model.concept_row("A") == (F(1, 2), F(1, 2))
+        assert model.successors("r") == (((1, F(1, 2)),), ((0, F(1, 2)),))
+
+    @pytest.mark.parametrize("doc", [
+        {"domain": ["u"], "roles": {"r": [["u", "u"]]}},
+        {"domain": ["u"], "roles": {"r": {"u": "1"}}},
+        {"domain": ["u"], "roles": {"r": "u"}},
+        {"domain": ["u"], "roles": {"r": [[["u"], "u", "1"]]}},
+        {"domain": ["u"], "roles": [["u", "u", "1"]]},
+        {"domain": ["u"], "concepts": {"A": ["u"]}},
+        {"domain": ["u"], "concepts": [["u"]]},
+        {"domain": ["u"], "individuals": ["a"]},
+        {"domain": ["u"], "individuals": {"a": ["u"]}},
+        {"domain": [1, 2]},
+        {"domain": "uv"},
+        {"domain": {"u": 1}},
+    ])
+    def test_malformed_shapes_are_model_errors(self, doc):
+        with pytest.raises(ModelError):
+            load_interpretation(doc)
+
+    def test_library_role_forms_still_accepted(self):
+        model = fan_model()
+        triples = list(model.edges("r"))
+        for roles in ({"r": triples}, {"r": tuple(triples)},
+                      {"r": {(x, y): d for x, y, d in triples}}):
+            assert Interpretation(model.domain, concepts={"A": dict(zip(
+                model.domain, model.concept_row("A")))}, roles=roles) == model
 
 
 class TestEvaluation:

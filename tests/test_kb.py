@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -218,6 +219,40 @@ class TestKbDocuments:
         kb = load_kb(doc)
         assert len(kb.tbox) == 1 and len(kb.abox) == 4
         assert load_kb(dump_kb(kb)) == kb
+
+    def test_readme_example_dumps_back_key_for_key(self):
+        doc = {
+            "tbox": [{"lhs": "B", "rhs": "exists r . A", "rel": ">=", "p": "0.1"}],
+            "abox": [
+                {"kind": "concept", "c": "exists r . A", "a": "a", "cmp": ">=", "p": "0.8"},
+                {"kind": "role", "r": "r ; s", "a": "a", "b": "b", "cmp": "<", "p": "0.5"},
+                {"kind": "same", "a": "a", "b": "b"},
+                {"kind": "distinct", "a": "a", "b": "c"},
+            ],
+        }
+        assert json.dumps(dump_kb(load_kb(doc))) == json.dumps(doc)
+
+    def test_defaults_and_integer_thresholds(self):
+        kb = load_kb({"tbox": [{"lhs": "A", "rhs": "B", "p": 1}],
+                      "abox": [{"kind": "concept", "c": "A", "a": "a", "p": 0}]})
+        assert kb.tbox[0].rel == ">=" and kb.tbox[0].threshold == 1
+        assert kb.abox[0].cmp == ">=" and kb.abox[0].threshold == 0
+
+    @pytest.mark.parametrize("doc", [
+        {"tbox": [{"lhs": "A", "rhs": "B"}]},
+        {"tbox": [{"lhs": "A", "rhs": "B", "p": "1", "kind": "gci"}]},
+        {"tbox": [{"lhs": "A", "rhs": "B", "p": 0.5}]},
+        {"tbox": [["A", "B", "1"]]},
+        {"tbox": "A"},
+        {"abox": {"kind": "same", "a": "a", "b": "b"}},
+        {"abox": [{"kind": "same", "a": "a"}]},
+        {"abox": [{"kind": "role", "r": "r", "a": "a", "b": "b", "p": "1", "c": "A"}]},
+        {"abox": [{"a": "a", "b": "b"}]},
+        {"abox": [{"kind": "concept", "c": "A", "a": ["a"], "p": "1"}]},
+    ])
+    def test_malformed_boxes(self, doc):
+        with pytest.raises(InputError):
+            load_kb(doc)
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
