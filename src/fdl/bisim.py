@@ -69,6 +69,9 @@ MODES = ("fuzzy", "crisp")
 # summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.
 SUBSET_BUDGET = 2**14
 
+# Most candidate relations that brute_force_greatest may enumerate.
+BRUTE_FORCE_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class CandidateRelation:
@@ -134,17 +137,7 @@ def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> Candida
     unknown = set(document) - {"mode", "entries"}
     if unknown:
         raise InputError(f"unknown relation document keys: {sorted(unknown)}")
-    items = document.get("entries", [])
-    if not isinstance(items, list):
-        raise InputError("relation entries must be a list of [row, col, degree]")
-    entries = {}
-    for item in items:
-        if not (isinstance(item, list) and len(item) == 3
-                and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise InputError(f"relation entry must be [row, col, degree]: {item!r}")
-        x, y, d = item
-        entries[(x, y)] = d
-    relation = FuzzyRelation.from_entries(rows, cols, entries)
+    relation = FuzzyRelation.from_entries(rows, cols, document.get("entries", []))
     return CandidateRelation(relation, document.get("mode", "fuzzy"))
 
 
@@ -560,7 +553,6 @@ def brute_force_greatest(
     ib: Interpretation,
     features: FeatureSet,
     mode: str = "fuzzy",
-    max_candidates: int = 2_000_000,
 ) -> CandidateRelation:
     """Greatest bisimulation by enumeration, independent of the fixpoint.
 
@@ -569,7 +561,8 @@ def brute_force_greatest(
     respect), keeps the assignments that satisfy all conditions, and
     returns their pointwise supremum.  The supremum of finitely many
     bisimulations is again one, and the entries of the true greatest lie in
-    the degree universe, so this is exact.  Guarded by ``max_candidates``.
+    the degree universe, so this is exact.  Guarded by
+    ``BRUTE_FORCE_BUDGET``.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -590,9 +583,9 @@ def brute_force_greatest(
             allowed = range(ceiling + 1)
         choices.append(allowed)
         total *= len(allowed)
-        if total > max_candidates:
+        if total > BRUTE_FORCE_BUDGET:
             raise BudgetError(
-                f"brute-force search needs more than {max_candidates} candidates"
+                f"brute-force search needs more than {BRUTE_FORCE_BUDGET} candidates"
             )
     best = [[0] * nb for _ in range(na)]
     z = [[0] * nb for _ in range(na)]

@@ -9,6 +9,7 @@ at import; each subcommand is one handler ``(args, out) -> int``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -262,12 +263,13 @@ def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help prints the help text
+            args = _PARSER.parse_args(argv)
         return args.handler(args, out)
     except FdlError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except SystemExit:  # --help printed the help text
+    except SystemExit:  # after --help
         return 0
 
 

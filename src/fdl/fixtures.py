@@ -48,13 +48,13 @@ def hub_pair() -> Tuple[Interpretation, Interpretation]:
 HUB_PAIR_GREATEST = FuzzyRelation.from_entries(
     ("u", "v", "w"),
     ("u'", "v'", "w'"),
-    {
-        ("u", "u'"): F(4, 5),
-        ("v", "v'"): F(1),
-        ("w", "w'"): F(1),
-        ("v", "w'"): F(4, 5),
-        ("w", "v'"): F(4, 5),
-    },
+    [
+        ("u", "u'", F(4, 5)),
+        ("v", "v'", F(1)),
+        ("w", "w'", F(1)),
+        ("v", "w'", F(4, 5)),
+        ("w", "v'", F(4, 5)),
+    ],
 )
 
 
@@ -171,18 +171,18 @@ def leaf_triple_pair() -> Tuple[Interpretation, Interpretation]:
 LEAF_TRIPLE_GREATEST = FuzzyRelation.from_entries(
     ("u", "v0", "v1", "v2"),
     ("u'", "v0'", "v1'", "v2'"),
-    {
-        ("u", "u'"): F(1),
-        ("v0", "v0'"): F(1),
-        ("v0", "v1'"): F(9, 10),
-        ("v0", "v2'"): F(9, 10),
-        ("v1", "v0'"): F(1),
-        ("v1", "v1'"): F(9, 10),
-        ("v1", "v2'"): F(9, 10),
-        ("v2", "v0'"): F(9, 10),
-        ("v2", "v1'"): F(1),
-        ("v2", "v2'"): F(1),
-    },
+    [
+        ("u", "u'", F(1)),
+        ("v0", "v0'", F(1)),
+        ("v0", "v1'", F(9, 10)),
+        ("v0", "v2'", F(9, 10)),
+        ("v1", "v0'", F(1)),
+        ("v1", "v1'", F(9, 10)),
+        ("v1", "v2'", F(9, 10)),
+        ("v2", "v0'", F(9, 10)),
+        ("v2", "v1'", F(1)),
+        ("v2", "v2'", F(1)),
+    ],
 )
 
 ALL_FEATURES = FeatureSet(True, True, True, True, None, None)

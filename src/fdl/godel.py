@@ -10,6 +10,7 @@ Every function here is pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from fractions import Fraction
 from typing import Iterable
@@ -22,30 +23,35 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Most distinct degree texts that parse_degree remembers.  Models repeat a
+# few texts, so each is parsed once per process.
+_PARSE_CACHE_SIZE = 4096
+
+
 def degree(value) -> Fraction:
     """Coerce ``value`` to an exact degree in [0, 1].
 
     Accepts Fraction, int, or a string like ``"0.9"`` or ``"3/4"``.
-    Floats are refused: ``0.9`` the float is not 9/10.
+    Floats are refused: ``0.9`` the float is not 9/10.  Only strings reach
+    the cache of :func:`parse_degree`: ``True == 1 == 1.0`` share a hash,
+    and every bool and float must still be refused.
     """
+    if isinstance(value, str):
+        return parse_degree(value)
     if isinstance(value, float):
         raise InputError(
             f"refusing float degree {value!r}: pass a string such as "
             f"'{value}' or a Fraction for exact arithmetic"
         )
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"not a degree: {value!r}")
-    if isinstance(value, str):
-        result = parse_degree(value)
-    elif isinstance(value, (int, Fraction)):
-        result = Fraction(value)
-    else:
-        raise InputError(f"not a degree: {value!r}")
+    result = Fraction(value)
     if not ZERO <= result <= ONE:
         raise InputError(f"degree {format_degree(result)} outside [0, 1]")
     return result
 
 
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_degree(text: str) -> Fraction:
     """Parse ``"0.25"`` / ``"1/4"`` / ``"1"`` into a reduced Fraction in [0, 1]."""
     try:

@@ -3,11 +3,10 @@
 An :class:`Interpretation` fixes a nonempty ordered domain, an assignment
 of individual names to elements, and graded valuations for concept and
 role names.  Valuations are total: anything unlisted is 0.  A role name is
-stored sparsely, as each element's positive successors; a dense
-:class:`FuzzyRelation` is built only for callers that ask for one.
-Instances do not change after construction (predecessor lists are
-computed once, on first use) and the evaluator is pure, so concurrent use
-is safe.
+given as a list of ``[x, y, degree]`` edges and stored sparsely, as each
+element's positive successors.  Instances do not change after
+construction (predecessor lists are computed once, on first use) and the
+evaluator is pure, so concurrent use is safe.
 
 The evaluator grades quantifiers by pushing the filler's vector through
 the role expression, so its cost follows the edges, never n x n.
@@ -38,7 +37,7 @@ from .godel import (
     involutive_not,
     nth_largest,
 )
-from .relations import FuzzyRelation
+from .relations import FuzzyRelation, read_triples
 from . import syntax as s
 
 # One element's positive (index, degree) successors or predecessors.
@@ -93,18 +92,6 @@ class Interpretation:
             if not isinstance(target, str) or target not in self._index:
                 raise ModelError(f"individual {name!r} maps to unknown element {target!r}")
 
-        # Models repeat a few degree texts, so each is parsed once.  Only
-        # strings are keys: True == 1 == 1.0 share a hash, and degree() must
-        # still see (and refuse) every bool and float.
-        parsed: Dict[str, Fraction] = {}
-
-        def grade(value) -> Fraction:
-            if not isinstance(value, str):
-                return degree(value)
-            if value not in parsed:
-                parsed[value] = degree(value)
-            return parsed[value]
-
         self.concepts: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
             if not isinstance(valuation, Mapping):
@@ -115,41 +102,22 @@ class Interpretation:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[self._index[element]] = grade(value)
+                row[self._index[element]] = degree(value)
             self.concepts[name] = tuple(row)
 
-        self.roles: Dict[str, Tuple[Edges, ...]] = {}
-        for name, value in (roles or {}).items():
-            self.roles[name] = self._coerce_role(name, value, grade)
+        self.roles: Dict[str, Tuple[Edges, ...]] = {
+            name: self._coerce_role(name, value) for name, value in (roles or {}).items()
+        }
         self._pred: Dict[str, Tuple[Edges, ...]] = {}
 
-    def _coerce_role(self, name: str, value, grade) -> Tuple[Edges, ...]:
-        """Successor lists from a FuzzyRelation over the domain, a mapping
-        ``{(x, y): degree}`` or a list of ``(x, y, degree)``."""
-        if isinstance(value, FuzzyRelation):
-            if value.rows != self.domain or value.cols != self.domain:
-                raise ModelError(f"role {name!r} is not indexed by the domain")
-            triples = value.entries()
-        elif isinstance(value, Mapping):
-            triples = [pair + (d,) if isinstance(pair, tuple) else pair
-                       for pair, d in value.items()]
-        elif isinstance(value, (list, tuple)):
-            triples = value
-        else:
-            raise ModelError(f"role {name!r} must be a list of [x, y, degree] edges")
-        index = self._index
-        succ: List[Dict[int, Fraction]] = [{} for _ in self.domain]
-        for edge in triples:
-            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
-                raise ModelError(f"role {name!r}: an edge must be [x, y, degree], got {edge!r}")
-            x, y, d = edge
-            if not (isinstance(x, str) and isinstance(y, str) and x in index and y in index):
-                raise ModelError(f"role {name!r} uses an unknown element in edge ({x}, {y})")
-            row, j = succ[index[x]], index[y]
-            if j in row:
-                raise ModelError(f"role {name!r} lists the edge ({x}, {y}) twice")
-            row[j] = grade(d)
-        return tuple(tuple((j, d) for j, d in sorted(row.items()) if d) for row in succ)
+    def _coerce_role(self, name: str, triples) -> Tuple[Edges, ...]:
+        """Successor lists from a list of ``[x, y, degree]`` edges."""
+        edges = read_triples(triples, self._index, self._index, f"role {name!r}", ModelError)
+        succ: List[List[Tuple[int, Fraction]]] = [[] for _ in self.domain]
+        for (i, j), d in sorted(edges.items()):
+            if d:
+                succ[i].append((j, d))
+        return tuple(map(tuple, succ))
 
     # -- accessors -------------------------------------------------------
 
@@ -201,17 +169,6 @@ class Interpretation:
             next((d for j, d in row if j == i), ZERO)
             for i, row in enumerate(self.successors(name))
         )
-
-    def role_relation(self, name: str) -> FuzzyRelation:
-        """Valuation of a role name as a dense relation; all-zero when
-        unlisted.  For callers that want a :class:`FuzzyRelation`; the
-        evaluator and :mod:`fdl.bisim` read the successor lists."""
-        n = len(self.domain)
-        matrix = [[ZERO] * n for _ in range(n)]
-        for i, row in enumerate(self.successors(name)):
-            for j, d in row:
-                matrix[i][j] = d
-        return FuzzyRelation(self.domain, self.domain, matrix)
 
     def is_crisp(self) -> bool:
         return all(

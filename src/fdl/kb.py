@@ -287,7 +287,6 @@ def hm_matrix(
     features: FeatureSet,
     fragment: Sublanguage,
     depth: int,
-    constants: Optional[Sequence] = None,
     max_concepts: int = DEFAULT_BUDGET,
     lower_bound: Optional[FuzzyRelation] = None,
 ) -> HmResult:
@@ -305,11 +304,9 @@ def hm_matrix(
     updating once it reaches the bound, which is sound because the matrix
     never descends below any actual bisimulation.
     """
-    if constants is None:
-        constants = degree_universe(ia, ib)
     signature = Signature.from_interpretations(ia, ib)
     stream = iter_fragment(
-        features, signature, constants, fragment, depth, max_concepts
+        features, signature, degree_universe(ia, ib), fragment, depth, max_concepts
     )
     crisp = fragment is Sublanguage.DELTA_EXISTENTIAL
     eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)

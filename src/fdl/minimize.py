@@ -93,7 +93,7 @@ def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
                 if d > sup.get(b, ZERO):
                     sup[b] = d
             sups.append(sup)
-        entries = {}
+        edges = []
         for members, src_id in zip(partition.blocks, ids):
             first = sups[interp.index(members[0])]
             for other in members[1:]:
@@ -103,8 +103,8 @@ def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
                         f"{src_id} representatives"
                     )
             for b, d in first.items():
-                entries[(src_id, ids[b])] = d
-        roles[name] = entries
+                edges.append((src_id, ids[b], d))
+        roles[name] = edges
     return Interpretation(ids, individuals, concepts, roles)
 
 
@@ -126,8 +126,11 @@ def _require_quotient_features(features: FeatureSet) -> None:
 def prune_unreachable(interp: Interpretation, features: FeatureSet) -> Interpretation:
     """Restrict ``interp`` to the elements reachable from named individuals.
 
-    The result is connected; it is strongly bisimilar to the original via
-    the identity on the survivors.
+    The result is connected.  Without ``U`` it is strongly bisimilar to the
+    original via the identity on the survivors.  ``U`` is ignored here,
+    though under ``U`` every element is reachable: a dropped element can
+    then tell the two models apart (FB8 fails), so the result need not be
+    bisimilar to the original.
     """
     if not interp.individuals:
         raise ModelError("pruning needs at least one named individual")

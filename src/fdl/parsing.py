@@ -20,8 +20,7 @@ name.  The finished tree is checked once against the supplied
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import InputError, ParseError
 from .godel import parse_degree
@@ -79,6 +78,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        # token position -> the concept test read from there and its end,
+        # or None when no test starts there
+        self.tests: Dict[int, Optional[Tuple[s.Test, int]]] = {}
 
     # -- token plumbing ------------------------------------------------
 
@@ -160,9 +162,14 @@ class _Parser:
         return self.atom()
 
     def count(self) -> int:
+        """A counting bound: ASCII digits, at least 1."""
         tok = self.take("number")
-        value = parse_count(tok)
-        return value
+        if not re.fullmatch(r"[0-9]+", tok.text) or int(tok.text) < 1:
+            raise ParseError(
+                f"number-restriction bound must be a positive integer, got {tok.text!r}",
+                tok.pos,
+            )
+        return int(tok.text)
 
     def atom(self) -> s.Concept:
         tok = self.cur
@@ -212,14 +219,23 @@ class _Parser:
     def role_atom(self) -> s.Role:
         tok = self.cur
         # A concept test ends with '?'; try that reading first and back off.
-        saved = self.i
-        try:
-            concept = self.concept()
-            if self.eat("?"):
-                return s.Test(concept)
-        except ParseError:
-            pass
-        self.i = saved
+        # The attempt at each position is remembered: nested tests would
+        # otherwise re-parse the same text at every level.
+        start = self.i
+        if start not in self.tests:
+            found = None
+            try:
+                concept = self.concept()
+                if self.eat("?"):
+                    found = s.Test(concept), self.i
+            except ParseError:
+                pass
+            self.tests[start] = found
+        found = self.tests[start]
+        if found is not None:
+            self.i = found[1]
+            return found[0]
+        self.i = start
         if self.eat("U"):
             return s.Universal()
         if self.at("name"):
@@ -229,19 +245,6 @@ class _Parser:
             self.take(")")
             return inner
         raise ParseError(f"expected a role, found {tok.text or 'end of input'!r}", tok.pos)
-
-
-def parse_count(tok: _Token) -> int:
-    try:
-        value = Fraction(tok.text)
-    except ValueError as exc:
-        raise ParseError(f"malformed number {tok.text!r}", tok.pos) from exc
-    if value.denominator != 1 or value < 1:
-        raise ParseError(
-            f"number-restriction bound must be a positive integer, got {tok.text!r}",
-            tok.pos,
-        )
-    return int(value)
 
 
 def parse(

@@ -5,16 +5,46 @@ state.  It holds what is naturally dense: bisimulation candidates Z, which
 relate every pair, and outputs such as ``eval_role`` and the
 indistinguishability matrices.  Roles of an interpretation are stored
 sparsely in :mod:`fdl.interp`, and the evaluator never builds a relation
-for them.  Instances are immutable.
+for them.  Both are read from lists of ``[x, y, degree]`` by
+:func:`read_triples`.  Instances are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 from .errors import InputError
 from .godel import ONE, ZERO, degree, godel_and
+
+
+def read_triples(
+    items, rows: Mapping[str, int], cols: Mapping[str, int], what: str, error: type
+) -> Dict[Tuple[int, int], Fraction]:
+    """Read a list of ``[x, y, degree]`` into ``{(i, j): degree}``.
+
+    ``rows`` and ``cols`` give each element's position.  A graded binary
+    relation is written this way in both of its documents: the roles of a
+    model and a candidate bisimulation.  A list that is not of triples, an
+    unknown element or a pair listed twice raises ``error`` with ``what``
+    naming the list; a bad degree raises :class:`InputError`.  Zero degrees
+    are kept.
+    """
+    if not isinstance(items, (list, tuple)):
+        raise error(f"{what} must be a list of [x, y, degree] triples")
+    read: Dict[Tuple[int, int], Fraction] = {}
+    for item in items:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise error(f"{what}: an entry must be [x, y, degree], got {item!r}")
+        x, y, d = item
+        if x not in rows or y not in cols:
+            raise error(f"{what} uses an unknown element in ({x}, {y})")
+        pair = rows[x], cols[y]
+        if pair in read:
+            raise error(f"{what} lists the pair ({x}, {y}) twice")
+        read[pair] = degree(d)
+    return read
 
 
 class FuzzyRelation:
@@ -39,21 +69,14 @@ class FuzzyRelation:
 
     @classmethod
     def from_entries(
-        cls,
-        rows: Sequence[str],
-        cols: Sequence[str],
-        entries: Mapping[Tuple[str, str], object],
+        cls, rows: Sequence[str], cols: Sequence[str], triples
     ) -> "FuzzyRelation":
-        """Build from a sparse mapping; unlisted pairs get degree 0."""
+        """Build from a list of ``[x, y, degree]``; unlisted pairs get degree 0."""
+        matrix = [[ZERO] * len(cols) for _ in rows]
         ri = {x: i for i, x in enumerate(rows)}
         ci = {y: j for j, y in enumerate(cols)}
-        matrix = [[ZERO] * len(cols) for _ in rows]
-        for (x, y), val in entries.items():
-            if x not in ri:
-                raise InputError(f"unknown row element {x!r}")
-            if y not in ci:
-                raise InputError(f"unknown column element {y!r}")
-            matrix[ri[x]][ci[y]] = degree(val)
+        for (i, j), d in read_triples(triples, ri, ci, "relation", InputError).items():
+            matrix[i][j] = d
         return cls(rows, cols, matrix)
 
     @classmethod

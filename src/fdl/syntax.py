@@ -68,12 +68,7 @@ class FeatureSet:
 
         ``Q*`` and ``N*`` enable every bound n, as :meth:`format` writes them.
         """
-        kwargs = {
-            "inverse": False,
-            "nominals": False,
-            "universal": False,
-            "self_loops": False,
-        }
+        kwargs = dict.fromkeys(_FEATURE_WORDS.values(), False)
         bounds = {"Q": set(), "N": set()}
         for raw in text.split(","):
             token = raw.strip()
@@ -94,15 +89,7 @@ class FeatureSet:
         return cls(q_bounds=bounds["Q"], n_bounds=bounds["N"], **kwargs)
 
     def format(self) -> str:
-        parts = []
-        if self.inverse:
-            parts.append("I")
-        if self.nominals:
-            parts.append("O")
-        if self.universal:
-            parts.append("U")
-        if self.self_loops:
-            parts.append("Self")
+        parts = [word for word, field in _FEATURE_WORDS.items() if getattr(self, field)]
         parts += [f"Q{n}" for n in sorted(self.q_bounds or ())]
         parts += [f"N{n}" for n in sorted(self.n_bounds or ())]
         if self.q_bounds is None:

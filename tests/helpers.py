@@ -74,13 +74,13 @@ def random_model(
     }
     roles = {}
     for name in role_names:
-        edges = {}
+        edges = []
         for x in domain:
             for y in domain:
                 if rng.random() < density:
                     value = rng.choice(pool)
                     if value:
-                        edges[(x, y)] = value
+                        edges.append((x, y, value))
         roles[name] = edges
     individuals = {a: rng.choice(domain) for a in individual_names}
     return Interpretation(domain, individuals, concepts, roles)
@@ -95,7 +95,7 @@ def rename_model(interp, mapping):
         for name, row in interp.concepts.items()
     }
     roles = {
-        name: {(mapping[x], mapping[y]): v for x, y, v in interp.edges(name)}
+        name: [(mapping[x], mapping[y], v) for x, y, v in interp.edges(name)]
         for name in interp.roles
     }
     return Interpretation(domain, individuals, concepts, roles)
@@ -245,8 +245,8 @@ def counting_hub_pair(d):
             [f"{prefix}0"] + [f"{prefix}{k + 1}" for k in range(d)],
             {"a": f"{prefix}0"},
             {"A": {f"{prefix}{k + 1}": F(1 + o % 2, 2) for k, o in enumerate(order)}},
-            {"r": {(f"{prefix}0", f"{prefix}{k + 1}"): F(1 + o % 4, 4)
-                   for k, o in enumerate(order)}},
+            {"r": [(f"{prefix}0", f"{prefix}{k + 1}", F(1 + o % 4, 4))
+                   for k, o in enumerate(order)]},
         ))
     return models[0], models[1]
 
@@ -259,6 +259,6 @@ def chain_pair(n, d, p, q):
         dom = [f"{prefix}{i}" for i in range(n)]
         models.append(Interpretation(
             dom, {"a": dom[0]}, {"A": {dom[-1]: end}},
-            {"r": {(dom[i], dom[i + 1]): d for i in range(n - 1)}},
+            {"r": [(dom[i], dom[i + 1], d) for i in range(n - 1)]},
         ))
     return models[0], models[1]

@@ -40,8 +40,8 @@ from helpers import (
 NO_FEATURES = FeatureSet.none()
 
 
-def entries(rows, cols, mapping):
-    return FuzzyRelation.from_entries(rows, cols, mapping)
+def entries(rows, cols, triples):
+    return FuzzyRelation.from_entries(rows, cols, triples)
 
 
 class TestCheckBisim:
@@ -55,13 +55,13 @@ class TestCheckBisim:
         raised = entries(
             ia.domain,
             ib.domain,
-            {
-                ("u", "u'"): F(9, 10),
-                ("v", "v'"): F(1),
-                ("w", "w'"): F(1),
-                ("v", "w'"): F(4, 5),
-                ("w", "v'"): F(4, 5),
-            },
+            [
+                ("u", "u'", F(9, 10)),
+                ("v", "v'", F(1)),
+                ("w", "w'", F(1)),
+                ("v", "w'", F(4, 5)),
+                ("w", "v'", F(4, 5)),
+            ],
         )
         report = check_bisim(ia, ib, raised, NO_FEATURES)
         assert not report.satisfied
@@ -75,7 +75,7 @@ class TestCheckBisim:
         stated = entries(
             ia.domain,
             ib.domain,
-            {("u", "u'"): 1, ("v1", "v1'"): 1, ("v2", "v2'"): 1, ("v3", "v2'"): 1},
+            [("u", "u'", 1), ("v1", "v1'", 1), ("v2", "v2'", 1), ("v3", "v2'", 1)],
         )
         assert check_bisim(ia, ib, stated, NO_FEATURES).satisfied
         report = check_bisim(ia, ib, stated, FeatureSet(inverse=True))
@@ -89,7 +89,7 @@ class TestCheckBisim:
         stated = entries(
             ia.domain,
             ib.domain,
-            {("u", "u'"): 1, ("v1", "v1'"): 1, ("v2", "v2'"): 1, ("v3", "v2'"): 1},
+            [("u", "u'", 1), ("v1", "v1'", 1), ("v2", "v2'", 1), ("v3", "v2'", 1)],
         )
         report = check_bisim(ia, ib, stated, FeatureSet(q_bounds=frozenset({2})))
         assert not report.satisfied
@@ -104,7 +104,7 @@ class TestCheckBisim:
         z = entries(
             ia.domain,
             ib.domain,
-            {("u", "u'"): F(9, 10), ("v", "v'"): 1, ("w", "w'"): F(37, 100)},
+            [("u", "u'", F(9, 10)), ("v", "v'", 1), ("w", "w'", F(37, 100))],
         )
         report = check_bisim(ia, ib, z, NO_FEATURES)
         got = [
@@ -122,7 +122,7 @@ class TestCheckBisim:
         patched = entries(
             ia.domain,
             ib.domain,
-            {("u", "u'"): bound, ("v", "v'"): 1, ("w", "w'"): F(37, 100)},
+            [("u", "u'", bound), ("v", "v'", 1), ("w", "w'", F(37, 100))],
         )
         assert check_bisim(ia, ib, patched, NO_FEATURES).satisfied
 
@@ -144,13 +144,13 @@ class TestConditionBound:
         start = entries(
             ia.domain,
             ib.domain,
-            {
-                ("u", "u'"): 1,
-                ("v", "v'"): 1,
-                ("w", "w'"): 1,
-                ("v", "w'"): F(4, 5),
-                ("w", "v'"): F(4, 5),
-            },
+            [
+                ("u", "u'", 1),
+                ("v", "v'", 1),
+                ("w", "w'", 1),
+                ("v", "w'", F(4, 5)),
+                ("w", "v'", F(4, 5)),
+            ],
         )
         assert condition_bound(ia, ib, start, NO_FEATURES, "u", "u'") == F(4, 5)
         # under the all-ones relation nothing binds yet at this pair
@@ -228,7 +228,10 @@ class TestConditionBound:
                 if v.condition.startswith(("FB6n", "FB7n"))
             }
             expected = set()
-            rel_a, rel_b = ia.role_relation("r"), ib.role_relation("r")
+            rel_a, rel_b = (
+                FuzzyRelation.from_entries(m.domain, m.domain, list(m.edges("r")))
+                for m in (ia, ib)
+            )
             for x in ia.domain:
                 for y in ib.domain:
                     val = z.at(x, y)
@@ -276,7 +279,10 @@ class TestConditionBound:
                 if v.condition.startswith(("FB6(", "FB7("))
             }
             expected = set()
-            rel_a, rel_b = ia.role_relation("r"), ib.role_relation("r")
+            rel_a, rel_b = (
+                FuzzyRelation.from_entries(m.domain, m.domain, list(m.edges("r")))
+                for m in (ia, ib)
+            )
 
             def satisfied(tau, subset, candidates, z_at, rel):
                 for witnesses in combinations(candidates, n):
@@ -344,7 +350,7 @@ class TestGreatest:
         ia, ib = edge_pair()
         z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy").relation
         assert z == entries(
-            ia.domain, ib.domain, {("u", "u'"): 1, ("v", "v'"): F(9, 10)}
+            ia.domain, ib.domain, [("u", "u'", 1), ("v", "v'", F(9, 10))]
         )
 
     def test_leaf_triple(self):
@@ -398,11 +404,11 @@ class TestGreatest:
         d, p, q = F(4, 5), F(1, 5), F(3, 5)
         ia, ib = chain_pair(14, d, p, q)
         fs = FeatureSet.parse(features)
-        diagonal = {(f"a{i}", f"b{i}"): p for i in range(14)}
+        diagonal = [(f"a{i}", f"b{i}", p) for i in range(14)]
         fuzzy = greatest_bisim(ia, ib, fs, "fuzzy")
         assert fuzzy.relation == entries(ia.domain, ib.domain, diagonal)
         crisp = greatest_bisim(ia, ib, fs, "crisp")
-        assert crisp.relation == entries(ia.domain, ib.domain, {})
+        assert crisp.relation == entries(ia.domain, ib.domain, [])
 
     def test_brute_force_budget_guard(self):
         rng = random.Random(89)
@@ -435,7 +441,7 @@ class TestUniversalRole:
         dom = [f"x{i}" for i in range(n)]
         return Interpretation(
             dom, {}, {"A": {x: F(1, 2) for x in dom}},
-            {"r": {(dom[i], dom[(i + 1) % n]): F(3, 4) for i in range(n)}},
+            {"r": [(dom[i], dom[(i + 1) % n], F(3, 4)) for i in range(n)]},
         )
 
     def test_uniform_ring_same_under_u(self):
@@ -453,7 +459,7 @@ class TestUniversalRole:
         for mode in ("fuzzy", "crisp"):
             assert greatest_bisim(one, two, NO_FEATURES, mode).at("u", "v") == 1
             assert greatest_bisim(one, two, u, mode).at("u", "v") == 0
-        full = entries(one.domain, two.domain, {("u", "v"): 1})
+        full = entries(one.domain, two.domain, [("u", "v", 1)])
         report = check_bisim(one, two, full, u)
         assert [(v.condition, v.witness) for v in report.violations] == [("FB9", ("w",))]
         assert condition_bound(one, two, full, u, "u", "v") == 0
@@ -501,8 +507,8 @@ class TestCountingBudget:
 class TestClosureLaws:
     def test_handmade_sup_of_bisimulations(self):
         ia, ib = hub_pair()
-        z1 = entries(ia.domain, ib.domain, {("v", "v'"): 1})
-        z2 = entries(ia.domain, ib.domain, {("w", "w'"): 1})
+        z1 = entries(ia.domain, ib.domain, [("v", "v'", 1)])
+        z2 = entries(ia.domain, ib.domain, [("w", "w'", 1)])
         assert check_bisim(ia, ib, z1, NO_FEATURES).satisfied
         assert check_bisim(ia, ib, z2, NO_FEATURES).satisfied
         assert check_bisim(ia, ib, rel_sup([z1, z2]), NO_FEATURES).satisfied
@@ -572,3 +578,10 @@ class TestRelationDocuments:
         rel = load_relation(doc, ["u"], ["v", "w"])
         assert rel.at("u", "w") == 0
         assert rel.mode == "crisp"
+
+    @pytest.mark.parametrize("second", ["0.5", "1", "0"])
+    def test_pair_listed_twice_is_refused(self, second):
+        # as for the edges of a model, whatever the second degree
+        doc = {"entries": [["u", "v", "1"], ["u", "v", second]]}
+        with pytest.raises(InputError):
+            load_relation(doc, ["u"], ["v"])

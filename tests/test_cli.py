@@ -442,6 +442,12 @@ class TestSurface:
         assert captured.err == ""
         assert _help_surface(captured.out) == SURFACE[command]
 
+    def test_help_goes_to_out(self, capsys):
+        out = io.StringIO()
+        assert main(["eval", "--help"], out=out) == 0
+        assert "--concept" in out.getvalue()
+        assert capsys.readouterr() == ("", "")
+
     def test_subcommands_pinned(self, capsys):
         assert main(["--help"]) == 0
         listed = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
@@ -485,6 +491,7 @@ MALFORMED = {
     "relation key": (CHECK_DOC, {"mode": "fuzzy", "entries": [], "rows": []}),
     "relation float": (CHECK_DOC, {"entries": [["u", "u", 0.5]]}),
     "relation entry": (CHECK_DOC, {"entries": [[["u"], "u", "1"]]}),
+    "relation pair twice": (CHECK_DOC, {"entries": [["u", "v", "1"], ["u", "v", "0.5"]]}),
     "box missing key": (
         ["validate", "-m", "{model}", "--abox", "{doc}"],
         {"abox": [{"kind": "concept", "c": "A", "p": "0.5"}]},

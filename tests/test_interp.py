@@ -90,21 +90,9 @@ class TestLoading:
             dump_interpretation(without)
         )
 
-    def test_relation_value_accepted_as_role(self):
-        model = fan_model()
-        again = Interpretation(
-            model.domain,
-            concepts={"A": dict(zip(model.domain, model.concept_row("A")))},
-            roles={"r": model.role_relation("r")},
-        )
-        assert again == model
-        assert again.predecessors("r")[1] == ((0, F(9, 10)),)
-        with pytest.raises(ModelError):
-            Interpretation(["u"], roles={"r": FuzzyRelation.identity(["v"])})
-
     def test_missing_role_is_all_zero(self):
         model = load_interpretation({"domain": ["u"], "concepts": {"A": {"u": "1"}}})
-        assert model.role_relation("s").at("u", "u") == 0
+        assert model.successors("s") == ((),)
 
     def test_float_degree_rejected(self):
         with pytest.raises(Exception):
@@ -150,10 +138,17 @@ class TestLoading:
     def test_library_role_forms_still_accepted(self):
         model = fan_model()
         triples = list(model.edges("r"))
-        for roles in ({"r": triples}, {"r": tuple(triples)},
-                      {"r": {(x, y): d for x, y, d in triples}}):
+        for roles in ({"r": triples}, {"r": tuple(triples)}):
             assert Interpretation(model.domain, concepts={"A": dict(zip(
                 model.domain, model.concept_row("A")))}, roles=roles) == model
+
+    def test_mapping_and_relation_roles_refused(self):
+        # a role is a list of [x, y, degree] edges and nothing else
+        model = fan_model()
+        for value in ({(x, y): d for x, y, d in model.edges("r")},
+                      FuzzyRelation.identity(model.domain)):
+            with pytest.raises(ModelError):
+                Interpretation(model.domain, roles={"r": value})
 
 
 class TestEvaluation:

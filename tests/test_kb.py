@@ -39,7 +39,7 @@ def named_fan():
         base.domain,
         {"a": "u"},
         {"A": dict(zip(base.domain, base.concept_row("A")))},
-        {"r": base.role_relation("r")},
+        {"r": list(base.edges("r"))},
     )
 
 
@@ -50,14 +50,14 @@ def social_model(camping=F(7, 10), traveling=F(4, 5)):
         {name: name for name in domain[1:]},
         concepts={"Post": {}},
         roles={
-            "interestedIn": {
-                ("p", "camping"): camping,
-                ("p", "traveling"): traveling,
-                ("p", "fashion"): F(3, 10),
-                ("p", "shopping"): F(2, 5),
-            },
-            "shares": {},
-            "relatedTo": {},
+            "interestedIn": [
+                ("p", "camping", camping),
+                ("p", "traveling", traveling),
+                ("p", "fashion", F(3, 10)),
+                ("p", "shopping", F(2, 5)),
+            ],
+            "shares": [],
+            "relatedTo": [],
         },
     )
 
@@ -160,17 +160,17 @@ def social_tbox_item_four(result):
 def random_social(rng):
     pool = (F(0), F(2, 5), F(1, 2), F(11, 20), F(3, 5), F(7, 10), F(1))
     domain = ["p", "q", "camping", "traveling", "fashion", "shopping"]
-    edges = {}
+    edges = []
     for x in ("p", "q"):
         for y in domain[2:]:
             value = rng.choice(pool)
             if value:
-                edges[(x, y)] = value
+                edges.append((x, y, value))
     return Interpretation(
         domain,
         {name: name for name in domain[2:]},
         concepts={"Post": {}},
-        roles={"interestedIn": edges, "shares": {}, "relatedTo": {}},
+        roles={"interestedIn": edges, "shares": [], "relatedTo": []},
     )
 
 

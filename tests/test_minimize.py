@@ -24,10 +24,10 @@ NO_FEATURES = FeatureSet.none()
 
 
 def membership_relation(interp, quotiented, partition):
-    entries = {}
+    entries = []
     for x in interp.domain:
         block_id = quotiented.domain[partition.block_of[x]]
-        entries[(x, block_id)] = F(1)
+        entries.append((x, block_id, F(1)))
     return FuzzyRelation.from_entries(interp.domain, quotiented.domain, entries)
 
 
@@ -64,8 +64,8 @@ class TestStrongPartition:
     )
     def test_relation_must_be_an_equivalence(self, monkeypatch, pairs, blocks):
         model = Interpretation(["a", "b", "c"], {}, {}, {})
-        entries = {(x, x): F(1) for x in model.domain}
-        entries.update({pair: F(1) for pair in pairs})
+        entries = [(x, x, F(1)) for x in model.domain]
+        entries += [(x, y, F(1)) for x, y in pairs]
         relation = FuzzyRelation.from_entries(model.domain, model.domain, entries)
         monkeypatch.setattr(
             fdl.minimize, "greatest_bisim",
@@ -83,17 +83,17 @@ class TestQuotient:
         q = quotient(twin_islands(), NO_FEATURES)
         assert q.domain == ("{u,u'}", "{v1,v1'}", "{v2,v3,v2'}")
         assert q.individuals == {"a": "{u,u'}"}
-        rel = q.role_relation("r")
-        assert rel.at("{u,u'}", "{v1,v1'}") == F(1, 2)
-        assert rel.at("{u,u'}", "{v2,v3,v2'}") == F(3, 5)
+        edges = {(x, y): d for x, y, d in q.edges("r")}
+        assert edges[("{u,u'}", "{v1,v1'}")] == F(1, 2)
+        assert edges[("{u,u'}", "{v2,v3,v2'}")] == F(3, 5)
         assert q.concept_row("A") == (F(0), F(7, 10), F(4, 5))
 
     def test_island_quotient_with_nominals(self):
         q = quotient(twin_islands(), FeatureSet(nominals=True))
         assert len(q.domain) == 4
         for hub in ("{u}", "{u'}"):
-            row = q.role_relation("r").matrix[q.index(hub)]
-            assert sorted(v for v in row if v) == [F(1, 2), F(3, 5)]
+            row = q.successors("r")[q.index(hub)]
+            assert sorted(d for _j, d in row) == [F(1, 2), F(3, 5)]
 
     def test_identity_partition_keeps_size(self):
         model = twin_islands()
@@ -142,7 +142,7 @@ class TestPrune:
         pruned = prune_unreachable(twin_islands(), NO_FEATURES)
         assert pruned.domain == ("u", "v1", "v2", "v3")
         assert pruned.individuals == {"a": "u"}
-        assert pruned.role_relation("r").at("u", "v2") == F(3, 5)
+        assert ("u", "v2", F(3, 5)) in pruned.edges("r")
 
     def test_connected_model_unchanged(self):
         model = Interpretation(
@@ -157,7 +157,7 @@ class TestPrune:
         for text in ("", "I", "O", "I,O"):
             features = FeatureSet.parse(text)
             pruned = prune_unreachable(model, features)
-            entries = {(x, x): F(1) for x in pruned.domain}
+            entries = [(x, x, F(1)) for x in pruned.domain]
             z = FuzzyRelation.from_entries(model.domain, pruned.domain, entries)
             assert check_bisim(model, pruned, z, features).satisfied
 

@@ -15,13 +15,13 @@ def random_relation(rng, rows, cols):
 
 class TestBasics:
     def test_from_entries_defaults_zero(self):
-        rel = FuzzyRelation.from_entries(["u"], ["v", "w"], {("u", "v"): F(9, 10)})
+        rel = FuzzyRelation.from_entries(["u"], ["v", "w"], [("u", "v", F(9, 10))])
         assert rel.at("u", "v") == F(9, 10)
         assert rel.at("u", "w") == 0
 
     def test_unknown_elements_rejected(self):
         with pytest.raises(InputError):
-            FuzzyRelation.from_entries(["u"], ["v"], {("x", "v"): F(1)})
+            FuzzyRelation.from_entries(["u"], ["v"], [("x", "v", F(1))])
 
     def test_crisp_detection(self):
         assert FuzzyRelation.identity(["a", "b"]).is_crisp()
@@ -30,7 +30,7 @@ class TestBasics:
 
 class TestInverse:
     def test_single_entry(self):
-        rel = FuzzyRelation.from_entries(["u"], ["v"], {("u", "v"): F(9, 10)})
+        rel = FuzzyRelation.from_entries(["u"], ["v"], [("u", "v", F(9, 10))])
         assert rel.inverse().at("v", "u") == F(9, 10)
 
     def test_involution(self):
@@ -42,7 +42,7 @@ class TestInverse:
         rel = FuzzyRelation.from_entries(
             ["u"],
             ["v1", "v2", "v3"],
-            {("u", "v1"): F(9, 10), ("u", "v2"): F(4, 5), ("u", "v3"): F(7, 10)},
+            [("u", "v1", F(9, 10)), ("u", "v2", F(4, 5)), ("u", "v3", F(7, 10))],
         )
         inv = rel.inverse()
         assert inv.at("v1", "u") == F(9, 10)
@@ -52,8 +52,8 @@ class TestInverse:
 
 class TestCompose:
     def test_chain_takes_min(self):
-        r = FuzzyRelation.from_entries(["u"], ["z"], {("u", "z"): F(7, 10)})
-        s = FuzzyRelation.from_entries(["z"], ["y"], {("z", "y"): F(9, 10)})
+        r = FuzzyRelation.from_entries(["u"], ["z"], [("u", "z", F(7, 10))])
+        s = FuzzyRelation.from_entries(["z"], ["y"], [("z", "y", F(9, 10))])
         assert r.compose(s).at("u", "y") == F(7, 10)
 
     def test_identity_neutral(self):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -152,6 +153,21 @@ class TestParser:
     def test_trailing_input(self):
         with pytest.raises(ParseError):
             parse_concept("A B")
+
+    @pytest.mark.parametrize("text", [">= 2.0 r . A", ">= 4/2 r", ">= 0 r . A", "< 1/2 r"])
+    def test_counting_bound_is_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_concept(text)
+
+    def test_deeply_nested_tests_parse_quickly(self):
+        # each level wraps the last in a test: exists ((C)? ; r) . A
+        text = "A"
+        for _ in range(20):
+            text = f"exists (({text})? ; r) . A"
+        start = time.monotonic()
+        got = parse_concept(text)
+        assert time.monotonic() - start < 1
+        assert parse_concept(to_text(got)) == got
 
     def test_feature_violations(self):
         nothing = FeatureSet.none()
