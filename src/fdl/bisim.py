@@ -42,11 +42,24 @@ one.  Ranks turn back into ``Fraction`` degrees only at the API edge: in
 :class:`CandidateRelation`, in :class:`Violation` and in the value of
 :func:`condition_bound`.
 
-FB6(n) and FB7(n) enumerate the n-subsets of a successor set, which is
-exponential in its size.  Before enumerating, the subsets over all bounds
-n are counted, and more than ``SUBSET_BUDGET`` of them raise
-:class:`BudgetError`; the checker and the fixpoint read the same table, so
-both stop.
+FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
+bounds n cover every size from 1 to the size k of that set, as ``Q*``
+always does, they are Hall's condition at each level v: the successors of
+degree >= v must be matched to distinct successors on the other side, each
+of degree >= v and related by Z >= v to its partner.  A matching by
+augmenting paths decides each level that occurs, lowest first, and the
+first level that fails yields one row ``FB6(|S|)`` (or ``FB7``) whose
+witness S is the Hall violator the failed search reached, whose strength
+is the least degree in S, and whose rhs is the level just below (or 0).
+That rhs is the |S|-th largest score of S, and no failing subset has a
+smaller one, so the ceiling and the verdict are those of the enumeration;
+:func:`check_bisim` reports this one subset instead of every failing one.
+
+Bounds with a gap below k, such as ``Q2`` or ``Q1,Q2,Q16``, are not a
+matching problem, and their n-subsets are enumerated, which is exponential
+in k.  Before enumerating, the subsets over all bounds n are counted, and
+more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`; the checker
+and the fixpoint read the same table, so both stop.
 """
 
 from __future__ import annotations
@@ -220,6 +233,11 @@ class _Context:
         cap = max(self.na, self.nb)
         self.q_bounds = self._effective(features.q_bounds, cap)
         self.n_bounds = self._effective(features.n_bounds, cap)
+        # successor sets up to this size meet every bound 1..k, so their
+        # FB6/FB7 rows come from a matching, not from enumerated subsets
+        self.covered = next(
+            (m for m, n in enumerate(self.q_bounds) if n != m + 1), len(self.q_bounds)
+        )
         # the largest successor set whose n-subsets fit the budget
         self.subset_limit = next(
             (k - 1 for k in range(1, cap + 1) if self.subsets(k) > SUBSET_BUDGET), cap
@@ -296,6 +314,64 @@ def _universal_rows(ctx: _Context, z) -> tuple:
     return tuple(fb8 + fb9)
 
 
+def _augment(u: int, adj, match: dict) -> Optional[List[int]]:
+    """Grow ``match`` (right vertex -> left vertex) by an augmenting path
+    from the unmatched left vertex ``u``, found breadth first.  If there is
+    none, return the left vertices that alternating paths reach from ``u``:
+    each of their neighbours is matched to another of them, so they
+    outnumber their neighbours."""
+    parent = {}  # right vertex -> the left vertex it was reached from
+    mate = {}  # reached left vertex -> its matched right vertex
+    reached = [u]
+    for a in reached:
+        for b in adj[a]:
+            if b in parent:
+                continue
+            parent[b] = a
+            if b not in match:
+                while True:
+                    a = parent[b]
+                    match[b] = a
+                    if a == u:
+                        return None
+                    b = mate[a]
+            mate[match[b]] = b
+            reached.append(match[b])
+    return reached
+
+
+def _hall_row(side) -> Optional[Tuple[Tuple[str, ...], int, int]]:
+    """The FB6/FB7 row ``(witness, strength, rhs)`` of one role and
+    direction whose bounds cover every subset size, or None if it holds.
+
+    ``side`` lists one side's successors as ``(degree, name, scores)``, as
+    in :func:`_relational_rows`.  At level v, successor a is on the left if
+    its degree is >= v and joined to each other-side successor it scores
+    >= v on; the module docstring explains the row.
+    """
+    levels = sorted({d for d, _x, _s in side}.union(*[s for _d, _x, s in side]) - {0})
+    below = 0
+    match: dict = {}  # other-side successor -> successor matched to it
+    for v in levels:
+        adj = {a: [b for b, s in enumerate(row) if s >= v]
+               for a, (d, _x, row) in enumerate(side) if d >= v}
+        if not adj:
+            break
+        # what is left of the lower level's matching is a matching here
+        match = {b: a for b, a in match.items() if a in adj and side[a][2][b] >= v}
+        for a in sorted(set(adj).difference(match.values())):
+            violator = _augment(a, adj, match)
+            if violator is not None:
+                members = sorted(violator)
+                return (
+                    tuple([side[m][1] for m in members]),
+                    min([side[m][0] for m in members]),
+                    below,
+                )
+        below = v
+    return None
+
+
 def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9, with
     ``universal`` the FB8/FB9 rows from :func:`_universal_rows`."""
@@ -325,36 +401,46 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
                 yield "FB4", label, (dom_b[y2],), d, best
     yield from universal
     if ctx.q_bounds:
-        # per role, each successor's degree and name, and the scores
-        # min(Z, other side's degree) it gives the other side's successors
-        scored = []
+        # per role and direction, each successor's degree and name, and the
+        # scores min(Z, other side's degree) it gives the other side's
+        # successors; sides within the covered sizes are matched, the rest
+        # enumerated
+        matched, enumerated = [], []
         for label, succ_a, succ_b in ctx.basic:
             sa, sb = succ_a[i], succ_b[j]
-            for k in (len(sa), len(sb)):
-                if k > ctx.subset_limit:
-                    raise BudgetError(
-                        f"qualified counting over {k} successors needs "
-                        f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
-                    )
             forth = [
                 (d, dom_a[y], [min(z[y][y2], e) for y2, e in sb]) for y, d in sa
             ]
             back = [
                 (e, dom_b[y2], [min(z[y][y2], d) for y, d in sa]) for y2, e in sb
             ]
-            scored.append((label, forth, back))
+            for code, side in (("FB6", forth), ("FB7", back)):
+                k = len(side)
+                if k <= ctx.covered:
+                    matched.append((code, label, side))
+                elif k > ctx.subset_limit:
+                    raise BudgetError(
+                        f"qualified counting over {k} successors needs "
+                        f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
+                    )
+                else:
+                    enumerated.append((code, label, side))
+        for code, label, side in matched:
+            row = _hall_row(side)
+            if row is not None:
+                witness, strength, got = row
+                yield f"{code}({len(witness)})", label, witness, strength, got
         for n in ctx.q_bounds:
-            for label, forth, back in scored:
-                for code, side in ((f"FB6({n})", forth), (f"FB7({n})", back)):
-                    for subset in combinations(side, n):
-                        strength = min([d for d, _x, _s in subset])
-                        scores = sorted(
-                            map(max, zip(*[s for _d, _x, s in subset])), reverse=True
-                        )
-                        got = scores[n - 1] if len(scores) >= n else 0
-                        if strength > got:
-                            witness = tuple([x for _d, x, _s in subset])
-                            yield code, label, witness, strength, got
+            for code, label, side in enumerated:
+                for subset in combinations(side, n):
+                    strength = min([d for d, _x, _s in subset])
+                    scores = sorted(
+                        map(max, zip(*[s for _d, _x, s in subset])), reverse=True
+                    )
+                    got = scores[n - 1] if len(scores) >= n else 0
+                    if strength > got:
+                        witness = tuple([x for _d, x, _s in subset])
+                        yield f"{code}({n})", label, witness, strength, got
     if ctx.n_bounds:
         levels = [
             (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -22,6 +23,11 @@ Degree = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+
+# The text of a degree, in ASCII digits: an integer, a decimal or a ratio.
+# Model degrees and concept constants (fdl.parsing) share it.
+DEGREE_TEXT = r"[0-9]+\.[0-9]+|[0-9]+/[0-9]+|[0-9]+"
+_DEGREE_RE = re.compile(DEGREE_TEXT)
 
 # Most distinct degree texts that parse_degree remembers.  Models repeat a
 # few texts, so each is parsed once per process.
@@ -54,9 +60,12 @@ def degree(value) -> Fraction:
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_degree(text: str) -> Fraction:
     """Parse ``"0.25"`` / ``"1/4"`` / ``"1"`` into a reduced Fraction in [0, 1]."""
+    stripped = text.strip()
+    if not _DEGREE_RE.fullmatch(stripped):
+        raise InputError(f"malformed degree {text!r}")
     try:
-        result = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        result = Fraction(stripped)
+    except ZeroDivisionError as exc:
         raise InputError(f"malformed degree {text!r}") from exc
     if not ZERO <= result <= ONE:
         raise InputError(f"degree {text!r} outside [0, 1]")

@@ -23,17 +23,17 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import InputError, ParseError
-from .godel import parse_degree
+from .godel import DEGREE_TEXT, parse_degree
 from . import syntax as s
 
 _KEYWORDS = {"and", "or", "not", "inv", "delta", "exists", "forall", "self", "U"}
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+/\d+|\d+)
+  | (?P<number>{DEGREE_TEXT})
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>->|>=|[()\.{}?;|*\-<+])
+  | (?P<op>->|>=|[()\.{{}}?;|*\-<+])
     """,
     re.VERBOSE,
 )

@@ -1,6 +1,7 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and oracles shared by the test modules."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 from fdl import (
     And,
@@ -262,3 +263,73 @@ def chain_pair(n, d, p, q):
             {"r": [(dom[i], dom[i + 1], d) for i in range(n - 1)]},
         ))
     return models[0], models[1]
+
+
+def shuffled_hub_pair(rng, d, perturb):
+    """A hub with d r-successors, edge degrees cycling through 2/5, 3/5,
+    4/5, 1 and A through 1/2, 1 every four, like the counting hubs of the
+    fixpoint benchmark, and a copy with its successors shuffled; with
+    ``perturb`` one edge of degree 3/5 and A = 1/2 has degree 4/5 in the copy."""
+    pairs = [(F((2, 3, 4, 5)[k % 4], 5), F(1 + (k // 4) % 2, 2)) for k in range(d)]
+    rng.shuffle(pairs)
+    other = [edge for edge, _a in pairs]
+    if perturb:
+        other[pairs.index((F(3, 5), F(1, 2)))] = F(4, 5)
+    order = list(range(d))
+    rng.shuffle(order)
+    models = []
+    for prefix, edges, place in (("h", [e for e, _a in pairs], range(d)), ("g", other, order)):
+        succ = [f"{prefix}{k + 1}" for k in range(d)]
+        models.append(Interpretation(
+            [f"{prefix}0"] + succ,
+            {"a": f"{prefix}0"},
+            {"A": {succ[k]: pairs[place[k]][1] for k in range(d)}},
+            {"r": [(f"{prefix}0", succ[k], edges[place[k]]) for k in range(d)]},
+        ))
+    return models[0], models[1]
+
+
+def _successor_degrees(interp, name, inverse):
+    succ = {x: {} for x in interp.domain}
+    for x, y, v in interp.edges(name):
+        if inverse:
+            x, y = y, x
+        succ[x][y] = v
+    return succ
+
+
+def counting_subsets(ia, ib, z, features):
+    """FB6(n)/FB7(n) read literally, by enumerating every n-subset S of a
+    side's positive successors: yields ``(x, x', role, code, S, strength,
+    rhs)`` for every pair, basic role, bound n and subset, where strength
+    is the least degree in S and rhs is the n-th largest, over the other
+    side's successors w, of the best min(Z, degree of w) that a member of S
+    gives w (0 if w has fewer than n)."""
+    cap = max(len(ia.domain), len(ib.domain))
+    bounds = range(1, cap + 1) if features.q_bounds is None else sorted(features.q_bounds)
+    directions = (False, True) if features.inverse else (False,)
+    for name in sorted(set(ia.roles) | set(ib.roles)):
+        for inverse in directions:
+            label = name + "-" if inverse else name
+            succ_a = _successor_degrees(ia, name, inverse)
+            succ_b = _successor_degrees(ib, name, inverse)
+            for x in ia.domain:
+                for x2 in ib.domain:
+                    sa, sb = succ_a[x], succ_b[x2]
+                    sides = (
+                        ("FB6", sa, sb, lambda y, w: z.at(y, w)),
+                        ("FB7", sb, sa, lambda y, w: z.at(w, y)),
+                    )
+                    for code, mine, other, z_at in sides:
+                        for n in bounds:
+                            for subset in combinations(mine, n):
+                                scores = sorted(
+                                    (max(min(z_at(y, w), other[w]) for y in subset)
+                                     for w in other),
+                                    reverse=True,
+                                )
+                                yield (
+                                    x, x2, label, f"{code}({n})", subset,
+                                    min(mine[y] for y in subset),
+                                    scores[n - 1] if len(scores) >= n else F(0),
+                                )

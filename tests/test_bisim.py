@@ -33,8 +33,10 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
+from fdl.godel import godel_implies
 from helpers import (
-    POOL3, POOL4, chain_pair, counting_hub_pair, random_features, random_model,
+    POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, random_features,
+    random_model, shuffled_hub_pair,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -477,21 +479,32 @@ class TestUniversalRole:
 
 
 class TestCountingBudget:
-    # FB6(n)/FB7(n) enumerate n-subsets of a successor set; the count over
-    # the enabled bounds is checked before enumerating
+    # FB6(n)/FB7(n) enumerate n-subsets of a successor set unless the bounds
+    # cover every subset size; the count over the enabled bounds is checked
+    # before enumerating
     def test_wide_hub_refused_by_checker_and_fixpoint(self):
+        # Q2..Q16 leaves out size 1, so the 65519 subsets are enumerated
         ia, ib = counting_hub_pair(16)
-        features = FeatureSet(q_bounds=frozenset(range(1, 17)))
+        features = FeatureSet(q_bounds=frozenset(range(2, 17)))
         allones = FuzzyRelation.constant(ia.domain, ib.domain, F(1))
-        with pytest.raises(BudgetError, match="65535 subsets"):
+        with pytest.raises(BudgetError, match="65519 subsets"):
             check_bisim(ia, ib, allones, features)
         with pytest.raises(BudgetError):
             condition_bound(ia, ib, allones, features, "h0", "g0")
         for mode in ("fuzzy", "crisp"):
             with pytest.raises(BudgetError):
                 greatest_bisim(ia, ib, features, mode)
-        with pytest.raises(BudgetError):
-            greatest_bisim(ia, ib, FeatureSet(q_bounds=None))
+
+    def test_wide_hub_decided_under_covering_bounds(self):
+        # Q1..Q16 and Q* cover every subset size of 16 successors, so the
+        # counting rows come from a matching and no budget applies
+        ia, ib = counting_hub_pair(16)
+        for features in (FeatureSet(q_bounds=frozenset(range(1, 17))),
+                         FeatureSet(q_bounds=None)):
+            for mode in ("fuzzy", "crisp"):
+                result = bisimilar(ia, ib, features, mode)
+                assert result.holds
+                assert check_bisim(ia, ib, result.witness, features).satisfied
 
     def test_budget_counts_enabled_bounds_only(self):
         ia, ib = counting_hub_pair(16)
@@ -502,6 +515,64 @@ class TestCountingBudget:
         ia, ib = counting_hub_pair(11)
         features = FeatureSet(q_bounds=frozenset(range(1, 12)))
         assert bisimilar(ia, ib, features, "fuzzy").holds
+
+
+class TestCountingByMatching:
+    # Under bounds that cover every subset size, FB6/FB7 are decided by one
+    # Hall check per level; the oracle enumerates every n-subset literally
+    def check_against_subsets(self, ia, ib, z, features):
+        table, ceiling, violating = {}, {}, set()
+        for x, x2, role, code, subset, strength, rhs in counting_subsets(ia, ib, z, features):
+            table[x, x2, role, code, frozenset(subset)] = (strength, rhs)
+            ceiling[x, x2] = min(ceiling.get((x, x2), F(1)), godel_implies(strength, rhs))
+            if min(z.at(x, x2), strength) > rhs:
+                violating.add((x, x2, role, code[:3]))
+        uncounted = replace(features, q_bounds=frozenset())
+        for x in ia.domain:
+            for x2 in ib.domain:
+                assert condition_bound(ia, ib, z, features, x, x2) == min(
+                    condition_bound(ia, ib, z, uncounted, x, x2),
+                    ceiling.get((x, x2), F(1)),
+                ), (x, x2)
+        counted = [
+            v for v in check_bisim(ia, ib, z, features).violations
+            if v.condition.startswith(("FB6(", "FB7("))
+        ]
+        assert {(v.x, v.x_prime, v.role, v.condition[:3]) for v in counted} == violating
+        for v in counted:
+            strength, rhs = table[v.x, v.x_prime, v.role, v.condition, frozenset(v.witness)]
+            assert (min(z.at(v.x, v.x_prime), strength), rhs) == (v.lhs, v.rhs)
+            assert v.lhs > v.rhs
+
+    def test_random_models_against_subset_oracle(self):
+        rng = random.Random(157)
+        for _ in range(60):
+            ia = random_model(rng, "x", rng.randint(1, 4), POOL4, density=0.7)
+            ib = random_model(rng, "y", rng.randint(1, 4), POOL4, density=0.7)
+            bounds = None if rng.random() < 0.5 else frozenset(range(1, rng.randint(2, 4)))
+            features = FeatureSet(inverse=rng.random() < 0.4, q_bounds=bounds)
+            z = FuzzyRelation(
+                ia.domain, ib.domain,
+                [[rng.choice(POOL4) for _ in ib.domain] for _ in ia.domain],
+            )
+            self.check_against_subsets(ia, ib, z, features)
+
+    def test_benchmark_shaped_hubs_against_subset_oracle(self):
+        # the greatest bisimulation with the hubs' entry raised to 1 and a
+        # third of the entries between successors redrawn
+        rng = random.Random(163)
+        for d, perturb in ((4, True), (7, False), (9, True), (11, True), (11, False)):
+            ia, ib = shuffled_hub_pair(rng, d, perturb)
+            features = FeatureSet(q_bounds=frozenset(range(1, d + 1)))
+            matrix = [list(row) for row in greatest_bisim(ia, ib, features).relation.matrix]
+            matrix[0][0] = F(1)
+            pool = degree_universe(ia, ib)
+            for row in matrix[1:]:
+                for k in range(1, d + 1):
+                    if rng.random() < 0.3:
+                        row[k] = rng.choice(pool)
+            z = FuzzyRelation(ia.domain, ib.domain, matrix)
+            self.check_against_subsets(ia, ib, z, features)
 
 
 class TestClosureLaws:

@@ -182,19 +182,35 @@ class TestBisimilar:
         )
         assert code == 0
 
-    def test_counting_budget_stops_wide_hub(self, tmp_path):
+    @staticmethod
+    def wide_hub_files(tmp_path):
         paths = []
         for k, model in enumerate(counting_hub_pair(16)):
             path = tmp_path / f"hub{k}.json"
             path.write_text(json.dumps(dump_interpretation(model)))
             paths.append(str(path))
-        features = ",".join(f"Q{n}" for n in range(1, 17))
+        return paths
+
+    def test_counting_budget_stops_wide_hub(self, tmp_path):
+        # Q2..Q16 leaves out size 1, so its subsets are enumerated
+        paths = self.wide_hub_files(tmp_path)
+        features = ",".join(f"Q{n}" for n in range(2, 17))
         start = time.perf_counter()
         code, _, err = run_cli(
             ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features]
         )
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "budget" in err
+
+    def test_covering_counting_bounds_decide_wide_hub(self, tmp_path):
+        paths = self.wide_hub_files(tmp_path)
+        for features in (",".join(f"Q{n}" for n in range(1, 17)), "Q*"):
+            start = time.perf_counter()
+            code, out, _ = run_cli(
+                ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features]
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 0 and "bisimilar" in out
 
 
 class TestMinimizePrune:
@@ -485,6 +501,7 @@ MALFORMED = {
     "edge of two": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": [["u", "u"]]}}),
     "role as object": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": {"u": "1"}}}),
     "valuation as list": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": ["u"]}}),
+    "arabic-indic degree": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": "\u0660.\u0665"}}}),
     "individuals as list": (EVAL_DOC, {**GOOD_MODEL, "individuals": ["a"]}),
     "numeric domain": (EVAL_DOC, {"domain": [1, 2]}),
     "domain as text": (EVAL_DOC, {"domain": "uv"}),

@@ -65,7 +65,13 @@ class TestDegreeParsing:
     def test_parse(self, text, value):
         assert parse_degree(text) == value
 
-    @pytest.mark.parametrize("text", ["1.5", "-0.1", "7/6", "abc", "1/0"])
+    # the last seven are not ASCII digits as n, n.m or n/m, the pattern that
+    # concept constants use too
+    @pytest.mark.parametrize(
+        "text",
+        ["1.5", "-0.1", "7/6", "abc", "1/0",
+         "\u0660.\u0665", "\uff11", "1/\u0662", "1e-1", ".5", "+0.5", "1_0/20"],
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(InputError):
             parse_degree(text)

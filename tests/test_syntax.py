@@ -159,6 +159,11 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_concept(text)
 
+    @pytest.mark.parametrize("text", ["\u0660.\u0665 and A", "\uff11 and A", "1/\u0662 -> A"])
+    def test_degree_constant_is_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_concept(text)
+
     def test_deeply_nested_tests_parse_quickly(self):
         # each level wraps the last in a test: exists ((C)? ; r) . A
         text = "A"
