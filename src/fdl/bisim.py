@@ -186,39 +186,32 @@ class _Context:
     ):
         self.ia, self.ib, self.features = ia, ib, features
         self.na, self.nb = len(ia.domain), len(ib.domain)
-        self.universe = tuple(sorted(set(degree_universe(ia, ib)).union(extra)))
+        same = ib is ia  # an auto-bisimulation reads one set of tables twice
+        models = (ia,) if same else (ia, ib)
+        self.universe = tuple(sorted(set(degree_universe(*models)).union(extra)))
         self.top = len(self.universe) - 1
         self.rank = rank = {v: k for k, v in enumerate(self.universe)}
+
+        def tables(name, read):
+            table = read(ia)
+            return name, table, table if same else read(ib)
+
         self.conc = [
-            (
-                name,
-                [rank[v] for v in ia.concept_row(name)],
-                [rank[v] for v in ib.concept_row(name)],
-            )
+            tables(name, lambda m: [rank[v] for v in m.concept_row(name)])
             for name in sorted(set(ia.concepts) | set(ib.concepts))
         ]
         # per basic role: each element's successors as (index, rank) pairs
         self.basic: List[Tuple[str, list, list]] = []
         self.self_loops: List[Tuple[str, List[int], List[int]]] = []
         for name in sorted(set(ia.roles) | set(ib.roles)):
-            self.basic.append(
-                (name, _ranked(ia.successors(name), rank), _ranked(ib.successors(name), rank))
-            )
+            self.basic.append(tables(name, lambda m: _ranked(m.successors(name), rank)))
             if features.inverse:
                 self.basic.append(
-                    (
-                        name + "-",
-                        _ranked(ia.predecessors(name), rank),
-                        _ranked(ib.predecessors(name), rank),
-                    )
+                    tables(name + "-", lambda m: _ranked(m.predecessors(name), rank))
                 )
             if features.self_loops:
                 self.self_loops.append(
-                    (
-                        name,
-                        [rank[v] for v in ia.self_degrees(name)],
-                        [rank[v] for v in ib.self_degrees(name)],
-                    )
+                    tables(name, lambda m: [rank[v] for v in m.self_degrees(name)])
                 )
         self.individual_pairs: List[Tuple[str, int, int]] = []
         if features.nominals:

@@ -485,11 +485,15 @@ def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
     the rank alphabet of :mod:`fdl.bisim`: there a degree is stored as its
     position in this tuple, 0 for degree 0 and ``len - 1`` for degree 1.
     """
-    values = {ZERO, ONE}
+    # hashing a Fraction is slow, and a loaded model shares one object per
+    # degree text, so the degrees are first told apart by identity
+    found = {}
     for interp in interps:
         for row in interp.concepts.values():
-            values.update(row)
+            for d in row:
+                found[id(d)] = d
         for succ in interp.roles.values():
             for row in succ:
-                values.update(d for _j, d in row)
-    return tuple(sorted(values))
+                for _j, d in row:
+                    found[id(d)] = d
+    return tuple(sorted({ZERO, ONE}.union(found.values())))

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fdl.cli
+import fdl.kb
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
@@ -238,6 +240,16 @@ class TestMinimizePrune:
         assert code == 2 and "quotient" in err
 
 
+    def test_minimize_names_with_commas(self, tmp_path):
+        path = tmp_path / "commas.json"
+        path.write_text(json.dumps(
+            {"domain": ["a", "b", "a,b"], "concepts": {"A": {"a,b": "1"}}}
+        ))
+        code, out, err = run_cli(["minimize", "-m", str(path), "--features", ""])
+        assert code == 0, err
+        assert json.loads(out)["domain"] == ["{a,b}", '{"a,b"}']
+
+
 class TestValidate:
     def test_valid_and_invalid(self, files, tmp_path):
         box = tmp_path / "box.json"
@@ -447,6 +459,42 @@ def _help_surface(text):
             default.group(1) if default else None,
         )
     return surface
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("fdl_bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedHarness:
+    """The benchmark's tracer wraps ``fdl`` functions by module and name."""
+
+    def test_every_wrapped_name_resolves(self):
+        spans = _load_spans()
+        for module, attr, _span in spans.WRAPPED:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    def test_uninstall_restores_the_originals(self):
+        spans = _load_spans()
+        targets = [(module, attr) for module, attr, _span in spans.WRAPPED]
+        targets.append((fdl.kb, "ConceptEvaluator"))
+        before = [getattr(module, attr) for module, attr in targets]
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            assert all(
+                getattr(module, attr) is not original
+                for (module, attr), original in zip(targets, before)
+            )
+        finally:
+            tracer.uninstall()
+        assert all(
+            getattr(module, attr) is original
+            for (module, attr), original in zip(targets, before)
+        )
 
 
 class TestSurface:

@@ -1,24 +1,25 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-import fdl.minimize
 from fdl import (
+    BudgetError,
     FeatureError,
     FeatureSet,
-    CandidateRelation,
     FuzzyRelation,
     Interpretation,
     ModelError,
     check_bisim,
+    greatest_bisim,
     minimality_certificate,
     prune_unreachable,
     quotient,
     strong_partition,
 )
 from fdl.fixtures import twin_islands
-from helpers import POOL3, random_model
+from helpers import POOL3, random_model, rename_model
 
 NO_FEATURES = FeatureSet.none()
 
@@ -54,28 +55,102 @@ class TestStrongPartition:
         )
 
 
-    @pytest.mark.parametrize(
-        "pairs, blocks",
-        [
-            ([("a", "c"), ("c", "a")], (("a", "c"), ("b",))),
-            ([("a", "b")], None),  # not symmetric
-            ([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")], None),  # not transitive
-        ],
-    )
-    def test_relation_must_be_an_equivalence(self, monkeypatch, pairs, blocks):
-        model = Interpretation(["a", "b", "c"], {}, {}, {})
-        entries = [(x, x, F(1)) for x in model.domain]
-        entries += [(x, y, F(1)) for x, y in pairs]
-        relation = FuzzyRelation.from_entries(model.domain, model.domain, entries)
-        monkeypatch.setattr(
-            fdl.minimize, "greatest_bisim",
-            lambda *args, **kwargs: CandidateRelation(relation, "crisp"),
+
+def fixpoint_blocks(model, features):
+    """The row groups of the greatest crisp auto-bisimulation, in order of
+    their first member, members in document order."""
+    matrix = greatest_bisim(model, model, features, "crisp").relation.matrix
+    groups = {}
+    for x, row in zip(model.domain, matrix):
+        marked = frozenset(j for j, v in enumerate(row) if v)
+        groups.setdefault(marked, []).append(x)
+    return tuple(map(tuple, groups.values()))
+
+
+def same_block(model, partition):
+    entries = [
+        (x, y, F(1))
+        for members in partition.blocks for x in members for y in members
+    ]
+    return FuzzyRelation.from_entries(model.domain, model.domain, entries)
+
+
+def doubled(rng, model):
+    """``model`` beside a renamed copy that names no individual, the
+    domain shuffled, so that most elements have a bisimilar twin."""
+    copy = rename_model(model, {x: x + "'" for x in model.domain})
+    domain = list(model.domain + copy.domain)
+    rng.shuffle(domain)
+    concepts = {
+        name: dict(zip(model.domain + copy.domain, row + copy.concept_row(name)))
+        for name, row in model.concepts.items()
+    }
+    roles = {
+        name: list(model.edges(name)) + list(copy.edges(name)) for name in model.roles
+    }
+    return Interpretation(domain, model.individuals, concepts, roles)
+
+
+class TestPartitionRefinement:
+    """Refinement against the crisp fixpoint on random models."""
+
+    FEATURES = [
+        "", "I", "O", "U", "Self", "N2", "N*", "Q1,Q2", "Q*", "Q2", "Q1,Q3",
+        "I,O,U", "I,Self", "O,U,N2", "I,Q*", "I,O,Q1,Q2", "U,Self,Q2",
+        "I,Q1,Q3,N*", "I,O,U,Self,Q1,Q2,N2", "I,U,Self,Q*,N*",
+    ]
+
+    @pytest.mark.parametrize("text", FEATURES)
+    def test_matches_crisp_fixpoint(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"refine/{text}")
+        split = 0
+        for _ in range(40):
+            model = random_model(
+                rng, "x", rng.randint(1, 7), POOL3,
+                concept_names=rng.choice([(), ("A",)]),
+                role_names=rng.choice([("r",), ("r", "s")]),
+                individual_names=rng.choice([(), ("a",), ("a", "b")]),
+                density=rng.choice([0.2, 0.4, 0.6]),
+            )
+            if rng.random() < 0.5:
+                model = doubled(rng, model)
+            partition = strong_partition(model, features)
+            assert partition.blocks == fixpoint_blocks(model, features)
+            assert check_bisim(model, model, same_block(model, partition), features).satisfied
+            split += not partition.is_identity()
+        assert split >= 10
+
+    def test_ring_and_chain_scale(self):
+        n, features = 2000, FeatureSet(inverse=True)
+        dom = [f"x{i}" for i in range(n)]
+        ring = Interpretation(
+            dom, {}, {"A": {x: F(1 + i % 2, 2) for i, x in enumerate(dom)}},
+            {"r": [(dom[i], dom[(i + 1) % n], F(4, 5)) for i in range(n)]},
         )
-        if blocks is None:
-            with pytest.raises(AssertionError):
-                strong_partition(model, NO_FEATURES)
-        else:
-            assert strong_partition(model, NO_FEATURES).blocks == blocks
+        start = time.perf_counter()
+        assert strong_partition(ring, features).blocks == (tuple(dom[0::2]), tuple(dom[1::2]))
+        assert time.perf_counter() - start < 1
+        chain = Interpretation(
+            dom, {}, {"A": {dom[-1]: F(1)}},
+            {"r": [(dom[i], dom[i + 1], F(4, 5)) for i in range(n - 1)]},
+        )
+        start = time.perf_counter()
+        assert strong_partition(chain, features).is_identity()
+        assert minimality_certificate(chain, features).is_reduced
+        assert time.perf_counter() - start < 1
+
+    def test_gapped_bounds_keep_the_subset_budget(self):
+        # two copies of a 16-successor hub share a block, so their counting
+        # rows are read
+        hubs = Interpretation(
+            [f"{h}{k}" for h in "hg" for k in range(17)], {},
+            {"A": {f"{h}{k}": F(1 + k % 2, 2) for h in "hg" for k in range(1, 17)}},
+            {"r": [(f"{h}0", f"{h}{k}", F(1 + k % 4, 4)) for h in "hg" for k in range(1, 17)]},
+        )
+        with pytest.raises(BudgetError):
+            strong_partition(hubs, FeatureSet(q_bounds=frozenset(range(2, 17))))
+        assert strong_partition(hubs, FeatureSet(q_bounds=None)).blocks[0] == ("h0", "g0")
 
 
 class TestQuotient:
@@ -99,6 +174,17 @@ class TestQuotient:
         model = twin_islands()
         q = quotient(model, FeatureSet(inverse=True))
         assert len(q.domain) == len(model.domain)
+
+    def test_block_ids_of_names_with_commas_stay_distinct(self):
+        # a ~ b, so plain joining would name their block like "a,b"'s
+        model = Interpretation(
+            ["a", "b", "a,b", 'say "{hi}"'], {"c": "a,b"},
+            {"A": {"a,b": F(1), 'say "{hi}"': F(1, 2)}},
+        )
+        q = quotient(model, NO_FEATURES)
+        assert q.domain == ("{a,b}", '{"a,b"}', '{"say \\"{hi}\\""}')
+        assert q.individuals == {"c": '{"a,b"}'}
+        assert q.concept_row("A") == (F(0), F(1), F(1, 2))
 
     def test_rejects_counting_and_self_features(self):
         model = twin_islands()
