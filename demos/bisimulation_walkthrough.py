@@ -47,7 +47,7 @@ def show(relation):
         print(f"{x.ljust(width)}  {cells}")
 
 
-print("greatest fuzzy bisimulation (residuated fixpoint):")
+print("greatest fuzzy bisimulation (nested partition refinement):")
 greatest = greatest_bisim(left, right, features, "fuzzy").relation
 show(greatest)
 
@@ -60,7 +60,7 @@ for depth in range(3):
     hm = hm_matrix(left, right, features, Sublanguage.CORE_EXISTENTIAL, depth)
     hub_entry = format_degree(hm.matrix.at("u", "u'"))
     print(f"  height <= {depth}: (u,u') = {hub_entry}"
-          f"   equals fixpoint: {hm.matrix == greatest}")
+          f"   equals the greatest: {hm.matrix == greatest}")
     if hm.matrix == greatest:
         separator = hm.separators[("u", "u'")]
         print("  separating concept for (u,u'):", to_text(separator))

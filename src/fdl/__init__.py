@@ -83,14 +83,13 @@ from .bisim import (
     CandidateRelation,
     ConditionReport,
     Violation,
-    bisimilar,
     brute_force_greatest,
     check_bisim,
     condition_bound,
     dump_relation,
-    greatest_bisim,
     load_relation,
 )
+from .refinement import bisimilar, greatest_bisim
 from .minimize import (
     MinimalityCertificate,
     Partition,

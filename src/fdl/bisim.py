@@ -1,4 +1,4 @@
-"""Checking and computing fuzzy and crisp bisimulations.
+"""The bisimulation conditions: checking them, and the brute-force oracle.
 
 A candidate relation Z between the domains of two interpretations is a
 bisimulation when it satisfies, for the enabled features, the conditions
@@ -26,21 +26,18 @@ ceiling :func:`condition_bound`, the minimum of ``strength -> rhs`` over the
 rows, is exact.  Rows with ``strength <= rhs`` can neither fail nor lower
 the ceiling and are left out of the table.
 
-The greatest bisimulation is computed by a residuated greatest-fixpoint
-iteration that lowers every entry to its ceiling until nothing changes.
 All ceilings are built from entries of Z and the two models via min, max,
 n-th-largest and the Goedel residuum, which only ever select among their
-inputs or return 1; hence every intermediate value stays inside the finite
-degree universe of the two models and the descending iteration terminates.
-
-The same closure lets the tables hold ranks instead of degrees.  Rank k is
-the k-th smallest degree of the universe, so rank 0 is degree 0 and the top
-rank is degree 1, and the operations above act on ranks exactly as on the
-degrees they stand for.  The universe is :func:`degree_universe` of the two
-models, plus the values of a candidate relation when a caller supplies
-one.  Ranks turn back into ``Fraction`` degrees only at the API edge: in
+inputs or return 1, so the tables can hold ranks instead of degrees.  Rank
+k is the k-th smallest degree of the universe, so rank 0 is degree 0 and
+the top rank is degree 1, and the operations above act on ranks exactly as
+on the degrees they stand for.  The universe is :func:`degree_universe` of
+the two models, plus the values of a candidate relation when a caller
+supplies one.  Ranks turn back into ``Fraction`` degrees only at the API edge: in
 :class:`CandidateRelation`, in :class:`Violation` and in the value of
-:func:`condition_bound`.
+:func:`condition_bound`.  :mod:`fdl.refinement` computes the greatest
+bisimulation from the same table, as nested partitions whose levels are
+ranks, so its entries lie in the degree universe of the two models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -59,11 +56,12 @@ Bounds with a gap below k, such as ``Q2`` or ``Q1,Q2,Q16``, are not a
 matching problem, and their n-subsets are enumerated, which is exponential
 in k.  Before enumerating, the subsets over all bounds n are counted, and
 more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`; the checker
-and the fixpoint read the same table, so both stop.
+and the refinement under such bounds read the same table, so both stop.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -71,8 +69,8 @@ from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
-from .godel import ONE, ZERO, format_degree
-from .interp import Interpretation, degree_universe
+from .godel import ZERO, format_degree
+from .interp import Interpretation, degree_objects
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -160,7 +158,7 @@ def dump_relation(candidate: CandidateRelation) -> dict:
         "entries": [
             [x, y, format_degree(v)]
             for x, y, v in candidate.relation.entries()
-            if v != ZERO
+            if v  # Fraction.__bool__ reads the numerator; != ZERO is slower
         ],
     }
 
@@ -171,33 +169,38 @@ def dump_relation(candidate: CandidateRelation) -> dict:
 
 def _ranked(lists, rank) -> List[List[Tuple[int, int]]]:
     """Successor or predecessor lists with each degree replaced by its rank."""
-    return [[(y, rank[d]) for y, d in row] for row in lists]
+    return [[(y, rank[id(d)]) for y, d in row] for row in lists]
 
 
 class _Context:
     """Rank tables for one (model, model, features) triple.
 
     ``extra`` adds degrees that occur in neither model, the entries of a
-    candidate relation, to the universe.
+    candidate relation, to the universe.  ``rank`` maps the ``id`` of every
+    degree object of the models and of ``extra`` to its rank.
     """
 
     def __init__(
         self, ia: Interpretation, ib: Interpretation, features: FeatureSet, extra=()
     ):
-        self.ia, self.ib, self.features = ia, ib, features
+        self.features = features
+        self.dom_a, self.dom_b = ia.domain, ib.domain
         self.na, self.nb = len(ia.domain), len(ib.domain)
-        same = ib is ia  # an auto-bisimulation reads one set of tables twice
-        models = (ia,) if same else (ia, ib)
-        self.universe = tuple(sorted(set(degree_universe(*models)).union(extra)))
+        same = self.same = ib is ia  # an auto-bisimulation reads one set of tables twice
+        found = degree_objects(*((ia,) if same else (ia, ib)))
+        for v in extra:
+            found[id(v)] = v
+        self.universe = tuple(sorted(set(found.values())))
         self.top = len(self.universe) - 1
-        self.rank = rank = {v: k for k, v in enumerate(self.universe)}
+        by_value = {v: k for k, v in enumerate(self.universe)}
+        self.rank = rank = {key: by_value[v] for key, v in found.items()}
 
         def tables(name, read):
             table = read(ia)
             return name, table, table if same else read(ib)
 
         self.conc = [
-            tables(name, lambda m: [rank[v] for v in m.concept_row(name)])
+            tables(name, lambda m: [rank[id(v)] for v in m.concept_row(name)])
             for name in sorted(set(ia.concepts) | set(ib.concepts))
         ]
         # per basic role: each element's successors as (index, rank) pairs
@@ -211,7 +214,7 @@ class _Context:
                 )
             if features.self_loops:
                 self.self_loops.append(
-                    tables(name, lambda m: [rank[v] for v in m.self_degrees(name)])
+                    tables(name, lambda m: [rank[id(v)] for v in m.self_degrees(name)])
                 )
         self.individual_pairs: List[Tuple[str, int, int]] = []
         if features.nominals:
@@ -249,13 +252,31 @@ class _Context:
 
     def ranks(self, rel: FuzzyRelation) -> List[List[int]]:
         rank = self.rank
-        return [[rank[v] for v in row] for row in rel.matrix]
+        return [[rank[id(v)] for v in row] for row in rel.matrix]
 
     def relation(self, z: Sequence[Sequence[int]]) -> FuzzyRelation:
         universe = self.universe
         return FuzzyRelation(
-            self.ia.domain, self.ib.domain, [[universe[r] for r in row] for row in z]
+            self.dom_a, self.dom_b, [[universe[r] for r in row] for row in z]
         )
+
+    def union(self) -> "_Context":
+        """The disjoint union of the two models as one model compared with
+        itself, B's elements after A's; the context itself when both models
+        are one.  Its individual pairs still index the two models."""
+        if self.same:
+            return self
+        u, na = copy(self), self.na
+        u.na = u.nb = na + self.nb
+        u.dom_a = u.dom_b = self.dom_a + self.dom_b
+        shifted = [
+            (label, a, [[(y + na, d) for y, d in row] for row in b]) for label, a, b in self.basic
+        ]
+        u.conc, u.self_loops, u.basic = (
+            [(name, a + b, a + b) for name, a, b in tables]
+            for tables in (self.conc, self.self_loops, shifted)
+        )
+        return u
 
 
 def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
@@ -263,7 +284,7 @@ def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
     rel = z.relation if isinstance(z, CandidateRelation) else z
     if rel.rows != ia.domain or rel.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
-    ctx = _Context(ia, ib, features, {v for row in rel.matrix for v in row})
+    ctx = _Context(ia, ib, features, [v for row in rel.matrix for v in row])
     return ctx, ctx.ranks(rel)
 
 
@@ -293,7 +314,7 @@ def _universal_rows(ctx: _Context, z) -> tuple:
     if not ctx.features.universal:
         return ()
     top = ctx.top
-    dom_a, dom_b = ctx.ia.domain, ctx.ib.domain
+    dom_a, dom_b = ctx.dom_a, ctx.dom_b
     fb8 = [
         ("FB8", None, (dom_a[y],), top, best)
         for y, best in enumerate(map(max, z))
@@ -368,7 +389,7 @@ def _hall_row(side) -> Optional[Tuple[Tuple[str, ...], int, int]]:
 def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9, with
     ``universal`` the FB8/FB9 rows from :func:`_universal_rows`."""
-    dom_a, dom_b = ctx.ia.domain, ctx.ib.domain
+    dom_a, dom_b = ctx.dom_a, ctx.dom_b
     for label, succ_a, succ_b in ctx.basic:
         sa, sb = succ_a[i], succ_b[j]
         for y, d in sa:
@@ -484,9 +505,9 @@ def _violations(ctx: _Context, z) -> Iterator[Violation]:
     """Yield every broken condition of rank matrix ``z``, pair by pair."""
     universe = ctx.universe
     universal = _universal_rows(ctx, z)
-    for i, x in enumerate(ctx.ia.domain):
+    for i, x in enumerate(ctx.dom_a):
         zi = z[i]
-        for j, x_prime in enumerate(ctx.ib.domain):
+        for j, x_prime in enumerate(ctx.dom_b):
             val = zi[j]
             if val == 0:
                 continue
@@ -531,96 +552,6 @@ def condition_bound(
     ctx, z_ranks = _candidate_context(ia, ib, features, z)
     rows = _rows(ctx, z_ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, z_ranks))
     return ctx.universe[_ceiling(rows, ctx.top)]
-
-
-# ---------------------------------------------------------------------------
-# greatest bisimulation
-
-
-def greatest_bisim(
-    ia: Interpretation,
-    ib: Interpretation,
-    features: FeatureSet,
-    mode: str = "fuzzy",
-    _pair_order: Optional[Sequence[Tuple[int, int]]] = None,
-) -> CandidateRelation:
-    """The pointwise-greatest (fuzzy or crisp) bisimulation.
-
-    Starts from the static per-pair ceilings and repeatedly lowers each
-    entry to its :func:`condition_bound` until stable; Knaster-Tarski on
-    the finite lattice of degree-universe matrices makes this the greatest
-    post-fixpoint, i.e. the greatest bisimulation.  ``_pair_order`` only
-    changes the sweep order, never the result.
-    """
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    ctx = _Context(ia, ib, features)
-    na, nb, top = ctx.na, ctx.nb, ctx.top
-    crisp = mode == "crisp"
-    z: List[List[int]] = []
-    for i in range(na):
-        row = [_ceiling(_static_rows(ctx, i, j), top) for j in range(nb)]
-        z.append([0 if v < top else top for v in row] if crisp else row)
-    order = list(_pair_order) if _pair_order is not None else [
-        (i, j) for i in range(na) for j in range(nb)
-    ]
-    # every ceiling is a selection over the degree universe, so each entry
-    # can strictly drop at most |universe| times
-    sweep_limit = na * nb * len(ctx.universe) + 2
-    sweeps = 0
-    changed = True
-    while changed:
-        sweeps += 1
-        if sweeps > sweep_limit:
-            raise AssertionError(
-                "internal: fixpoint did not converge within the degree-universe bound"
-            )
-        changed = False
-        # Z only falls during a sweep, so these maxima can only be too
-        # high, which lowers nothing wrongly; the last sweep changes
-        # nothing, so there they are exact
-        universal = _universal_rows(ctx, z)
-        for i, j in order:
-            current = z[i][j]
-            if current == 0:
-                continue
-            # Z already lies below the static rows, so only the rest can
-            # lower it; in crisp mode any row drops the pair to 0
-            rows = _relational_rows(ctx, z, i, j, universal)
-            if crisp:
-                new = current if next(rows, None) is None else 0
-            else:
-                new = _ceiling(rows, current)
-            if new != current:
-                z[i][j] = new
-                changed = True
-    return CandidateRelation(ctx.relation(z), mode)
-
-
-def bisimilar(
-    ia: Interpretation,
-    ib: Interpretation,
-    features: FeatureSet,
-    mode: str = "fuzzy",
-) -> BisimilarityResult:
-    """Decide whether every named individual pair gets degree 1 in the
-    greatest bisimulation (fuzzy: bisimilarity; crisp: strong bisimilarity).
-    """
-    names = list(ia.individuals) + [
-        n for n in ib.individuals if n not in ia.individuals
-    ]
-    if not names:
-        raise ModelError(
-            "bisimilarity of interpretations is undefined without named individuals"
-        )
-    for name in names:
-        if name not in ia.individuals or name not in ib.individuals:
-            raise ModelError(f"individual {name!r} is not interpreted in both models")
-    greatest = greatest_bisim(ia, ib, features, mode)
-    for name in names:
-        if greatest.at(ia.individuals[name], ib.individuals[name]) != ONE:
-            return BisimilarityResult(False, greatest, failing_individual=name)
-    return BisimilarityResult(True, greatest)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .bisim import (
-    MODES,
-    CandidateRelation,
-    bisimilar,
-    check_bisim,
-    dump_relation,
-    greatest_bisim,
-    load_relation,
-)
+from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
 from .errors import FdlError, InputError
 from .fixtures import run_selftest
 from .godel import format_degree
@@ -30,6 +22,7 @@ from .interp import dump_interpretation, eval_concept, load_interpretation
 from .kb import hm_matrix, load_kb, validates
 from .minimize import prune_unreachable, quotient
 from .parsing import parse_concept
+from .refinement import bisimilar, greatest_bisim
 from .syntax import FeatureSet, Sublanguage, to_text
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, List, Tuple
 
-from .bisim import bisimilar, brute_force_greatest, greatest_bisim
+from .bisim import brute_force_greatest
 from .godel import format_degree
 from .interp import Interpretation, eval_concept
 from .minimize import quotient
 from .parsing import parse_concept
+from .refinement import bisimilar, greatest_bisim
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 

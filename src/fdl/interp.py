@@ -476,6 +476,26 @@ def reachability(
     return reachable, len(seen) == n
 
 
+def degree_objects(*interps: Interpretation) -> Dict[int, Fraction]:
+    """Every degree object occurring in the given interpretations, plus 0
+    and 1, keyed by ``id``.
+
+    Hashing a Fraction is slow, and a loaded model shares one object per
+    degree text, so callers tell degrees apart by identity first and hash
+    each distinct object once.
+    """
+    found = {id(ZERO): ZERO, id(ONE): ONE}
+    for interp in interps:
+        for row in interp.concepts.values():
+            for d in row:
+                found[id(d)] = d
+        for succ in interp.roles.values():
+            for row in succ:
+                for _j, d in row:
+                    found[id(d)] = d
+    return found
+
+
 def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
     """Every degree occurring in the given interpretations, plus 0 and 1,
     in increasing order.
@@ -485,15 +505,4 @@ def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
     the rank alphabet of :mod:`fdl.bisim`: there a degree is stored as its
     position in this tuple, 0 for degree 0 and ``len - 1`` for degree 1.
     """
-    # hashing a Fraction is slow, and a loaded model shares one object per
-    # degree text, so the degrees are first told apart by identity
-    found = {}
-    for interp in interps:
-        for row in interp.concepts.values():
-            for d in row:
-                found[id(d)] = d
-        for succ in interp.roles.values():
-            for row in succ:
-                for _j, d in row:
-                    found[id(d)] = d
-    return tuple(sorted({ZERO, ONE}.union(found.values())))
+    return tuple(sorted(set(degree_objects(*interps).values())))

@@ -12,12 +12,12 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bisim import bisimilar
 from .enumeration import DEFAULT_BUDGET, Signature, iter_fragment
 from .errors import InputError, ModelError
 from .godel import ONE, ZERO, degree, format_degree, godel_iff, godel_implies
 from .interp import ConceptEvaluator, Interpretation, degree_universe, reachability
 from .parsing import parse_concept, parse_role
+from .refinement import bisimilar
 from .relations import FuzzyRelation
 from .syntax import (
     Concept,

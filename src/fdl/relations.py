@@ -102,7 +102,9 @@ class FuzzyRelation:
                 yield x, y, self.matrix[i][j]
 
     def is_crisp(self) -> bool:
-        return all(v == ZERO or v == ONE for row in self.matrix for v in row)
+        # exact, without Fraction.__eq__: a degree is 0 or 1 exactly when it
+        # is a whole number, numerator 0 or 1
+        return all(v.denominator == 1 and v.numerator in (0, 1) for row in self.matrix for v in row)
 
     def inverse(self) -> "FuzzyRelation":
         """Transpose: result(y, x) = self(x, y).

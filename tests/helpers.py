@@ -7,6 +7,7 @@ from fdl import (
     And,
     AtLeast,
     AtLeastUnq,
+    CandidateRelation,
     Compose,
     Constant,
     ConceptName,
@@ -37,6 +38,9 @@ from fdl import (
     godel_not,
     godel_or,
     involutive_not,
+)
+from fdl.bisim import (
+    _Context, _ceiling, _relational_rows, _static_rows, _universal_rows,
 )
 
 POOL3 = (F(0), F(1, 2), F(1))
@@ -100,6 +104,21 @@ def rename_model(interp, mapping):
         for name in interp.roles
     }
     return Interpretation(domain, individuals, concepts, roles)
+
+
+def shuffled_copy(rng, interp, prefix):
+    """An isomorphic copy of ``interp``: its elements renamed to ``prefix``
+    and a number, at random, and listed in a random order."""
+    names = [f"{prefix}{k}" for k in range(len(interp.domain))]
+    rng.shuffle(names)
+    renamed = rename_model(interp, dict(zip(interp.domain, names)))
+    domain = list(renamed.domain)
+    rng.shuffle(domain)
+    return Interpretation(
+        domain, renamed.individuals,
+        {name: dict(zip(renamed.domain, row)) for name, row in renamed.concepts.items()},
+        {name: list(renamed.edges(name)) for name in renamed.roles},
+    )
 
 
 def random_features(rng, with_bounds=True):
@@ -333,3 +352,37 @@ def counting_subsets(ia, ib, z, features):
                                     min(mine[y] for y in subset),
                                     scores[n - 1] if len(scores) >= n else F(0),
                                 )
+
+
+def fixpoint_greatest(ia, ib, features, mode="fuzzy"):
+    """The greatest bisimulation by the pairwise residuated fixpoint: start
+    from each pair's static ceiling and lower every entry to its ceiling
+    over the condition table, sweep after sweep, until nothing changes
+    (Knaster-Tarski on the finite lattice of degree-universe matrices).
+    In crisp mode a pair drops to 0 as soon as any row fails."""
+    ctx = _Context(ia, ib, features)
+    crisp = mode == "crisp"
+    z = []
+    for i in range(ctx.na):
+        row = [_ceiling(_static_rows(ctx, i, j), ctx.top) for j in range(ctx.nb)]
+        z.append([0 if v < ctx.top else ctx.top for v in row] if crisp else row)
+    changed = True
+    while changed:
+        changed = False
+        # Z only falls during a sweep, so these maxima can only be too
+        # high; the last sweep changes nothing, so there they are exact
+        universal = _universal_rows(ctx, z)
+        for i in range(ctx.na):
+            for j in range(ctx.nb):
+                current = z[i][j]
+                if current == 0:
+                    continue
+                rows = _relational_rows(ctx, z, i, j, universal)
+                if crisp:
+                    new = current if next(rows, None) is None else 0
+                else:
+                    new = _ceiling(rows, current)
+                if new != current:
+                    z[i][j] = new
+                    changed = True
+    return CandidateRelation(ctx.relation(z), mode)

@@ -35,8 +35,8 @@ from fdl.fixtures import (
 )
 from fdl.godel import godel_implies
 from helpers import (
-    POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, random_features,
-    random_model, shuffled_hub_pair,
+    POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, fixpoint_greatest,
+    random_features, random_model, shuffled_copy, shuffled_hub_pair,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -360,21 +360,6 @@ class TestGreatest:
         z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy").relation
         assert z == LEAF_TRIPLE_GREATEST
 
-    def test_sweep_order_irrelevant(self):
-        rng = random.Random(73)
-        for _ in range(15):
-            ia = random_model(rng, "x", rng.randint(1, 3), POOL3, individual_names=("a",))
-            ib = random_model(rng, "y", rng.randint(1, 3), POOL3, individual_names=("a",))
-            features = random_features(rng)
-            pairs = [
-                (i, j) for i in range(len(ia.domain)) for j in range(len(ib.domain))
-            ]
-            rng.shuffle(pairs)
-            for mode in ("fuzzy", "crisp"):
-                default = greatest_bisim(ia, ib, features, mode)
-                shuffled = greatest_bisim(ia, ib, features, mode, _pair_order=pairs)
-                assert default.relation == shuffled.relation
-
     def test_sound_and_entries_in_degree_universe(self):
         rng = random.Random(79)
         for _ in range(30):
@@ -573,6 +558,59 @@ class TestCountingByMatching:
                         row[k] = rng.choice(pool)
             z = FuzzyRelation(ia.domain, ib.domain, matrix)
             self.check_against_subsets(ia, ib, z, features)
+
+
+class TestRefinementAgainstFixpoint:
+    """The nested-partition refinement against the pairwise fixpoint."""
+
+    FEATURES = [
+        "", "I", "O", "U", "Self", "N2", "N*", "Q1,Q2", "Q*", "Q2", "Q1,Q3",
+        "I,O,U", "I,Q*", "U,Self,Q2", "I,O,U,Self,Q1,Q2,N2",
+    ]
+
+    @staticmethod
+    def random_pair(rng):
+        """A random model and, half the time, a shuffled copy of it; else a
+        shuffled copy with one degree redrawn, or another random model."""
+        pool = rng.choice([POOL3, POOL4])
+        shape = dict(
+            concept_names=rng.choice([(), ("A",), ("A", "B")]),
+            role_names=rng.choice([("r",), ("r", "s")]),
+            individual_names=rng.choice([("a",), ("a", "b")]),
+            density=rng.choice([0.2, 0.4, 0.6]),
+        )
+        ia = random_model(rng, "x", rng.randint(1, 6), pool, **shape)
+        kind = rng.random()
+        if kind < 0.5:
+            return ia, shuffled_copy(rng, ia, "y")
+        if kind < 0.75:
+            return ia, random_model(rng, "y", rng.randint(1, 6), pool, **shape)
+        concepts = {name: dict(zip(ia.domain, row)) for name, row in ia.concepts.items()}
+        roles = {name: {(x, y): d for x, y, d in ia.edges(name)} for name in ia.roles}
+        x, y = rng.choice(ia.domain), rng.choice(ia.domain)
+        if concepts and rng.random() < 0.5:
+            concepts[rng.choice(sorted(concepts))][x] = rng.choice(pool)
+        else:
+            roles[rng.choice(sorted(roles))][x, y] = rng.choice(pool)
+        roles = {name: [(x, y, d) for (x, y), d in edges.items()] for name, edges in roles.items()}
+        other = Interpretation(ia.domain, ia.individuals, concepts, roles)
+        return ia, shuffled_copy(rng, other, "y")
+
+    @pytest.mark.parametrize("text", FEATURES)
+    def test_matches_fixpoint(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"levels/{text}")
+        graded = related = 0
+        for _ in range(60):
+            ia, ib = self.random_pair(rng)
+            for mode in ("fuzzy", "crisp"):
+                got = greatest_bisim(ia, ib, features, mode).relation
+                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                values = {v for _x, _y, v in got.entries()}
+                graded += mode == "fuzzy" and any(0 < v < 1 for v in values)
+                related += mode == "crisp" and 1 in values
+        # the pairs exercise both partial degrees and nonempty crisp relations
+        assert graded >= 3 and related >= 20
 
 
 class TestClosureLaws:

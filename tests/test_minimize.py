@@ -11,6 +11,7 @@ from fdl import (
     FuzzyRelation,
     Interpretation,
     ModelError,
+    bisimilar,
     check_bisim,
     greatest_bisim,
     minimality_certificate,
@@ -19,7 +20,7 @@ from fdl import (
     strong_partition,
 )
 from fdl.fixtures import twin_islands
-from helpers import POOL3, random_model, rename_model
+from helpers import POOL3, chain_pair, fixpoint_greatest, random_model, rename_model
 
 NO_FEATURES = FeatureSet.none()
 
@@ -59,7 +60,7 @@ class TestStrongPartition:
 def fixpoint_blocks(model, features):
     """The row groups of the greatest crisp auto-bisimulation, in order of
     their first member, members in document order."""
-    matrix = greatest_bisim(model, model, features, "crisp").relation.matrix
+    matrix = fixpoint_greatest(model, model, features, "crisp").relation.matrix
     groups = {}
     for x, row in zip(model.domain, matrix):
         marked = frozenset(j for j, v in enumerate(row) if v)
@@ -139,6 +140,40 @@ class TestPartitionRefinement:
         assert strong_partition(chain, features).is_identity()
         assert minimality_certificate(chain, features).is_reduced
         assert time.perf_counter() - start < 1
+
+    def test_two_model_chain_and_ring_scale(self):
+        # the chains' ends carry A = 1 and 1/2, and edges of degree 4/5
+        # carry the difference back: the diagonal is 1/2, all else 0
+        n = 270
+        ia, ib = chain_pair(n, F(4, 5), F(1), F(1, 2))
+        start = time.perf_counter()
+        fuzzy = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy").relation
+        assert time.perf_counter() - start < 1
+        diagonal = [(f"a{i}", f"b{i}", F(1, 2)) for i in range(n)]
+        assert fuzzy == FuzzyRelation.from_entries(ia.domain, ib.domain, diagonal)
+        start = time.perf_counter()
+        crisp = bisimilar(ia, ib, FeatureSet(inverse=True), "crisp")
+        assert time.perf_counter() - start < 1
+        assert not crisp.holds and crisp.failing_individual == "a"
+        assert not any(v for _x, _y, v in crisp.witness.relation.entries())
+        # two rings with alternating A: two blocks across the models, and
+        # 1/2 between them in fuzzy mode; U caps nothing
+        rings = []
+        for prefix in "xy":
+            dom = [f"{prefix}{i}" for i in range(400)]
+            rings.append(Interpretation(
+                dom, {"a": dom[0]}, {"A": {x: F(1 + i % 2, 2) for i, x in enumerate(dom)}},
+                {"r": [(dom[i], dom[(i + 1) % 400], F(4, 5)) for i in range(400)]},
+            ))
+        features = FeatureSet.parse("I,U")
+        for mode, across in (("crisp", F(0)), ("fuzzy", F(1, 2))):
+            start = time.perf_counter()
+            result = bisimilar(rings[0], rings[1], features, mode)
+            assert time.perf_counter() - start < 1
+            assert result.holds
+            matrix = result.witness.relation.matrix
+            assert all(v == (1 if (i - j) % 2 == 0 else across)
+                       for i, row in enumerate(matrix) for j, v in enumerate(row))
 
     def test_gapped_bounds_keep_the_subset_budget(self):
         # two copies of a 16-successor hub share a block, so their counting
