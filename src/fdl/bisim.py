@@ -70,7 +70,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
-from .interp import Interpretation, degree_objects
+from .interp import Interpretation, coded_predecessors, coded_successors, degree_objects
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -167,11 +167,6 @@ def dump_relation(candidate: CandidateRelation) -> dict:
 # rank tables
 
 
-def _ranked(lists, rank) -> List[List[Tuple[int, int]]]:
-    """Successor or predecessor lists with each degree replaced by its rank."""
-    return [[(y, rank[id(d)]) for y, d in row] for row in lists]
-
-
 class _Context:
     """Rank tables for one (model, model, features) triple.
 
@@ -207,10 +202,10 @@ class _Context:
         self.basic: List[Tuple[str, list, list]] = []
         self.self_loops: List[Tuple[str, List[int], List[int]]] = []
         for name in sorted(set(ia.roles) | set(ib.roles)):
-            self.basic.append(tables(name, lambda m: _ranked(m.successors(name), rank)))
+            self.basic.append(tables(name, lambda m: coded_successors(m.successors(name), rank)))
             if features.inverse:
                 self.basic.append(
-                    tables(name + "-", lambda m: _ranked(m.predecessors(name), rank))
+                    tables(name + "-", lambda m: coded_predecessors(m.successors(name), rank))
                 )
             if features.self_loops:
                 self.self_loops.append(

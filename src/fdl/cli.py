@@ -12,7 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
 from .errors import FdlError, InputError
@@ -52,8 +52,9 @@ def _matrix_table(rel) -> str:
     )
 
 
-def _emit(out, payload: dict, as_json: bool, human: str) -> None:
-    print(json.dumps(payload, indent=2) if as_json else human, file=out)
+def _emit(out, payload: dict, as_json: bool, human: Callable[[], str]) -> None:
+    """Print the payload as JSON, or the human text, built only here."""
+    print(json.dumps(payload, indent=2) if as_json else human(), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +71,14 @@ def _eval(args, out) -> int:
         pairs = [(args.element, values.at(args.element))]
     else:
         pairs = list(values)
-    payload = {
-        "concept": to_text(concept),
-        "values": {x: format_degree(v) for x, v in pairs},
-    }
-    width = max(len(x) for x, _ in pairs)
-    human = "\n".join(f"{x.ljust(width)}  {format_degree(v)}" for x, v in pairs)
-    _emit(out, payload, args.json, human)
+    # each distinct degree object is formatted once
+    texts = {id(v): v for _x, v in pairs}
+    texts = {key: format_degree(v) for key, v in texts.items()}
+    shown = {x: texts[id(v)] for x, v in pairs}
+    payload = {"concept": to_text(concept), "values": shown}
+    width = max(map(len, shown))
+    _emit(out, payload, args.json,
+          lambda: "\n".join(f"{x.ljust(width)}  {text}" for x, text in shown.items()))
     return 0
 
 
@@ -88,7 +90,7 @@ def _bisim(args, out) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
-    _emit(out, document, args.json, _matrix_table(result.relation))
+    _emit(out, document, args.json, lambda: _matrix_table(result.relation))
     return 0
 
 
@@ -105,8 +107,8 @@ def _check(args, out) -> int:
             for v in report.violations
         ],
     }
-    human = "\n".join(v.describe() for v in report.violations) or "satisfied"
-    _emit(out, payload, args.json, human)
+    _emit(out, payload, args.json,
+          lambda: "\n".join(v.describe() for v in report.violations) or "satisfied")
     return 0 if report.satisfied else 1
 
 
@@ -122,7 +124,7 @@ def _bisimilar(args, out) -> int:
     human = f"bisimilar ({args.mode})" if result.holds else (
         f"not bisimilar ({args.mode}); individual {result.failing_individual!r} falls below 1"
     )
-    _emit(out, payload, args.json, human)
+    _emit(out, payload, args.json, lambda: human)
     return 0 if result.holds else 1
 
 
@@ -147,10 +149,10 @@ def _validate(args, out) -> int:
         "failed": result.failed_item.describe() if result.failed_item else None,
         "element": result.witness_element,
     }
-    human = "validated" if result.valid else f"not validated: {result.failed_item.describe()}"
+    human = "validated" if result.valid else f"not validated: {payload['failed']}"
     if result.witness_element:
         human += f" (at element {result.witness_element})"
-    _emit(out, payload, args.json, human)
+    _emit(out, payload, args.json, lambda: human)
     return 0 if result.valid else 1
 
 
@@ -171,10 +173,9 @@ def _hm(args, out) -> int:
         "separators": separators,
         "concepts_used": result.concepts_used,
     }
-    human = "\n".join([_matrix_table(result.matrix)] + [
+    _emit(out, payload, args.json, lambda: "\n".join([_matrix_table(result.matrix)] + [
         f"separator {pair}: {text}" for pair, text in sorted(separators.items())
-    ])
-    _emit(out, payload, args.json, human)
+    ]))
     return 0
 
 

@@ -5,11 +5,22 @@ of individual names to elements, and graded valuations for concept and
 role names.  Valuations are total: anything unlisted is 0.  A role name is
 given as a list of ``[x, y, degree]`` edges and stored sparsely, as each
 element's positive successors.  Instances do not change after
-construction (predecessor lists are computed once, on first use) and the
-evaluator is pure, so concurrent use is safe.
+construction (the integer scale and its caches fill on first use, and any
+thread that fills an entry stores the same value) and the evaluator is
+pure, so concurrent use is safe.
 
 The evaluator grades quantifiers by pushing the filler's vector through
-the role expression, so its cost follows the edges, never n x n.
+the role expression, so its cost follows the edges, never n x n.  It
+grades on integers: with L the least common multiple of the denominators
+of the model's degrees, degree p/q is the integer p * (L // q).  That map
+is strictly increasing and sends 0 to 0, 1 to L and 1 - x to L - x.  Every
+other connective (min, max, the residuum, not, Delta, the suprema and
+infima of the quantifiers, the n-th largest of counting) compares its
+inputs and selects one of them or returns 0 or 1, so it commutes with the
+map, and the integers are exact.  A constant whose denominator does not
+divide L makes the evaluator start over on the least common multiple of
+the two; nothing is rounded.  Values return to ``Fraction`` only at the
+public methods.
 
 Element order everywhere follows the declaration order of the domain,
 which keeps all outputs deterministic.
@@ -22,21 +33,11 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError
-from .godel import (
-    ONE,
-    ZERO,
-    baaz_delta,
-    degree,
-    format_degree,
-    godel_and,
-    godel_implies,
-    godel_not,
-    involutive_not,
-    nth_largest,
-)
+from .godel import ONE, ZERO, degree, format_degree
 from .relations import FuzzyRelation, read_triples
 from . import syntax as s
 
@@ -63,10 +64,10 @@ class Interpretation:
 
     Each role name is stored as per-element successor lists of
     ``(index, degree)`` pairs, sorted by index, with zero degrees dropped.
-    Predecessor lists are built on first use.
+    The integer scale is built on first use.
     """
 
-    __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_pred")
+    __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_scale")
 
     def __init__(
         self,
@@ -108,16 +109,16 @@ class Interpretation:
         self.roles: Dict[str, Tuple[Edges, ...]] = {
             name: self._coerce_role(name, value) for name, value in (roles or {}).items()
         }
-        self._pred: Dict[str, Tuple[Edges, ...]] = {}
+        self._scale: Optional[_Scale] = None
 
     def _coerce_role(self, name: str, triples) -> Tuple[Edges, ...]:
         """Successor lists from a list of ``[x, y, degree]`` edges."""
         edges = read_triples(triples, self._index, self._index, f"role {name!r}", ModelError)
         succ: List[List[Tuple[int, Fraction]]] = [[] for _ in self.domain]
-        for (i, j), d in sorted(edges.items()):
-            if d:
+        for (i, j), d in edges.items():
+            if d.numerator:
                 succ[i].append((j, d))
-        return tuple(map(tuple, succ))
+        return tuple([tuple(sorted(row)) for row in succ])
 
     # -- accessors -------------------------------------------------------
 
@@ -143,17 +144,15 @@ class Interpretation:
         succ = self.roles.get(name)
         return succ if succ is not None else ((),) * len(self.domain)
 
-    def predecessors(self, name: str) -> Tuple[Edges, ...]:
-        """Each element's positive ``(index, degree)`` predecessors under a
-        role name, in index order; built on first use."""
-        pred = self._pred.get(name)
-        if pred is None:
-            lists: List[List[Tuple[int, Fraction]]] = [[] for _ in self.domain]
-            for i, row in enumerate(self.successors(name)):
-                for j, d in row:
-                    lists[j].append((i, d))
-            pred = self._pred[name] = tuple(map(tuple, lists))
-        return pred
+    def scale(self) -> "_Scale":
+        """The model's degrees as integers over their common denominator;
+        built on first use and shared by every evaluator of the model."""
+        if self._scale is None:
+            found = degree_objects(self)
+            top = lcm(*(d.denominator for d in found.values()))
+            of = {key: d.numerator * (top // d.denominator) for key, d in found.items()}
+            self._scale = _Scale(top, of, ((of[key], d) for key, d in found.items()))
+        return self._scale
 
     def edges(self, name: str) -> Iterator[Tuple[str, str, Fraction]]:
         """The positive edges of a role name as ``(x, y, degree)``, in
@@ -168,13 +167,6 @@ class Interpretation:
         return tuple(
             next((d for j, d in row if j == i), ZERO)
             for i, row in enumerate(self.successors(name))
-        )
-
-    def is_crisp(self) -> bool:
-        return all(
-            v in (ZERO, ONE) for row in self.concepts.values() for v in row
-        ) and all(
-            d == ONE for succ in self.roles.values() for row in succ for _j, d in row
         )
 
     def __eq__(self, other):
@@ -195,6 +187,23 @@ class Interpretation:
             f"individuals={self.individuals!r}, "
             f"concepts={sorted(self.concepts)!r}, roles={sorted(self.roles)!r})"
         )
+
+
+def coded_successors(succ: Sequence[Edges], code: Mapping[int, int]) -> List[List[Tuple[int, int]]]:
+    """Successor lists with each degree object d replaced by ``code[id(d)]``."""
+    return [[(j, code[id(d)]) for j, d in row] for row in succ]
+
+
+def coded_predecessors(
+    succ: Sequence[Edges], code: Mapping[int, int]
+) -> List[List[Tuple[int, int]]]:
+    """The predecessor lists, in index order, of successor lists, with each
+    degree object d replaced by ``code[id(d)]``."""
+    pred: List[List[Tuple[int, int]]] = [[] for _ in succ]
+    for i, row in enumerate(succ):
+        for j, d in row:
+            pred[j].append((i, code[id(d)]))
+    return pred
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +262,54 @@ def dump_interpretation(interp: Interpretation) -> dict:
 # evaluation
 
 
+class _Scale(dict):
+    """A model's degrees as integers over a common denominator ``top``.
+
+    As a dict it maps an integer back to a degree: the model's own object,
+    or a ``Fraction(k, top)`` made once for a value the model does not
+    hold.  ``of`` maps the ``id`` of each degree object to its integer, and
+    ``edges`` holds the integer successor and predecessor lists per
+    ``(role name, forward)``, converted on first use.
+    """
+
+    def __init__(self, top: int, of: Dict[int, int], pairs):
+        super().__init__(pairs)
+        self.top, self.of, self.edges = top, of, {}
+
+    def grown(self, denominator: int) -> "_Scale":
+        """The same degrees over the least common multiple of ``top`` and
+        ``denominator``."""
+        k = lcm(self.top, denominator) // self.top
+        of = {key: v * k for key, v in self.of.items()}
+        return _Scale(self.top * k, of, ((v * k, d) for v, d in self.items()))
+
+    def __missing__(self, k: int) -> Fraction:
+        value = self[k] = Fraction(k, self.top)
+        return value
+
+
+class _Grow(Exception):
+    """A constant's denominator (the argument) does not divide L."""
+
+
 # A quantifier's filler vector travels through a role as a dict holding only
 # the entries that differ from the quantifier's neutral value: 0 for exists,
-# 1 for forall.  Per quantifier: that value, the edge operation, the order
+# L for forall.  Per quantifier: that value, the edge operation, the order
 # in which one value is better than another (max for exists, min for
 # forall), and a heap key that puts the best value first.
-_EXISTS = (ZERO, godel_and, operator.gt, operator.neg)
-_FORALL = (ONE, godel_implies, operator.lt, operator.pos)
+_EXISTS = (0, min, operator.gt, operator.neg)
 
 
 class ConceptEvaluator:
     """Memoizing evaluator bound to one interpretation.
+
+    It grades on the integers of the model's :meth:`Interpretation.scale`
+    (see the module docstring): degree 0 is 0, degree 1 is L, min, max and
+    the residuum (L when p <= q, else q) compare integers, and involutive
+    negation is L - x.  A constant whose denominator does not divide L
+    raises L to their least common multiple for this evaluator only, drops
+    the memo and starts the evaluation over.  ``concept_values`` and
+    ``role_values`` map the integers back to the model's degree objects.
 
     ``exists R . C`` and ``forall R . C`` push the vector of C through R in
     inverse normal form, using the Goedel identities
@@ -275,104 +321,120 @@ class ConceptEvaluator:
       and ``forall R* . C`` the greatest of ``v = min(C, forall R . v)``.
 
     A role name moves each entry to the element's predecessors, so the
-    work follows the edges and no n x n role is built.  The cache is
-    confined to the instance, so results are deterministic and identical to
-    un-memoized evaluation.
+    work follows the edges and no n x n role is built.  The concept memo
+    is confined to the instance, so results are deterministic and identical
+    to un-memoized evaluation.
     """
 
     def __init__(self, interp: Interpretation):
         self.interp = interp
-        self._concepts: Dict[s.Concept, Tuple[Fraction, ...]] = {}
-        self._roles: Dict[s.Role, FuzzyRelation] = {}
+        self._scale = interp.scale()
+        self._concepts: Dict[s.Concept, Tuple[int, ...]] = {}
 
     def concept_values(self, c: s.Concept) -> Tuple[Fraction, ...]:
-        cached = self._concepts.get(c)
-        if cached is None:
-            cached = self._eval_concept(c)
-            self._concepts[c] = cached
-        return cached
+        values = self._exact(self._values, c)
+        return tuple(map(self._scale.__getitem__, values))
 
     def role_values(self, r: s.Role) -> FuzzyRelation:
         """The relation denoted by ``r``; its column b is ``exists r . {b}``."""
-        cached = self._roles.get(r)
+        return self._exact(self._relation, r)
+
+    def _exact(self, evaluate, expr):
+        """``evaluate(expr)``, started over on a larger L as long as a
+        constant's denominator does not divide L."""
+        while True:
+            try:
+                return evaluate(expr)
+            except _Grow as grow:
+                self._scale = self._scale.grown(grow.args[0])
+                self._concepts.clear()
+
+    def _relation(self, r: s.Role) -> FuzzyRelation:
+        domain, scale = self.interp.domain, self._scale
+        role = s.inverse_normal_form(r)
+        matrix = [[ZERO] * len(domain) for _ in domain]
+        for b in range(len(domain)):
+            for a, v in self._push(role, {b: scale.top}, _EXISTS).items():
+                matrix[a][b] = scale[v]
+        return FuzzyRelation(domain, domain, matrix)
+
+    def _values(self, c: s.Concept) -> Tuple[int, ...]:
+        cached = self._concepts.get(c)
         if cached is None:
-            domain = self.interp.domain
-            role = s.inverse_normal_form(r)
-            matrix = [[ZERO] * len(domain) for _ in domain]
-            for b in range(len(domain)):
-                for a, v in self._push(role, {b: ONE}, _EXISTS).items():
-                    matrix[a][b] = v
-            cached = FuzzyRelation(domain, domain, matrix)
-            self._roles[r] = cached
+            cached = self._concepts[c] = self._eval_concept(c)
         return cached
 
-    def _eval_concept(self, c: s.Concept) -> Tuple[Fraction, ...]:
-        interp = self.interp
+    def _ints(self, degrees: Sequence[Fraction]) -> Tuple[int, ...]:
+        """The integers of a row of the model's own degree objects."""
+        return tuple(map(self._scale.of.__getitem__, map(id, degrees)))
+
+    def _eval_concept(self, c: s.Concept) -> Tuple[int, ...]:
+        interp, top = self.interp, self._scale.top
         n = len(interp.domain)
         if isinstance(c, s.Constant):
-            return (c.value,) * n
+            q = c.value.denominator
+            if top % q:
+                raise _Grow(q)
+            return (c.value.numerator * (top // q),) * n
         if isinstance(c, s.ConceptName):
-            return interp.concept_row(c.name)
+            return self._ints(interp.concept_row(c.name))
         if isinstance(c, s.Nominal):
-            target = interp.individual(c.individual)
-            j = interp.index(target)
-            return tuple(ONE if i == j else ZERO for i in range(n))
+            j = interp.index(interp.individual(c.individual))
+            return tuple(top if i == j else 0 for i in range(n))
         if isinstance(c, s.Not):
-            return tuple(godel_not(v) for v in self.concept_values(c.concept))
+            return tuple(0 if v else top for v in self._values(c.concept))
         if isinstance(c, s.InvNeg):
-            return tuple(involutive_not(v) for v in self.concept_values(c.concept))
+            return tuple(top - v for v in self._values(c.concept))
         if isinstance(c, s.Delta):
-            return tuple(baaz_delta(v) for v in self.concept_values(c.concept))
+            return tuple(top if v == top else 0 for v in self._values(c.concept))
         if isinstance(c, s.And):
-            left = self.concept_values(c.left)
-            right = self.concept_values(c.right)
-            return tuple(godel_and(p, q) for p, q in zip(left, right))
+            return tuple(map(min, self._values(c.left), self._values(c.right)))
         if isinstance(c, s.Or):
-            left = self.concept_values(c.left)
-            right = self.concept_values(c.right)
-            return tuple(max(p, q) for p, q in zip(left, right))
+            return tuple(map(max, self._values(c.left), self._values(c.right)))
         if isinstance(c, s.Implies):
-            left = self.concept_values(c.left)
-            right = self.concept_values(c.right)
-            return tuple(godel_implies(p, q) for p, q in zip(left, right))
+            left, right = self._values(c.left), self._values(c.right)
+            return tuple(top if p <= q else q for p, q in zip(left, right))
         if isinstance(c, (s.Exists, s.Forall)):
-            quantifier = _EXISTS if isinstance(c, s.Exists) else _FORALL
+            quantifier = _EXISTS if isinstance(c, s.Exists) else (
+                top, lambda d, x: top if d <= x else x, operator.lt, operator.pos)
             neutral = quantifier[0]
-            filler = self.concept_values(c.filler)
-            vector = {b: v for b, v in enumerate(filler) if v != neutral}
+            vector = {b: v for b, v in enumerate(self._values(c.filler)) if v != neutral}
             pushed = self._push(s.inverse_normal_form(c.role), vector, quantifier)
             return tuple(pushed.get(a, neutral) for a in range(n))
         if isinstance(c, s.SelfLoop):
-            return interp.self_degrees(c.role_name)
+            return self._ints(interp.self_degrees(c.role_name))
         if isinstance(c, (s.AtLeast, s.Less)):
-            filler = self.concept_values(c.filler)
-            graded = [[godel_and(d, filler[b]) for b, d in row] for row in self._basic(c.role)]
+            filler = self._values(c.filler)
+            graded = [[min(d, filler[b]) for b, d in row] for row in self._basic(c.role)]
         elif isinstance(c, (s.AtLeastUnq, s.LessUnq)):
             graded = [[d for _b, d in row] for row in self._basic(c.role)]
         else:
             raise ModelError(f"not a concept: {c!r}")
         if isinstance(c, (s.AtLeast, s.AtLeastUnq)):
-            return tuple(nth_largest(row, c.n) for row in graded)
-        return tuple(ONE if sum(1 for v in row if v) < c.n else ZERO for row in graded)
+            # the n-th largest, counting multiplicity; 0 if fewer than n
+            return tuple(sorted(row)[-c.n] if len(row) >= c.n else 0 for row in graded)
+        return tuple(top if sum(1 for v in row if v) < c.n else 0 for row in graded)
 
     def _basic(self, role: s.Role, forward: bool = True):
-        """Successor lists of a basic role, or predecessor lists when not
-        ``forward``."""
+        """Integer successor lists of a basic role, or predecessor lists
+        when not ``forward``."""
         if isinstance(role, s.Inverse):
             role, forward = role.role, not forward
-        if forward:
-            return self.interp.successors(role.name)
-        return self.interp.predecessors(role.name)
+        edges, key = self._scale.edges, (role.name, forward)
+        if key not in edges:
+            coded = coded_successors if forward else coded_predecessors
+            edges[key] = coded(self.interp.successors(role.name), self._scale.of)
+        return edges[key]
 
-    def _push(self, r: s.Role, vector: Dict[int, Fraction], quantifier) -> Dict[int, Fraction]:
+    def _push(self, r: s.Role, vector: Dict[int, int], quantifier) -> Dict[int, int]:
         """``Q r . v`` for a role in inverse normal form, where ``vector``
         and the result hold the entries of v and of the answer that differ
         from Q's neutral value."""
         if not vector:
             return vector
-        neutral, edge, better, _key = quantifier
+        neutral, edge, better, key = quantifier
         if isinstance(r, (s.RoleName, s.Inverse)):
-            out: Dict[int, Fraction] = {}
+            out: Dict[int, int] = {}
             predecessors = self._basic(r, forward=False)
             for b, x in vector.items():
                 for a, d in predecessors[b]:
@@ -389,7 +451,7 @@ class ConceptEvaluator:
                     out[a] = v
             return out
         if isinstance(r, s.Test):
-            values = self.concept_values(r.concept)
+            values = self._values(r.concept)
             out = {}
             for a, x in vector.items():
                 v = edge(values[a], x)
@@ -397,16 +459,13 @@ class ConceptEvaluator:
                     out[a] = v
             return out
         if isinstance(r, s.Universal):
-            best = neutral
-            for v in vector.values():
-                if better(v, best):
-                    best = v
+            best = min(vector.values(), key=key)
             return dict.fromkeys(range(len(self.interp.domain)), best)
         if isinstance(r, s.Star):
             return self._star(r.role, vector, quantifier)
         raise ModelError(f"not a role: {r!r}")
 
-    def _star(self, r: s.Role, vector: Dict[int, Fraction], quantifier) -> Dict[int, Fraction]:
+    def _star(self, r: s.Role, vector: Dict[int, int], quantifier) -> Dict[int, int]:
         """``Q r* . v``: a widest-path search that settles the elements in
         order of value, best first, and pushes each group of equal values
         through ``r`` once.  A push never yields a value better than its

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
 from fdl.bisim import load_relation
+from fdl.godel import format_degree
 from helpers import counting_hub_pair
 
 
@@ -56,6 +58,19 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(out) == {"concept": "exists r . A", "values": {"u": "0.8"}}
+
+    def test_json_formats_each_distinct_degree_once(self, files, monkeypatch):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return format_degree(value)
+
+        monkeypatch.setattr(fdl.cli, "format_degree", counting)
+        code, out, _ = run_cli(["--json", "eval", "-m", files["fan"], "-c", "forall r . A"])
+        assert code == 0
+        assert json.loads(out)["values"] == {"u": "0.5", "v1": "1", "v2": "1", "v3": "1"}
+        assert sorted(calls) == [F(1, 2), F(1)]
 
     def test_unknown_element(self, files):
         code, _, err = run_cli(["eval", "-m", files["fan"], "-c", "A", "-e", "zz"])
@@ -98,6 +113,22 @@ class TestBisim:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["mode"] == "crisp"
+
+
+class TestLazyHumanText:
+    """The human text is built only when it is printed."""
+
+    def test_json_builds_no_matrix_table(self, files, monkeypatch):
+        def refuse(rel):
+            raise AssertionError("matrix table built")
+
+        monkeypatch.setattr(fdl.cli, "_matrix_table", refuse)
+        pair = ["-l", files["hub_a"], "-r", files["hub_b"], "--features", ""]
+        for argv in (["bisim", *pair, "--mode", "fuzzy"],
+                     ["hm", *pair, "--fragment", "prime", "--depth", "1"]):
+            assert run_cli(["--json", *argv])[0] == 0
+            with pytest.raises(AssertionError, match="matrix table built"):
+                run_cli(argv)
 
 
 class TestCheck:

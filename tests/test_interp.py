@@ -1,6 +1,9 @@
+import cProfile
+import fractions
 import importlib.util
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 
 import fdl.interp
 from fdl import (
+    ConceptAssertion,
     Constant,
     FeatureSet,
     FuzzyRelation,
@@ -24,6 +28,7 @@ from fdl import (
     dump_interpretation,
     eval_concept,
     eval_role,
+    holds,
     inverse_normal_form,
     load_interpretation,
     parse_concept,
@@ -492,3 +497,172 @@ class TestAgainstReference:
                     for row in theirs.role(r)
                 ]
                 assert [list(row) for row in got] == want, ref.text(r)
+
+
+class TestIntegerScale:
+    """The integer evaluator against the reference evaluator where L must
+    grow: model degrees mix hundredths with thirds and sevenths, constants
+    bring denominators that do not divide L, nested ``inv`` leaves the
+    model's degrees, and ``U``, ``Self``, ``*`` and tests sit inside roles.
+
+    The reference has no ``U`` and no ``Self``.  In its documents the role
+    ``u`` relates every pair at 1 and stands for ``U``, and the concept
+    ``Sr`` holds each element's r-loop and stands for ``exists r . self``.
+    """
+
+    MODEL = (F(0), F(1, 100), F(37, 100), F(99, 100), F(1, 3), F(2, 3), F(1, 7), F(6, 7), F(1))
+    CONSTANTS = (F(0), F(1, 2), F(4, 9), F(5, 8), F(2, 11), F(37, 100), F(1))
+    CMPS = (">=", "<=", ">", "<")
+
+    def document(self, rng, ref):
+        domain = [f"e{i}" for i in range(rng.randint(1, 6))]
+        pool = rng.sample(self.MODEL, rng.randint(2, len(self.MODEL)))
+        positive = [d for d in pool if d] or [F(1)]
+        density = rng.choice([0.2, 0.4, 0.7])
+        roles = {
+            name: [
+                [x, y, ref.degree_text(rng.choice(positive))]
+                for x in domain for y in domain if rng.random() < density
+            ]
+            for name in "rs"
+        }
+        concepts = {
+            name: {x: ref.degree_text(rng.choice(pool)) for x in domain} for name in "AB"
+        }
+        for name in "rs":
+            concepts[f"S{name}"] = {x: d for x, y, d in roles[name] if x == y}
+        roles["u"] = [[x, y, "1"] for x in domain for y in domain]
+        return {"domain": domain, "individuals": {"a": domain[0], "b": domain[-1]},
+                "concepts": concepts, "roles": roles}
+
+    def role(self, rng, depth, pool):
+        kind = rng.choice(["basic", "univ"] + (
+            ["invr", "comp", "union", "star", "test"] if depth > 0 else []))
+        if kind == "basic":
+            role = ("role", rng.choice("rs"))
+            return ("invr", role) if rng.random() < 0.4 else role
+        if kind == "univ":
+            return ("role", "u")
+        if kind in ("invr", "star"):
+            return (kind, self.role(rng, depth - 1, pool))
+        if kind == "test":
+            return ("test", self.concept(rng, depth - 1, pool))
+        return (kind, self.role(rng, depth - 1, pool), self.role(rng, depth - 1, pool))
+
+    def concept(self, rng, depth, pool):
+        leaves = ["const", "atom", "self", "nom"]
+        kind = rng.choice(leaves if depth <= 0 else leaves + [
+            "not", "inv", "inv", "delta", "and", "or", "imp", "exists", "forall",
+            "atleast", "less",
+        ])
+        if kind == "const":
+            return ("const", rng.choice(pool))
+        if kind == "atom":
+            return ("atom", rng.choice("AB"))
+        if kind == "self":
+            return ("atom", rng.choice(["Sr", "Ss"]))
+        if kind == "nom":
+            return ("nom", rng.choice("ab"))
+        if kind in ("not", "delta"):
+            return (kind, self.concept(rng, depth - 1, pool))
+        if kind == "inv":
+            inner = self.concept(rng, depth - 1, pool)
+            return ("inv", ("and", ("inv", inner), self.concept(rng, depth - 1, pool)))
+        if kind in ("and", "or", "imp"):
+            return (kind, self.concept(rng, depth - 1, pool), self.concept(rng, depth - 1, pool))
+        if kind in ("exists", "forall"):
+            return (kind, self.role(rng, depth - 1, pool), self.concept(rng, depth - 1, pool))
+        role = ("role", rng.choice("rs"))
+        return (kind, rng.randint(1, 3), role, self.concept(rng, depth - 1, pool))
+
+    @staticmethod
+    def text(ref, expr) -> str:
+        text = re.sub(r"\bu\b", "U", ref.text(expr))
+        return re.sub(r"\bS([rs])\b", r"(exists \1 . self)", text)
+
+    def test_random_models(self):
+        ref = _load_reference()
+        rng = random.Random(1212)
+        grown = fresh = 0
+        for _ in range(300):
+            doc = self.document(rng, ref)
+            model = load_interpretation(doc)
+            top, held = model.scale().top, set(degree_universe(model))
+            mine = fdl.interp.ConceptEvaluator(model)
+            theirs = ref.Evaluator(ref.Model(doc))
+            for _ in range(6):
+                c = self.concept(rng, rng.randint(1, 4), self.CONSTANTS)
+                got = mine.concept_values(parse_concept(self.text(ref, c)))
+                assert list(got) == theirs.concept(c), self.text(ref, c)
+                grown += any(top % v.denominator for v in got)
+                fresh += any(v not in held for v in got)
+            for _ in range(2):
+                r = self.role(rng, rng.randint(1, 3), self.CONSTANTS)
+                got = mine.role_values(parse_role(self.text(ref, r))).matrix
+                want = [
+                    [row.get(j, F(0)) for j in range(len(doc["domain"]))]
+                    for row in theirs.role(r)
+                ]
+                assert [list(row) for row in got] == want, self.text(ref, r)
+        assert grown > 100 and fresh > 200
+
+    def test_box_whose_later_items_grow_l(self):
+        ref = _load_reference()
+        rng = random.Random(1213)
+        for _ in range(100):
+            doc = self.document(rng, ref)
+            model = load_interpretation(doc)
+            theirs = ref.Evaluator(ref.Model(doc))
+            a = theirs.m.individuals["a"]
+            items = []
+            for k in range(5):
+                # the first items keep to the model's denominators
+                pool = self.MODEL if k < 2 else self.CONSTANTS
+                c = self.concept(rng, rng.randint(1, 3), pool)
+                if k % 2:
+                    r = self.role(rng, rng.randint(1, 2), pool)
+                    value = theirs.edge(r, a, theirs.m.individuals["b"])
+                    expr = parse_role(self.text(ref, r))
+                    items.append(RoleAssertion(expr, "a", "b", rng.choice(self.CMPS), value))
+                else:
+                    value = theirs.concept(c)[a]
+                    expr = parse_concept(self.text(ref, c))
+                    items.append(ConceptAssertion(expr, "a", rng.choice(self.CMPS), value))
+            verdicts = [holds(model, item) for item in items]
+            assert verdicts == [item.cmp in (">=", "<=") for item in items]
+            failed = next((item for item, ok in zip(items, verdicts) if not ok), None)
+            assert validates(model, items).failed_item == failed
+
+
+class TestFractionCalls:
+    """Grading calls into ``fractions`` per distinct degree, not per edge."""
+
+    def test_sparse_model(self):
+        rng = random.Random(12)
+        domain = [f"e{i}" for i in range(200)]
+        doc = {
+            "domain": domain,
+            "concepts": {
+                name: {x: f"{rng.randint(1, 100) / 100}" for x in domain} for name in "AB"
+            },
+            "roles": {
+                name: [[x, y, f"{rng.randint(1, 100) / 100}"] for x in domain
+                       for y in rng.sample(domain, 3)]
+                for name in ("r", "s")
+            },
+        }
+        model = load_interpretation(json.dumps(doc))
+        assert sum(map(len, model.roles["r"] + model.roles["s"])) == 1200
+        distinct = len(fdl.interp.degree_objects(model))
+        concept = parse_concept(
+            "(exists r . forall s- . (A -> 1/3)) or (>= 2 r . inv B) or forall (r | s)* . A"
+        )
+        profiler = cProfile.Profile()
+        profiler.enable()
+        eval_concept(model, concept)
+        profiler.disable()
+        calls = sum(
+            entry.callcount for entry in profiler.getstats()
+            if not isinstance(entry.code, str) and entry.code.co_filename == fractions.__file__
+        )
+        assert calls <= 4 * distinct
