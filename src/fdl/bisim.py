@@ -24,7 +24,9 @@ Z.  :func:`check_bisim` reports the rows with ``min(Z(x,x'), strength) >
 rhs``.  By residuation ``Z(x,x') <= strength -> rhs``, so the per-pair
 ceiling :func:`condition_bound`, the minimum of ``strength -> rhs`` over the
 rows, is exact.  Rows with ``strength <= rhs`` can neither fail nor lower
-the ceiling and are left out of the table.
+the ceiling and are left out of the table.  At each pair the scores
+min(Z, degree) between two successor sets are computed once per basic role
+and direction, and FB3, FB4, FB6, FB7, FB6n and FB7n all read them.
 
 All ceilings are built from entries of Z and the two models via min, max,
 n-th-largest and the Goedel residuum, which only ever select among their
@@ -309,18 +311,12 @@ def _universal_rows(ctx: _Context, z) -> tuple:
     if not ctx.features.universal:
         return ()
     top = ctx.top
-    dom_a, dom_b = ctx.dom_a, ctx.dom_b
-    fb8 = [
-        ("FB8", None, (dom_a[y],), top, best)
-        for y, best in enumerate(map(max, z))
+    return tuple(
+        (code, None, (dom[y],), top, best)
+        for code, dom, lines in (("FB8", ctx.dom_a, z), ("FB9", ctx.dom_b, zip(*z)))
+        for y, best in enumerate(map(max, lines))
         if best < top
-    ]
-    fb9 = [
-        ("FB9", None, (dom_b[y2],), top, best)
-        for y2, best in enumerate(map(max, zip(*z)))
-        if best < top
-    ]
-    return tuple(fb8 + fb9)
+    )
 
 
 def _augment(u: int, adj, match: dict) -> Optional[List[int]]:
@@ -383,57 +379,42 @@ def _hall_row(side) -> Optional[Tuple[Tuple[str, ...], int, int]]:
 
 def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     """The rows of pair (i, j) that read Z: FB3, FB4 and FB6 to FB9, with
-    ``universal`` the FB8/FB9 rows from :func:`_universal_rows`."""
+    ``universal`` the FB8/FB9 rows from :func:`_universal_rows`.
+
+    One pass over the basic roles computes the scores once per role and
+    direction: each successor becomes ``(degree, name, scores)``, its
+    scores being min(Z, other side's degree) against the other side's
+    successors.  FB3/FB4 fail where the best score is below the degree,
+    FB6/FB7 match or enumerate these lists, and FB6n/FB7n read their
+    sorted degrees.
+    """
     dom_a, dom_b = ctx.dom_a, ctx.dom_b
+    sides = []  # (FB6 or FB7, role, list) per role and direction
     for label, succ_a, succ_b in ctx.basic:
         sa, sb = succ_a[i], succ_b[j]
-        for y, d in sa:
-            zy = z[y]
-            best = 0
-            for y2, e in sb:
-                v = zy[y2] if zy[y2] < e else e
-                if v > best:
-                    best = v
-                    if best >= d:
-                        break
-            if best < d:
-                yield "FB3", label, (dom_a[y],), d, best
-        for y2, d in sb:
-            best = 0
-            for y, e in sa:
-                v = z[y][y2] if z[y][y2] < e else e
-                if v > best:
-                    best = v
-                    if best >= d:
-                        break
-            if best < d:
-                yield "FB4", label, (dom_b[y2],), d, best
+        forth = [(d, dom_a[y], [min(z[y][y2], e) for y2, e in sb]) for y, d in sa]
+        back = [(e, dom_b[y2], [min(z[y][y2], d) for y, d in sa]) for y2, e in sb]
+        for code, side in (("FB3", forth), ("FB4", back)):
+            for d, x, scores in side:
+                best = max(scores, default=0)
+                if best < d:
+                    yield code, label, (x,), d, best
+        sides += [("FB6", label, forth), ("FB7", label, back)]
     yield from universal
     if ctx.q_bounds:
-        # per role and direction, each successor's degree and name, and the
-        # scores min(Z, other side's degree) it gives the other side's
-        # successors; sides within the covered sizes are matched, the rest
-        # enumerated
+        # sides within the covered sizes are matched, the rest enumerated
         matched, enumerated = [], []
-        for label, succ_a, succ_b in ctx.basic:
-            sa, sb = succ_a[i], succ_b[j]
-            forth = [
-                (d, dom_a[y], [min(z[y][y2], e) for y2, e in sb]) for y, d in sa
-            ]
-            back = [
-                (e, dom_b[y2], [min(z[y][y2], d) for y, d in sa]) for y2, e in sb
-            ]
-            for code, side in (("FB6", forth), ("FB7", back)):
-                k = len(side)
-                if k <= ctx.covered:
-                    matched.append((code, label, side))
-                elif k > ctx.subset_limit:
-                    raise BudgetError(
-                        f"qualified counting over {k} successors needs "
-                        f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
-                    )
-                else:
-                    enumerated.append((code, label, side))
+        for code, label, side in sides:
+            k = len(side)
+            if k <= ctx.covered:
+                matched.append((code, label, side))
+            elif k > ctx.subset_limit:
+                raise BudgetError(
+                    f"qualified counting over {k} successors needs "
+                    f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
+                )
+            else:
+                enumerated.append((code, label, side))
         for code, label, side in matched:
             row = _hall_row(side)
             if row is not None:
@@ -451,22 +432,16 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
                         witness = tuple([x for _d, x, _s in subset])
                         yield f"{code}({n})", label, witness, strength, got
     if ctx.n_bounds:
-        levels = [
-            (
-                label,
-                sorted((d for _y, d in succ_a[i]), reverse=True),
-                sorted((d for _y, d in succ_b[j]), reverse=True),
-            )
-            for label, succ_a, succ_b in ctx.basic
-        ]
+        # per side, its degrees strongest first; side m ^ 1 is the other direction
+        levels = [sorted([d for d, _x, _s in side], reverse=True) for _c, _l, side in sides]
         for n in ctx.n_bounds:
-            for label, da, db in levels:
+            for m, (code, label, _side) in enumerate(sides):
                 # only the n strongest successors bind
-                for code, mine, other in ((f"FB6n({n})", da, db), (f"FB7n({n})", db, da)):
-                    if len(mine) >= n:
-                        got = other[n - 1] if len(other) >= n else 0
-                        if mine[n - 1] > got:
-                            yield code, label, None, mine[n - 1], got
+                mine, other = levels[m], levels[m ^ 1]
+                if len(mine) >= n:
+                    got = other[n - 1] if len(other) >= n else 0
+                    if mine[n - 1] > got:
+                        yield f"{code}n({n})", label, None, mine[n - 1], got
 
 
 def _rows(ctx: _Context, z, i: int, j: int, universal: tuple):

@@ -15,6 +15,7 @@ import sys
 from typing import Callable, List, Optional
 
 from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
+from .enumeration import DEFAULT_BUDGET
 from .errors import FdlError, InputError
 from .fixtures import run_selftest
 from .godel import format_degree
@@ -244,8 +245,8 @@ def _parser() -> _Parser:
     p = command("hm", _hm, "logical-indistinguishability matrix", pair, features)
     p.add_argument("--fragment", choices=("prime", "delta"), required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=20_000,
-                   help="cap on enumerated concepts (default 20000)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="cap on enumerated concepts (default %(default)s)")
     command("selftest", _selftest, "run the embedded fixture checks")
     return parser
 

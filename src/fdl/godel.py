@@ -37,7 +37,9 @@ _PARSE_CACHE_SIZE = 4096
 def degree(value) -> Fraction:
     """Coerce ``value`` to an exact degree in [0, 1].
 
-    Accepts Fraction, int, or a string like ``"0.9"`` or ``"3/4"``.
+    Accepts Fraction, int, or a string like ``"0.9"`` or ``"3/4"``.  A
+    Fraction comes back as itself, not a copy, so models built from one
+    another share degree objects and the tables keyed by ``id`` stay small.
     Floats are refused: ``0.9`` the float is not 9/10.  Only strings reach
     the cache of :func:`parse_degree`: ``True == 1 == 1.0`` share a hash,
     and every bool and float must still be refused.
@@ -51,7 +53,7 @@ def degree(value) -> Fraction:
         )
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"not a degree: {value!r}")
-    result = Fraction(value)
+    result = value if isinstance(value, Fraction) else Fraction(value)
     if not ZERO <= result <= ONE:
         raise InputError(f"degree {format_degree(result)} outside [0, 1]")
     return result

@@ -288,7 +288,6 @@ def hm_matrix(
     fragment: Sublanguage,
     depth: int,
     max_concepts: int = DEFAULT_BUDGET,
-    lower_bound: Optional[FuzzyRelation] = None,
 ) -> HmResult:
     """Logical indistinguishability over a fragment, up to a height bound.
 
@@ -299,10 +298,7 @@ def hm_matrix(
 
     The matrix is antitone in ``depth`` and, on finite models, stabilizes
     to the greatest (fuzzy resp. crisp) bisimulation.  ``separators``
-    records, per pair, the first concept attaining the final value.  When a
-    ``lower_bound`` (e.g. the fixpoint's answer) is supplied, a pair stops
-    updating once it reaches the bound, which is sound because the matrix
-    never descends below any actual bisimulation.
+    records, per pair, the first concept attaining the final value.
     """
     signature = Signature.from_interpretations(ia, ib)
     stream = iter_fragment(
@@ -315,12 +311,7 @@ def hm_matrix(
     separators: Dict[Tuple[str, str], Optional[Concept]] = {
         (x, y): None for x in ia.domain for y in ib.domain
     }
-    live = {
-        (i, j)
-        for i in range(na)
-        for j in range(nb)
-        if lower_bound is None or lower_bound.matrix[i][j] < ONE
-    }
+    live = {(i, j) for i in range(na) for j in range(nb)}
     used = 0
     for c in stream:
         if not live:
@@ -336,9 +327,7 @@ def hm_matrix(
             if value < matrix[i][j]:
                 matrix[i][j] = value
                 separators[(ia.domain[i], ib.domain[j])] = c
-            if matrix[i][j] == ZERO or (
-                lower_bound is not None and matrix[i][j] <= lower_bound.matrix[i][j]
-            ):
+            if matrix[i][j] == ZERO:
                 done.append((i, j))
         live.difference_update(done)
     return HmResult(FuzzyRelation(ia.domain, ib.domain, matrix), separators, used)

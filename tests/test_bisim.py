@@ -33,13 +33,96 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
-from fdl.godel import godel_implies
+from fdl.godel import format_degree, godel_implies
 from helpers import (
     POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, fixpoint_greatest,
     random_features, random_model, shuffled_copy, shuffled_hub_pair,
 )
 
 NO_FEATURES = FeatureSet.none()
+
+
+# check_bisim's full report on fold_pair() under I,O,U,Self,Q1,Q2,N2 with Z = 1,
+# except 1/2 on the row of v3 and the column of v2': (condition, x, x', role,
+# name, witness, lhs, rhs) in report order.  FB6 over u's three successors
+# enumerates subsets; FB7 over u''s two comes from a matching.
+FOLD_REPORT = [
+    ('FB3', 'u', "u'", 'r', None, ('v2',), '0.6', '0.5'),
+    ('FB4', 'u', "u'", 'r', None, ("v2'",), '0.6', '0.5'),
+    ('FB8', 'u', "u'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'u', "u'", None, None, ("v2'",), '1', '0.5'),
+    ('FB7(1)', 'u', "u'", 'r', None, ("v2'",), '0.6', '0.5'),
+    ('FB6(1)', 'u', "u'", 'r', None, ('v2',), '0.6', '0.5'),
+    ('FB2', 'u', "v1'", None, 'A', None, '1', '0'),
+    ('FB5', 'u', "v1'", None, 'a', None, '1', '0'),
+    ('FB3', 'u', "v1'", 'r', None, ('v1',), '0.5', '0'),
+    ('FB3', 'u', "v1'", 'r', None, ('v2',), '0.6', '0'),
+    ('FB3', 'u', "v1'", 'r', None, ('v3',), '0.3', '0'),
+    ('FB4', 'u', "v1'", 'r-', None, ("u'",), '0.5', '0'),
+    ('FB8', 'u', "v1'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'u', "v1'", None, None, ("v2'",), '1', '0.5'),
+    ('FB7(1)', 'u', "v1'", 'r-', None, ("u'",), '0.5', '0'),
+    ('FB6(1)', 'u', "v1'", 'r', None, ('v1',), '0.5', '0'),
+    ('FB6(1)', 'u', "v1'", 'r', None, ('v2',), '0.6', '0'),
+    ('FB6(1)', 'u', "v1'", 'r', None, ('v3',), '0.3', '0'),
+    ('FB6(2)', 'u', "v1'", 'r', None, ('v1', 'v2'), '0.5', '0'),
+    ('FB6(2)', 'u', "v1'", 'r', None, ('v1', 'v3'), '0.3', '0'),
+    ('FB6(2)', 'u', "v1'", 'r', None, ('v2', 'v3'), '0.3', '0'),
+    ('FB6n(2)', 'u', "v1'", 'r', None, None, '0.5', '0'),
+    ('FB2', 'u', "v2'", None, 'A', None, '0.5', '0'),
+    ('FB5', 'u', "v2'", None, 'a', None, '0.5', '0'),
+    ('FB3', 'u', "v2'", 'r', None, ('v1',), '0.5', '0'),
+    ('FB3', 'u', "v2'", 'r', None, ('v2',), '0.5', '0'),
+    ('FB3', 'u', "v2'", 'r', None, ('v3',), '0.3', '0'),
+    ('FB4', 'u', "v2'", 'r-', None, ("u'",), '0.5', '0'),
+    ('FB7(1)', 'u', "v2'", 'r-', None, ("u'",), '0.5', '0'),
+    ('FB6(1)', 'u', "v2'", 'r', None, ('v1',), '0.5', '0'),
+    ('FB6(1)', 'u', "v2'", 'r', None, ('v2',), '0.5', '0'),
+    ('FB6(1)', 'u', "v2'", 'r', None, ('v3',), '0.3', '0'),
+    ('FB6(2)', 'u', "v2'", 'r', None, ('v1', 'v2'), '0.5', '0'),
+    ('FB6(2)', 'u', "v2'", 'r', None, ('v1', 'v3'), '0.3', '0'),
+    ('FB6(2)', 'u', "v2'", 'r', None, ('v2', 'v3'), '0.3', '0'),
+    ('FB6n(2)', 'u', "v2'", 'r', None, None, '0.5', '0'),
+    ('FB2', 'v1', "u'", None, 'A', None, '1', '0'),
+    ('FB5', 'v1', "u'", None, 'a', None, '1', '0'),
+    ('FB4', 'v1', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB4', 'v1', "u'", 'r', None, ("v2'",), '0.6', '0'),
+    ('FB3', 'v1', "u'", 'r-', None, ('u',), '0.5', '0'),
+    ('FB8', 'v1', "u'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'v1', "u'", None, None, ("v2'",), '1', '0.5'),
+    ('FB7(1)', 'v1', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB6(1)', 'v1', "u'", 'r-', None, ('u',), '0.5', '0'),
+    ('FB7n(2)', 'v1', "u'", 'r', None, None, '0.5', '0'),
+    ('FB8', 'v1', "v1'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'v1', "v1'", None, None, ("v2'",), '1', '0.5'),
+    ('FB2', 'v2', "u'", None, 'A', None, '1', '0'),
+    ('FB5', 'v2', "u'", None, 'a', None, '1', '0'),
+    ('FB4', 'v2', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB4', 'v2', "u'", 'r', None, ("v2'",), '0.6', '0'),
+    ('FB3', 'v2', "u'", 'r-', None, ('u',), '0.6', '0'),
+    ('FB8', 'v2', "u'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'v2', "u'", None, None, ("v2'",), '1', '0.5'),
+    ('FB7(1)', 'v2', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB6(1)', 'v2', "u'", 'r-', None, ('u',), '0.6', '0'),
+    ('FB7n(2)', 'v2', "u'", 'r', None, None, '0.5', '0'),
+    ('FB2', 'v2', "v1'", None, 'A', None, '1', '0.7'),
+    ('FB3', 'v2', "v1'", 'r-', None, ('u',), '0.6', '0.5'),
+    ('FB8', 'v2', "v1'", None, None, ('v3',), '1', '0.5'),
+    ('FB9', 'v2', "v1'", None, None, ("v2'",), '1', '0.5'),
+    ('FB6(1)', 'v2', "v1'", 'r-', None, ('u',), '0.6', '0.5'),
+    ('FB2', 'v3', "u'", None, 'A', None, '0.5', '0'),
+    ('FB5', 'v3', "u'", None, 'a', None, '0.5', '0'),
+    ('FB4', 'v3', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB4', 'v3', "u'", 'r', None, ("v2'",), '0.5', '0'),
+    ('FB3', 'v3', "u'", 'r-', None, ('u',), '0.3', '0'),
+    ('FB7(1)', 'v3', "u'", 'r', None, ("v1'",), '0.5', '0'),
+    ('FB6(1)', 'v3', "u'", 'r-', None, ('u',), '0.3', '0'),
+    ('FB7n(2)', 'v3', "u'", 'r', None, None, '0.5', '0'),
+    ('FB4', 'v3', "v1'", 'r-', None, ("u'",), '0.5', '0.3'),
+    ('FB7(1)', 'v3', "v1'", 'r-', None, ("u'",), '0.5', '0.3'),
+    ('FB4', 'v3', "v2'", 'r-', None, ("u'",), '0.5', '0.3'),
+    ('FB7(1)', 'v3', "v2'", 'r-', None, ("u'",), '0.5', '0.3'),
+]
 
 
 def entries(rows, cols, triples):
@@ -138,6 +221,19 @@ class TestCheckBisim:
         ia, ib = hub_pair()
         with pytest.raises(InputError):
             check_bisim(ia, ib, FuzzyRelation.identity(ia.domain), NO_FEATURES)
+
+    def test_fold_pair_report_pinned(self):
+        ia, ib = fold_pair()
+        z = FuzzyRelation(ia.domain, ib.domain, [
+            [F(1, 2) if x == "v3" or y == "v2'" else F(1) for y in ib.domain]
+            for x in ia.domain
+        ])
+        report = check_bisim(ia, ib, z, FeatureSet.parse("I,O,U,Self,Q1,Q2,N2"))
+        assert [
+            (v.condition, v.x, v.x_prime, v.role, v.symbol, v.witness,
+             format_degree(v.lhs), format_degree(v.rhs))
+            for v in report.violations
+        ] == FOLD_REPORT
 
 
 class TestConditionBound:

@@ -537,6 +537,11 @@ class TestSurface:
         assert captured.err == ""
         assert _help_surface(captured.out) == SURFACE[command]
 
+    def test_budget_help_text(self, capsys):
+        assert main(["hm", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--budget BUDGET cap on enumerated concepts (default 20000)" in help_text
+
     def test_help_goes_to_out(self, capsys):
         out = io.StringIO()
         assert main(["eval", "--help"], out=out) == 0

@@ -80,6 +80,16 @@ class TestDegreeParsing:
         with pytest.raises(InputError):
             degree(0.9)
 
+    def test_fraction_comes_back_itself(self):
+        value = F(3, 7)
+        assert degree(value) is value
+        assert degree(1) == 1 and type(degree(1)) is F
+
+    @pytest.mark.parametrize("value", [True, False, F(3, 2), F(-1, 2), 2, -1])
+    def test_bool_and_out_of_range_rejected(self, value):
+        with pytest.raises(InputError):
+            degree(value)
+
     @pytest.mark.parametrize(
         "value,text",
         [

@@ -274,7 +274,7 @@ class TestHmMatrix:
         for depth in range(0, 3):
             result = hm_matrix(
                 ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, depth,
-                max_concepts=100_000, lower_bound=greatest,
+                max_concepts=100_000,
             )
             if previous is not None:
                 assert pointwise_leq(result.matrix, previous)

@@ -20,6 +20,7 @@ from fdl import (
     strong_partition,
 )
 from fdl.fixtures import twin_islands
+from fdl.interp import degree_objects
 from helpers import POOL3, chain_pair, fixpoint_greatest, random_model, rename_model
 
 NO_FEATURES = FeatureSet.none()
@@ -286,6 +287,16 @@ class TestPrune:
         model = Interpretation(["u"], concepts={"A": {"u": F(1)}})
         with pytest.raises(ModelError):
             prune_unreachable(model, NO_FEATURES)
+
+
+def test_results_hold_the_source_degree_objects():
+    """Pruning and quotienting pass their source's degree objects through,
+    so the tables keyed by ``id`` see no more objects than in the source."""
+    model = twin_islands()
+    source = set(degree_objects(model))
+    for result in (prune_unreachable(model, NO_FEATURES), quotient(model, NO_FEATURES)):
+        assert set(degree_objects(result)) <= source
+        assert any(d for row in result.concepts.values() for d in row)
 
 
 class TestMinimalityCertificate:
