@@ -534,7 +534,7 @@ def brute_force_greatest(
     features: FeatureSet,
     mode: str = "fuzzy",
 ) -> CandidateRelation:
-    """Greatest bisimulation by enumeration, independent of the fixpoint.
+    """Greatest bisimulation by enumeration, independent of the refinement.
 
     Enumerates every assignment of degree-universe values to pairs (pruned
     only by the pointwise static ceilings, which every bisimulation must

@@ -67,8 +67,6 @@ def _eval(args, out) -> int:
     concept = parse_concept(args.concept, args.features)
     values = eval_concept(model, concept)
     if args.element is not None:
-        if args.element not in model.domain:
-            raise InputError(f"unknown element {args.element!r}")
         pairs = [(args.element, values.at(args.element))]
     else:
         pairs = list(values)

@@ -84,28 +84,17 @@ def fold_pair() -> Tuple[Interpretation, Interpretation]:
 
 
 def twin_islands() -> Interpretation:
-    """The fold pair as one model: two disjoint islands, one named."""
+    """The fold pair as one model: two disjoint islands, the first named."""
+    ia, ib = fold_pair()
+    domain = ia.domain + ib.domain
     return Interpretation(
-        ["u", "v1", "v2", "v3", "u'", "v1'", "v2'"],
-        individuals={"a": "u"},
+        domain,
+        individuals=ia.individuals,
         concepts={
-            "A": {
-                "v1": F(7, 10),
-                "v2": F(4, 5),
-                "v3": F(4, 5),
-                "v1'": F(7, 10),
-                "v2'": F(4, 5),
-            }
+            name: dict(zip(domain, ia.concepts[name] + ib.concepts[name]))
+            for name in ia.concepts
         },
-        roles={
-            "r": [
-                ("u", "v1", F(1, 2)),
-                ("u", "v2", F(3, 5)),
-                ("u", "v3", F(3, 10)),
-                ("u'", "v1'", F(1, 2)),
-                ("u'", "v2'", F(3, 5)),
-            ]
-        },
+        roles={name: [*ia.edges(name), *ib.edges(name)] for name in ia.roles},
     )
 
 
@@ -186,7 +175,7 @@ LEAF_TRIPLE_GREATEST = FuzzyRelation.from_entries(
     ],
 )
 
-ALL_FEATURES = FeatureSet(True, True, True, True, None, None)
+ALL_FEATURES = FeatureSet.permissive()
 ALL_BUT_UNIVERSAL = FeatureSet(True, True, False, True, None, None)
 
 
@@ -221,13 +210,13 @@ def _check_fan_evaluation() -> Tuple[bool, str]:
 def _check_hub_greatest() -> Tuple[bool, str]:
     ia, ib = hub_pair()
     features = FeatureSet.none()
-    fixpoint = greatest_bisim(ia, ib, features, "fuzzy").relation
-    if fixpoint != HUB_PAIR_GREATEST:
-        return False, "fixpoint matrix differs from the known answer"
+    refined = greatest_bisim(ia, ib, features, "fuzzy").relation
+    if refined != HUB_PAIR_GREATEST:
+        return False, "refinement matrix differs from the known answer"
     oracle = brute_force_greatest(ia, ib, features, "fuzzy").relation
-    if oracle != fixpoint:
-        return False, "enumeration oracle disagrees with the fixpoint"
-    return True, "fixpoint and enumeration agree on the known matrix"
+    if oracle != refined:
+        return False, "enumeration oracle disagrees with the refinement"
+    return True, "refinement and enumeration agree on the known matrix"
 
 
 def _check_fold_crisp_suite() -> Tuple[bool, str]:

@@ -53,7 +53,10 @@ class FuzzySet:
     degrees: Tuple[Fraction, ...]
 
     def at(self, element: str) -> Fraction:
-        return self.degrees[self.elements.index(element)]
+        try:
+            return self.degrees[self.elements.index(element)]
+        except ValueError:
+            raise ModelError(f"unknown element {element!r}") from None
 
     def __iter__(self):
         return iter(zip(self.elements, self.degrees))

@@ -36,26 +36,29 @@ _CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt
 _GCI_REL = {">=": operator.ge, ">": operator.gt}
 
 
+class _Item:
+    """A box item; its text is written once, in :data:`_ITEM_KEYS`."""
+
+    __slots__ = ()
+
+    def describe(self) -> str:
+        return _ITEM_KEYS[type(self)][2].format_map(_dump_item(self))
+
+
 @dataclass(frozen=True)
-class SameIndividual:
+class SameIndividual(_Item):
     a: str
     b: str
 
-    def describe(self) -> str:
-        return f"{self.a} = {self.b}"
-
 
 @dataclass(frozen=True)
-class DistinctIndividual:
+class DistinctIndividual(_Item):
     a: str
     b: str
 
-    def describe(self) -> str:
-        return f"{self.a} != {self.b}"
-
 
 @dataclass(frozen=True)
-class ConceptAssertion:
+class ConceptAssertion(_Item):
     concept: Concept
     individual: str
     cmp: str
@@ -66,12 +69,9 @@ class ConceptAssertion:
             raise InputError(f"comparison must be one of {sorted(_CMP)}, got {self.cmp!r}")
         object.__setattr__(self, "threshold", degree(self.threshold))
 
-    def describe(self) -> str:
-        return f"({to_text(self.concept)})({self.individual}) {self.cmp} {format_degree(self.threshold)}"
-
 
 @dataclass(frozen=True)
-class RoleAssertion:
+class RoleAssertion(_Item):
     role: Role
     a: str
     b: str
@@ -83,15 +83,9 @@ class RoleAssertion:
             raise InputError(f"comparison must be one of {sorted(_CMP)}, got {self.cmp!r}")
         object.__setattr__(self, "threshold", degree(self.threshold))
 
-    def describe(self) -> str:
-        return (
-            f"({to_text(self.role)})({self.a}, {self.b}) "
-            f"{self.cmp} {format_degree(self.threshold)}"
-        )
-
 
 @dataclass(frozen=True)
-class Gci:
+class Gci(_Item):
     """Graded concept inclusion: the implication degree clears a threshold
     everywhere."""
 
@@ -106,12 +100,6 @@ class Gci:
         object.__setattr__(self, "threshold", degree(self.threshold))
         if self.threshold == ZERO:
             raise InputError("inclusion thresholds must lie in (0, 1]")
-
-    def describe(self) -> str:
-        return (
-            f"({to_text(self.lhs)} included-in {to_text(self.rhs)}) "
-            f"{self.rel} {format_degree(self.threshold)}"
-        )
 
 
 Assertion = Union[SameIndividual, DistinctIndividual, ConceptAssertion, RoleAssertion]
@@ -189,15 +177,16 @@ def holds(interp: Interpretation, item: KbItem) -> bool:
 
 
 # Each box item class: its "kind" tag in the ABox (None for the TBox's
-# inclusions) and the document key of each dataclass field, in field order.
+# inclusions), the document key of each dataclass field, in field order, and
+# its describe() text over those keys.
 _ITEM_KEYS = {
-    Gci: (None, ("lhs", "rhs", "rel", "p")),
-    SameIndividual: ("same", ("a", "b")),
-    DistinctIndividual: ("distinct", ("a", "b")),
-    ConceptAssertion: ("concept", ("c", "a", "cmp", "p")),
-    RoleAssertion: ("role", ("r", "a", "b", "cmp", "p")),
+    Gci: (None, ("lhs", "rhs", "rel", "p"), "({lhs} included-in {rhs}) {rel} {p}"),
+    SameIndividual: ("same", ("a", "b"), "{a} = {b}"),
+    DistinctIndividual: ("distinct", ("a", "b"), "{a} != {b}"),
+    ConceptAssertion: ("concept", ("c", "a", "cmp", "p"), "({c})({a}) {cmp} {p}"),
+    RoleAssertion: ("role", ("r", "a", "b", "cmp", "p"), "({r})({a}, {b}) {cmp} {p}"),
 }
-_KINDS = {kind: cls for cls, (kind, _keys) in _ITEM_KEYS.items() if kind}
+_KINDS = {kind: cls for cls, (kind, _keys, _text) in _ITEM_KEYS.items() if kind}
 _DEFAULTS = {"rel": ">=", "cmp": ">="}
 
 
@@ -257,7 +246,7 @@ def load_kb(document, features: Optional[FeatureSet] = None) -> KnowledgeBase:
 
 
 def _dump_item(item: KbItem) -> dict:
-    kind, keys = _ITEM_KEYS[type(item)]
+    kind, keys, _text = _ITEM_KEYS[type(item)]
     entry = {"kind": kind} if kind else {}
     for field, key in zip(fields(item), keys):
         write = {"str": str, "Fraction": format_degree}.get(field.type, to_text)

@@ -43,8 +43,8 @@ class Partition:
 def strong_partition(interp: Interpretation, features: FeatureSet) -> Partition:
     """Equivalence classes of the greatest crisp auto-bisimulation.
 
-    The blocks of :mod:`fdl.bisim`'s refinement in crisp mode, in order of
-    their first member, members in document order.
+    The blocks of the crisp-mode refinement in :mod:`fdl.refinement`, in
+    order of their first member, members in document order.
     """
     groups: Dict[int, List[str]] = {}
     refined = _Refinement(_Context(interp, interp, features), crisp=True)

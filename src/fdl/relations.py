@@ -94,7 +94,10 @@ class FuzzyRelation:
         )
 
     def at(self, x: str, y: str) -> Fraction:
-        return self.matrix[self._ri[x]][self._ci[y]]
+        try:
+            return self.matrix[self._ri[x]][self._ci[y]]
+        except KeyError as exc:
+            raise InputError(f"unknown element {exc.args[0]!r}") from None
 
     def entries(self) -> Iterator[Tuple[str, str, Fraction]]:
         for i, x in enumerate(self.rows):

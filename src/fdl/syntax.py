@@ -356,90 +356,87 @@ def validate(expr: Expr, features: FeatureSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# pretty printer (inverse of parsing.parse; see that module for the grammar)
+# printing and ordering (the printer is the inverse of parsing.parse; see that
+# module for the grammar)
 
+# Binding levels, loosest first; text binding looser than its context asks
+# for is parenthesized.  Concepts and roles have separate scales.
 _C_IMPLIES, _C_OR, _C_AND, _C_PREFIX, _C_ATOM = range(5)
 _R_UNION, _R_COMPOSE, _R_POSTFIX, _R_ATOM = range(4)
 
+# Per node class: the leading tag of its structural key; the field whose
+# value is the key's label (None for an empty label); the binding level of
+# its text; that text, with the label and then each child at a ``%s``; and
+# the level each child is printed at, in field order.
+_NODES: Dict[type, Tuple[int, Optional[str], int, str, Tuple[int, ...]]] = {
+    Constant: (0, "value", _C_ATOM, "%s", ()),
+    ConceptName: (1, "name", _C_ATOM, "%s", ()),
+    Nominal: (2, "individual", _C_ATOM, "{%s}", ()),
+    SelfLoop: (3, "role_name", _C_PREFIX, "exists %s . self", ()),
+    Not: (4, None, _C_PREFIX, "not %s", (_C_PREFIX,)),
+    InvNeg: (5, None, _C_PREFIX, "inv %s", (_C_PREFIX,)),
+    Delta: (6, None, _C_PREFIX, "delta %s", (_C_PREFIX,)),
+    And: (7, None, _C_AND, "%s and %s", (_C_AND, _C_AND + 1)),
+    Or: (8, None, _C_OR, "%s or %s", (_C_OR, _C_OR + 1)),
+    Implies: (9, None, _C_IMPLIES, "%s -> %s", (_C_IMPLIES + 1, _C_IMPLIES)),
+    Exists: (10, None, _C_PREFIX, "exists %s . %s", (_R_UNION, _C_PREFIX)),
+    Forall: (11, None, _C_PREFIX, "forall %s . %s", (_R_UNION, _C_PREFIX)),
+    AtLeast: (12, "n", _C_PREFIX, ">= %s %s . %s", (_R_POSTFIX, _C_PREFIX)),
+    Less: (13, "n", _C_PREFIX, "< %s %s . %s", (_R_POSTFIX, _C_PREFIX)),
+    AtLeastUnq: (14, "n", _C_PREFIX, ">= %s %s", (_R_POSTFIX,)),
+    LessUnq: (15, "n", _C_PREFIX, "< %s %s", (_R_POSTFIX,)),
+    RoleName: (20, "name", _R_ATOM, "%s", ()),
+    Universal: (21, None, _R_ATOM, "U", ()),
+    Inverse: (22, None, _R_POSTFIX, "%s-", (_R_POSTFIX,)),
+    Star: (23, None, _R_POSTFIX, "%s*", (_R_POSTFIX,)),
+    Compose: (24, None, _R_COMPOSE, "%s ; %s", (_R_COMPOSE, _R_COMPOSE + 1)),
+    RoleUnion: (25, None, _R_UNION, "%s | %s", (_R_UNION, _R_UNION + 1)),
+    Test: (26, None, _R_ATOM, "%s?", (_C_ATOM,)),
+}
 
-def _concept_text(c: Concept, level: int) -> str:
-    if isinstance(c, Constant):
-        own, text = _C_ATOM, format_degree(c.value)
-    elif isinstance(c, ConceptName):
-        own, text = _C_ATOM, c.name
-    elif isinstance(c, Nominal):
-        own, text = _C_ATOM, "{%s}" % c.individual
-    elif isinstance(c, Not):
-        own, text = _C_PREFIX, "not " + _concept_text(c.concept, _C_PREFIX)
-    elif isinstance(c, InvNeg):
-        own, text = _C_PREFIX, "inv " + _concept_text(c.concept, _C_PREFIX)
-    elif isinstance(c, Delta):
-        own, text = _C_PREFIX, "delta " + _concept_text(c.concept, _C_PREFIX)
-    elif isinstance(c, And):
-        own = _C_AND
-        text = _concept_text(c.left, _C_AND) + " and " + _concept_text(c.right, _C_AND + 1)
-    elif isinstance(c, Or):
-        own = _C_OR
-        text = _concept_text(c.left, _C_OR) + " or " + _concept_text(c.right, _C_OR + 1)
-    elif isinstance(c, Implies):
-        own = _C_IMPLIES
-        text = (
-            _concept_text(c.left, _C_IMPLIES + 1)
-            + " -> "
-            + _concept_text(c.right, _C_IMPLIES)
-        )
-    elif isinstance(c, Exists):
-        own = _C_PREFIX
-        text = f"exists {_role_text(c.role, _R_UNION)} . {_concept_text(c.filler, _C_PREFIX)}"
-    elif isinstance(c, Forall):
-        own = _C_PREFIX
-        text = f"forall {_role_text(c.role, _R_UNION)} . {_concept_text(c.filler, _C_PREFIX)}"
-    elif isinstance(c, SelfLoop):
-        own, text = _C_PREFIX, f"exists {c.role_name} . self"
-    elif isinstance(c, AtLeast):
-        own = _C_PREFIX
-        text = f">= {c.n} {_role_text(c.role, _R_POSTFIX)} . {_concept_text(c.filler, _C_PREFIX)}"
-    elif isinstance(c, Less):
-        own = _C_PREFIX
-        text = f"< {c.n} {_role_text(c.role, _R_POSTFIX)} . {_concept_text(c.filler, _C_PREFIX)}"
-    elif isinstance(c, AtLeastUnq):
-        own, text = _C_PREFIX, f">= {c.n} {_role_text(c.role, _R_POSTFIX)}"
-    elif isinstance(c, LessUnq):
-        own, text = _C_PREFIX, f"< {c.n} {_role_text(c.role, _R_POSTFIX)}"
+# The views the two readers take of each row: structural_key reads (tag,
+# label, child fields); _text reads (level, text, label, and each child's
+# field and level).
+_KEYS = {cls: (row[0], row[1], _CHILD_FIELDS[cls]) for cls, row in _NODES.items()}
+_PRINT = {
+    cls: (own, template, label, tuple(zip(_CHILD_FIELDS[cls], levels)))
+    for cls, (_tag, label, own, template, levels) in _NODES.items()
+}
+
+
+def _text(expr: Expr, level: int) -> str:
+    try:
+        own, template, label, kids = _PRINT[type(expr)]
+    except KeyError:
+        raise InputError(f"not a concept or role: {expr!r}") from None
+    if label is None:
+        parts = []
     else:
-        raise InputError(f"not a concept: {c!r}")
-    return f"({text})" if own < level else text
-
-
-def _role_text(r: Role, level: int) -> str:
-    if isinstance(r, RoleName):
-        own, text = _R_ATOM, r.name
-    elif isinstance(r, Universal):
-        own, text = _R_ATOM, "U"
-    elif isinstance(r, Inverse):
-        own, text = _R_POSTFIX, _role_text(r.role, _R_POSTFIX) + "-"
-    elif isinstance(r, Star):
-        own, text = _R_POSTFIX, _role_text(r.role, _R_POSTFIX) + "*"
-    elif isinstance(r, Compose):
-        own = _R_COMPOSE
-        text = _role_text(r.left, _R_COMPOSE) + " ; " + _role_text(r.right, _R_COMPOSE + 1)
-    elif isinstance(r, RoleUnion):
-        own = _R_UNION
-        text = _role_text(r.left, _R_UNION) + " | " + _role_text(r.right, _R_UNION + 1)
-    elif isinstance(r, Test):
-        own = _R_ATOM
-        inner = _concept_text(r.concept, _C_ATOM)
-        text = inner + "?"
-    else:
-        raise InputError(f"not a role: {r!r}")
+        value = getattr(expr, label)
+        # degrees print as decimals; their key label stays the fraction
+        parts = [format_degree(value) if type(value) is Fraction else value]
+    for name, at in kids:
+        parts.append(_text(getattr(expr, name), at))
+    text = template % tuple(parts)
     return f"({text})" if own < level else text
 
 
 def to_text(expr: Expr) -> str:
     """Render an expression in the concrete grammar; parses back identically."""
-    if isinstance(expr, Concept):
-        return _concept_text(expr, _C_IMPLIES)
-    return _role_text(expr, _R_UNION)
+    return _text(expr, 0)  # the loosest level on both scales
+
+
+def structural_key(expr: Expr):
+    """A total, deterministic ordering key over syntax trees:
+    ``(tag, label, keys of the children)``."""
+    try:
+        tag, label, names = _KEYS[type(expr)]
+    except KeyError:
+        raise InputError(f"not a concept or role: {expr!r}") from None
+    text = "" if label is None else str(getattr(expr, label))
+    if not names:  # leaves are most nodes; skip building an empty list
+        return (tag, text, ())
+    return (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))
 
 
 # ---------------------------------------------------------------------------
@@ -599,48 +596,3 @@ def classify_sublanguage(c: Concept, features: FeatureSet) -> FrozenSet[Sublangu
     ):
         tags.add(Sublanguage.DELTA_EXISTENTIAL)
     return frozenset(tags)
-
-
-# Per node class: the leading tag of its structural key, the field whose
-# text is the key's label (None for an empty label), and the child fields.
-_KEYS: Dict[type, Tuple[int, Optional[str], Tuple[str, ...]]] = {
-    cls: (tag, label, _CHILD_FIELDS[cls])
-    for cls, (tag, label) in {
-        Constant: (0, "value"),
-        ConceptName: (1, "name"),
-        Nominal: (2, "individual"),
-        SelfLoop: (3, "role_name"),
-        Not: (4, None),
-        InvNeg: (5, None),
-        Delta: (6, None),
-        And: (7, None),
-        Or: (8, None),
-        Implies: (9, None),
-        Exists: (10, None),
-        Forall: (11, None),
-        AtLeast: (12, "n"),
-        Less: (13, "n"),
-        AtLeastUnq: (14, "n"),
-        LessUnq: (15, "n"),
-        RoleName: (20, "name"),
-        Universal: (21, None),
-        Inverse: (22, None),
-        Star: (23, None),
-        Compose: (24, None),
-        RoleUnion: (25, None),
-        Test: (26, None),
-    }.items()
-}
-
-
-def structural_key(expr: Expr):
-    """A total, deterministic ordering key over syntax trees:
-    ``(tag, label, keys of the children)``."""
-    try:
-        tag, label, names = _KEYS[type(expr)]
-    except KeyError:
-        raise InputError(f"not a concept or role: {expr!r}") from None
-    text = "" if label is None else str(getattr(expr, label))
-    if not names:  # leaves are most nodes; skip building an empty list
-        return (tag, text, ())
-    return (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))

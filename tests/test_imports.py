@@ -26,3 +26,33 @@ def test_every_import_is_stdlib_or_fdl():
         if name.split(".")[0] not in sys.stdlib_module_names | {"fdl"}
     }
     assert outside == set()
+
+
+def unused_imports(path):
+    """Names a module imports but never reads; ``from __future__`` imports
+    and lines marked ``# noqa: F401`` are skipped."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {(name, line) for name, line in imported.items() if name not in used}
+
+
+def test_no_unused_imports():
+    unused = {
+        (path.name, name, line)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for name, line in unused_imports(path)
+    }
+    assert unused == set()

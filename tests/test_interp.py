@@ -204,6 +204,11 @@ class TestEvaluation:
         with pytest.raises(ModelError):
             eval_concept(model, parse_concept("{missing}"))
 
+    def test_unknown_element_is_named(self):
+        values = eval_concept(fan_model(), parse_concept("A"))
+        with pytest.raises(ModelError, match="unknown element 'zz'"):
+            values.at("zz")
+
     def test_star_fixpoint_equation(self):
         rng = random.Random(47)
         for _ in range(25):

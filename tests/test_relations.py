@@ -23,6 +23,12 @@ class TestBasics:
         with pytest.raises(InputError):
             FuzzyRelation.from_entries(["u"], ["v"], [("x", "v", F(1))])
 
+    def test_lookup_names_an_unknown_element(self):
+        rel = FuzzyRelation.identity(["u", "v"])
+        for x, y in (("zz", "u"), ("u", "zz")):
+            with pytest.raises(InputError, match="unknown element 'zz'"):
+                rel.at(x, y)
+
     def test_crisp_detection(self):
         assert FuzzyRelation.identity(["a", "b"]).is_crisp()
         assert not FuzzyRelation.constant(["a"], ["b"], F(1, 2)).is_crisp()

@@ -45,7 +45,7 @@ from fdl import (
     to_text,
     validate,
 )
-from fdl.syntax import structural_key
+from fdl.syntax import _NODES, Concept, Role, structural_key
 from helpers import random_concept, random_features
 
 PERMISSIVE = FeatureSet.permissive()
@@ -333,6 +333,53 @@ class TestClassification:
                 assert Sublanguage.DELTA in tags
             if Sublanguage.CORE in tags:
                 assert Sublanguage.DELTA in tags
+
+
+class TestPrinter:
+    def test_pinned_for_every_node_class(self):
+        # The round-trip tests only check parse(to_text(x)) == x; these
+        # pin the text itself, parentheses included.
+        a, b, r, s = ConceptName("A"), ConceptName("B"), RoleName("r"), RoleName("s")
+        cases = [
+            (Constant(F(1, 2)), "0.5"),
+            (Constant(F(1, 3)), "1/3"),
+            (a, "A"),
+            (Nominal("o"), "{o}"),
+            (SelfLoop("r"), "exists r . self"),
+            (Not(And(a, b)), "not (A and B)"),
+            (InvNeg(a), "inv A"),
+            (Delta(Or(a, b)), "delta (A or B)"),
+            (And(Or(a, b), b), "(A or B) and B"),
+            (And(a, Or(a, b)), "A and (A or B)"),
+            (Or(And(a, b), a), "A and B or A"),
+            (Implies(a, Implies(b, a)), "A -> B -> A"),
+            (Implies(Implies(a, b), a), "(A -> B) -> A"),
+            (Exists(Compose(RoleUnion(r, s), r), a), "exists (r | s) ; r . A"),
+            (Exists(Test(a), b), "exists A? . B"),
+            (Forall(Star(r), Not(a)), "forall r* . not A"),
+            (AtLeast(2, Inverse(r), a), ">= 2 r- . A"),
+            (Less(3, r, And(a, b)), "< 3 r . (A and B)"),
+            (AtLeastUnq(2, Inverse(r)), ">= 2 r-"),
+            (LessUnq(1, r), "< 1 r"),
+            (r, "r"),
+            (Universal(), "U"),
+            (Inverse(Compose(r, s)), "(r ; s)-"),
+            (Star(RoleUnion(r, s)), "(r | s)*"),
+            (Compose(Test(Or(a, b)), r), "(A or B)? ; r"),
+            (Compose(r, Compose(s, r)), "r ; (s ; r)"),
+            (RoleUnion(Compose(r, s), r), "r ; s | r"),
+            (Test(a), "A?"),
+        ]
+        assert len({type(node) for node, _ in cases}) == 23
+        for node, text in cases:
+            assert to_text(node) == text, node
+
+    def test_one_table_row_per_node_class(self):
+        assert set(_NODES) == set(Concept.__subclasses__() + Role.__subclasses__())
+
+    def test_rejects_non_expressions(self):
+        with pytest.raises(InputError):
+            to_text("A")
 
 
 class TestStructuralKey:
