@@ -26,7 +26,6 @@ from .godel import (
     godel_not,
     godel_or,
     involutive_not,
-    nth_largest,
     parse_degree,
 )
 from .relations import FuzzyRelation, rel_sup

@@ -11,10 +11,8 @@ Every function here is pure and safe for concurrent use.
 from __future__ import annotations
 
 import functools
-import heapq
 import re
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InputError
 
@@ -76,26 +74,18 @@ def parse_degree(text: str) -> Fraction:
 
 def format_degree(value: Fraction) -> str:
     """Render a degree exactly: shortest decimal if terminating, else num/den."""
-    den = value.denominator
-    while den % 2 == 0:
-        den //= 2
-    while den % 5 == 0:
-        den //= 5
-    if den != 1:
-        return f"{value.numerator}/{value.denominator}"
     if value.denominator == 1:
         return str(value.numerator)
-    # Scale to the exact decimal expansion.
-    exponent = 0
-    den = value.denominator
+    den, twos, fives = value.denominator, 0, 0
     while den % 2 == 0:
         den //= 2
-        exponent += 1
-    twos = exponent
-    fives = 0
+        twos += 1
     while den % 5 == 0:
         den //= 5
         fives += 1
+    if den != 1:
+        return f"{value.numerator}/{value.denominator}"
+    # Scale to the exact decimal expansion.
     digits = max(twos, fives)
     scaled = value.numerator * 10**digits // value.denominator
     text = str(scaled).rjust(digits + 1, "0")
@@ -133,17 +123,3 @@ def involutive_not(p: Fraction) -> Fraction:
 def baaz_delta(p: Fraction) -> Fraction:
     """Projection onto {0, 1}: 1 exactly when p == 1."""
     return ONE if p == ONE else ZERO
-
-
-def nth_largest(values: Iterable[Fraction], n: int) -> Fraction:
-    """The n-th largest element counting multiplicity; 0 if fewer than n.
-
-    Realises the supremum over n pairwise-distinct witnesses of a min:
-    picking the n best scores is optimal, and the bottleneck is the n-th.
-    """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    best = heapq.nlargest(n, values)
-    if len(best) < n:
-        return ZERO
-    return best[-1]

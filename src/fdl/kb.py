@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .enumeration import DEFAULT_BUDGET, Signature, iter_fragment
 from .errors import InputError, ModelError
-from .godel import ONE, ZERO, degree, format_degree, godel_iff, godel_implies
+from .godel import ONE, ZERO, degree, format_degree, godel_iff
 from .interp import ConceptEvaluator, Interpretation, degree_universe, reachability
 from .parsing import parse_concept, parse_role
 from .refinement import bisimilar
@@ -23,6 +23,7 @@ from .syntax import (
     Concept,
     Exists,
     FeatureSet,
+    Implies,
     Nominal,
     Role,
     Sublanguage,
@@ -128,11 +129,10 @@ def _failure(
     """How ``item`` fails on ``interp``, with a witness element for
     inclusions; None when it holds."""
     if isinstance(item, Gci):
-        lhs = evaluator.concept_values(item.lhs)
-        rhs = evaluator.concept_values(item.rhs)
         check = _GCI_REL[item.rel]
-        for x, p, q in zip(interp.domain, lhs, rhs):
-            if not check(godel_implies(p, q), item.threshold):
+        values = evaluator.concept_values(Implies(item.lhs, item.rhs))
+        for x, value in zip(interp.domain, values):
+            if not check(value, item.threshold):
                 return ValidationResult(False, item, x)
         return None
     if isinstance(item, SameIndividual):

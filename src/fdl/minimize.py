@@ -69,11 +69,16 @@ def _block_id(members: Tuple[str, ...]) -> str:
 def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
     """The quotient of ``interp`` by its strong bisimilarity relation.
 
-    Concept degrees carry over from any representative; role degrees take
-    the supremum over the target block.  Both are checked to be
-    representative-independent, which the atomic and forth/back conditions
-    guarantee; a failure there is an internal bug.  A block is named
-    ``{x,y,...}`` after its members, as :func:`_block_id` writes them.
+    Each block takes its degrees from its first member in document order.
+    One representative is enough: the blocks are the classes of the
+    greatest crisp auto-bisimulation, and with Z crisp, FB2 makes the
+    members of a block agree on every concept degree, and FB3/FB4 make
+    them agree, per role and target block, on the supremum of their edges
+    into that block (see the crisp mode in :mod:`fdl.refinement`).  So a
+    block's concept degrees are its representative's, and its edge to a
+    target block is the supremum of the representative's edges into it.
+    A block is named ``{x,y,...}`` after its members, as :func:`_block_id`
+    writes them.
     """
     _require_quotient_features(features)
     partition = strong_partition(interp, features)
@@ -82,41 +87,23 @@ def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
         name: ids[partition.block_of[target]]
         for name, target in interp.individuals.items()
     }
-    concepts = {}
-    for name, row in interp.concepts.items():
-        values = {}
-        for members, block_name in zip(partition.blocks, ids):
-            first = row[interp.index(members[0])]
-            for other in members[1:]:
-                if row[interp.index(other)] != first:
-                    raise AssertionError(
-                        f"internal: concept {name!r} not constant on block {block_name}"
-                    )
-            values[block_name] = first
-        concepts[name] = values
+    reps = [interp.index(members[0]) for members in partition.blocks]
+    concepts = {
+        name: {block_id: row[i] for block_id, i in zip(ids, reps)}
+        for name, row in interp.concepts.items()
+    }
     block = [partition.block_of[x] for x in interp.domain]
     roles = {}
     for name in interp.roles:
-        # per element, the supremum of its edges into each target block
-        sups: List[Dict[int, Fraction]] = []
-        for row in interp.successors(name):
+        successors = interp.successors(name)
+        edges = []
+        for src_id, i in zip(ids, reps):
             sup: Dict[int, Fraction] = {}
-            for j, d in row:
+            for j, d in successors[i]:
                 b = block[j]
                 if d > sup.get(b, ZERO):
                     sup[b] = d
-            sups.append(sup)
-        edges = []
-        for members, src_id in zip(partition.blocks, ids):
-            first = sups[interp.index(members[0])]
-            for other in members[1:]:
-                if sups[interp.index(other)] != first:
-                    raise AssertionError(
-                        f"internal: role {name!r} supremum differs across block "
-                        f"{src_id} representatives"
-                    )
-            for b, d in first.items():
-                edges.append((src_id, ids[b], d))
+            edges += [(src_id, ids[b], d) for b, d in sup.items()]
         roles[name] = edges
     return Interpretation(ids, individuals, concepts, roles)
 
@@ -148,8 +135,6 @@ def prune_unreachable(interp: Interpretation, features: FeatureSet) -> Interpret
     if not interp.individuals:
         raise ModelError("pruning needs at least one named individual")
     reachable, _connected = reachability(interp, features)
-    if not reachable:
-        raise ModelError("no element is reachable; the domain must stay nonempty")
     kept = [x for x in interp.domain if x in reachable]
     concepts = {
         name: {x: row[interp.index(x)] for x in kept if row[interp.index(x)] != ZERO}

@@ -428,15 +428,22 @@ def to_text(expr: Expr) -> str:
 
 def structural_key(expr: Expr):
     """A total, deterministic ordering key over syntax trees:
-    ``(tag, label, keys of the children)``."""
+    ``(tag, label, keys of the children)``.
+
+    Computed once per node and kept on it: the enumerator keys every
+    candidate, and candidates share their subtrees.
+    """
     try:
         tag, label, names = _KEYS[type(expr)]
     except KeyError:
         raise InputError(f"not a concept or role: {expr!r}") from None
-    text = "" if label is None else str(getattr(expr, label))
-    if not names:  # leaves are most nodes; skip building an empty list
-        return (tag, text, ())
-    return (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))
+    key = expr.__dict__.get("_structural_key")
+    if key is None:
+        text = "" if label is None else str(getattr(expr, label))
+        kids = tuple([structural_key(getattr(expr, name)) for name in names])
+        key = (tag, text, kids)
+        object.__setattr__(expr, "_structural_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------

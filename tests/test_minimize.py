@@ -21,7 +21,7 @@ from fdl import (
 )
 from fdl.fixtures import twin_islands
 from fdl.interp import degree_objects
-from helpers import POOL3, chain_pair, fixpoint_greatest, random_model, rename_model
+from helpers import POOL3, POOL4, chain_pair, fixpoint_greatest, random_model, rename_model
 
 NO_FEATURES = FeatureSet.none()
 
@@ -75,6 +75,18 @@ def same_block(model, partition):
         for members in partition.blocks for x in members for y in members
     ]
     return FuzzyRelation.from_entries(model.domain, model.domain, entries)
+
+
+def block_profile(model, partition, x):
+    """What quotient reads off ``x``: its concept degrees and, per role and
+    target block, the supremum of its edges into the block."""
+    i = model.index(x)
+    sups = {}
+    for name in model.roles:
+        for j, d in model.successors(name)[i]:
+            key = (name, partition.block_of[model.domain[j]])
+            sups[key] = max(sups.get(key, F(0)), d)
+    return [row[i] for row in model.concepts.values()], sups
 
 
 def doubled(rng, model):
@@ -257,6 +269,30 @@ class TestQuotient:
             again = quotient(q, NO_FEATURES)
             assert len(again.domain) == len(q.domain)
             assert len(q.domain) <= len(model.domain)
+
+    @pytest.mark.parametrize("text", ["", "I", "O", "U", "I,O", "I,U", "O,U", "I,O,U"])
+    def test_blocks_agree_with_their_first_member(self, text):
+        # quotient reads each block off its first member alone
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"representative/{text}")
+        merged = 0
+        for _ in range(40):
+            model = random_model(
+                rng, "x", rng.randint(1, 6), rng.choice([POOL3, POOL4]),
+                concept_names=rng.choice([(), ("A",), ("A", "B")]),
+                role_names=rng.choice([("r",), ("r", "s")]),
+                individual_names=rng.choice([(), ("a",), ("a", "b")]),
+                density=rng.choice([0.2, 0.4, 0.6]),
+            )
+            if rng.random() < 0.6:
+                model = doubled(rng, model)
+            partition = strong_partition(model, features)
+            for members in partition.blocks:
+                first = block_profile(model, partition, members[0])
+                for other in members[1:]:
+                    assert block_profile(model, partition, other) == first, (text, members)
+                merged += len(members) > 1
+        assert merged >= 20
 
 
 class TestPrune:
