@@ -57,8 +57,13 @@ smaller one, so the ceiling and the verdict are those of the enumeration;
 Bounds with a gap below k, such as ``Q2`` or ``Q1,Q2,Q16``, are not a
 matching problem, and their n-subsets are enumerated, which is exponential
 in k.  Before enumerating, the subsets over all bounds n are counted, and
-more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`; the checker
-and the refinement under such bounds read the same table, so both stop.
+more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`.
+:mod:`fdl.refinement` does not read this table: it keys each element by
+the least sets of target blocks that hold n of its successors, and counts
+those sets against the same budget.  So it decides a hub whose successors
+fall into a few blocks, which the checker refuses, and stops only on two
+elements of one block whose successors fall into many blocks, with
+different counts.
 """
 
 from __future__ import annotations
@@ -223,29 +228,16 @@ class _Context:
                 self.individual_pairs.append(
                     (name, ia.index(ia.individuals[name]), ib.index(ib.individuals[name]))
                 )
-        cap = max(self.na, self.nb)
-        self.q_bounds = self._effective(features.q_bounds, cap)
-        self.n_bounds = self._effective(features.n_bounds, cap)
+        # unrestricted bounds: any n beyond the larger domain is vacuous
+        self.q_bounds, self.n_bounds = (
+            tuple(range(1, max(self.na, self.nb) + 1)) if bounds is None else tuple(sorted(bounds))
+            for bounds in (features.q_bounds, features.n_bounds)
+        )
         # successor sets up to this size meet every bound 1..k, so their
         # FB6/FB7 rows come from a matching, not from enumerated subsets
         self.covered = next(
             (m for m, n in enumerate(self.q_bounds) if n != m + 1), len(self.q_bounds)
         )
-        # the largest successor set whose n-subsets fit the budget
-        self.subset_limit = next(
-            (k - 1 for k in range(1, cap + 1) if self.subsets(k) > SUBSET_BUDGET), cap
-        )
-
-    @staticmethod
-    def _effective(bounds, cap: int) -> Tuple[int, ...]:
-        # Unrestricted bounds: any n beyond the larger domain is vacuous.
-        if bounds is None:
-            return tuple(range(1, cap + 1))
-        return tuple(sorted(bounds))
-
-    def subsets(self, k: int) -> int:
-        """How many n-subsets FB6(n)/FB7(n) enumerate for k successors."""
-        return sum(comb(k, n) for n in self.q_bounds)
 
     def ranks(self, rel: FuzzyRelation) -> List[List[int]]:
         rank = self.rank
@@ -274,6 +266,16 @@ class _Context:
             for tables in (self.conc, self.self_loops, shifted)
         )
         return u
+
+
+def _subset_budget(choices, what: str) -> None:
+    """Refuse, with :class:`BudgetError`, to enumerate the s-subsets of k
+    successors or target blocks (``what``) for each (k, s) in ``choices``
+    when there are more than ``SUBSET_BUDGET`` in all."""
+    needed = sum([comb(k, s) for k, s in choices])
+    if needed > SUBSET_BUDGET:
+        raise BudgetError(f"qualified counting over {max(choices)[0]} {what} needs {needed} "
+                          f"subsets (budget {SUBSET_BUDGET})")
 
 
 def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
@@ -405,15 +407,10 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
         # sides within the covered sizes are matched, the rest enumerated
         matched, enumerated = [], []
         for code, label, side in sides:
-            k = len(side)
-            if k <= ctx.covered:
+            if len(side) <= ctx.covered:
                 matched.append((code, label, side))
-            elif k > ctx.subset_limit:
-                raise BudgetError(
-                    f"qualified counting over {k} successors needs "
-                    f"{ctx.subsets(k)} subsets (budget {SUBSET_BUDGET})"
-                )
             else:
+                _subset_budget([(len(side), n) for n in ctx.q_bounds], "successors")
                 enumerated.append((code, label, side))
         for code, label, side in matched:
             row = _hall_row(side)

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
+from pathlib import Path
 from typing import Callable, List, Optional
 
 from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
@@ -27,11 +28,21 @@ from .refinement import bisimilar, greatest_bisim
 from .syntax import FeatureSet, Sublanguage, to_text
 
 
+@contextlib.contextmanager
+def _nesting():
+    """Input nested deeper than Python's recursion limit, while it is
+    parsed, loaded or evaluated, is an input error."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise InputError("input nests too deeply") from exc
+
+
 def _read_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle, _nesting():
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
@@ -64,8 +75,10 @@ def _emit(out, payload: dict, as_json: bool, human: Callable[[], str]) -> None:
 
 def _eval(args, out) -> int:
     model = _load_model(args.model)
-    concept = parse_concept(args.concept, args.features)
-    values = eval_concept(model, concept)
+    with _nesting():
+        concept = parse_concept(args.concept, args.features)
+        values = eval_concept(model, concept)
+        concept_text = to_text(concept)
     if args.element is not None:
         pairs = [(args.element, values.at(args.element))]
     else:
@@ -74,7 +87,7 @@ def _eval(args, out) -> int:
     texts = {id(v): v for _x, v in pairs}
     texts = {key: format_degree(v) for key, v in texts.items()}
     shown = {x: texts[id(v)] for x, v in pairs}
-    payload = {"concept": to_text(concept), "values": shown}
+    payload = {"concept": concept_text, "values": shown}
     width = max(map(len, shown))
     _emit(out, payload, args.json,
           lambda: "\n".join(f"{x.ljust(width)}  {text}" for x, text in shown.items()))
@@ -86,9 +99,10 @@ def _bisim(args, out) -> int:
     result = greatest_bisim(left, right, args.features, args.mode)
     document = dump_relation(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        try:
+            Path(args.output).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(out, document, args.json, lambda: _matrix_table(result.relation))
     return 0
 
@@ -141,8 +155,9 @@ def _minimize(args, out) -> int:
 
 def _validate(args, out) -> int:
     model = _load_model(args.model)
-    kb = load_kb(_read_json(args.tbox or args.abox), args.features)
-    result = validates(model, kb.items())
+    box = _read_json(args.tbox or args.abox)
+    with _nesting():
+        result = validates(model, load_kb(box, args.features).items())
     payload = {
         "valid": result.valid,
         "failed": result.failed_item.describe() if result.failed_item else None,

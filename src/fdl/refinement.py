@@ -44,7 +44,8 @@ write w = min(strength, v).
 So level v keys each element by its static ranks clamped at v (concept
 and self degrees, n-th largest successor degrees) and, per basic role and
 target block, the number of its successors there of degree >= v, up to m
-under Q1..Qm and up to 1 otherwise; names and the number of N bounds an
+when the Q bounds start with 1..m and up to 1 otherwise, and by the least
+sets of the bounds above m (below); names and the number of N bounds an
 element's successor count meets are compared exactly.
 
 **Nesting.**  Level v starts from the partition of level v - 1 and splits
@@ -71,20 +72,41 @@ of successors of degree >= v) per block, which is equality of the m
 largest successor degrees per block (``Q*``: the whole sorted list); the
 largest is the supremum, so FB3 and FB4 are covered too.
 
-**Q bounds with a gap** (``Q2``, ``Q1,Q3``) give no per-block key.  At
-level v and bound n, let P_x(T) say that x has at least n successors of
-degree >= v in the union T of some level-v blocks.  FB6(n) at (x, x') over
-sets S of degree >= v holds exactly when P_x(T) implies P_x'(T) for every
-T: given S, take T = the blocks of S; given T with P_x(T), take n such
-successors as S, whose blocks lie inside T.  FB7(n) is the converse, so
-together they ask P_x = P_x'.  Rows of lower strength are lower levels,
-and the other rows are key equalities as above.  So passing every
-relational row is equality of a function of each element, an
-equivalence, and a block splits by checking each member against the
-first remaining member with :func:`fdl.bisim._relational_rows`, over the
-relation that the finished levels and the partition being refined stand
-for, clamped at v, until no block splits.  Those rows enumerate subsets as
-the checker does, under ``SUBSET_BUDGET`` and :class:`BudgetError`.
+**Q bounds with a gap** (``Q2``, ``Q1,Q3``): a bound n above the prefix
+1..m gives no per-block count.  At level v, let P_x(T) say that x has at
+least n successors of degree >= v, under one basic role, in the union T
+of some level-v blocks.  FB6(n) at (x, x') over sets S of degree >= v
+holds exactly when P_x(T) implies P_x'(T) for every T: given S, take T =
+the blocks of S; given T with P_x(T), take n such successors as S, whose
+blocks lie inside T.  FB7(n) is the converse, so together they ask P_x =
+P_x'; rows of lower strength are lower levels.  P_x holds on every
+superset of a set it holds on, so it is fixed by its least sets: with
+c(B) the number of x's successors of degree >= v in block B, T is least
+when sum_T c >= n > sum_T c - min_T c, as dropping the block of fewest
+successors loses the least.  Such a T has no block with c(B) = 0, at
+least as many blocks as the fullest blocks need to hold n, and at most
+n; the subsets of those sizes are counted before they are listed, and
+more than ``SUBSET_BUDGET`` raise :class:`BudgetError`.  So level v keys
+x also by its least sets per role and bound, over the partition being
+refined, and they change only when a block of x's successors moves.
+
+In crisp mode the row of a set S with least degree d holds when x' has n
+successors of degree >= d in the blocks of S, so FB6(n) and FB7(n) ask
+P_x = P_x' with the successors of degree >= d, for every d.  Let f_x(T) be
+the n-th strongest degree of x's successors in T (0 with fewer); P_x at d
+holds at T exactly when f_x(T) >= d, so this asks f_x = f_x'.  f_x only
+grows with T, and it is fixed by the pairs (T, f_x(T)) where every proper
+subset of T has a weaker f_x: for any T, a least T' inside T with f_x(T')
+>= f_x(T) is such a pair, with f_x(T') = f_x(T).  Those T are the least
+sets at degree f_x(T), so they have the sizes above, counted at the
+weakest degree, and the key lists them once with their f_x.  In fuzzy
+mode every counted successor reads as v, and the pairs are the least sets
+of level v.
+
+The key lists least sets only when it is compared with that of an
+element of the same block whose successors per block differ: equal ones
+give equal least sets.  An element alone in its block has nothing to
+split from and is not keyed.
 
 **U.**  Let Z be the greatest bisimulation without U and c the least of
 the row and column maxima of its A × B part.  min(Z, c) is a bisimulation
@@ -104,28 +126,37 @@ v - 1, each pair once.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
+from itertools import combinations
 from typing import Dict, List, Set, Tuple
 
-from .bisim import MODES, BisimilarityResult, CandidateRelation, _Context, _relational_rows
+from .bisim import MODES, BisimilarityResult, CandidateRelation, _Context, _subset_budget
 from .errors import InputError, ModelError
 from .godel import ONE
 from .interp import Interpretation
 from .syntax import FeatureSet
 
 
-class _LevelRow:
-    """Row ``y`` of the relation that nested partitions stand for: the
-    highest of ``levels``, ``(level, blocks)`` pairs, at which y2 shares
-    y's block, 0 if none."""
+class _LeastSets:
+    """The part of a key that gapped Q bounds add: the least sets of
+    ``found``, an element's successors per (role, block) (fuzzy: counted;
+    crisp: their degrees), listed by ``least`` only when compared with an
+    element whose ``found`` differs, as equal ``found`` give equal least
+    sets.  It comes last in the key and hashes to a constant, so only keys
+    that agree on everything else compare it."""
 
-    __slots__ = ("levels", "y")
+    def __init__(self, found, least):
+        self.found, self.least = found, least
 
-    def __init__(self, levels: list, y: int):
-        self.levels, self.y = levels, y
+    def __hash__(self) -> int:
+        return 0
 
-    def __getitem__(self, y2: int) -> int:
-        y = self.y
-        return max([v for v, block in self.levels if block[y] == block[y2]], default=0)
+    def __eq__(self, other) -> bool:
+        return self.found == other.found or self.sets == other.sets
+
+    @cached_property
+    def sets(self) -> frozenset:
+        return self.least(self.found)
 
 
 class _Refinement:
@@ -139,16 +170,16 @@ class _Refinement:
     """
 
     def __init__(self, ctx: _Context, crisp: bool):
-        u = self.u = ctx.union()
+        u = ctx.union()
         n, top = u.na, u.top
         self.crisp, self.top, self.na, self.nb = crisp, top, ctx.na, ctx.nb
         self.offset = n - ctx.nb  # where B's elements start
         succs = [succ for _label, succ, _b in u.basic]
-        self.gapped = len(u.q_bounds) > u.covered
         # per target block, the key counts successors (crisp: keeps degrees)
-        # up to this many: 1 without Q, or with a gap in Q, which the rows
-        # decide; m under Q1..Qm
-        self.width = 1 if self.gapped else u.covered or 1
+        # up to this many: m under a covered prefix Q1..Qm, else 1; the
+        # bounds above the prefix key the least sets of blocks
+        self.width = u.covered or 1
+        self.gapped = u.q_bounds[u.covered:]
         # per element: ranks compared clamped at the level (concept and self
         # degrees; per role, its n-th largest successor degree for each N
         # bound n it meets) and what is compared exactly (its names; per
@@ -190,7 +221,6 @@ class _Refinement:
         at_rank: List[Set[int]] = [set() for _ in range(top + 1)]
         for x, b in enumerate(self.block):
             self.members[b].add(x)
-            at_rank[0].add(x)
             for r in self.static[x]:
                 at_rank[r].add(x)
             for d, _label, y in self.edges[x]:
@@ -198,14 +228,8 @@ class _Refinement:
                 at_rank[d].add(x)
         self.splits: List[Tuple[int, int]] = []
         self.marks: List[int] = []
-        history: List[Tuple[int, tuple]] = []  # (level, blocks) of each finished level
         for v in levels:
-            # the first level, and every level under gapped Q, keys everything
-            first = v == levels[0] or self.gapped
-            self._split_by_keys(at_rank[0] if first else at_rank[v - 1], v)
-            if self.gapped:
-                self._split_by_rows(history + [(v, self.block)], v)
-                history.append((v, tuple(self.block)))
+            self._split_by_keys(set(range(n)) if v == levels[0] else at_rank[v - 1], v)
             self.marks.append(len(self.splits))
 
     def _clamp(self, x: int, v: int) -> Tuple[int, ...]:
@@ -217,22 +241,55 @@ class _Refinement:
         """What x shares with its block at level v: its clamped static ranks
         and, per basic role and target block, how many successors of degree
         >= v it has there, up to ``width`` (crisp: the ``width`` largest
-        degrees of its successors there)."""
+        degrees of its successors there); under gapped bounds also its least
+        sets, listed only when compared."""
         block, width, found = self.block, self.width, {}
         if self.crisp:
             for d, label, y in self.edges[x]:
                 found.setdefault((label, block[y]), []).append(d)
-            return self.static[x], frozenset(
-                (at, tuple(degrees[:width])) for at, degrees in found.items()
-            )
-        for d, label, y in self.edges[x]:
-            if d < v:
-                break
-            at = label, block[y]
-            found[at] = found.get(at, 0) + 1
-        if width == 1:
-            return self._clamp(x, v), frozenset(found)
-        return self._clamp(x, v), frozenset((at, min(k, width)) for at, k in found.items())
+            key = self.static[x], frozenset((at, tuple(ds[:width])) for at, ds in found.items())
+        else:
+            for d, label, y in self.edges[x]:
+                if d < v:
+                    break
+                at = label, block[y]
+                found[at] = found.get(at, 0) + 1
+            key = self._clamp(x, v), frozenset(found) if width == 1 else frozenset(
+                (at, min(k, width)) for at, k in found.items())
+        return key + (_LeastSets(found, self._least_sets),) if self.gapped else key
+
+    def _least_sets(self, found: dict) -> frozenset:
+        """``(role, n, T, f)`` for each basic role, gapped bound n and least
+        set T of target blocks, where f is the n-th strongest degree of the
+        successors in T and every proper subset of T has a weaker one;
+        ``found`` maps (role, block) to the degrees of the successors there,
+        strongest first (fuzzy: to how many there are, as the key counts
+        those of degree >= v alike).  The subsets are counted against
+        ``SUBSET_BUDGET`` before any is listed."""
+        if not self.crisp:
+            found = {at: [1] * k for at, k in found.items()}
+        plan = []
+        for label in {role for role, _b in found}:
+            blocks = sorted([(ds, b) for (role, b), ds in found.items() if role == label],
+                            key=lambda block: len(block[0]), reverse=True)
+            # a least set has at most n blocks, and at least as many as the
+            # fullest blocks need to hold n
+            plan += [(label, n, blocks, s) for n in self.gapped
+                     for s in range(1, min(n, len(blocks)) + 1)
+                     if sum([len(ds) for ds, _b in blocks[:s]]) >= n]
+        _subset_budget([(len(blocks), s) for _l, _n, blocks, s in plan], "target blocks")
+        least = []
+        for label, n, blocks, s in plan:
+            for subset in combinations(blocks, s):
+                degrees = sorted([d for ds, _b in subset for d in ds], reverse=True)
+                if len(degrees) >= n:
+                    f = degrees[n - 1]
+                    # dropping the block with fewest successors of degree
+                    # >= f loses the fewest
+                    held = [sum([d >= f for d in ds]) for ds, _b in subset]
+                    if sum(held) - min(held) < n:
+                        least.append((label, n, frozenset([b for _ds, b in subset]), f))
+        return frozenset(least)
 
     def _split(self, b: int, part: List[int], key) -> None:
         """Move ``part`` out of block ``b`` into a new block."""
@@ -249,51 +306,26 @@ class _Refinement:
         moved; the largest part of a split keeps the block."""
         block, members, shared = self.block, self.members, self.shared
         while touched:
-            keys = {x: self._key(x, v) for x in touched}
-            by_block: Dict[int, List[int]] = {}
+            # per block, its touched members by key; an element alone in its
+            # block has nothing to split from
+            parts_of: Dict[int, Dict[tuple, List[int]]] = {}
             for x in touched:
-                by_block.setdefault(block[x], []).append(x)
+                if len(members[block[x]]) > 1:
+                    parts_of.setdefault(block[x], {}).setdefault(self._key(x, v), []).append(x)
             moved: List[int] = []
-            for b, xs in by_block.items():
-                parts: Dict[tuple, List[int]] = {}
-                for x in xs:
-                    parts.setdefault(keys[x], []).append(x)
-                untouched = len(members[b]) - len(xs)
+            for b, parts in parts_of.items():
+                untouched = len(members[b]) - sum(map(len, parts.values()))
                 if untouched:
                     parts.setdefault(shared[b], [])
-                size = {
-                    k: len(part) + (untouched if k == shared[b] else 0) for k, part in parts.items()
-                }
-                keep = max(parts, key=size.__getitem__)
+                keep = max(parts, key=lambda k: len(parts[k]) + (untouched if k == shared[b] else 0))
                 for k, part in parts.items():
                     if k != keep:
                         if untouched and k == shared[b]:
-                            part = part + list(members[b].difference(xs))
+                            part = part + list(members[b].difference(*parts.values()))
                         self._split(b, part, k)
                         moved += part
                 shared[b] = keep
             touched = set().union(*[self.incoming[y] for y in moved])
-
-    def _split_by_rows(self, levels: list, v: int) -> None:
-        """Split each block by checking its members against the first
-        remaining one with the relational rows at level v over the relation
-        that ``levels`` stand for, until no block splits."""
-        z = [_LevelRow(levels, y) for y in range(len(self.block))]
-        split = True
-        while split:
-            split = False
-            for b in range(len(self.members)):
-                rest, at = sorted(self.members[b]), b
-                while rest:
-                    head, rest = rest[0], rest[1:]
-                    # the members that fail against the head leave together
-                    rest = [x for x in rest if next((
-                        row for row in _relational_rows(self.u, z, x, head, ())
-                        if min(v, row[3]) > row[4]
-                    ), None)]
-                    if rest:
-                        self._split(at, rest, self.shared[at])
-                        at, split = len(self.members) - 1, True
 
     def cross(self) -> List[List[int]]:
         """The greatest bisimulation between the two models, in ranks: a

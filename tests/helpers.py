@@ -271,6 +271,53 @@ def counting_hub_pair(d):
     return models[0], models[1]
 
 
+def spread_hub_pair(d):
+    """A hub with d r-successors of degree 1 and distinct A degrees, and a
+    copy; each hub's successors lie in d distinct blocks."""
+    models = []
+    for prefix in "hg":
+        succ = [f"{prefix}{k}" for k in range(1, d + 1)]
+        models.append(Interpretation(
+            [f"{prefix}0"] + succ,
+            {"a": f"{prefix}0"},
+            {"A": {y: F(k, d) for k, y in enumerate(succ, 1)}},
+            {"r": [(f"{prefix}0", y, F(1)) for y in succ]},
+        ))
+    return models[0], models[1]
+
+
+def doubled_hub_pair(d, graded=False):
+    """A hub whose k-th of d r-successors is the one element of concept Ak,
+    and a copy whose hub has its last successor twice; the k-th edge has
+    degree 1 (``graded``: k/d).  The hubs reach the same d blocks from the
+    start, one successor apart, so under gapped Q bounds only their least
+    sets tell them apart."""
+    models = []
+    for prefix, twice in (("h", 0), ("g", 1)):
+        succ = range(1, d + 1 + twice)
+        models.append(Interpretation(
+            [f"{prefix}{k}" for k in range(d + 1 + twice)],
+            {"a": f"{prefix}0"},
+            {f"A{k}": {f"{prefix}{j}": F(1) for j in succ if min(j, d) == k}
+             for k in range(1, d + 1)},
+            {"r": [(f"{prefix}0", f"{prefix}{j}", F(min(j, d), d) if graded else F(1))
+                   for j in succ]},
+        ))
+    return models[0], models[1]
+
+
+def disjoint_union(ia, ib):
+    """One model holding the elements, concepts and roles of two models with
+    distinct element names, without individuals."""
+    return Interpretation(
+        ia.domain + ib.domain, {},
+        {name: {**dict(zip(ia.domain, ia.concept_row(name))),
+                **dict(zip(ib.domain, ib.concept_row(name)))}
+         for name in {*ia.concepts, *ib.concepts}},
+        {name: [*ia.edges(name), *ib.edges(name)] for name in {*ia.roles, *ib.roles}},
+    )
+
+
 def chain_pair(n, d, p, q):
     """Two r-chains of n elements with edge degree d; the last element of
     the first has A = p, that of the second A = q."""

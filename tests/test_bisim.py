@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -35,8 +36,9 @@ from fdl.fixtures import (
 )
 from fdl.godel import format_degree, godel_implies
 from helpers import (
-    POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, fixpoint_greatest,
-    random_features, random_model, shuffled_copy, shuffled_hub_pair,
+    POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, disjoint_union,
+    doubled_hub_pair, fixpoint_greatest, random_features, random_model, shuffled_copy,
+    shuffled_hub_pair, spread_hub_pair,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -564,7 +566,11 @@ class TestCountingBudget:
     # cover every subset size; the count over the enabled bounds is checked
     # before enumerating
     def test_wide_hub_refused_by_checker_and_fixpoint(self):
-        # Q2..Q16 leaves out size 1, so the 65519 subsets are enumerated
+        # Q2..Q16 leaves out size 1, so the checker enumerates the 65519
+        # subsets.  The refinement lists the least sets of target blocks only
+        # for hubs in one block with different successor counts: it decides
+        # hubs with successors in 2 blocks, and equal hubs with successors in
+        # 16, and refuses hubs with successors in 16 blocks, one apart
         ia, ib = counting_hub_pair(16)
         features = FeatureSet(q_bounds=frozenset(range(2, 17)))
         allones = FuzzyRelation.constant(ia.domain, ib.domain, F(1))
@@ -573,8 +579,11 @@ class TestCountingBudget:
         with pytest.raises(BudgetError):
             condition_bound(ia, ib, allones, features, "h0", "g0")
         for mode in ("fuzzy", "crisp"):
-            with pytest.raises(BudgetError):
-                greatest_bisim(ia, ib, features, mode)
+            for pair in (ia, ib), spread_hub_pair(16):
+                result = bisimilar(*pair, features, mode)
+                assert result.holds and result.witness.at("h0", "g0") == 1
+            with pytest.raises(BudgetError, match=r"65519 subsets \(budget 16384\)"):
+                greatest_bisim(*doubled_hub_pair(16), features, mode)
 
     def test_wide_hub_decided_under_covering_bounds(self):
         # Q1..Q16 and Q* cover every subset size of 16 successors, so the
@@ -707,6 +716,82 @@ class TestRefinementAgainstFixpoint:
                 related += mode == "crisp" and 1 in values
         # the pairs exercise both partial degrees and nonempty crisp relations
         assert graded >= 3 and related >= 20
+
+
+class TestGappedCountingLevels:
+    """Q bounds with a gap over many degree levels: the refinement's least
+    sets of target blocks against the pairwise fixpoint."""
+
+    POOL = tuple(F(k, 20) for k in range(21))
+
+    @pytest.mark.parametrize("text", ["Q2", "Q1,Q3", "I,Q2"])
+    def test_many_levels_match_fixpoint(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"gapped/{text}")
+        levels = []
+        for _ in range(40):
+            # without concepts, many successors share a block
+            shape = dict(concept_names=rng.choice([(), ("A",), ("A", "B")]),
+                         role_names=rng.choice([("r",), ("r", "s")]),
+                         density=rng.choice([0.4, 0.6]))
+            ia = random_model(rng, "x", rng.randint(5, 7), self.POOL, **shape)
+            roles = {name: list(ia.edges(name)) for name in ia.roles}
+            if rng.random() < 0.5 and roles["r"]:
+                # a shuffled copy with one r-edge redrawn
+                x, y, _d = roles["r"].pop(rng.randrange(len(roles["r"])))
+                roles["r"].append((x, y, rng.choice(self.POOL[1:])))
+                concepts = {name: dict(zip(ia.domain, row)) for name, row in ia.concepts.items()}
+                ib = shuffled_copy(rng, Interpretation(ia.domain, {}, concepts, roles), "y")
+            else:
+                ib = random_model(rng, "y", rng.randint(5, 7), self.POOL, **shape)
+            levels.append(len(degree_universe(ia, ib)))
+            for mode in ("fuzzy", "crisp"):
+                got = greatest_bisim(ia, ib, features, mode).relation
+                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+        assert sum(levels) / len(levels) >= 17
+
+    def test_crisp_least_sets_at_each_degree(self):
+        # x and u each reach one block of two leaves, with a strongest edge
+        # of degree 1; under Q2 only x has both at degree 1, so FB6(2)
+        # fails in crisp mode, though both have both at degree 1/2
+        ia = Interpretation(["x", "y1", "y2"], {}, {}, {"r": [("x", "y1", 1), ("x", "y2", 1)]})
+        ib = Interpretation(["u", "v1", "v2"], {}, {}, {"r": [("u", "v1", 1), ("u", "v2", F(1, 2))]})
+        for text, crisp in (("", 1), ("Q2", 0)):
+            features = FeatureSet.parse(text)
+            got = greatest_bisim(ia, ib, features, "crisp")
+            assert got.at("x", "u") == crisp
+            assert got.relation == fixpoint_greatest(ia, ib, features, "crisp").relation
+
+    @pytest.mark.parametrize("mode", ["fuzzy", "crisp"])
+    def test_hub_beside_an_empty_element(self, mode):
+        # the hub shares its first block with z, which has no successors, so
+        # their keys differ before the hub's least sets over its successors'
+        # 200 blocks would be listed
+        hub, _copy = spread_hub_pair(200)
+        model = disjoint_union(hub, Interpretation(["z"]))
+        got = greatest_bisim(model, model, FeatureSet.parse("Q2"), mode)
+        assert got.at("h0", "z") == 0 and got.at("h0", "h0") == 1
+
+    @pytest.mark.parametrize("mode", ["fuzzy", "crisp"])
+    def test_graded_hubs_are_listed_once(self, mode):
+        # hubs one successor apart, with 180 successors in 180 blocks and
+        # 180 edge degrees: their least sets under Q2 are the 16110 pairs of
+        # blocks, each with its weaker degree, listed once and not per degree
+        start = time.perf_counter()
+        got = greatest_bisim(*doubled_hub_pair(180, graded=True), FeatureSet.parse("Q2"), mode)
+        assert time.perf_counter() - start < 2
+        assert got.at("h0", "g0") == 0 and got.at("h7", "g7") == 1
+
+    def test_lone_hub_is_not_keyed(self):
+        # the hub is alone in its block, so the least sets of its 200
+        # successors, in 200 blocks, are never enumerated
+        hub, _copy = spread_hub_pair(200)
+        features = FeatureSet.parse("Q2")
+        crisp = greatest_bisim(hub, hub, features, "crisp").relation
+        assert crisp == FuzzyRelation.identity(hub.domain)
+        fuzzy = greatest_bisim(hub, hub, features, "fuzzy").relation
+        assert fuzzy.at("h0", "h0") == 1 and fuzzy.at("h0", "h1") == 0
+        assert fuzzy.at("h3", "h5") == F(3, 200)
 
 
 class TestClosureLaws:

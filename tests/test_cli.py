@@ -16,9 +16,9 @@ import fdl.kb
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
-from fdl.bisim import load_relation
+from fdl.bisim import MODES, load_relation
 from fdl.godel import format_degree
-from helpers import counting_hub_pair
+from helpers import counting_hub_pair, doubled_hub_pair
 
 
 @pytest.fixture
@@ -113,6 +113,15 @@ class TestBisim:
         assert code == 0
         doc = json.loads(target.read_text())
         assert doc["mode"] == "crisp"
+
+    def test_unwritable_output_file(self, files, tmp_path):
+        for target in (tmp_path / "missing" / "rel.json", tmp_path):
+            code, out, err = run_cli(
+                ["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "",
+                 "-o", str(target)]
+            )
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 class TestLazyHumanText:
@@ -216,24 +225,35 @@ class TestBisimilar:
         assert code == 0
 
     @staticmethod
-    def wide_hub_files(tmp_path):
+    def wide_hub_files(tmp_path, pair=counting_hub_pair):
         paths = []
-        for k, model in enumerate(counting_hub_pair(16)):
+        for k, model in enumerate(pair(16)):
             path = tmp_path / f"hub{k}.json"
             path.write_text(json.dumps(dump_interpretation(model)))
             paths.append(str(path))
         return paths
 
     def test_counting_budget_stops_wide_hub(self, tmp_path):
-        # Q2..Q16 leaves out size 1, so its subsets are enumerated
-        paths = self.wide_hub_files(tmp_path)
+        # Q2..Q16 leaves out size 1: the hubs with successors in 2 blocks
+        # are decided; with successors in 16 blocks, one apart, the least
+        # sets of target blocks need too many subsets
         features = ",".join(f"Q{n}" for n in range(2, 17))
-        start = time.perf_counter()
-        code, _, err = run_cli(
-            ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features]
-        )
-        assert time.perf_counter() - start < 1.0
-        assert code == 2 and "budget" in err
+        paths = self.wide_hub_files(tmp_path)
+        for mode in MODES:
+            code, out, _ = run_cli(
+                ["--json", "bisimilar", "-l", paths[0], "-r", paths[1], "--features", features,
+                 "--mode", mode]
+            )
+            assert code == 0 and ["h0", "g0", "1"] in json.loads(out)["witness"]["entries"]
+        paths = self.wide_hub_files(tmp_path, doubled_hub_pair)
+        for mode in MODES:
+            start = time.perf_counter()
+            code, _, err = run_cli(
+                ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features,
+                 "--mode", mode]
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and "budget" in err
 
     def test_covering_counting_bounds_decide_wide_hub(self, tmp_path):
         paths = self.wide_hub_files(tmp_path)
@@ -572,8 +592,10 @@ GOOD_MODEL = {"domain": ["u", "v"], "individuals": {"a": "u"},
 PAIR = ["-l", "{model}", "-r", "{model}", "--features", ""]
 EVAL_DOC = ["eval", "-m", "{doc}", "-c", "A"]
 CHECK_DOC = ["check", *PAIR, "-z", "{doc}"]
+BOX_DOC = ["validate", "-m", "{model}", "--abox", "{doc}"]
 
-# name -> (argv with {model}/{doc} placeholders, the JSON written to {doc})
+# name -> (argv with {model}/{doc} placeholders, the JSON written to {doc},
+# or the bytes written as they are)
 MALFORMED = {
     "unknown command": (["bogus"], None),
     "missing option": (["eval", "-c", "A"], None),
@@ -619,6 +641,38 @@ MALFORMED = {
         ["validate", "-m", "{model}", "--abox", "{doc}"],
         {"abox": [{"kind": ["same"], "a": "a", "b": "a"}]},
     ),
+    "model not JSON": (EVAL_DOC, b"{"),
+    "model not UTF-8": (EVAL_DOC, b'{"domain": ["\xff"]}'),
+    "model as list": (EVAL_DOC, []),
+    "model unknown key": (EVAL_DOC, {**GOOD_MODEL, "rules": []}),
+    "model without domain": (EVAL_DOC, {"concepts": {}}),
+    "element twice": (EVAL_DOC, {"domain": ["u", "u"]}),
+    "valuation of unknown element": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"w": "0.5"}}}),
+    "relation as list": (CHECK_DOC, []),
+    "box as list": (BOX_DOC, []),
+    "box document key": (BOX_DOC, {"abox": [], "rbox": []}),
+    "box comparison": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A", "a": "a", "p": "1",
+                                           "cmp": "=="}]}),
+    "box inclusion relation": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": [{"lhs": "A", "rhs": "A", "p": "1", "rel": "<"}]},
+    ),
+    "role chain in a count": (["eval", "-m", "{model}", "-c", ">= 2 (r ; s) . A"], None),
+    "open parenthesis": (["eval", "-m", "{model}", "-c", "exists ( . A"], None),
+    "zero denominator": (["eval", "-m", "{model}", "-c", "0/0"], None),
+    "bound not enabled": (
+        ["eval", "-m", "{model}", "-c", ">= 2 r . A", "--features", "Q1"], None,
+    ),
+    "individual in one model": (
+        ["bisim", "-l", "{model}", "-r", "{doc}", "--features", "O"],
+        {"domain": ["u"], "individuals": {"b": "u"}},
+    ),
+    # parsed, loaded or evaluated by recursion
+    "deep parentheses": (["eval", "-m", "{model}", "-c", "(" * 200 + "A" + ")" * 200], None),
+    "deep negation": (["eval", "-m", "{model}", "-c", "not " * 600 + "A"], None),
+    "deep JSON": (EVAL_DOC, b"[" * 100_000 + b"]" * 100_000),
+    "deep concept in a box": (BOX_DOC, {"abox": [{"kind": "concept", "a": "a", "p": "1",
+                                                  "c": "(" * 200 + "A" + ")" * 200}]}),
 }
 
 
@@ -628,13 +682,26 @@ class TestErrors:
         template, document = MALFORMED[case]
         paths = {"model": tmp_path / "model.json", "doc": tmp_path / "doc.json"}
         paths["model"].write_text(json.dumps(GOOD_MODEL))
-        paths["doc"].write_text(json.dumps(document))
+        if isinstance(document, bytes):
+            paths["doc"].write_bytes(document)
+        else:
+            paths["doc"].write_text(json.dumps(document))
         argv = [arg.format(**paths) for arg in template]
         out, err = io.StringIO(), io.StringIO()
         assert main(argv, out=out, err=err) == 2
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert capsys.readouterr() == ("", "")
+
+    def test_recursion_past_the_input_keeps_its_traceback(self, files, monkeypatch):
+        # only parsing, loading and evaluating input map RecursionError to
+        # "input nests too deeply"
+        def deep(*_args):
+            raise RecursionError("in the refinement")
+
+        monkeypatch.setattr(fdl.cli, "greatest_bisim", deep)
+        with pytest.raises(RecursionError, match="in the refinement"):
+            main(["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", ""])
 
     def test_parser_built_once(self, files, monkeypatch):
         built = []

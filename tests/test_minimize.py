@@ -21,7 +21,10 @@ from fdl import (
 )
 from fdl.fixtures import twin_islands
 from fdl.interp import degree_objects
-from helpers import POOL3, POOL4, chain_pair, fixpoint_greatest, random_model, rename_model
+from helpers import (
+    POOL3, POOL4, chain_pair, counting_hub_pair, disjoint_union, doubled_hub_pair,
+    fixpoint_greatest, random_model, rename_model, spread_hub_pair,
+)
 
 NO_FEATURES = FeatureSet.none()
 
@@ -189,16 +192,16 @@ class TestPartitionRefinement:
                        for i, row in enumerate(matrix) for j, v in enumerate(row))
 
     def test_gapped_bounds_keep_the_subset_budget(self):
-        # two copies of a 16-successor hub share a block, so their counting
-        # rows are read
-        hubs = Interpretation(
-            [f"{h}{k}" for h in "hg" for k in range(17)], {},
-            {"A": {f"{h}{k}": F(1 + k % 2, 2) for h in "hg" for k in range(1, 17)}},
-            {"r": [(f"{h}0", f"{h}{k}", F(1 + k % 4, 4)) for h in "hg" for k in range(1, 17)]},
-        )
-        with pytest.raises(BudgetError):
-            strong_partition(hubs, FeatureSet(q_bounds=frozenset(range(2, 17))))
-        assert strong_partition(hubs, FeatureSet(q_bounds=None)).blocks[0] == ("h0", "g0")
+        # two hubs of 16 successors share a block, so under Q2..Q16 their
+        # least sets of target blocks are listed when their successor counts
+        # differ: successors in 2 blocks, or in 16 with equal counts, are
+        # decided; in 16 blocks, one successor apart, too many subsets
+        gapped = FeatureSet(q_bounds=frozenset(range(2, 17)))
+        for pair in counting_hub_pair(16), spread_hub_pair(16):
+            for features in (gapped, FeatureSet(q_bounds=None)):
+                assert strong_partition(disjoint_union(*pair), features).blocks[0] == ("h0", "g0")
+        with pytest.raises(BudgetError, match="65519 subsets"):
+            strong_partition(disjoint_union(*doubled_hub_pair(16)), gapped)
 
 
 class TestQuotient:
