@@ -78,7 +78,6 @@ from .interp import (
     reachability,
 )
 from .bisim import (
-    BisimilarityResult,
     CandidateRelation,
     ConditionReport,
     Violation,
@@ -88,7 +87,7 @@ from .bisim import (
     dump_relation,
     load_relation,
 )
-from .refinement import bisimilar, greatest_bisim
+from .refinement import BisimilarityResult, NestedPartitions, bisimilar, greatest_bisim
 from .minimize import (
     MinimalityCertificate,
     Partition,

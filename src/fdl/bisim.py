@@ -35,11 +35,13 @@ k is the k-th smallest degree of the universe, so rank 0 is degree 0 and
 the top rank is degree 1, and the operations above act on ranks exactly as
 on the degrees they stand for.  The universe is :func:`degree_universe` of
 the two models, plus the values of a candidate relation when a caller
-supplies one.  Ranks turn back into ``Fraction`` degrees only at the API edge: in
-:class:`CandidateRelation`, in :class:`Violation` and in the value of
-:func:`condition_bound`.  :mod:`fdl.refinement` computes the greatest
-bisimulation from the same table, as nested partitions whose levels are
-ranks, so its entries lie in the degree universe of the two models.
+supplies one.  Ranks turn back into ``Fraction`` degrees only at the API
+edge: in :class:`CandidateRelation`, in :class:`Violation`, in the value of
+:func:`condition_bound` and in the read-out of
+:class:`fdl.refinement.NestedPartitions`.  :mod:`fdl.refinement` computes
+the greatest bisimulation from the same table, as nested partitions whose
+levels are ranks, so its entries lie in the degree universe of the two
+models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -107,6 +109,14 @@ class CandidateRelation:
     def at(self, x: str, y: str) -> Fraction:
         return self.relation.at(x, y)
 
+    def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
+        """``(x, y, degree)`` for every pair of nonzero degree, row by row."""
+        rel = self.relation
+        for x, row in zip(rel.rows, rel.matrix):
+            for y, v in zip(rel.cols, row):
+                if v:  # Fraction.__bool__ reads the numerator; != ZERO is slower
+                    yield x, y, v
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -137,13 +147,6 @@ class ConditionReport:
     violations: Tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class BisimilarityResult:
-    holds: bool
-    witness: CandidateRelation
-    failing_individual: Optional[str] = None
-
-
 # ---------------------------------------------------------------------------
 # relation documents
 
@@ -159,15 +162,18 @@ def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> Candida
     return CandidateRelation(relation, document.get("mode", "fuzzy"))
 
 
-def dump_relation(candidate: CandidateRelation) -> dict:
-    return {
-        "mode": candidate.mode,
-        "entries": [
-            [x, y, format_degree(v)]
-            for x, y, v in candidate.relation.entries()
-            if v  # Fraction.__bool__ reads the numerator; != ZERO is slower
-        ],
-    }
+def dump_relation(candidate) -> dict:
+    """The relation document of a :class:`CandidateRelation` or of a
+    :class:`fdl.refinement.NestedPartitions`: its pairs of nonzero degree
+    in row-major document order, each degree object formatted once."""
+    texts: dict = {}
+    entries = []
+    for x, y, v in candidate.nonzero():
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = format_degree(v)
+        entries.append([x, y, text])
+    return {"mode": candidate.mode, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +286,7 @@ def _subset_budget(choices, what: str) -> None:
 
 def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
     """The context for checking candidate ``z``, and ``z`` in ranks."""
-    rel = z.relation if isinstance(z, CandidateRelation) else z
+    rel = z if isinstance(z, FuzzyRelation) else z.relation
     if rel.rows != ia.domain or rel.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
     ctx = _Context(ia, ib, features, [v for row in rel.matrix for v in row])
@@ -498,8 +504,9 @@ def check_bisim(
 ) -> ConditionReport:
     """Exhaustively check the bisimulation conditions for candidate ``z``.
 
-    ``z`` may be a :class:`FuzzyRelation` or a :class:`CandidateRelation`;
-    crisp candidates run the identical checks.
+    ``z`` may be a :class:`FuzzyRelation`, a :class:`CandidateRelation` or
+    a :class:`fdl.refinement.NestedPartitions`; crisp candidates run the
+    identical checks.
     """
     ctx, z_ranks = _candidate_context(ia, ib, features, z)
     found = tuple(_violations(ctx, z_ranks))

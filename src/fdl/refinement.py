@@ -117,23 +117,34 @@ its entries lies below each of its row and column maxima, hence below c.
 So the greatest bisimulation with U is min(Z, c); in crisp mode c < 1
 empties the relation.
 
-**Read-out.**  A pair gets the highest level at which it shares a block.
-Undoing the splits of each level in reverse, top level first, merges two
-blocks at a time, and the pairs across a merge of level v's splits get
-v - 1, each pair once.
+**Read-out.**  The result keeps the partitions as they are: the final
+blocks, the splits in order and the level marks, O(n + splits) in all.  A
+pair gets the highest level at which it shares a block.  Undoing the
+splits of each level in reverse, top level first, down to level 2, merges
+two blocks at a time; the pairs across a merge of level v's splits get
+v - 1, each pair once, and the blocks left at the end, those of level 1,
+hold exactly the pairs of nonzero degree.  So listing them costs their
+number, one pair's degree is a lookup in its row of that listing, and an
+n_a × n_b matrix is built only on request.  Under U, an element's row or
+column maximum is the highest level at which its block holds an element
+of the other model, so c is the highest level whose blocks all hold
+elements of both, found by the same merges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .bisim import MODES, BisimilarityResult, CandidateRelation, _Context, _subset_budget
+from .bisim import MODES, _Context, _subset_budget
 from .errors import InputError, ModelError
-from .godel import ONE
+from .godel import ONE, ZERO
 from .interp import Interpretation
+from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
 
@@ -327,37 +338,140 @@ class _Refinement:
                 shared[b] = keep
             touched = set().union(*[self.incoming[y] for y in moved])
 
-    def cross(self) -> List[List[int]]:
-        """The greatest bisimulation between the two models, in ranks: a
-        pair gets the highest level at which it shares a block.  Undoing
-        each level's splits, top level first, gives each pair its value
-        once."""
-        side_a: List[List[int]] = [[] for _ in self.members]
-        side_b: List[List[int]] = [[] for _ in self.members]
-        for x, b in enumerate(self.block):
-            if x < self.na:
-                side_a[b].append(x)
-            if x >= self.offset:
-                side_b[b].append(x - self.offset)
-        z = [[0] * self.nb for _ in range(self.na)]
 
-        def fill(xs, ys, value):
+class NestedPartitions:
+    """The greatest bisimulation between two models, kept as the nested
+    partitions that :class:`_Refinement` leaves: the final blocks of the
+    disjoint union, the splits in order and the level marks.  No n_a × n_b
+    matrix is built unless :attr:`relation` is asked for.
+
+    ``mode`` is ``"fuzzy"`` or ``"crisp"``; every degree is 0 or 1 in crisp
+    mode by construction.  ``at`` reads one pair, ``nonzero`` lists the
+    pairs of nonzero degree at a cost that follows their number, and
+    ``relation`` is the dense :class:`FuzzyRelation` of the same read-out.
+    Under U every rank is capped at ``cap``, the least row or column
+    maximum (module docstring); otherwise ``cap`` is the top.  The class
+    defines no equality of its own: compare two results through their
+    ``relation``.
+    """
+
+    def __init__(self, ia: Interpretation, ib: Interpretation, ctx: _Context,
+                 refined: _Refinement, mode: str):
+        self.mode = mode
+        self.rows, self.cols, self.universe = ctx.dom_a, ctx.dom_b, ctx.universe
+        self._index_a, self._index_b = ia.index, ib.index
+        self.block, self.splits, self.marks = refined.block, refined.splits, refined.marks
+        self.na, self.nb, self.offset, self.top = refined.na, refined.nb, refined.offset, refined.top
+        # blocks are numbered in order of creation: the initial ones, then
+        # one per split
+        self.initial = len(refined.members) - len(refined.splits)
+        self.cap = self._cap() if ctx.features.universal else self.top
+
+    def _merges(self) -> Iterator[Tuple[int, int, int]]:
+        """The splits of levels 2 and up undone, top level first, as
+        ``(new, old, w)``: merging block ``new`` back into ``old`` joins
+        pairs of rank w.  Those of level 1 part pairs of rank 0 and stay."""
+        splits, marks = self.splits, self.marks
+        for w in range(len(marks) - 1, 0, -1):
+            for new, old in reversed(splits[marks[w - 1]:marks[w]]):
+                yield new, old, w
+
+    def _cap(self) -> int:
+        """The least row or column maximum of the A × B part, in ranks: the
+        highest level whose blocks all hold elements of both models, found
+        by merging blocks back, top level first, until none lacks one."""
+        sides = [0] * (self.initial + len(self.splits))
+        for x, b in enumerate(self.block):
+            sides[b] |= (x < self.na) + 2 * (x >= self.offset)
+        unmixed = len(sides) - sides.count(3)
+        if not unmixed:
+            return self.top
+        for new, old, w in self._merges():
+            unmixed -= (sides[new] != 3) + (sides[old] != 3)
+            sides[old] |= sides[new]
+            unmixed += sides[old] != 3
+            if not unmixed:
+                return w
+        return 0
+
+    def at(self, x: str, y: str) -> Fraction:
+        """The degree of ``(x, y)``, looked up in the read-out row of x."""
+        try:
+            i, j = self._index_a(x), self._index_b(y)
+        except ModelError as exc:
+            raise InputError(str(exc)) from None
+        ys, ranks = self._readout[i]
+        k = bisect_left(ys, j)
+        return self.universe[ranks[k]] if k < len(ys) and ys[k] == j else ZERO
+
+    @cached_property
+    def _readout(self) -> List[Tuple[List[int], List[int]]]:
+        """Per element of A, the elements of B in its level-1 block, in
+        document order, and their ranks, capped; every one is at least 1,
+        and with a cap of 0 there are none.  The splits of level 2 and up
+        are undone as in :meth:`_merges`, and the pairs across a merge get
+        its rank, each pair once."""
+        block, na, nb, offset, cap = self.block, self.na, self.nb, self.offset, self.cap
+        if not cap:
+            return [([], [])] * na
+        # the level-1 block of each block: a split of level 2 or up leaves
+        # its new block in the level-1 block of the one it left
+        root = list(range(self.initial + len(self.splits)))
+        for new, old in self.splits[self.marks[0]:]:
+            root[new] = root[old]
+        side_a: List[List[int]] = [[] for _ in root]
+        side_b: List[List[int]] = [[] for _ in root]
+        line: List[List[int]] = [[] for _ in root]
+        at = [0] * nb  # each element of B's place in its level-1 block's line
+        for j in range(nb):
+            b = block[offset + j]
+            side_b[b].append(j)
+            at[j] = len(line[root[b]])
+            line[root[b]].append(j)
+        ranks = [[0] * len(line[root[block[i]]]) for i in range(na)]
+        for i in range(na):
+            side_a[block[i]].append(i)
+
+        def fill(xs, ys, rank):
+            rank = rank if rank < cap else cap
             for i in xs:
-                row = z[i]
+                row = ranks[i]
                 for j in ys:
-                    row[j] = value
+                    row[at[j]] = rank
 
         for xs, ys in zip(side_a, side_b):
             fill(xs, ys, self.top)
-        marks = [0] + self.marks
-        # the splits of level w part pairs of value w - 1; of level 1, of 0
-        for w in range(len(self.marks), 1, -1):
-            for new, old in reversed(self.splits[marks[w - 1]:marks[w]]):
-                fill(side_a[new], side_b[old], w - 1)
-                fill(side_a[old], side_b[new], w - 1)
-                side_a[old] += side_a[new]
-                side_b[old] += side_b[new]
-        return z
+        for new, old, w in self._merges():
+            fill(side_a[new], side_b[old], w)
+            fill(side_a[old], side_b[new], w)
+            side_a[old] += side_a[new]
+            side_b[old] += side_b[new]
+        return [(line[root[block[i]]], ranks[i]) for i in range(na)]
+
+    def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
+        """``(x, y, degree)`` for every pair of nonzero degree, row by row
+        in document order; each rank is one degree object."""
+        cols, universe = self.cols, self.universe
+        for x, (ys, ranks) in zip(self.rows, self._readout):
+            for j, r in zip(ys, ranks):
+                yield x, cols[j], universe[r]
+
+    @cached_property
+    def relation(self) -> FuzzyRelation:
+        """The dense relation, built on first use."""
+        matrix = [[ZERO] * self.nb for _ in range(self.na)]
+        universe = self.universe
+        for row, (ys, ranks) in zip(matrix, self._readout):
+            for j, r in zip(ys, ranks):
+                row[j] = universe[r]
+        return FuzzyRelation(self.rows, self.cols, matrix)
+
+
+@dataclass(frozen=True)
+class BisimilarityResult:
+    holds: bool
+    witness: NestedPartitions
+    failing_individual: Optional[str] = None
 
 
 def greatest_bisim(
@@ -365,22 +479,18 @@ def greatest_bisim(
     ib: Interpretation,
     features: FeatureSet,
     mode: str = "fuzzy",
-) -> CandidateRelation:
+) -> NestedPartitions:
     """The pointwise-greatest (fuzzy or crisp) bisimulation.
 
     Refines nested partitions of the disjoint union of the two models
-    without U and reads the pairs across off them; under U every entry is
-    then capped by the least row or column maximum.  The module docstring
-    shows why this is the greatest bisimulation.
+    without U and keeps them; a pair's degree is read off them on request,
+    capped under U by the least row or column maximum.  The module
+    docstring shows why this is the greatest bisimulation.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     ctx = _Context(ia, ib, features)
-    z = _Refinement(ctx, mode == "crisp").cross()
-    if features.universal:
-        c = min(min(map(max, z)), min(map(max, zip(*z))))
-        z = [[v if v < c else c for v in row] for row in z]
-    return CandidateRelation(ctx.relation(z), mode)
+    return NestedPartitions(ia, ib, ctx, _Refinement(ctx, mode == "crisp"), mode)
 
 
 def bisimilar(

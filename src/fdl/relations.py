@@ -1,12 +1,14 @@
 """Dense fuzzy relations between two ordered element sequences.
 
 A relation stores one degree for every (row, col) pair; absence is not a
-state.  It holds what is naturally dense: bisimulation candidates Z, which
-relate every pair, and outputs such as ``eval_role`` and the
-indistinguishability matrices.  Roles of an interpretation are stored
+state.  It holds what is naturally dense: candidate relations Z, which
+``check`` tests at every pair, and outputs such as ``eval_role`` and the
+indistinguishability matrices.  The greatest bisimulation is not one by
+default: :mod:`fdl.refinement` keeps it as nested partitions and builds a
+relation from them only when asked.  Roles of an interpretation are stored
 sparsely in :mod:`fdl.interp`, and the evaluator never builds a relation
-for them.  Both are read from lists of ``[x, y, degree]`` by
-:func:`read_triples`.  Instances are immutable.
+for them.  Roles and candidates are read from lists of ``[x, y, degree]``
+by :func:`read_triples`.  Instances are immutable.
 """
 
 from __future__ import annotations

@@ -794,6 +794,62 @@ class TestGappedCountingLevels:
         assert fuzzy.at("h3", "h5") == F(3, 200)
 
 
+class TestPartitionResult:
+    """The greatest bisimulation kept as nested partitions: ``at`` on every
+    pair, the nonzero listing and the dense ``relation`` read the same
+    degrees, and those are the pairwise fixpoint's."""
+
+    @staticmethod
+    def random_pair(rng):
+        """A random model of 1-8 elements and the same object, a shuffled
+        copy, a shuffled copy with one concept degree redrawn (where a U cap
+        lowers entries), or another random model."""
+        pool = rng.choice([POOL3, POOL4])
+        shape = dict(individual_names=("a",), density=rng.choice([0.2, 0.4]))
+        ia = random_model(rng, "x", rng.randint(1, 8), pool, **shape)
+        kind = rng.random()
+        if kind < 0.15:
+            return ia, ia
+        if kind < 0.4:
+            return ia, shuffled_copy(rng, ia, "y")
+        if kind < 0.8:
+            concepts = {"A": dict(zip(ia.domain, ia.concepts["A"]))}
+            concepts["A"][rng.choice(ia.domain)] = rng.choice(pool)
+            roles = {name: list(ia.edges(name)) for name in ia.roles}
+            other = Interpretation(ia.domain, ia.individuals, concepts, roles)
+            return ia, shuffled_copy(rng, other, "y")
+        return ia, random_model(rng, "y", rng.randint(1, 8), pool, **shape)
+
+    def test_readouts_agree_with_fixpoint(self):
+        rng = random.Random("partitions")
+        capped = graded = 0
+        for _ in range(400):
+            ia, ib = self.random_pair(rng)
+            features = replace(random_features(rng), universal=rng.random() < 0.5)
+            for mode in ("fuzzy", "crisp"):
+                got = greatest_bisim(ia, ib, features, mode)
+                dense = got.relation
+                assert [got.at(x, y) for x in ia.domain for y in ib.domain] == [
+                    v for _x, _y, v in dense.entries()]
+                assert list(got.nonzero()) == [(x, y, v) for x, y, v in dense.entries() if v]
+                assert dense == fixpoint_greatest(ia, ib, features, mode).relation
+                if features.universal and any(v for _x, _y, v in got.nonzero()):
+                    uncapped = greatest_bisim(ia, ib, replace(features, universal=False), mode)
+                    capped += dense != uncapped.relation
+                graded += any(0 < v < 1 for _x, _y, v in got.nonzero())
+        # the pairs exercise partial degrees and a cap that lowers entries
+        # without emptying the relation
+        assert graded >= 50 and capped >= 8
+
+    def test_unknown_element_is_an_input_error(self):
+        ia, ib = hub_pair()
+        got = greatest_bisim(ia, ib, NO_FEATURES)
+        for x, y in (("zz", "u'"), ("u", "zz"), ("u'", "u")):
+            with pytest.raises(InputError, match="unknown element") as info:
+                got.at(x, y)
+            assert type(info.value) is InputError
+
+
 class TestClosureLaws:
     def test_handmade_sup_of_bisimulations(self):
         ia, ib = hub_pair()

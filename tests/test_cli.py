@@ -89,8 +89,7 @@ class TestBisim:
             ["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "", "--mode", "fuzzy"]
         )
         assert code == 0
-        row = [line for line in out.splitlines() if line.startswith("u ")][0]
-        assert "0.8" in row
+        assert out == "   u'   v'   w'\nu  0.8  0    0\nv  0    1    0.8\nw  0    0.8  1\n"
 
     def test_json_reparses_into_relation_document(self, files):
         code, out, _ = run_cli(
@@ -106,13 +105,15 @@ class TestBisim:
 
     def test_output_file(self, files, tmp_path):
         target = tmp_path / "rel.json"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             ["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "",
              "--mode", "crisp", "-o", str(target)]
         )
         assert code == 0
-        doc = json.loads(target.read_text())
-        assert doc["mode"] == "crisp"
+        assert out == "   u'  v'  w'\nu  0   0   0\nv  0   1   0\nw  0   0   1\n"
+        assert target.read_bytes() == (json.dumps(
+            {"mode": "crisp", "entries": [["v", "v'", "1"], ["w", "w'", "1"]]}, indent=2
+        ) + "\n").encode()
 
     def test_unwritable_output_file(self, files, tmp_path):
         for target in (tmp_path / "missing" / "rel.json", tmp_path):
@@ -122,6 +123,50 @@ class TestBisim:
             )
             assert code == 2 and out == ""
             assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+HUB_ENTRIES = [
+    ["u", "u'", "0.8"], ["v", "v'", "1"], ["v", "w'", "0.8"], ["w", "v'", "0.8"], ["w", "w'", "1"],
+]
+FOLD_CRISP_ENTRIES = [["u", "u'", "1"], ["v1", "v1'", "1"], ["v2", "v2'", "1"], ["v3", "v2'", "1"]]
+
+
+class TestRelationOutputPinned:
+    """The exact ``--json`` bytes of ``bisim`` and ``bisimilar``."""
+
+    @staticmethod
+    def pair(files, name):
+        return ["-l", files[f"{name}_a"], "-r", files[f"{name}_b"]]
+
+    @pytest.mark.parametrize("name, features, mode, entries", [
+        ("hub", "", "fuzzy", HUB_ENTRIES),
+        ("fold", "", "crisp", FOLD_CRISP_ENTRIES),
+        # the U cap, 0.7, lowers the entries of 0.8 and 1
+        ("hub", "I,U", "fuzzy", [[x, y, "0.7"] for x, y, _d in HUB_ENTRIES]),
+    ])
+    def test_bisim_json(self, files, name, features, mode, entries):
+        code, out, _ = run_cli(["--json", "bisim", *self.pair(files, name),
+                                "--features", features, "--mode", mode])
+        assert code == 0
+        assert out == json.dumps({"mode": mode, "entries": entries}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("features, mode, expected", [
+        ("O,U,Self,N2", "crisp", (0, True, None, FOLD_CRISP_ENTRIES)),
+        # every entry capped at 0.3, the individual's too
+        ("I,U", "fuzzy", (1, False, "a", [
+            ["u", "u'", "0.3"], ["v1", "v1'", "0.3"], ["v1", "v2'", "0.3"], ["v2", "v1'", "0.3"],
+            ["v2", "v2'", "0.3"], ["v3", "v1'", "0.3"], ["v3", "v2'", "0.3"],
+        ])),
+    ])
+    def test_bisimilar_json(self, files, features, mode, expected):
+        exit_code, holds, failing, entries = expected
+        code, out, _ = run_cli(["--json", "bisimilar", *self.pair(files, "fold"),
+                                "--features", features, "--mode", mode])
+        assert code == exit_code
+        assert out == json.dumps({
+            "bisimilar": holds, "mode": mode, "failing_individual": failing,
+            "witness": {"mode": mode, "entries": entries},
+        }, indent=2) + "\n"
 
 
 class TestLazyHumanText:
