@@ -33,15 +33,15 @@ n-th-largest and the Goedel residuum, which only ever select among their
 inputs or return 1, so the tables can hold ranks instead of degrees.  Rank
 k is the k-th smallest degree of the universe, so rank 0 is degree 0 and
 the top rank is degree 1, and the operations above act on ranks exactly as
-on the degrees they stand for.  The universe is :func:`degree_universe` of
-the two models, plus the values of a candidate relation when a caller
-supplies one.  Ranks turn back into ``Fraction`` degrees only at the API
-edge: in :class:`CandidateRelation`, in :class:`Violation`, in the value of
-:func:`condition_bound` and in the read-out of
-:class:`fdl.refinement.NestedPartitions`.  :mod:`fdl.refinement` computes
-the greatest bisimulation from the same table, as nested partitions whose
-levels are ranks, so its entries lie in the degree universe of the two
-models.
+on the degrees they stand for.  :func:`fdl.interp.degree_ranks` ranks the
+degrees of the two models, plus the values of a candidate relation when a
+caller supplies one, as integers.  Ranks turn back into ``Fraction`` degrees
+only at the API edge: in :class:`CandidateRelation`, in :class:`Violation`,
+in the value of :func:`condition_bound` and in the read-out of
+:class:`fdl.refinement.NestedPartitions`.  :mod:`fdl.refinement` ranks the
+models the same way, reads the same bounds and individual pairs, and
+computes the greatest bisimulation from this table as nested partitions
+whose levels are ranks, in the degree universe of the two models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -70,7 +70,6 @@ different counts.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -79,7 +78,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
-from .interp import Interpretation, coded_predecessors, coded_successors, degree_objects
+from .interp import Interpretation, coded_predecessors, coded_successors, degree_ranks
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -188,20 +187,13 @@ class _Context:
     degree object of the models and of ``extra`` to its rank.
     """
 
-    def __init__(
-        self, ia: Interpretation, ib: Interpretation, features: FeatureSet, extra=()
-    ):
+    def __init__(self, ia: Interpretation, ib: Interpretation, features: FeatureSet, extra=()):
         self.features = features
         self.dom_a, self.dom_b = ia.domain, ib.domain
         self.na, self.nb = len(ia.domain), len(ib.domain)
-        same = self.same = ib is ia  # an auto-bisimulation reads one set of tables twice
-        found = degree_objects(*((ia,) if same else (ia, ib)))
-        for v in extra:
-            found[id(v)] = v
-        self.universe = tuple(sorted(set(found.values())))
-        self.top = len(self.universe) - 1
-        by_value = {v: k for k, v in enumerate(self.universe)}
-        self.rank = rank = {key: by_value[v] for key, v in found.items()}
+        same = ib is ia  # an auto-bisimulation reads one set of tables twice
+        self.universe, self.rank = degree_ranks(*((ia,) if same else (ia, ib)), extra=extra)
+        self.top, rank = len(self.universe) - 1, self.rank
 
         def tables(name, read):
             table = read(ia)
@@ -224,30 +216,8 @@ class _Context:
                 self.self_loops.append(
                     tables(name, lambda m: [rank[id(v)] for v in m.self_degrees(name)])
                 )
-        self.individual_pairs: List[Tuple[str, int, int]] = []
-        if features.nominals:
-            for name in sorted(set(ia.individuals) | set(ib.individuals)):
-                if name not in ia.individuals or name not in ib.individuals:
-                    raise ModelError(
-                        f"individual {name!r} is not interpreted in both models"
-                    )
-                self.individual_pairs.append(
-                    (name, ia.index(ia.individuals[name]), ib.index(ib.individuals[name]))
-                )
-        # unrestricted bounds: any n beyond the larger domain is vacuous
-        self.q_bounds, self.n_bounds = (
-            tuple(range(1, max(self.na, self.nb) + 1)) if bounds is None else tuple(sorted(bounds))
-            for bounds in (features.q_bounds, features.n_bounds)
-        )
-        # successor sets up to this size meet every bound 1..k, so their
-        # FB6/FB7 rows come from a matching, not from enumerated subsets
-        self.covered = next(
-            (m for m, n in enumerate(self.q_bounds) if n != m + 1), len(self.q_bounds)
-        )
-
-    def ranks(self, rel: FuzzyRelation) -> List[List[int]]:
-        rank = self.rank
-        return [[rank[id(v)] for v in row] for row in rel.matrix]
+        self.individual_pairs = _individual_pairs(ia, ib) if features.nominals else []
+        self.q_bounds, self.n_bounds, self.covered = _bounds(features, self.na, self.nb)
 
     def relation(self, z: Sequence[Sequence[int]]) -> FuzzyRelation:
         universe = self.universe
@@ -255,23 +225,28 @@ class _Context:
             self.dom_a, self.dom_b, [[universe[r] for r in row] for row in z]
         )
 
-    def union(self) -> "_Context":
-        """The disjoint union of the two models as one model compared with
-        itself, B's elements after A's; the context itself when both models
-        are one.  Its individual pairs still index the two models."""
-        if self.same:
-            return self
-        u, na = copy(self), self.na
-        u.na = u.nb = na + self.nb
-        u.dom_a = u.dom_b = self.dom_a + self.dom_b
-        shifted = [
-            (label, a, [[(y + na, d) for y, d in row] for row in b]) for label, a, b in self.basic
-        ]
-        u.conc, u.self_loops, u.basic = (
-            [(name, a + b, a + b) for name, a, b in tables]
-            for tables in (self.conc, self.self_loops, shifted)
-        )
-        return u
+
+def _individual_pairs(ia: Interpretation, ib: Interpretation) -> List[Tuple[str, int, int]]:
+    """``(name, index of a^A, index of a^B)`` for each individual name a of
+    either model, by name; one named in one model only is a ModelError."""
+    pairs = []
+    for name in sorted(set(ia.individuals) | set(ib.individuals)):
+        if name not in ia.individuals or name not in ib.individuals:
+            raise ModelError(f"individual {name!r} is not interpreted in both models")
+        pairs.append((name, ia.index(ia.individuals[name]), ib.index(ib.individuals[name])))
+    return pairs
+
+
+def _bounds(features: FeatureSet, na: int, nb: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """The Q and N bounds in increasing order (unrestricted: up to the
+    larger domain, as any n beyond it is vacuous), and m, where the Q
+    bounds start with 1..m: FB6/FB7 over up to m successors is a matching."""
+    q_bounds, n_bounds = (
+        tuple(range(1, max(na, nb) + 1)) if bounds is None else tuple(sorted(bounds))
+        for bounds in (features.q_bounds, features.n_bounds)
+    )
+    covered = next((m for m, n in enumerate(q_bounds) if n != m + 1), len(q_bounds))
+    return q_bounds, n_bounds, covered
 
 
 def _subset_budget(choices, what: str) -> None:
@@ -290,7 +265,7 @@ def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
     if rel.rows != ia.domain or rel.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
     ctx = _Context(ia, ib, features, [v for row in rel.matrix for v in row])
-    return ctx, ctx.ranks(rel)
+    return ctx, [[ctx.rank[id(v)] for v in row] for row in rel.matrix]
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,15 @@ def _load_model(path: str):
 
 
 def _matrix_table(rel) -> str:
+    # a relation holds few distinct degree objects: each is formatted once
+    texts = {id(v): v for line in rel.matrix for v in line}
+    texts = {key: format_degree(v) for key, v in texts.items()}
     headers = [""] + list(rel.cols)
     rows = [headers]
-    for x in rel.rows:
-        rows.append([x] + [format_degree(rel.at(x, y)) for y in rel.cols])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(headers))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    for x, line in zip(rel.rows, rel.matrix):
+        rows.append([x] + [texts[id(v)] for v in line])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
 
 
 def _emit(out, payload: dict, as_json: bool, human: Callable[[], str]) -> None:

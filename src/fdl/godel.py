@@ -51,10 +51,10 @@ def degree(value) -> Fraction:
         )
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"not a degree: {value!r}")
-    result = value if isinstance(value, Fraction) else Fraction(value)
-    if not ZERO <= result <= ONE:
-        raise InputError(f"degree {format_degree(result)} outside [0, 1]")
-    return result
+    # the denominator is positive, so the range shows on the two integers
+    if not 0 <= value.numerator <= value.denominator:
+        raise InputError(f"degree {format_degree(value)} outside [0, 1]")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)

@@ -152,8 +152,7 @@ class Interpretation:
         built on first use and shared by every evaluator of the model."""
         if self._scale is None:
             found = degree_objects(self)
-            top = lcm(*(d.denominator for d in found.values()))
-            of = {key: d.numerator * (top // d.denominator) for key, d in found.items()}
+            top, of = _scaled(found)
             self._scale = _Scale(top, of, ((of[key], d) for key, d in found.items()))
         return self._scale
 
@@ -242,17 +241,11 @@ def load_interpretation(document) -> Interpretation:
 
 def dump_interpretation(interp: Interpretation) -> dict:
     """Inverse of :func:`load_interpretation`; zero entries are omitted."""
-    concepts = {}
-    for name, row in interp.concepts.items():
-        concepts[name] = {
-            x: format_degree(v)
-            for x, v in zip(interp.domain, row)
-            if v != ZERO
-        }
-    roles = {
-        name: [[x, y, format_degree(v)] for x, y, v in interp.edges(name)]
-        for name in interp.roles
-    }
+    texts = {key: format_degree(v) for key, v in degree_objects(interp).items()}
+    concepts = {name: {x: texts[id(v)] for x, v in zip(interp.domain, row) if v}
+                for name, row in interp.concepts.items()}
+    roles = {name: [[x, y, texts[id(v)]] for x, y, v in interp.edges(name)]
+             for name in interp.roles}
     return {
         "domain": list(interp.domain),
         "individuals": dict(interp.individuals),
@@ -558,13 +551,32 @@ def degree_objects(*interps: Interpretation) -> Dict[int, Fraction]:
     return found
 
 
-def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
-    """Every degree occurring in the given interpretations, plus 0 and 1,
-    in increasing order.
+def _scaled(found: Mapping[int, Fraction]) -> Tuple[int, Dict[int, int]]:
+    """L, the common denominator of ``found`` (degrees by ``id``), and each one's integer over L."""
+    top = lcm(*(d.denominator for d in found.values()))
+    return top, {key: d.numerator * (top // d.denominator) for key, d in found.items()}
 
-    The Goedel connectives other than involutive negation only ever select
-    among their inputs or return 1, so this set is closed under them.  It is
-    the rank alphabet of :mod:`fdl.bisim`: there a degree is stored as its
-    position in this tuple, 0 for degree 0 and ``len - 1`` for degree 1.
-    """
-    return tuple(sorted(set(degree_objects(*interps).values())))
+
+def degree_ranks(*interps: Interpretation, extra=()) -> Tuple[Tuple[Fraction, ...], Dict[int, int]]:
+    """Every degree occurring in the given interpretations, plus 0, 1 and
+    ``extra``, in increasing order, and each degree object's rank (place in
+    that order) by ``id``: the rank alphabet of :mod:`fdl.bisim` and
+    :mod:`fdl.refinement`, closed under the Goedel connectives other than
+    involutive negation, which select among their inputs or return 1.  The
+    degrees are ranked as integers over their common denominator, so no
+    ``Fraction`` is compared or hashed, and ``"0.5"`` and ``"1/2"`` share a
+    rank."""
+    found = degree_objects(*interps)
+    for v in extra:
+        found[id(v)] = v
+    of = _scaled(found)[1]
+    position = {v: k for k, v in enumerate(sorted(set(of.values())))}
+    rank = {key: position[v] for key, v in of.items()}
+    # the first object of each value stands for it: 0 and 1 come first
+    universe = {rank[key]: d for key, d in reversed(found.items())}
+    return tuple([universe[k] for k in range(len(universe))]), rank
+
+
+def degree_universe(*interps: Interpretation) -> Tuple[Fraction, ...]:
+    """The degrees of :func:`degree_ranks`, in increasing order."""
+    return degree_ranks(*interps)[0]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .bisim import _Context
 from .errors import FeatureError, ModelError
 from .godel import ZERO
 from .interp import Interpretation, reachability
@@ -47,7 +46,7 @@ def strong_partition(interp: Interpretation, features: FeatureSet) -> Partition:
     order of their first member, members in document order.
     """
     groups: Dict[int, List[str]] = {}
-    refined = _Refinement(_Context(interp, interp, features), crisp=True)
+    refined = _Refinement(interp, interp, features, crisp=True)
     for x, b in zip(interp.domain, refined.block):
         groups.setdefault(b, []).append(x)
     blocks = tuple(map(tuple, groups.values()))

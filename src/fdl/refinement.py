@@ -11,7 +11,8 @@ auto-bisimulations of A ⊎ B, and the A × B part of an auto-bisimulation
 of A ⊎ B is a bisimulation between A and B: the two greatest ones agree on
 A × B.  Under O an individual name a is a crisp label on a^A and a^B: FB5
 at (x, x') asks x = a^A iff x' = a^B, which is FB2 of a concept that holds
-to degree 1 at a^A and a^B only.
+to degree 1 at a^A and a^B only.  The union is never built as a model: its
+tables are filled straight from the two successor lists of each role.
 
 **Levels.**  Under the Goedel semantics the greatest fuzzy
 auto-bisimulation Z is reflexive, symmetric and min-transitive (Nguyen &
@@ -140,10 +141,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .bisim import MODES, _Context, _subset_budget
+from .bisim import MODES, _bounds, _individual_pairs, _subset_budget
 from .errors import InputError, ModelError
 from .godel import ONE, ZERO
-from .interp import Interpretation
+from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -171,8 +172,10 @@ class _LeastSets:
 
 
 class _Refinement:
-    """The nested partitions of the greatest bisimulation of ``ctx``'s two
-    models without U, refined on their disjoint union (module docstring).
+    """The nested partitions of the greatest bisimulation of ``ia`` and
+    ``ib`` without U, refined on their disjoint union (module docstring),
+    whose per-element tables are filled from the two models in one pass
+    over each role's successor lists, degrees as ranks.
 
     Fuzzy mode refines one partition per level 1..top, each from the one
     below; crisp mode has the one level top.  ``block`` holds the last
@@ -180,65 +183,79 @@ class _Refinement:
     order, and ``marks`` the number of splits at the end of each level.
     """
 
-    def __init__(self, ctx: _Context, crisp: bool):
-        u = ctx.union()
-        n, top = u.na, u.top
-        self.crisp, self.top, self.na, self.nb = crisp, top, ctx.na, ctx.nb
-        self.offset = n - ctx.nb  # where B's elements start
-        succs = [succ for _label, succ, _b in u.basic]
+    def __init__(self, ia: Interpretation, ib: Interpretation, features: FeatureSet,
+                 crisp: bool):
+        models = (ia,) if ib is ia else (ia, ib)  # a model compared with itself is not doubled
+        self.crisp, self.na, self.nb = crisp, len(ia.domain), len(ib.domain)
+        n = sum([len(m.domain) for m in models])
+        self.offset = n - self.nb  # where B's elements start
+        self.universe, rank = degree_ranks(*models)
+        self.top = top = len(self.universe) - 1
+        q_bounds, n_bounds, covered = _bounds(features, self.na, self.nb)
         # per target block, the key counts successors (crisp: keeps degrees)
         # up to this many: m under a covered prefix Q1..Qm, else 1; the
         # bounds above the prefix key the least sets of blocks
-        self.width = u.covered or 1
-        self.gapped = u.q_bounds[u.covered:]
+        self.width = covered or 1
+        self.gapped = q_bounds[covered:]
         # per element: ranks compared clamped at the level (concept and self
         # degrees; per role, its n-th largest successor degree for each N
         # bound n it meets) and what is compared exactly (its names; per
         # role, how many N bounds it meets)
-        columns = [row for _name, row, _b in u.conc + u.self_loops]
-        static = [list(ranks) for ranks in zip(*columns)] or [[] for _ in range(n)]
+        columns = [[rank[id(d)] for m in models for d in m.concept_row(name)]
+                   for name in sorted(set(ia.concepts) | set(ib.concepts))]
+        # per element, its edges under every basic role as (degree, role,
+        # successor), strongest first, and those with an edge into it
+        self.edges, self.incoming = edges, incoming = [[] for _ in range(n)], [[] for _ in range(n)]
+        label = 0
+        for name in sorted(set(ia.roles) | set(ib.roles)):
+            loops = [0] * n
+            for m, start in zip(models, (0, self.offset)):
+                for x, row in enumerate(m.roles.get(name, ()), start):
+                    for j, d in row:
+                        y, r = j + start, rank[id(d)]
+                        edges[x].append((r, label, y))
+                        incoming[y].append(x)
+                        if features.inverse:
+                            edges[y].append((r, label + 1, x))
+                            incoming[x].append(y)
+                        if y == x:
+                            loops[x] = r
+            if features.self_loops:
+                columns.append(loops)
+            label += 1 + features.inverse
+        for row in edges:
+            row.sort(reverse=True)
+        self.static = static = list(zip(*columns)) or [()] * n
         exact: List[list] = [[] for _ in range(n)]
-        for name, xa, xb in ctx.individual_pairs:
+        for name, xa, xb in _individual_pairs(ia, ib) if features.nominals else ():
             for x in {xa, self.offset + xb}:  # one element when the models are one
                 exact[x].append(name)
-        for succ in succs if u.n_bounds else ():
-            for x, row in enumerate(succ):
-                degrees = sorted((d for _y, d in row), reverse=True)
-                met = u.n_bounds[:bisect_right(u.n_bounds, len(degrees))]
+        for x, row in enumerate(edges if n_bounds else ()):
+            for role in range(label):
+                degrees = [d for d, of, _y in row if of == role]
+                met = n_bounds[:bisect_right(n_bounds, len(degrees))]
                 exact[x].append(len(met))
-                static[x] += [degrees[k - 1] for k in met]
-        self.static = list(map(tuple, static))
-        levels = [top] if crisp else range(1, top + 1)
+                static[x] += tuple([degrees[k - 1] for k in met])
         number: dict = {}
-        self.block = [
-            number.setdefault((tuple(exact[x]), self._clamp(x, levels[0])), len(number))
-            for x in range(n)
-        ]
+        self.block = [number.setdefault((tuple(exact[x]), static[x] if crisp else self._clamp(x, 1)),
+                                        len(number)) for x in range(n)]
         self.members: List[Set[int]] = [set() for _ in number]
+        for x, b in enumerate(self.block):
+            self.members[b].add(x)
         # per block, the key its members had when last keyed; members not
         # keyed since still have it
         self.shared: list = [None] * len(number)
-        # per element, its edges under every basic role as (degree, role,
-        # successor), strongest first
-        self.edges = [
-            sorted([(d, label, y) for label, succ in enumerate(succs) for y, d in succ[x]],
-                   reverse=True)
-            for x in range(n)
-        ]
-        # per element, those with an edge into it; per rank r, the elements
-        # whose key level r + 1 can change: those with a static rank or an
-        # edge of rank r
-        self.incoming: List[List[int]] = [[] for _ in range(n)]
-        at_rank: List[Set[int]] = [set() for _ in range(top + 1)]
-        for x, b in enumerate(self.block):
-            self.members[b].add(x)
-            for r in self.static[x]:
-                at_rank[r].add(x)
-            for d, _label, y in self.edges[x]:
-                self.incoming[y].append(x)
-                at_rank[d].add(x)
         self.splits: List[Tuple[int, int]] = []
         self.marks: List[int] = []
+        # fuzzy mode: per rank r, the elements whose key at level r + 1 can
+        # change, those with a static rank or an edge of rank r
+        at_rank: List[Set[int]] = [] if crisp else [set() for _ in range(top + 1)]
+        for x in range(n) if at_rank else ():
+            for r in static[x]:
+                at_rank[r].add(x)
+            for d, _label, _y in edges[x]:
+                at_rank[d].add(x)
+        levels = [top] if crisp else range(1, top + 1)
         for v in levels:
             self._split_by_keys(set(range(n)) if v == levels[0] else at_rank[v - 1], v)
             self.marks.append(len(self.splits))
@@ -251,14 +268,18 @@ class _Refinement:
     def _key(self, x: int, v: int) -> tuple:
         """What x shares with its block at level v: its clamped static ranks
         and, per basic role and target block, how many successors of degree
-        >= v it has there, up to ``width`` (crisp: the ``width`` largest
-        degrees of its successors there); under gapped bounds also its least
-        sets, listed only when compared."""
+        >= v it has there, up to ``width`` (crisp: the strongest degree of
+        its successors there, or the ``width`` strongest); under gapped
+        bounds also its least sets, listed only when compared."""
         block, width, found = self.block, self.width, {}
-        if self.crisp:
+        if self.crisp and (width > 1 or self.gapped):
             for d, label, y in self.edges[x]:
                 found.setdefault((label, block[y]), []).append(d)
             key = self.static[x], frozenset((at, tuple(ds[:width])) for at, ds in found.items())
+        elif self.crisp:  # edges come strongest first
+            for d, label, y in self.edges[x]:
+                found.setdefault((label, block[y]), d)
+            key = self.static[x], frozenset(found.items())
         else:
             for d, label, y in self.edges[x]:
                 if d < v:
@@ -355,17 +376,17 @@ class NestedPartitions:
     ``relation``.
     """
 
-    def __init__(self, ia: Interpretation, ib: Interpretation, ctx: _Context,
-                 refined: _Refinement, mode: str):
+    def __init__(self, ia: Interpretation, ib: Interpretation, refined: _Refinement,
+                 mode: str, universal: bool):
         self.mode = mode
-        self.rows, self.cols, self.universe = ctx.dom_a, ctx.dom_b, ctx.universe
+        self.rows, self.cols, self.universe = ia.domain, ib.domain, refined.universe
         self._index_a, self._index_b = ia.index, ib.index
         self.block, self.splits, self.marks = refined.block, refined.splits, refined.marks
         self.na, self.nb, self.offset, self.top = refined.na, refined.nb, refined.offset, refined.top
         # blocks are numbered in order of creation: the initial ones, then
         # one per split
         self.initial = len(refined.members) - len(refined.splits)
-        self.cap = self._cap() if ctx.features.universal else self.top
+        self.cap = self._cap() if universal else self.top
 
     def _merges(self) -> Iterator[Tuple[int, int, int]]:
         """The splits of levels 2 and up undone, top level first, as
@@ -489,8 +510,8 @@ def greatest_bisim(
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-    ctx = _Context(ia, ib, features)
-    return NestedPartitions(ia, ib, ctx, _Refinement(ctx, mode == "crisp"), mode)
+    refined = _Refinement(ia, ib, features, mode == "crisp")
+    return NestedPartitions(ia, ib, refined, mode, features.universal)
 
 
 def bisimilar(
@@ -502,18 +523,10 @@ def bisimilar(
     """Decide whether every named individual pair gets degree 1 in the
     greatest bisimulation (fuzzy: bisimilarity; crisp: strong bisimilarity).
     """
-    names = list(ia.individuals) + [
-        n for n in ib.individuals if n not in ia.individuals
-    ]
-    if not names:
-        raise ModelError(
-            "bisimilarity of interpretations is undefined without named individuals"
-        )
-    for name in names:
-        if name not in ia.individuals or name not in ib.individuals:
-            raise ModelError(f"individual {name!r} is not interpreted in both models")
+    if not _individual_pairs(ia, ib):  # a name in one model only raises
+        raise ModelError("bisimilarity of interpretations is undefined without named individuals")
     greatest = greatest_bisim(ia, ib, features, mode)
-    for name in names:
+    for name in ia.individuals:
         if greatest.at(ia.individuals[name], ib.individuals[name]) != ONE:
             return BisimilarityResult(False, greatest, failing_individual=name)
     return BisimilarityResult(True, greatest)

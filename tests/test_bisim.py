@@ -34,7 +34,9 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
-from fdl.godel import format_degree, godel_implies
+from fdl.bisim import MODES
+from fdl.godel import ONE, ZERO, format_degree, godel_implies
+from fdl.interp import degree_objects, degree_ranks, load_interpretation
 from helpers import (
     POOL3, POOL4, chain_pair, counting_hub_pair, counting_subsets, disjoint_union,
     doubled_hub_pair, fixpoint_greatest, random_features, random_model, shuffled_copy,
@@ -850,6 +852,60 @@ class TestPartitionResult:
             assert type(info.value) is InputError
 
 
+class TestDegreeRanks:
+    """Degrees are ranked by value, not by the text or object they come
+    from: ``"0.5"`` and ``"1/2"``, or ``"1"``, ``"1.0"`` and the constant 1,
+    are distinct objects with one rank."""
+
+    @staticmethod
+    def model(prefix, half, one, a_at_x=None):
+        """x -r-> y -r-> z -r-> x, graded ``half``, ``one``, ``"1/4"``, with
+        A at x (``half`` unless given) and y; z has no A, and x an s-loop."""
+        x, y, z = (prefix + name for name in "xyz")
+        return load_interpretation({
+            "domain": [x, y, z], "individuals": {"a": x},
+            "concepts": {"A": {x: a_at_x or half, y: one}},
+            "roles": {"r": [[x, y, half], [y, z, one], [z, x, "1/4"]], "s": [[x, x, one]]},
+        })
+
+    def pairs(self):
+        zero_one = load_interpretation({
+            "domain": ["p", "q"], "individuals": {"a": "p"},
+            "concepts": {"A": {"p": "1", "q": "0"}}, "roles": {"r": [["p", "q", "1.0"]]},
+        })
+        ia = self.model("", "0.5", "1")
+        return [(ia, self.model("b", "1/2", "1.0")), (ia, ia), (zero_one, zero_one),
+                (zero_one, ia), (ia, self.model("c", "1/2", "1.0", a_at_x="1"))]
+
+    def test_one_rank_per_value(self):
+        (ia, ib), _same, (zero_one, _) = self.pairs()[:3]
+        for models, values in (((ia, ib), (0, F(1, 4), F(1, 2), 1)), ((zero_one,), (0, 1))):
+            found = degree_objects(*models)
+            universe, rank = degree_ranks(*models)
+            assert universe == values == degree_universe(*models)
+            assert universe[0] is found[id(ZERO)] and universe[-1] is found[id(ONE)]
+            assert all(universe[rank[key]] == d for key, d in found.items())
+            # two objects of 1/2 and three of 1 (two of 0 and 1 in zero_one)
+            assert len(found) > len(universe)
+
+    def test_written_two_ways_is_bisimilar(self):
+        ia, ib = self.pairs()[0]
+        for mode in MODES:
+            result = bisimilar(ia, ib, FeatureSet.parse("I"), mode)
+            assert result.holds and result.witness.at("y", "by") == 1
+
+    @pytest.mark.parametrize("text", ["", "I", "I,U"])
+    def test_matches_fixpoint(self, text):
+        features = FeatureSet.parse(text)
+        graded = 0
+        for ia, ib in self.pairs():
+            for mode in MODES:
+                got = greatest_bisim(ia, ib, features, mode).relation
+                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                graded += any(0 < v < 1 for _x, _y, v in got.entries())
+        assert graded
+
+
 class TestClosureLaws:
     def test_handmade_sup_of_bisimulations(self):
         ia, ib = hub_pair()
@@ -908,6 +964,18 @@ class TestBisimilar:
         ib = Interpretation(["v"], {"b": "v"})
         with pytest.raises(ModelError):
             bisimilar(ia, ib, NO_FEATURES, "fuzzy")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nominals_need_every_individual_in_both(self, mode):
+        # under O, FB5 compares a^A with a^B; an individual named in one
+        # model only is a model error, not a failed condition
+        ia = Interpretation(["u", "v"], {"a": "u", "b": "v"})
+        ib = Interpretation(["u'"], {"a": "u'"})
+        message = "individual 'b' is not interpreted in both models"
+        for features in (FeatureSet.parse("O"), FeatureSet.parse("I,O,U")):
+            with pytest.raises(ModelError, match=message):
+                greatest_bisim(ia, ib, features, mode)
+        assert greatest_bisim(ia, ib, NO_FEATURES, mode).at("u", "u'") == 1
 
 
 class TestRelationDocuments:

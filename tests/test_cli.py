@@ -91,6 +91,16 @@ class TestBisim:
         assert code == 0
         assert out == "   u'   v'   w'\nu  0.8  0    0\nv  0    1    0.8\nw  0    0.8  1\n"
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_individual_in_one_model_under_nominals(self, files, tmp_path, mode):
+        # hub_b names no individual; FB5 needs every name in both models
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps(dump_interpretation(twin_islands())))
+        code, out, err = run_cli(["bisim", "-l", str(named), "-r", files["hub_b"],
+                                  "--features", "O", "--mode", mode])
+        assert (code, out) == (2, "")
+        assert err == "error: individual 'a' is not interpreted in both models\n"
+
     def test_json_reparses_into_relation_document(self, files):
         code, out, _ = run_cli(
             ["--json", "bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "", "--mode", "fuzzy"]

@@ -88,6 +88,26 @@ class TestDegreeParsing:
         with pytest.raises(InputError):
             degree(value)
 
+    @pytest.mark.parametrize("value,message", [
+        (0.9, "refusing float degree 0.9: pass a string such as '0.9' or a Fraction"),
+        (True, "not a degree: True"),
+        ("0.5", None),
+        (F(3, 2), "degree 1.5 outside [0, 1]"),
+        (F(-1, 2), "degree -.5 outside [0, 1]"),
+        (2, "degree 2 outside [0, 1]"),
+        (-1, "degree -1 outside [0, 1]"),
+        (F(1), None),
+        (0, None),
+    ])
+    def test_range_checked_on_integers(self, value, message):
+        # the range test reads a Fraction's numerator and denominator
+        if message is None:
+            assert 0 <= degree(value) <= 1
+        else:
+            with pytest.raises(InputError) as info:
+                degree(value)
+            assert str(info.value).startswith(message)
+
     @pytest.mark.parametrize(
         "value,text",
         [
