@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Callable, List, Optional
 
@@ -64,9 +65,33 @@ def _matrix_table(rel) -> str:
     return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
 
 
+def _indented(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, written out here: with an indent,
+    ``json`` leaves its C encoder for a pure-Python one.  Strings go to
+    the C string encoder, other scalars and non-string keys to
+    ``json.dumps``."""
+    if isinstance(value, str):
+        return _string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        items = [_string(k if isinstance(k, str) else json.dumps(k)) + ": " + _indented(v, inner)
+                 for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        opening, closing = "[", "]"
+        items = [_indented(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    return opening + inner + ("," + inner).join(items) + indent + closing
+
+
 def _emit(out, payload: dict, as_json: bool, human: Callable[[], str]) -> None:
     """Print the payload as JSON, or the human text, built only here."""
-    print(json.dumps(payload, indent=2) if as_json else human(), file=out)
+    print(_indented(payload) if as_json else human(), file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +125,7 @@ def _bisim(args, out) -> int:
     document = dump_relation(result)
     if args.output:
         try:
-            Path(args.output).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+            Path(args.output).write_text(_indented(document) + "\n", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(out, document, args.json, lambda: _matrix_table(result.relation))
@@ -149,7 +174,7 @@ def _minimize(args, out) -> int:
     if args.command == "minimize":
         model = quotient(model, args.features)
     document = dump_interpretation(model)
-    print(json.dumps(document, indent=None if args.json else 2), file=out)
+    print(json.dumps(document) if args.json else _indented(document), file=out)
     return 0
 
 

@@ -67,7 +67,10 @@ class Interpretation:
 
     Each role name is stored as per-element successor lists of
     ``(index, degree)`` pairs, sorted by index, with zero degrees dropped.
-    The integer scale is built on first use.
+    The constructor checks and converts the parts of a model document;
+    :meth:`_of_parts` stores parts that are already in that form, as
+    :mod:`fdl.minimize` builds them from a valid model.  The integer scale
+    is built on first use.
     """
 
     __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_scale")
@@ -81,47 +84,50 @@ class Interpretation:
     ):
         if not isinstance(domain, (list, tuple)) or not all(isinstance(x, str) for x in domain):
             raise ModelError("the domain must be a list of element id strings")
-        self.domain: Tuple[str, ...] = tuple(domain)
-        if not self.domain:
+        if not domain:
             raise ModelError("the domain must be nonempty")
-        if len(set(self.domain)) != len(self.domain):
+        index = {x: i for i, x in enumerate(domain)}
+        if len(index) != len(domain):
             raise ModelError("duplicate element ids in the domain")
-        self._index = {x: i for i, x in enumerate(self.domain)}
         for what, value in (("individuals", individuals), ("concepts", concepts), ("roles", roles)):
             if not isinstance(value, (Mapping, type(None))):
                 raise ModelError(f"{what} must be a JSON object, got {value!r}")
 
-        self.individuals: Dict[str, str] = dict(individuals or {})
-        for name, target in self.individuals.items():
-            if not isinstance(target, str) or target not in self._index:
+        individuals = dict(individuals or {})
+        for name, target in individuals.items():
+            if not isinstance(target, str) or target not in index:
                 raise ModelError(f"individual {name!r} maps to unknown element {target!r}")
 
-        self.concepts: Dict[str, Tuple[Fraction, ...]] = {}
+        rows: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
             if not isinstance(valuation, Mapping):
                 raise ModelError(f"concept {name!r} must map elements to degrees")
-            row = [ZERO] * len(self.domain)
+            row = [ZERO] * len(domain)
             for element, value in valuation.items():
-                if element not in self._index:
+                if element not in index:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[self._index[element]] = degree(value)
-            self.concepts[name] = tuple(row)
+                row[index[element]] = degree(value)
+            rows[name] = tuple(row)
 
-        self.roles: Dict[str, Tuple[Edges, ...]] = {
-            name: self._coerce_role(name, value) for name, value in (roles or {}).items()
-        }
-        self._scale: Optional[_Scale] = None
+        successors = {name: _successor_lists(name, value, index)
+                      for name, value in (roles or {}).items()}
+        self._fill(tuple(domain), index, individuals, rows, successors)
 
-    def _coerce_role(self, name: str, triples) -> Tuple[Edges, ...]:
-        """Successor lists from a list of ``[x, y, degree]`` edges."""
-        edges = read_triples(triples, self._index, self._index, f"role {name!r}", ModelError)
-        succ: List[List[Tuple[int, Fraction]]] = [[] for _ in self.domain]
-        for (i, j), d in edges.items():
-            if d.numerator:
-                succ[i].append((j, d))
-        return tuple([tuple(sorted(row)) for row in succ])
+    @classmethod
+    def _of_parts(cls, domain, individuals, concepts, roles) -> "Interpretation":
+        """An interpretation from parts already in the stored form above,
+        which the caller vouches for: a tuple of distinct element ids,
+        individuals on them, concept rows of degree objects, and role
+        successor lists."""
+        interp = cls.__new__(cls)
+        interp._fill(domain, {x: i for i, x in enumerate(domain)}, individuals, concepts, roles)
+        return interp
+
+    def _fill(self, domain, index, individuals, concepts, roles) -> None:
+        self.domain, self._index, self.individuals = domain, index, individuals
+        self.concepts, self.roles, self._scale = concepts, roles, None
 
     # -- accessors -------------------------------------------------------
 
@@ -189,6 +195,16 @@ class Interpretation:
             f"individuals={self.individuals!r}, "
             f"concepts={sorted(self.concepts)!r}, roles={sorted(self.roles)!r})"
         )
+
+
+def _successor_lists(name: str, triples, index: Mapping[str, int]) -> Tuple[Edges, ...]:
+    """Successor lists from a role's list of ``[x, y, degree]`` edges."""
+    edges = read_triples(triples, index, index, f"role {name!r}", ModelError)
+    succ: List[List[Tuple[int, Fraction]]] = [[] for _ in index]
+    for (i, j), d in edges.items():
+        if d.numerator:
+            succ[i].append((j, d))
+    return tuple([tuple(sorted(row)) for row in succ])
 
 
 def coded_successors(succ: Sequence[Edges], code: Mapping[int, int]) -> List[List[Tuple[int, int]]]:

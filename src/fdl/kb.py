@@ -131,8 +131,11 @@ def _failure(
     if isinstance(item, Gci):
         check = _GCI_REL[item.rel]
         values = evaluator.concept_values(Implies(item.lhs, item.rhs))
-        for x, value in zip(interp.domain, values):
-            if not check(value, item.threshold):
+        # the values share a few degree objects: each is compared once
+        distinct = {id(v): v for v in values}
+        failing = {key for key, v in distinct.items() if not check(v, item.threshold)}
+        for x, value in zip(interp.domain, values) if failing else ():
+            if id(value) in failing:
                 return ValidationResult(False, item, x)
         return None
     if isinstance(item, SameIndividual):

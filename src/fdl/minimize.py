@@ -11,6 +11,10 @@ the model alone: the blocks of its partition are the classes, an
 equivalence by construction.  That module's docstring derives the keys
 from the condition table of :mod:`fdl.bisim`; U never binds there, since
 the rows and columns of a reflexive Z reach 1.
+
+The quotient and the pruned model are built from the source's concept
+rows and successor lists and stored by ``Interpretation._of_parts``: the
+source is valid, so its degrees, names and edges need no second check.
 """
 
 from __future__ import annotations
@@ -81,30 +85,26 @@ def quotient(interp: Interpretation, features: FeatureSet) -> Interpretation:
     """
     _require_quotient_features(features)
     partition = strong_partition(interp, features)
-    ids = [_block_id(members) for members in partition.blocks]
+    ids = tuple([_block_id(members) for members in partition.blocks])
     individuals = {
         name: ids[partition.block_of[target]]
         for name, target in interp.individuals.items()
     }
     reps = [interp.index(members[0]) for members in partition.blocks]
-    concepts = {
-        name: {block_id: row[i] for block_id, i in zip(ids, reps)}
-        for name, row in interp.concepts.items()
-    }
+    concepts = {name: tuple([row[i] for i in reps]) for name, row in interp.concepts.items()}
     block = [partition.block_of[x] for x in interp.domain]
     roles = {}
-    for name in interp.roles:
-        successors = interp.successors(name)
-        edges = []
-        for src_id, i in zip(ids, reps):
+    for name, successors in interp.roles.items():
+        rows = []
+        for i in reps:
             sup: Dict[int, Fraction] = {}
             for j, d in successors[i]:
                 b = block[j]
                 if d > sup.get(b, ZERO):
                     sup[b] = d
-            edges += [(src_id, ids[b], d) for b, d in sup.items()]
-        roles[name] = edges
-    return Interpretation(ids, individuals, concepts, roles)
+            rows.append(tuple(sorted(sup.items())))
+        roles[name] = tuple(rows)
+    return Interpretation._of_parts(ids, individuals, concepts, roles)
 
 
 def _require_quotient_features(features: FeatureSet) -> None:
@@ -134,16 +134,15 @@ def prune_unreachable(interp: Interpretation, features: FeatureSet) -> Interpret
     if not interp.individuals:
         raise ModelError("pruning needs at least one named individual")
     reachable, _connected = reachability(interp, features)
-    kept = [x for x in interp.domain if x in reachable]
-    concepts = {
-        name: {x: row[interp.index(x)] for x in kept if row[interp.index(x)] != ZERO}
-        for name, row in interp.concepts.items()
-    }
+    kept = [i for i, x in enumerate(interp.domain) if x in reachable]
+    new = {i: k for k, i in enumerate(kept)}
+    concepts = {name: tuple([row[i] for i in kept]) for name, row in interp.concepts.items()}
     roles = {
-        name: [(x, y, d) for x, y, d in interp.edges(name) if x in reachable and y in reachable]
-        for name in interp.roles
+        name: tuple([tuple([(new[j], d) for j, d in succ[i] if j in new]) for i in kept])
+        for name, succ in interp.roles.items()
     }
-    return Interpretation(kept, dict(interp.individuals), concepts, roles)
+    domain = tuple([interp.domain[i] for i in kept])
+    return Interpretation._of_parts(domain, dict(interp.individuals), concepts, roles)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fdl.cli
 import fdl.kb
@@ -770,3 +771,17 @@ class TestErrors:
         assert run_cli(["eval", "-m", files["fan"], "-c", "A"])[0] == 0
         assert run_cli(["prune", "-m", files["islands"], "--features", ""])[0] == 0
         assert built == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example({"q\"uote": ["back\\slash", "new\nline", "\u00e9\u6f22\U0001f642"], "": [[], {}, [{}]],
+          "none": None, "flags": [True, False], "ints": [0, -3, 10 ** 20]})
+def test_indented_writes_what_json_dumps_writes(value):
+    assert fdl.cli._indented(value) == json.dumps(value, indent=2)

@@ -366,3 +366,29 @@ class TestInvarianceProbe:
         crisp_connected = invariance_probe(ia, ib, NO_FEATURES, "crisp", tbox)
         assert crisp_connected.applicable  # both models are connected
         assert not crisp_connected.flag
+
+
+class TestThresholdOffTheModelScale:
+    """Inclusion thresholds whose denominator does not divide the model's
+    common denominator (tenths here, thresholds in thirds)."""
+
+    MODEL = Interpretation(
+        ["u", "v", "w"],
+        concepts={"A": {"u": "1", "v": "1", "w": "0.2"}, "B": {"u": "0.3", "v": "0.4", "w": "0.3"}},
+    )
+
+    @pytest.mark.parametrize("rel", [">=", ">"])
+    def test_values_on_both_sides(self, rel):
+        # A -> B is 0.3 at u, 0.4 at v and 1 at w: u falls below 1/3, v clears it
+        result = validates(self.MODEL, [Gci(parse_concept("A"), parse_concept("B"), rel, F(1, 3))])
+        assert not result.valid and result.witness_element == "u"
+        above = Interpretation(self.MODEL.domain, concepts={"A": {"u": "1"}, "B": {"u": "0.4"}})
+        assert validates(above, [Gci(parse_concept("A"), parse_concept("B"), rel, F(1, 3))]).valid
+
+    def test_value_at_the_threshold(self):
+        # A -> 1/3 is exactly 1/3 where A exceeds it (u, v) and 1 at w
+        at = [Gci(parse_concept("A"), parse_concept("1/3"), rel, F(1, 3)) for rel in (">=", ">")]
+        assert validates(self.MODEL, at[:1]).valid
+        result = validates(self.MODEL, at[1:])
+        assert not result.valid and result.witness_element == "u"
+        assert validates(self.MODEL, [Gci(parse_concept("A"), parse_concept("1/3"), ">", F(3, 10))]).valid

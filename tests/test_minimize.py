@@ -20,7 +20,7 @@ from fdl import (
     strong_partition,
 )
 from fdl.fixtures import twin_islands
-from fdl.interp import degree_objects
+from fdl.interp import degree_objects, dump_interpretation, load_interpretation
 from helpers import (
     POOL3, POOL4, chain_pair, counting_hub_pair, disjoint_union, doubled_hub_pair,
     fixpoint_greatest, random_model, rename_model, spread_hub_pair,
@@ -336,6 +336,68 @@ def test_results_hold_the_source_degree_objects():
     for result in (prune_unreachable(model, NO_FEATURES), quotient(model, NO_FEATURES)):
         assert set(degree_objects(result)) <= source
         assert any(d for row in result.concepts.values() for d in row)
+
+
+def assert_as_from_its_document(result):
+    """``result`` equals itself read back through the document constructor,
+    down to the stored row and successor tuples."""
+    again = load_interpretation(dump_interpretation(result))
+    assert result == again
+    for name in set(result.concepts) | set(again.concepts):
+        assert result.concept_row(name) == again.concept_row(name)
+    for name in set(result.roles) | set(again.roles):
+        assert result.successors(name) == again.successors(name)
+
+
+class TestResultsMatchTheDocumentPath:
+    """``quotient`` and ``prune_unreachable`` store their parts directly;
+    these are the parts the document constructor makes of the result, and
+    the result is strongly bisimilar to the source (pruning: without U)."""
+
+    @pytest.mark.parametrize("text", ["", "I", "I,O", "I,O,U"])
+    def test_random_models(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"parts/{text}")
+        merged = pruned = 0
+        for _ in range(60):
+            twin = rng.random() < 0.5
+            model = random_model(
+                rng, "x", rng.randint(1, 6 if twin else 12), rng.choice([POOL3, POOL4]),
+                concept_names=rng.choice([(), ("A",), ("A", "B")]),
+                role_names=rng.choice([(), ("r",), ("r", "s")]),
+                individual_names=rng.choice([(), ("a",), ("a", "b")]),
+                density=rng.choice([0.1, 0.2, 0.4]),
+            )
+            if twin:
+                model = doubled(rng, model)
+            result = quotient(model, features)
+            assert_as_from_its_document(result)
+            z = membership_relation(model, result, strong_partition(model, features))
+            assert check_bisim(model, result, z, features).satisfied
+            merged += len(result.domain) < len(model.domain)
+            if model.individuals:
+                result = prune_unreachable(model, features)
+                assert_as_from_its_document(result)
+                if not features.universal:
+                    z = FuzzyRelation.from_entries(
+                        model.domain, result.domain, [(x, x, F(1)) for x in result.domain])
+                    assert check_bisim(model, result, z, features).satisfied
+                pruned += len(result.domain) < len(model.domain)
+        assert merged >= 10 and pruned >= 5
+
+    def test_a_concept_that_lists_zero(self):
+        model = load_interpretation({
+            "domain": ["u", "v", "w", "x"],
+            "individuals": {"a": "u"},
+            "concepts": {"A": {"u": "0", "v": "0.5", "w": "0", "x": "0"}, "B": {}},
+            "roles": {"r": [["u", "v", "1"], ["u", "w", "0"]], "s": []},
+        })
+        result = quotient(model, NO_FEATURES)
+        assert result.domain == ("{u}", "{v}", "{w,x}")
+        assert_as_from_its_document(result)
+        result = prune_unreachable(model, NO_FEATURES)
+        assert result.domain == ("u", "v")
+        assert_as_from_its_document(result)
 
 
 class TestMinimalityCertificate:
