@@ -17,18 +17,12 @@ from .errors import (
 from .godel import (
     ONE,
     ZERO,
-    baaz_delta,
     degree,
     format_degree,
-    godel_and,
     godel_iff,
-    godel_implies,
-    godel_not,
-    godel_or,
-    involutive_not,
     parse_degree,
 )
-from .relations import FuzzyRelation, rel_sup
+from .relations import FuzzyRelation
 from .syntax import (
     And,
     AtLeast,
@@ -57,15 +51,13 @@ from .syntax import (
     Sublanguage,
     Test,
     Universal,
-    classify_sublanguage,
     inverse_normal_form,
     is_basic_role,
-    rewrite_definable,
     to_text,
     validate,
 )
 from .parsing import parse, parse_concept, parse_role
-from .enumeration import Signature, enumerate_fragment
+from .enumeration import Signature
 from .interp import (
     ConceptEvaluator,
     FuzzySet,
@@ -83,7 +75,6 @@ from .bisim import (
     Violation,
     brute_force_greatest,
     check_bisim,
-    condition_bound,
     dump_relation,
     load_relation,
 )
@@ -102,14 +93,11 @@ from .kb import (
     Gci,
     HmResult,
     KnowledgeBase,
-    ProbeReport,
     RoleAssertion,
     SameIndividual,
     ValidationResult,
     dump_kb,
     hm_matrix,
-    holds,
-    invariance_probe,
     load_kb,
     validates,
 )

@@ -22,8 +22,9 @@ reads ``min(Z(x,x'), strength) <= rhs``, where ``strength`` is a degree of
 the models (1 for FB2, FB5, FB8, FB9 and FB10) and ``rhs`` is monotone in
 Z.  :func:`check_bisim` reports the rows with ``min(Z(x,x'), strength) >
 rhs``.  By residuation ``Z(x,x') <= strength -> rhs``, so the per-pair
-ceiling :func:`condition_bound`, the minimum of ``strength -> rhs`` over the
-rows, is exact.  Rows with ``strength <= rhs`` can neither fail nor lower
+ceiling, the minimum of ``strength -> rhs`` over the rows, is exact:
+:func:`brute_force_greatest` prunes its search with the ceiling of the
+static rows.  Rows with ``strength <= rhs`` can neither fail nor lower
 the ceiling and are left out of the table.  At each pair the scores
 min(Z, degree) between two successor sets are computed once per basic role
 and direction, and FB3, FB4, FB6, FB7, FB6n and FB7n all read them.
@@ -36,12 +37,12 @@ the top rank is degree 1, and the operations above act on ranks exactly as
 on the degrees they stand for.  :func:`fdl.interp.degree_ranks` ranks the
 degrees of the two models, plus the values of a candidate relation when a
 caller supplies one, as integers.  Ranks turn back into ``Fraction`` degrees
-only at the API edge: in :class:`CandidateRelation`, in :class:`Violation`,
-in the value of :func:`condition_bound` and in the read-out of
-:class:`fdl.refinement.NestedPartitions`.  :mod:`fdl.refinement` ranks the
-models the same way, reads the same bounds and individual pairs, and
-computes the greatest bisimulation from this table as nested partitions
-whose levels are ranks, in the degree universe of the two models.
+only at the API edge: in :class:`CandidateRelation`, in :class:`Violation`
+and in the read-out of :class:`fdl.refinement.NestedPartitions`.
+:mod:`fdl.refinement` ranks the models the same way, reads the same
+bounds and individual pairs, and computes the greatest bisimulation from
+this table as nested partitions whose levels are ranks, in the degree
+universe of the two models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -486,21 +487,6 @@ def check_bisim(
     ctx, z_ranks = _candidate_context(ia, ib, features, z)
     found = tuple(_violations(ctx, z_ranks))
     return ConditionReport(satisfied=not found, violations=found)
-
-
-def condition_bound(
-    ia: Interpretation,
-    ib: Interpretation,
-    z,
-    features: FeatureSet,
-    x: str,
-    x_prime: str,
-) -> Fraction:
-    """Largest value v such that setting Z(x,x') = v, all other entries
-    fixed, satisfies every condition locally."""
-    ctx, z_ranks = _candidate_context(ia, ib, features, z)
-    rows = _rows(ctx, z_ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, z_ranks))
-    return ctx.universe[_ceiling(rows, ctx.top)]
 
 
 # ---------------------------------------------------------------------------

@@ -53,16 +53,21 @@ def _load_model(path: str):
     return load_interpretation(_read_json(path))
 
 
-def _matrix_table(rel) -> str:
+def _matrix_table(rows, cols, nonzero) -> str:
+    """A relation as a table: ``nonzero`` lists ``(x, y, degree)`` for its
+    pairs of nonzero degree, and every other cell reads 0."""
+    place = {y: k for k, y in enumerate(cols, 1)}
+    table = [[""] + list(cols)] + [[x] + ["0"] * len(cols) for x in rows]
+    line = dict(zip(rows, table[1:]))
     # a relation holds few distinct degree objects: each is formatted once
-    texts = {id(v): v for line in rel.matrix for v in line}
-    texts = {key: format_degree(v) for key, v in texts.items()}
-    headers = [""] + list(rel.cols)
-    rows = [headers]
-    for x, line in zip(rel.rows, rel.matrix):
-        rows.append([x] + [texts[id(v)] for v in line])
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows])
+    texts = {}
+    for x, y, v in nonzero:
+        text = texts.get(id(v))
+        if text is None:
+            text = texts[id(v)] = format_degree(v)
+        line[x][place[y]] = text
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in table])
 
 
 def _indented(value, indent: str = "\n") -> str:
@@ -128,7 +133,8 @@ def _bisim(args, out) -> int:
             Path(args.output).write_text(_indented(document) + "\n", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
-    _emit(out, document, args.json, lambda: _matrix_table(result.relation))
+    _emit(out, document, args.json,
+          lambda: _matrix_table(result.rows, result.cols, result.nonzero()))
     return 0
 
 
@@ -207,14 +213,16 @@ def _hm(args, out) -> int:
         for (x, y), c in result.separators.items()
         if c is not None
     }
+    candidate = CandidateRelation(result.matrix, "crisp" if crisp else "fuzzy")
     payload = {
-        "matrix": dump_relation(CandidateRelation(result.matrix, "crisp" if crisp else "fuzzy")),
+        "matrix": dump_relation(candidate),
         "separators": separators,
         "concepts_used": result.concepts_used,
     }
-    _emit(out, payload, args.json, lambda: "\n".join([_matrix_table(result.matrix)] + [
-        f"separator {pair}: {text}" for pair, text in sorted(separators.items())
-    ]))
+    _emit(out, payload, args.json, lambda: "\n".join(
+        [_matrix_table(result.matrix.rows, result.matrix.cols, candidate.nonzero())]
+        + [f"separator {pair}: {text}" for pair, text in sorted(separators.items())]
+    ))
     return 0
 
 

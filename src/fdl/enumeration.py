@@ -184,18 +184,3 @@ def iter_fragment(
             for d in everything:
                 yield from emit(canonical_and(c, d), fresh)
         levels.append(fresh)
-
-
-def enumerate_fragment(
-    features: FeatureSet,
-    signature: Signature,
-    constants: Sequence,
-    fragment: Sublanguage,
-    depth: int,
-    max_concepts: int = DEFAULT_BUDGET,
-) -> List[Concept]:
-    """All fragment concepts of height <= depth, canonical, in a
-    deterministic order."""
-    return list(
-        iter_fragment(features, signature, constants, fragment, depth, max_concepts)
-    )

@@ -1,9 +1,10 @@
-"""Goedel truth-value algebra over exact rationals.
+"""Exact degrees: reading and writing them, and the Goedel equivalence.
 
 Degrees are ``fractions.Fraction`` values in [0, 1].  Binary floats are
 rejected everywhere: the involutive negation ``1 - p`` and the strict
 comparisons inside the Goedel operators make rounding error semantically
-visible, so all arithmetic stays exact.
+visible, so all arithmetic stays exact.  The evaluator grades concepts on
+integers over a common denominator (:mod:`fdl.interp`).
 
 Every function here is pure and safe for concurrent use.
 """
@@ -92,34 +93,8 @@ def format_degree(value: Fraction) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def godel_and(p: Fraction, q: Fraction) -> Fraction:
-    return p if p <= q else q
-
-
-def godel_or(p: Fraction, q: Fraction) -> Fraction:
-    return p if p >= q else q
-
-
-def godel_not(p: Fraction) -> Fraction:
-    return ONE if p == ZERO else ZERO
-
-
-def godel_implies(p: Fraction, q: Fraction) -> Fraction:
-    """Residuum of min: 1 when p <= q, else q."""
-    return ONE if p <= q else q
-
-
 def godel_iff(p: Fraction, q: Fraction) -> Fraction:
     """min of the two residua: 1 when p == q, else min(p, q)."""
     if p == q:
         return ONE
     return p if p < q else q
-
-
-def involutive_not(p: Fraction) -> Fraction:
-    return ONE - p
-
-
-def baaz_delta(p: Fraction) -> Fraction:
-    """Projection onto {0, 1}: 1 exactly when p == 1."""
-    return ONE if p == ONE else ZERO

@@ -10,28 +10,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .enumeration import DEFAULT_BUDGET, Signature, iter_fragment
-from .errors import InputError, ModelError
+from .errors import InputError
 from .godel import ONE, ZERO, degree, format_degree, godel_iff
-from .interp import ConceptEvaluator, Interpretation, degree_universe, reachability
+from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
-from .refinement import bisimilar
 from .relations import FuzzyRelation
-from .syntax import (
-    Concept,
-    Exists,
-    FeatureSet,
-    Implies,
-    Nominal,
-    Role,
-    Sublanguage,
-    Test,
-    children,
-    classify_sublanguage,
-    to_text,
-)
+from .syntax import Concept, Exists, FeatureSet, Implies, Nominal, Role, Sublanguage, to_text
 
 _CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 _GCI_REL = {">=": operator.ge, ">": operator.gt}
@@ -168,11 +155,6 @@ def validates(interp: Interpretation, items: Sequence[KbItem]) -> ValidationResu
         if failure is not None:
             return failure
     return ValidationResult(True)
-
-
-def holds(interp: Interpretation, item: KbItem) -> bool:
-    """Does the interpretation validate the assertion or inclusion?"""
-    return validates(interp, [item]).valid
 
 
 # ---------------------------------------------------------------------------
@@ -323,153 +305,3 @@ def hm_matrix(
                 done.append((i, j))
         live.difference_update(done)
     return HmResult(FuzzyRelation(ia.domain, ib.domain, matrix), separators, used)
-
-
-# ---------------------------------------------------------------------------
-# invariance probing
-
-
-@dataclass(frozen=True)
-class ItemOutcome:
-    item: KbItem
-    in_language: bool
-    holds_left: bool
-    holds_right: bool
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Diagnostic cross-check of axiom preservation under bisimilarity.
-
-    ``flag`` fires only when the two models are (strongly) bisimilar, every
-    side condition of the preservation statement applies, and validation
-    still disagrees -- which would indicate a bug, never a user error.
-    The probe only reports; it fixes nothing.
-    """
-
-    mode: str
-    bisimilar: Optional[bool]
-    notes: Tuple[str, ...]
-    applicable: bool
-    agreement: bool
-    flag: bool
-    outcomes: Tuple[ItemOutcome, ...]
-
-
-def _in_language(item: KbItem, mode: str, features: FeatureSet) -> bool:
-    """Fuzzy-mode preservation speaks about involutive-negation-free
-    concepts only; crisp mode covers the extended language."""
-    if mode == "crisp":
-        return True
-    concepts: List[Concept] = []
-    if isinstance(item, Gci):
-        concepts = [item.lhs, item.rhs]
-    elif isinstance(item, ConceptAssertion):
-        concepts = [item.concept]
-    elif isinstance(item, RoleAssertion):
-        concepts = _test_concepts(item.role)
-    for c in concepts:
-        if Sublanguage.CORE not in classify_sublanguage(c, features):
-            return False
-    return True
-
-
-def _test_concepts(role: Role) -> List[Concept]:
-    if isinstance(role, Test):
-        return [role.concept]
-    return [c for child in children(role) for c in _test_concepts(child)]
-
-
-def invariance_probe(
-    ia: Interpretation,
-    ib: Interpretation,
-    features: FeatureSet,
-    mode: str,
-    kb: Union[KnowledgeBase, Sequence[KbItem]],
-) -> ProbeReport:
-    items = tuple(kb.items() if isinstance(kb, KnowledgeBase) else kb)
-    notes: List[str] = []
-
-    try:
-        result = bisimilar(ia, ib, features, mode)
-        are_bisimilar: Optional[bool] = result.holds
-    except ModelError as exc:
-        are_bisimilar = None
-        notes.append(f"bisimilarity undecided: {exc}")
-
-    eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)
-    outcomes = []
-    for item in items:
-        outcomes.append(
-            ItemOutcome(
-                item=item,
-                in_language=_in_language(item, mode, features),
-                holds_left=_failure(ia, eva, item) is None,
-                holds_right=_failure(ib, evb, item) is None,
-            )
-        )
-
-    applicable = are_bisimilar is not None
-    if any(not o.in_language for o in outcomes):
-        notes.append(
-            "some items use involutive negation, outside the scope of "
-            "fuzzy-mode preservation"
-        )
-        applicable = False
-
-    gcis = [o for o in outcomes if isinstance(o.item, Gci)]
-    if gcis:
-        if features.universal:
-            notes.append("inclusion preservation applies: universal role enabled")
-        elif mode == "crisp":
-            connected = reachability(ia, features)[1] and reachability(ib, features)[1]
-            if connected:
-                notes.append(
-                    "inclusion preservation applies: both models connected"
-                )
-            else:
-                notes.append(
-                    "inclusion preservation needs the universal role or "
-                    "connected models; neither holds"
-                )
-                applicable = False
-        else:
-            notes.append(
-                "inclusion preservation needs the universal role; not enabled"
-            )
-            applicable = False
-
-    assertions = [o for o in outcomes if not isinstance(o.item, Gci)]
-    if assertions:
-        only_concept_shapes = all(
-            isinstance(o.item, ConceptAssertion) for o in assertions
-        )
-        if features.nominals:
-            notes.append("assertion preservation applies: nominals enabled")
-        elif only_concept_shapes:
-            notes.append(
-                "assertion preservation applies: concept-assertion shapes only"
-            )
-        else:
-            notes.append(
-                "assertion preservation needs nominals or concept-assertion "
-                "shapes only; neither holds"
-            )
-            applicable = False
-
-    agreement = all(o.holds_left == o.holds_right for o in outcomes)
-    flag = bool(are_bisimilar) and applicable and not agreement
-    if flag:
-        notes.append(
-            "THEOREM-VIOLATION: bisimilar models disagree on an applicable box; "
-            "this indicates an implementation bug"
-        )
-    return ProbeReport(
-        mode=mode,
-        bisimilar=are_bisimilar,
-        notes=tuple(notes),
-        applicable=applicable,
-        agreement=agreement,
-        flag=flag,
-        outcomes=tuple(outcomes),
-    )

@@ -8,16 +8,18 @@ default: :mod:`fdl.refinement` keeps it as nested partitions and builds a
 relation from them only when asked.  Roles of an interpretation are stored
 sparsely in :mod:`fdl.interp`, and the evaluator never builds a relation
 for them.  Roles and candidates are read from lists of ``[x, y, degree]``
-by :func:`read_triples`.  Instances are immutable.
+by :func:`read_triples`.  Instances are immutable values to read: a
+relation offers lookup, a crispness test and equality, and no operations
+of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import InputError
-from .godel import ONE, ZERO, degree, godel_and
+from .godel import ZERO, degree
 
 
 def read_triples(
@@ -81,70 +83,16 @@ class FuzzyRelation:
             matrix[i][j] = d
         return cls(rows, cols, matrix)
 
-    @classmethod
-    def constant(cls, rows: Sequence[str], cols: Sequence[str], value) -> "FuzzyRelation":
-        val = degree(value)
-        return cls(rows, cols, [[val] * len(cols) for _ in rows])
-
-    @classmethod
-    def identity(cls, elements: Sequence[str]) -> "FuzzyRelation":
-        n = len(elements)
-        return cls(
-            elements,
-            elements,
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
-        )
-
     def at(self, x: str, y: str) -> Fraction:
         try:
             return self.matrix[self._ri[x]][self._ci[y]]
         except KeyError as exc:
             raise InputError(f"unknown element {exc.args[0]!r}") from None
 
-    def entries(self) -> Iterator[Tuple[str, str, Fraction]]:
-        for i, x in enumerate(self.rows):
-            for j, y in enumerate(self.cols):
-                yield x, y, self.matrix[i][j]
-
     def is_crisp(self) -> bool:
         # exact, without Fraction.__eq__: a degree is 0 or 1 exactly when it
         # is a whole number, numerator 0 or 1
         return all(v.denominator == 1 and v.numerator in (0, 1) for row in self.matrix for v in row)
-
-    def inverse(self) -> "FuzzyRelation":
-        """Transpose: result(y, x) = self(x, y).
-
-        Part of the relation algebra that the tests check bisimulations
-        and role values against; the evaluator does not use it."""
-        flipped = [
-            [self.matrix[i][j] for i in range(len(self.rows))]
-            for j in range(len(self.cols))
-        ]
-        return FuzzyRelation(self.cols, self.rows, flipped)
-
-    def compose(self, other: "FuzzyRelation") -> "FuzzyRelation":
-        """Max-min product; requires cols(self) == rows(other).
-
-        Part of the relation algebra, like :meth:`inverse`."""
-        if self.cols != other.rows:
-            raise InputError(
-                "cannot compose: column elements of the left relation differ "
-                "from row elements of the right relation"
-            )
-        mid = range(len(self.cols))
-        result = []
-        for i in range(len(self.rows)):
-            row = []
-            left = self.matrix[i]
-            for j in range(len(other.cols)):
-                acc = ZERO
-                for k in mid:
-                    v = godel_and(left[k], other.matrix[k][j])
-                    if v > acc:
-                        acc = v
-                row.append(acc)
-            result.append(row)
-        return FuzzyRelation(self.rows, other.cols, result)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzyRelation):
@@ -160,57 +108,3 @@ class FuzzyRelation:
 
     def __repr__(self):
         return f"FuzzyRelation(rows={self.rows!r}, cols={self.cols!r})"
-
-
-def rel_sup(relations: Iterable[FuzzyRelation]) -> FuzzyRelation:
-    """Pointwise max of a nonempty family over identical index sets.
-
-    Public as part of the relation algebra: bisimulations are closed under
-    it, which ``test_bisim`` and ``test_acceptance`` check.
-    """
-    rels = list(relations)
-    if not rels:
-        raise InputError(
-            "sup of an empty family is undefined; pass the all-zero relation instead"
-        )
-    first = rels[0]
-    for rel in rels[1:]:
-        if rel.rows != first.rows or rel.cols != first.cols:
-            raise InputError("sup requires identical row/col sequences")
-    matrix = [
-        [
-            max((rel.matrix[i][j] for rel in rels), default=ZERO)
-            for j in range(len(first.cols))
-        ]
-        for i in range(len(first.rows))
-    ]
-    return FuzzyRelation(first.rows, first.cols, matrix)
-
-
-def pointwise_leq(smaller: FuzzyRelation, larger: FuzzyRelation) -> bool:
-    """Is ``smaller`` below ``larger`` everywhere?
-
-    Public as part of the relation algebra: its order, which ``test_kb``
-    uses to compare indistinguishability matrices with bisimulations.
-    """
-    if smaller.rows != larger.rows or smaller.cols != larger.cols:
-        raise InputError("comparison requires identical row/col sequences")
-    return all(
-        smaller.matrix[i][j] <= larger.matrix[i][j]
-        for i in range(len(smaller.rows))
-        for j in range(len(smaller.cols))
-    )
-
-
-def cap(rel: FuzzyRelation, bound) -> FuzzyRelation:
-    """Pointwise min with a constant degree.
-
-    Public as part of the relation algebra: bisimulations are closed under
-    it, which ``test_bisim`` and ``test_acceptance`` check.
-    """
-    b = degree(bound)
-    return FuzzyRelation(
-        rel.rows,
-        rel.cols,
-        [[godel_and(v, b) for v in row] for row in rel.matrix],
-    )

@@ -1,4 +1,4 @@
-"""Concept and role syntax trees, feature sets, and sublanguage tools.
+"""Concept and role syntax trees, feature sets, and the sublanguage names.
 
 The language extends a PDL-style description logic with graded truth
 constants.  Optional features are toggled by a :class:`FeatureSet`:
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from .errors import FeatureError, InputError
-from .godel import ONE, ZERO, degree, format_degree
+from .godel import degree, format_degree
 
 # ---------------------------------------------------------------------------
 # feature sets
@@ -180,9 +180,6 @@ class Constant(Concept):
     def __post_init__(self):
         object.__setattr__(self, "value", degree(self.value))
 
-
-TOP = Constant(ONE)
-BOTTOM = Constant(ZERO)
 
 
 @dataclass(frozen=True)
@@ -482,30 +479,8 @@ def inverse_normal_form(role: Role) -> Role:
     return _map_children(role, inverse_normal_form)
 
 
-def rewrite_definable(c: Concept) -> Concept:
-    """Eliminate Goedel negation and disjunction via implication, bottom-up.
-
-    ``not C`` becomes ``C -> 0``; ``C or D`` becomes
-    ``((C -> D) -> D) and ((D -> C) -> C)``.  The Baaz projection unfolds to
-    its defining shape first; involutive negation is left intact.  Concepts
-    inside role tests are rewritten too.
-    """
-    if isinstance(c, Delta):
-        return rewrite_definable(Not(InvNeg(c.concept)))
-    if isinstance(c, Not):
-        return Implies(rewrite_definable(c.concept), BOTTOM)
-    if isinstance(c, Or):
-        left = rewrite_definable(c.left)
-        right = rewrite_definable(c.right)
-        return And(
-            Implies(Implies(left, right), right),
-            Implies(Implies(right, left), left),
-        )
-    return _map_children(c, rewrite_definable)
-
-
 # ---------------------------------------------------------------------------
-# sublanguage classification
+# sublanguages
 
 
 class Sublanguage(Enum):
@@ -529,77 +504,3 @@ class Sublanguage(Enum):
     EXTENDED = "extended"
     DELTA = "delta"
     DELTA_EXISTENTIAL = "delta-existential"
-
-
-@dataclass
-class _Usage:
-    has_invneg: bool = False        # any involutive negation (Delta included)
-    has_not: bool = False           # any Goedel negation (Delta excluded)
-    loose_invneg: bool = False      # involutive negation not under a Goedel one
-    loose_not: bool = False         # Goedel negation not over an involutive one
-    role_constructors: bool = False
-    disjunction: bool = False
-    forall: bool = False
-    less: bool = False
-    free_implies: bool = False      # an implication with no constant side
-
-
-def _scan(expr: Expr, u: _Usage) -> None:
-    if isinstance(expr, Not) and isinstance(expr.concept, InvNeg):
-        # the Baaz shape: this pair of negations is sanctioned
-        u.has_not = u.has_invneg = True
-        _scan(expr.concept.concept, u)
-        return
-    if isinstance(expr, Delta):
-        u.has_invneg = True
-    elif isinstance(expr, Not):
-        u.has_not = u.loose_not = True
-    elif isinstance(expr, InvNeg):
-        u.has_invneg = u.loose_invneg = True
-    elif isinstance(expr, Or):
-        u.disjunction = True
-    elif isinstance(expr, Implies):
-        if not isinstance(expr.left, Constant) and not isinstance(expr.right, Constant):
-            u.free_implies = True
-    elif isinstance(expr, Forall):
-        u.forall = True
-    elif isinstance(expr, (Less, LessUnq)):
-        u.less = True
-    elif isinstance(expr, Inverse):
-        if not isinstance(expr.role, RoleName):
-            u.role_constructors = True
-    elif isinstance(expr, (Compose, RoleUnion, Star, Test)):
-        u.role_constructors = True
-    for child in children(expr):
-        _scan(child, u)
-
-
-def classify_sublanguage(c: Concept, features: FeatureSet) -> FrozenSet[Sublanguage]:
-    """The exact set of sublanguages whose grammar admits ``c``."""
-    if not isinstance(c, Concept):
-        raise InputError(f"not a concept: {c!r}")
-    u = _Usage()
-    _scan(c, u)
-    tags = {Sublanguage.EXTENDED}
-    if not u.has_invneg:
-        tags.add(Sublanguage.CORE)
-    if not u.loose_invneg:
-        tags.add(Sublanguage.DELTA)
-    existential_ok = not (
-        u.role_constructors or u.disjunction or u.forall or u.less
-    )
-    if (
-        existential_ok
-        and not u.has_invneg
-        and not u.has_not
-        and (features.has_qualified() or not u.free_implies)
-    ):
-        tags.add(Sublanguage.CORE_EXISTENTIAL)
-    if (
-        existential_ok
-        and not u.loose_invneg
-        and not u.loose_not
-        and not u.free_implies
-    ):
-        tags.add(Sublanguage.DELTA_EXISTENTIAL)
-    return frozenset(tags)

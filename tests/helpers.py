@@ -9,14 +9,17 @@ from fdl import (
     AtLeastUnq,
     CandidateRelation,
     Compose,
+    Concept,
+    ConceptAssertion,
     Constant,
     ConceptName,
     Delta,
     Exists,
     FeatureSet,
     Forall,
+    FuzzyRelation,
+    Gci,
     Implies,
-    InputError,
     Interpretation,
     InvNeg,
     Inverse,
@@ -25,42 +28,26 @@ from fdl import (
     Nominal,
     Not,
     Or,
+    Role,
     RoleName,
     RoleUnion,
     SelfLoop,
     Star,
+    Sublanguage,
     Test,
     Universal,
-    baaz_delta,
-    godel_and,
-    godel_iff,
-    godel_implies,
-    godel_not,
-    godel_or,
-    involutive_not,
+    bisimilar,
+    reachability,
+    validates,
 )
 from fdl.bisim import (
-    _Context, _ceiling, _relational_rows, _static_rows, _universal_rows,
+    _Context, _candidate_context, _ceiling, _relational_rows, _rows, _static_rows,
+    _universal_rows,
 )
+from fdl.syntax import _map_children, children
 
 POOL3 = (F(0), F(1, 2), F(1))
 POOL4 = (F(0), F(1, 3), F(2, 3), F(1))
-
-_UNARY = {"neg": godel_not, "inv_neg": involutive_not, "delta": baaz_delta}
-_BINARY = {"and": godel_and, "or": godel_or, "implies": godel_implies, "iff": godel_iff}
-
-
-def godel_apply(connective, p, q=None):
-    """Apply a named connective; arity mismatches raise :class:`InputError`."""
-    if connective in _UNARY:
-        if q is not None:
-            raise InputError(f"connective {connective!r} takes one argument")
-        return _UNARY[connective](p)
-    if connective in _BINARY:
-        if q is None:
-            raise InputError(f"connective {connective!r} takes two arguments")
-        return _BINARY[connective](p, q)
-    raise InputError(f"unknown connective {connective!r}")
 
 
 def random_model(
@@ -433,3 +420,156 @@ def fixpoint_greatest(ia, ib, features, mode="fuzzy"):
                     z[i][j] = new
                     changed = True
     return CandidateRelation(ctx.relation(z), mode)
+
+
+def condition_bound(ia, ib, z, features, x, x_prime):
+    """The largest degree v such that Z(x, x') = v, every other entry of
+    candidate ``z`` fixed, satisfies every condition at (x, x')."""
+    ctx, ranks = _candidate_context(ia, ib, features, z)
+    rows = _rows(ctx, ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, ranks))
+    return ctx.universe[_ceiling(rows, ctx.top)]
+
+
+# ---------------------------------------------------------------------------
+# the relation algebra: bisimulations are closed under inverse, composition,
+# sup and a cap by a constant
+
+
+def identity(elements):
+    return FuzzyRelation(
+        elements, elements, [[F(1 if x == y else 0) for y in elements] for x in elements]
+    )
+
+
+def constant(rows, cols, value):
+    return FuzzyRelation(rows, cols, [[F(value)] * len(cols) for _ in rows])
+
+
+def cells(rel):
+    """``(x, y, degree)`` for every pair of ``rel``, row by row."""
+    return [(x, y, v) for x, row in zip(rel.rows, rel.matrix) for y, v in zip(rel.cols, row)]
+
+
+def inverse(rel):
+    return FuzzyRelation(rel.cols, rel.rows, zip(*rel.matrix))
+
+
+def compose(left, right):
+    """The max-min product; the columns of ``left`` are the rows of ``right``."""
+    columns = list(zip(*right.matrix))
+    return FuzzyRelation(left.rows, right.cols, [
+        [max(map(min, row, column)) for column in columns] for row in left.matrix
+    ])
+
+
+def rel_sup(relations):
+    """The pointwise max of a nonempty list of relations over the same elements."""
+    return FuzzyRelation(relations[0].rows, relations[0].cols, [
+        [max(values) for values in zip(*rows)] for rows in zip(*(r.matrix for r in relations))
+    ])
+
+
+def cap(rel, bound):
+    """The pointwise min with a constant degree."""
+    return FuzzyRelation(rel.rows, rel.cols, [[min(v, bound) for v in row] for row in rel.matrix])
+
+
+def pointwise_leq(smaller, larger):
+    return all(a <= b for r, s in zip(smaller.matrix, larger.matrix) for a, b in zip(r, s))
+
+
+# ---------------------------------------------------------------------------
+# the sublanguages and the rewrites between them
+
+
+def rewrite_definable(c):
+    """``c`` with Goedel negation and disjunction written through
+    implication, bottom-up: ``not C`` is ``C -> 0`` and ``C or D`` is
+    ``((C -> D) -> D) and ((D -> C) -> C)``; the Baaz projection unfolds to
+    ``not inv C`` first, and involutive negation stays."""
+    if isinstance(c, Delta):
+        return rewrite_definable(Not(InvNeg(c.concept)))
+    if isinstance(c, Not):
+        return Implies(rewrite_definable(c.concept), Constant(F(0)))
+    if isinstance(c, Or):
+        left, right = rewrite_definable(c.left), rewrite_definable(c.right)
+        return And(Implies(Implies(left, right), right), Implies(Implies(right, left), left))
+    return _map_children(c, rewrite_definable)
+
+
+def _usage(expr, found):
+    """Add to ``found`` the constructs of ``expr`` that sublanguages restrict."""
+    if isinstance(expr, Not) and isinstance(expr.concept, InvNeg):
+        # the Baaz shape: this pair of negations is sanctioned
+        found |= {"invneg", "not"}
+        _usage(expr.concept.concept, found)
+        return
+    if isinstance(expr, Delta):
+        found.add("invneg")
+    elif isinstance(expr, Not):
+        found |= {"not", "loose not"}
+    elif isinstance(expr, InvNeg):
+        found |= {"invneg", "loose invneg"}
+    elif isinstance(expr, Implies):
+        if not isinstance(expr.left, Constant) and not isinstance(expr.right, Constant):
+            found.add("free implies")
+    elif isinstance(expr, (Or, Forall, Less, LessUnq, Compose, RoleUnion, Star, Test)) or (
+        isinstance(expr, Inverse) and not isinstance(expr.role, RoleName)
+    ):
+        found.add("not existential")
+    for child in children(expr):
+        _usage(child, found)
+
+
+def classify_sublanguage(c, features):
+    """The set of sublanguages whose grammar admits concept ``c``."""
+    found = set()
+    _usage(c, found)
+    tags = {Sublanguage.EXTENDED}
+    if "invneg" not in found:
+        tags.add(Sublanguage.CORE)
+    if "loose invneg" not in found:
+        tags.add(Sublanguage.DELTA)
+    if "not existential" not in found:
+        if not found & {"invneg", "not"} and (
+            features.has_qualified() or "free implies" not in found
+        ):
+            tags.add(Sublanguage.CORE_EXISTENTIAL)
+        if not found & {"loose invneg", "loose not", "free implies"}:
+            tags.add(Sublanguage.DELTA_EXISTENTIAL)
+    return frozenset(tags)
+
+
+# ---------------------------------------------------------------------------
+# preservation of boxes under bisimilarity
+
+
+def _involutive(expr):
+    return isinstance(expr, (InvNeg, Delta)) or any(map(_involutive, children(expr)))
+
+
+def theorem_applies(ia, ib, features, mode, items):
+    """Whether the paper's preservation theorem covers ``items`` on two
+    models: they are bisimilar in ``mode``; in fuzzy mode no concept uses
+    involutive negation; inclusions need U, or crisp mode and connected
+    models; assertions need O, or concept assertions only."""
+    if not bisimilar(ia, ib, features, mode).holds:
+        return False
+    if mode == "fuzzy" and any(
+        _involutive(part) for item in items for part in vars(item).values()
+        if isinstance(part, (Concept, Role))
+    ):
+        return False
+    if any(isinstance(item, Gci) for item in items) and not (
+        features.universal
+        or mode == "crisp" and reachability(ia, features)[1] and reachability(ib, features)[1]
+    ):
+        return False
+    return features.nominals or all(
+        isinstance(item, (Gci, ConceptAssertion)) for item in items
+    )
+
+
+def same_verdicts(ia, ib, items):
+    """Does each item hold on both models or on neither?"""
+    return all(validates(ia, [item]).valid == validates(ib, [item]).valid for item in items)

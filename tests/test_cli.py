@@ -184,7 +184,7 @@ class TestLazyHumanText:
     """The human text is built only when it is printed."""
 
     def test_json_builds_no_matrix_table(self, files, monkeypatch):
-        def refuse(rel):
+        def refuse(*_args):
             raise AssertionError("matrix table built")
 
         monkeypatch.setattr(fdl.cli, "_matrix_table", refuse)

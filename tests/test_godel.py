@@ -4,28 +4,39 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fdl import (
+    And,
+    Constant,
+    Delta,
+    Implies,
     InputError,
-    baaz_delta,
+    Interpretation,
+    InvNeg,
+    Not,
+    Or,
     degree,
+    eval_concept,
     format_degree,
-    godel_and,
     godel_iff,
-    godel_implies,
-    godel_not,
-    involutive_not,
     parse_degree,
 )
-from helpers import godel_apply
 
 degrees = st.fractions(min_value=0, max_value=1, max_denominator=60)
+
+POINT = Interpretation(["x"])
+
+
+def grade(connective, *values):
+    """The evaluator's value of ``connective`` over constants, on a
+    one-element model."""
+    return eval_concept(POINT, connective(*map(Constant, values))).at("x")
 
 
 class TestOperatorTable:
     def test_implies_below(self):
-        assert godel_implies(F(4, 5), F(9, 10)) == 1
+        assert grade(Implies, F(4, 5), F(9, 10)) == 1
 
     def test_implies_above(self):
-        assert godel_implies(F(9, 10), F(4, 5)) == F(4, 5)
+        assert grade(Implies, F(9, 10), F(4, 5)) == F(4, 5)
 
     def test_iff_unequal_is_min(self):
         assert godel_iff(F(9, 10), F(1, 2)) == F(1, 2)
@@ -34,25 +45,17 @@ class TestOperatorTable:
         assert godel_iff(F(1, 3), F(1, 3)) == 1
 
     def test_negations(self):
-        assert godel_not(F(0)) == 1
-        assert godel_not(F(1, 5)) == 0
-        assert involutive_not(F(3, 10)) == F(7, 10)
-        assert baaz_delta(F(999, 1000)) == 0
-        assert baaz_delta(F(1)) == 1
+        assert grade(Not, F(0)) == 1
+        assert grade(Not, F(1, 5)) == 0
+        assert grade(InvNeg, F(3, 10)) == F(7, 10)
+        assert grade(Delta, F(999, 1000)) == 0
+        assert grade(Delta, F(1)) == 1
 
     def test_apply_dispatch(self):
-        assert godel_apply("and", F(1, 2), F(1, 3)) == F(1, 3)
-        assert godel_apply("or", F(1, 2), F(1, 3)) == F(1, 2)
-        assert godel_apply("inv_neg", F(3, 10)) == F(7, 10)
-        assert godel_apply("delta", F(1)) == 1
-
-    def test_apply_arity_errors(self):
-        with pytest.raises(InputError):
-            godel_apply("and", F(1))
-        with pytest.raises(InputError):
-            godel_apply("neg", F(1), F(0))
-        with pytest.raises(InputError):
-            godel_apply("xor", F(1), F(0))
+        assert grade(And, F(1, 2), F(1, 3)) == F(1, 3)
+        assert grade(Or, F(1, 2), F(1, 3)) == F(1, 2)
+        assert grade(InvNeg, F(3, 10)) == F(7, 10)
+        assert grade(Delta, F(1)) == 1
 
 
 class TestDegreeParsing:
@@ -140,15 +143,15 @@ class TestDegreeParsing:
 class TestAlgebraicLaws:
     @given(degrees, degrees, degrees)
     def test_residuation(self, x, y, z):
-        assert (godel_and(x, y) <= z) == (x <= godel_implies(y, z))
+        assert (grade(And, x, y) <= z) == (x <= grade(Implies, y, z))
 
     @given(degrees, degrees, degrees, degrees)
     def test_monotonicity(self, x, x2, y, y2):
         lo_x, hi_x = min(x, x2), max(x, x2)
         lo_y, hi_y = min(y, y2), max(y, y2)
-        assert godel_and(lo_x, lo_y) <= godel_and(hi_x, hi_y)
+        assert grade(And, lo_x, lo_y) <= grade(And, hi_x, hi_y)
         # antitone in the first argument, monotone in the second
-        assert godel_implies(hi_x, lo_y) <= godel_implies(lo_x, hi_y)
+        assert grade(Implies, hi_x, lo_y) <= grade(Implies, lo_x, hi_y)
 
     @given(degrees, degrees)
     def test_iff_symmetric(self, x, y):
@@ -159,8 +162,9 @@ class TestAlgebraicLaws:
         pool = values | {F(0), F(1)}
         for p in pool:
             for q in pool:
-                for op in ("and", "or", "implies", "iff"):
-                    assert godel_apply(op, p, q) in pool
-                assert godel_apply("delta", p) in pool
-                assert godel_apply("neg", p) in pool
-                assert involutive_not(p) in {1 - v for v in pool}
+                for connective in (And, Or, Implies):
+                    assert grade(connective, p, q) in pool
+                assert godel_iff(p, q) in pool
+            assert grade(Delta, p) in pool
+            assert grade(Not, p) in pool
+            assert grade(InvNeg, p) in {1 - v for v in pool}

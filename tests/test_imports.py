@@ -7,6 +7,9 @@ from pathlib import Path
 import fdl
 
 SOURCES = sorted(Path(fdl.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the test oracles and the demos, linted for unused imports too
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def imported_modules(path):
@@ -49,9 +52,10 @@ def unused_imports(path):
 
 
 def test_no_unused_imports():
+    assert SCRIPTS
     unused = {
-        (path.name, name, line)
-        for path in SOURCES
+        (str(path.relative_to(path.parents[1])), name, line)
+        for path in SOURCES + SCRIPTS
         if path.name != "__init__.py"
         for name, line in unused_imports(path)
     }

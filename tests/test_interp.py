@@ -28,18 +28,18 @@ from fdl import (
     dump_interpretation,
     eval_concept,
     eval_role,
-    holds,
     inverse_normal_form,
     load_interpretation,
     parse_concept,
     parse_role,
     reachability,
-    rel_sup,
-    rewrite_definable,
     validates,
 )
 from fdl.fixtures import fan_model, twin_islands
-from helpers import POOL4, random_concept, random_features, random_model, random_role
+from helpers import (
+    POOL4, compose, identity, random_concept, random_features, random_model, random_role,
+    rel_sup, rewrite_definable,
+)
 
 PERMISSIVE = FeatureSet.permissive()
 
@@ -151,7 +151,7 @@ class TestLoading:
         # a role is a list of [x, y, degree] edges and nothing else
         model = fan_model()
         for value in ({(x, y): d for x, y, d in model.edges("r")},
-                      FuzzyRelation.identity(model.domain)):
+                      identity(model.domain)):
             with pytest.raises(ModelError):
                 Interpretation(model.domain, roles={"r": value})
 
@@ -218,8 +218,7 @@ class TestEvaluation:
                 lambda g, d: random_concept(g, PERMISSIVE, max(d, 0), POOL4, role_names=("r", "s")),
             )
             star = eval_role(model, Star(role))
-            identity = FuzzyRelation.identity(model.domain)
-            assert star == rel_sup([identity, eval_role(model, role).compose(star)])
+            assert star == rel_sup([identity(model.domain), compose(eval_role(model, role), star)])
 
     def test_crisp_model_crisp_values(self):
         rng = random.Random(53)
@@ -633,7 +632,7 @@ class TestIntegerScale:
                     value = theirs.concept(c)[a]
                     expr = parse_concept(self.text(ref, c))
                     items.append(ConceptAssertion(expr, "a", rng.choice(self.CMPS), value))
-            verdicts = [holds(model, item) for item in items]
+            verdicts = [validates(model, [item]).valid for item in items]
             assert verdicts == [item.cmp in (">=", "<=") for item in items]
             failed = next((item for item, ok in zip(items, verdicts) if not ok), None)
             assert validates(model, items).failed_item == failed

@@ -14,20 +14,20 @@ from fdl import (
     RoleAssertion,
     SameIndividual,
     DistinctIndividual,
+    bisimilar,
     Sublanguage,
     dump_kb,
     greatest_bisim,
     hm_matrix,
-    holds,
-    invariance_probe,
     load_kb,
     parse_concept,
     parse_role,
     validates,
 )
-from fdl.relations import pointwise_leq
 from fdl.fixtures import edge_pair, fan_model, hub_pair, point_pair
-from helpers import POOL3, random_model, rename_model
+from helpers import (
+    POOL3, pointwise_leq, random_model, rename_model, same_verdicts, theorem_applies,
+)
 
 NO_FEATURES = FeatureSet.none()
 FINITE_ALL = FeatureSet(True, True, True, True, frozenset({1, 2}), frozenset({1, 2}))
@@ -82,31 +82,32 @@ def social_tbox():
 class TestHolds:
     def test_concept_assertion_on_fan(self):
         model = named_fan()
-        assert holds(model, ConceptAssertion(parse_concept("exists r . A"), "a", ">=", F(4, 5)))
-        assert not holds(model, ConceptAssertion(parse_concept("exists r . A"), "a", ">", F(4, 5)))
-        assert holds(model, ConceptAssertion(parse_concept("exists r . A"), "a", "<=", F(4, 5)))
+        c = parse_concept("exists r . A")
+        assert validates(model, [ConceptAssertion(c, "a", ">=", F(4, 5))]).valid
+        assert not validates(model, [ConceptAssertion(c, "a", ">", F(4, 5))]).valid
+        assert validates(model, [ConceptAssertion(c, "a", "<=", F(4, 5))]).valid
 
     def test_role_assertion(self):
         model = Interpretation(
             ["u", "v"], {"a": "u", "b": "v"}, roles={"r": [("u", "v", F(3, 5))]}
         )
-        assert holds(model, RoleAssertion(parse_role("r"), "a", "b", ">=", F(1, 2)))
-        assert not holds(model, RoleAssertion(parse_role("r"), "a", "b", "<", F(3, 5)))
+        assert validates(model, [RoleAssertion(parse_role("r"), "a", "b", ">=", F(1, 2))]).valid
+        assert not validates(model, [RoleAssertion(parse_role("r"), "a", "b", "<", F(3, 5))]).valid
 
     def test_same_distinct(self):
         model = Interpretation(["u", "v"], {"a": "u", "b": "u", "c": "v"})
-        assert holds(model, SameIndividual("a", "b"))
-        assert not holds(model, SameIndividual("a", "c"))
-        assert holds(model, DistinctIndividual("a", "c"))
+        assert validates(model, [SameIndividual("a", "b")]).valid
+        assert not validates(model, [SameIndividual("a", "c")]).valid
+        assert validates(model, [DistinctIndividual("a", "c")]).valid
 
     def test_trivial_gci(self):
         model = named_fan()
-        assert holds(model, Gci(parse_concept("1"), parse_concept("1"), ">=", F(1)))
+        assert validates(model, [Gci(parse_concept("1"), parse_concept("1"), ">=", F(1))]).valid
 
     def test_unsatisfiable_gci_on_graded_model(self):
         model = named_fan()
         # the implication degree drops to 0 wherever A is positive
-        assert not holds(model, Gci(parse_concept("A"), parse_concept("0"), ">=", F(1)))
+        assert not validates(model, [Gci(parse_concept("A"), parse_concept("0"), ">=", F(1))]).valid
 
     def test_threshold_zero_rejected(self):
         with pytest.raises(InputError):
@@ -134,8 +135,8 @@ class TestValidates:
         seen_nontrivial = 0
         for _ in range(200):
             model = random_social(rng)
-            if holds(model, third):
-                assert holds(model, fourth)
+            if validates(model, [third]).valid:
+                assert validates(model, [fourth]).valid
                 seen_nontrivial += 1
         assert seen_nontrivial > 20
 
@@ -144,8 +145,8 @@ class TestValidates:
         # the plain inclusion holds outright while the guarded one demands 0.6
         model = social_model(camping=F(1, 2), traveling=F(11, 20))
         third, fourth = social_tbox()[2], social_tbox()[3]
-        assert holds(model, fourth)
-        assert not holds(model, third)
+        assert validates(model, [fourth]).valid
+        assert not validates(model, [third]).valid
 
 
 def social_tbox_item_four(result):
@@ -198,11 +199,6 @@ class TestOneEvaluatorPerBox:
         assert len(self.box()) == 6
         assert validates(social_model(), self.box()).valid
         assert len(built) == 1
-
-    def test_invariance_probe_builds_one_per_model(self, built):
-        report = invariance_probe(social_model(), social_model(), FINITE_ALL, "crisp", self.box())
-        assert report.agreement and not report.flag
-        assert len(built) == 2
 
 
 class TestKbDocuments:
@@ -308,21 +304,22 @@ class TestHmMatrix:
     def test_projected_guard_separates_graded_leaves(self):
         # within one model, leaves differing only in a graded atom are told
         # apart by a projection over a constant-guarded implication
-        from fdl import Delta, Implies, Constant, ConceptName, Signature, enumerate_fragment
+        from fdl import Delta, Implies, Constant, ConceptName, Signature
+        from fdl.enumeration import iter_fragment
         from fdl.fixtures import fold_pair
 
         ia, _ = fold_pair()
         result = hm_matrix(ia, ia, NO_FEATURES, Sublanguage.DELTA_EXISTENTIAL, 2)
         assert result.matrix.at("v1", "v2") == 0
         assert result.separators[("v1", "v2")] is not None
-        produced = enumerate_fragment(
+        produced = list(iter_fragment(
             NO_FEATURES,
             Signature(["A"], ["r"], []),
             [F(0), F(7, 10), F(1)],
             Sublanguage.DELTA_EXISTENTIAL,
             2,
             max_concepts=10_000,
-        )
+        ))
         guard = Delta(Implies(ConceptName("A"), Constant(F(7, 10))))
         assert guard in produced
 
@@ -332,12 +329,9 @@ class TestInvarianceProbe:
         ia, ib = edge_pair()
         features = FeatureSet(True, True, False, True, frozenset({1, 2}), frozenset({1, 2}))
         abox = [ConceptAssertion(parse_concept("exists r . inv A"), "a", ">=", F(1, 10))]
-        report = invariance_probe(ia, ib, features, "fuzzy", abox)
-        assert report.bisimilar is True
-        assert not report.agreement
-        assert not report.applicable
-        assert not report.flag
-        assert any("involutive" in note for note in report.notes)
+        assert bisimilar(ia, ib, features, "fuzzy").holds
+        assert not same_verdicts(ia, ib, abox)
+        assert not theorem_applies(ia, ib, features, "fuzzy", abox)
 
     def test_isomorphic_models_always_agree(self):
         rng = random.Random(107)
@@ -347,25 +341,17 @@ class TestInvarianceProbe:
             features = FeatureSet(universal=True, nominals=True)
             tbox = [Gci(parse_concept("A"), parse_concept("exists r . A"), ">=", F(1, 2))]
             abox = [ConceptAssertion(parse_concept("exists r . A"), "a", ">=", F(1, 2))]
-            report = invariance_probe(ia, ib, features, "fuzzy", tbox + abox)
-            assert report.bisimilar is True
-            assert report.agreement and not report.flag
-
-    def test_missing_individuals_noted(self):
-        ia, ib = point_pair()
-        report = invariance_probe(ia, ib, NO_FEATURES, "fuzzy", [])
-        assert report.bisimilar is None
-        assert not report.applicable
-        assert any("undecided" in note for note in report.notes)
+            assert theorem_applies(ia, ib, features, "fuzzy", tbox + abox)
+            assert same_verdicts(ia, ib, tbox + abox)
 
     def test_inclusion_needs_universal_or_connected(self):
-        ia, ib = edge_pair()
+        ia, _ = edge_pair()
+        ib = rename_model(ia, {"u": "u'", "v": "v'"})
         tbox = [Gci(parse_concept("B"), parse_concept("exists r . A"), ">=", F(1, 10))]
-        fuzzy_no_u = invariance_probe(ia, ib, NO_FEATURES, "fuzzy", tbox)
-        assert not fuzzy_no_u.applicable
-        crisp_connected = invariance_probe(ia, ib, NO_FEATURES, "crisp", tbox)
-        assert crisp_connected.applicable  # both models are connected
-        assert not crisp_connected.flag
+        assert not theorem_applies(ia, ib, NO_FEATURES, "fuzzy", tbox)
+        assert theorem_applies(ia, ib, NO_FEATURES, "crisp", tbox)  # both models are connected
+        assert theorem_applies(ia, ib, FeatureSet(universal=True), "fuzzy", tbox)
+        assert same_verdicts(ia, ib, tbox)
 
 
 class TestThresholdOffTheModelScale:

@@ -35,18 +35,16 @@ from fdl import (
     Sublanguage,
     Test,
     Universal,
-    classify_sublanguage,
-    enumerate_fragment,
     inverse_normal_form,
     parse,
     parse_concept,
     parse_role,
-    rewrite_definable,
     to_text,
     validate,
 )
+from fdl.enumeration import iter_fragment
 from fdl.syntax import _NODES, Concept, Role, structural_key
-from helpers import random_concept, random_features
+from helpers import classify_sublanguage, random_concept, random_features, rewrite_definable
 
 PERMISSIVE = FeatureSet.permissive()
 
@@ -424,23 +422,23 @@ class TestStructuralKey:
 
 class TestEnumeration:
     def test_depth_zero_leaves(self):
-        got = enumerate_fragment(
+        got = list(iter_fragment(
             FeatureSet.none(),
             Signature(["A"], ["r"], []),
             [F(0), F(1)],
             Sublanguage.CORE_EXISTENTIAL,
             0,
-        )
+        ))
         assert got == [Constant(F(0)), Constant(F(1)), ConceptName("A")]
 
     def test_depth_one_contains_single_step_closure(self):
-        got = enumerate_fragment(
+        got = list(iter_fragment(
             FeatureSet.none(),
             Signature(["A"], ["r"], []),
             [F(0), F(1)],
             Sublanguage.CORE_EXISTENTIAL,
             1,
-        )
+        ))
         a = ConceptName("A")
         assert Exists(RoleName("r"), a) in got
         assert Implies(a, Constant(F(1))) in got
@@ -458,23 +456,20 @@ class TestEnumeration:
         )
         signature = Signature(["A"], ["r"], ["a"])
         for fragment in (Sublanguage.CORE_EXISTENTIAL, Sublanguage.DELTA_EXISTENTIAL):
-            out = enumerate_fragment(
-                features, signature, [F(0), F(1, 2), F(1)], fragment, 1, 5000
-            )
-            for c in out:
+            for c in iter_fragment(features, signature, [F(0), F(1, 2), F(1)], fragment, 1, 5000):
                 assert fragment in classify_sublanguage(c, features)
                 validate(c, features)
 
     def test_budget_error(self):
         with pytest.raises(BudgetError):
-            enumerate_fragment(
+            list(iter_fragment(
                 FeatureSet(q_bounds=frozenset({2})),
                 Signature(["A", "B"], ["r", "s"], []),
                 [F(0), F(1, 2), F(1)],
                 Sublanguage.CORE_EXISTENTIAL,
                 3,
                 max_concepts=500,
-            )
+            ))
 
     def test_deterministic(self):
         args = (
@@ -484,11 +479,11 @@ class TestEnumeration:
             Sublanguage.DELTA_EXISTENTIAL,
             2,
         )
-        assert enumerate_fragment(*args) == enumerate_fragment(*args)
+        assert list(iter_fragment(*args)) == list(iter_fragment(*args))
 
     def test_rejects_other_fragments(self):
         with pytest.raises(InputError):
-            enumerate_fragment(
+            list(iter_fragment(
                 FeatureSet.none(), Signature(["A"], ["r"], []), [F(1)],
                 Sublanguage.CORE, 1,
-            )
+            ))
