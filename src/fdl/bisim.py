@@ -73,9 +73,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
@@ -106,16 +106,15 @@ class CandidateRelation:
         if self.mode == "crisp" and not self.relation.is_crisp():
             raise InputError("a crisp candidate relation must have entries in {0, 1}")
 
+    rows = property(lambda self: self.relation.rows)
+    cols = property(lambda self: self.relation.cols)
+
     def at(self, x: str, y: str) -> Fraction:
         return self.relation.at(x, y)
 
     def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
         """``(x, y, degree)`` for every pair of nonzero degree, row by row."""
-        rel = self.relation
-        for x, row in zip(rel.rows, rel.matrix):
-            for y, v in zip(rel.cols, row):
-                if v:  # Fraction.__bool__ reads the numerator; != ZERO is slower
-                    yield x, y, v
+        return self.relation.nonzero()
 
 
 @dataclass(frozen=True)
@@ -220,11 +219,12 @@ class _Context:
         self.individual_pairs = _individual_pairs(ia, ib) if features.nominals else []
         self.q_bounds, self.n_bounds, self.covered = _bounds(features, self.na, self.nb)
 
-    def relation(self, z: Sequence[Sequence[int]]) -> FuzzyRelation:
+    def relation(self, z: Sequence[Dict[int, int]]) -> FuzzyRelation:
+        """The relation of ``z`` in ranks, one dict per row."""
         universe = self.universe
-        return FuzzyRelation(
-            self.dom_a, self.dom_b, [[universe[r] for r in row] for row in z]
-        )
+        return FuzzyRelation(self.dom_a, self.dom_b, {
+            (i, j): universe[r] for i, row in enumerate(z) for j, r in row.items()
+        })
 
 
 def _individual_pairs(ia: Interpretation, ib: Interpretation) -> List[Tuple[str, int, int]]:
@@ -260,13 +260,18 @@ def _subset_budget(choices, what: str) -> None:
                           f"subsets (budget {SUBSET_BUDGET})")
 
 
-def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[List[int]]]:
-    """The context for checking candidate ``z``, and ``z`` in ranks."""
-    rel = z if isinstance(z, FuzzyRelation) else z.relation
-    if rel.rows != ia.domain or rel.cols != ib.domain:
+def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[Dict[int, int]]]:
+    """The context for checking candidate ``z``, and ``z`` in ranks: per
+    element of A, a dict from the index of each element of B it relates to
+    at a nonzero degree to that degree's rank, in column order."""
+    if z.rows != ia.domain or z.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
-    ctx = _Context(ia, ib, features, [v for row in rel.matrix for v in row])
-    return ctx, [[ctx.rank[id(v)] for v in row] for row in rel.matrix]
+    listed = list(z.nonzero())
+    ctx = _Context(ia, ib, features, [v for _x, _y, v in listed])
+    ranks: List[Dict[int, int]] = [{} for _ in ia.domain]
+    for x, y, v in listed:
+        ranks[ia.index(x)][ib.index(y)] = ctx.rank[id(v)]
+    return ctx, ranks
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +299,15 @@ def _universal_rows(ctx: _Context, z) -> tuple:
     or column of Z whose maximum is below 1.  Empty without feature U."""
     if not ctx.features.universal:
         return ()
+    row_max, col_max = [0] * ctx.na, [0] * ctx.nb
+    for i, row in enumerate(z):
+        for j, r in row.items():
+            row_max[i], col_max[j] = max(row_max[i], r), max(col_max[j], r)
     top = ctx.top
     return tuple(
         (code, None, (dom[y],), top, best)
-        for code, dom, lines in (("FB8", ctx.dom_a, z), ("FB9", ctx.dom_b, zip(*z)))
-        for y, best in enumerate(map(max, lines))
+        for code, dom, maxima in (("FB8", ctx.dom_a, row_max), ("FB9", ctx.dom_b, col_max))
+        for y, best in enumerate(maxima)
         if best < top
     )
 
@@ -376,8 +385,8 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     sides = []  # (FB6 or FB7, role, list) per role and direction
     for label, succ_a, succ_b in ctx.basic:
         sa, sb = succ_a[i], succ_b[j]
-        forth = [(d, dom_a[y], [min(z[y][y2], e) for y2, e in sb]) for y, d in sa]
-        back = [(e, dom_b[y2], [min(z[y][y2], d) for y, d in sa]) for y2, e in sb]
+        forth = [(d, dom_a[y], [min(z[y].get(y2, 0), e) for y2, e in sb]) for y, d in sa]
+        back = [(e, dom_b[y2], [min(z[y].get(y2, 0), d) for y, d in sa]) for y2, e in sb]
         for code, side in (("FB3", forth), ("FB4", back)):
             for d, x, scores in side:
                 best = max(scores, default=0)
@@ -424,7 +433,7 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
 
 
 def _rows(ctx: _Context, z, i: int, j: int, universal: tuple):
-    """Every row of pair (i, j) under rank matrix ``z`` with strength > rhs.
+    """Every row of pair (i, j) under ``z`` in ranks with strength > rhs.
 
     A row ``(code, name, witness, strength, rhs)`` holds when
     ``min(Z(i,j), strength) <= rhs``.  ``name`` is the concept, individual
@@ -451,13 +460,12 @@ _SYMBOL_CODES = ("FB2", "FB5", "FB10")
 
 
 def _violations(ctx: _Context, z) -> Iterator[Violation]:
-    """Yield every broken condition of rank matrix ``z``, pair by pair."""
-    universe = ctx.universe
+    """Yield every broken condition of ``z`` in ranks, pair by pair: each
+    row's entries in column order, skipping those of rank 0."""
+    universe, dom_b = ctx.universe, ctx.dom_b
     universal = _universal_rows(ctx, z)
     for i, x in enumerate(ctx.dom_a):
-        zi = z[i]
-        for j, x_prime in enumerate(ctx.dom_b):
-            val = zi[j]
+        for j, val in z[i].items():
             if val == 0:
                 continue
             for code, name, witness, strength, rhs in _rows(ctx, z, i, j, universal):
@@ -465,7 +473,7 @@ def _violations(ctx: _Context, z) -> Iterator[Violation]:
                 if lhs > rhs:
                     symbol = code in _SYMBOL_CODES
                     yield Violation(
-                        code, x, x_prime,
+                        code, x, dom_b[j],
                         role=None if symbol else name,
                         symbol=name if symbol else None,
                         witness=witness, lhs=universe[lhs], rhs=universe[rhs],
@@ -481,8 +489,9 @@ def check_bisim(
     """Exhaustively check the bisimulation conditions for candidate ``z``.
 
     ``z`` may be a :class:`FuzzyRelation`, a :class:`CandidateRelation` or
-    a :class:`fdl.refinement.NestedPartitions`; crisp candidates run the
-    identical checks.
+    a :class:`fdl.refinement.NestedPartitions`: its ``rows``, ``cols`` and
+    row-major ``nonzero()`` are read, as a pair of degree 0 breaks no
+    condition.  Crisp candidates run the identical checks.
     """
     ctx, z_ranks = _candidate_context(ia, ib, features, z)
     found = tuple(_violations(ctx, z_ranks))
@@ -532,21 +541,12 @@ def brute_force_greatest(
             raise BudgetError(
                 f"brute-force search needs more than {BRUTE_FORCE_BUDGET} candidates"
             )
-    best = [[0] * nb for _ in range(na)]
-    z = [[0] * nb for _ in range(na)]
-
-    def descend(k: int) -> None:
-        if k == len(pairs):
-            if next(_violations(ctx, z), None) is None:
-                for (i, j) in pairs:
-                    if z[i][j] > best[i][j]:
-                        best[i][j] = z[i][j]
-            return
-        i, j = pairs[k]
-        for v in choices[k]:
+    best = [dict.fromkeys(range(nb), 0) for _ in range(na)]
+    z = [dict.fromkeys(range(nb), 0) for _ in range(na)]
+    for values in product(*choices):
+        for (i, j), v in zip(pairs, values):
             z[i][j] = v
-            descend(k + 1)
-        z[i][j] = 0
-
-    descend(0)
+        if next(_violations(ctx, z), None) is None:
+            for i, j in pairs:
+                best[i][j] = max(best[i][j], z[i][j])
     return CandidateRelation(ctx.relation(best), mode)

@@ -14,7 +14,8 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
-from typing import Callable, List, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
 from .enumeration import DEFAULT_BUDGET
@@ -53,21 +54,25 @@ def _load_model(path: str):
     return load_interpretation(_read_json(path))
 
 
-def _matrix_table(rows, cols, nonzero) -> str:
-    """A relation as a table: ``nonzero`` lists ``(x, y, degree)`` for its
-    pairs of nonzero degree, and every other cell reads 0."""
-    place = {y: k for k, y in enumerate(cols, 1)}
-    table = [[""] + list(cols)] + [[x] + ["0"] * len(cols) for x in rows]
-    line = dict(zip(rows, table[1:]))
-    # a relation holds few distinct degree objects: each is formatted once
-    texts = {}
-    for x, y, v in nonzero:
-        text = texts.get(id(v))
-        if text is None:
-            text = texts[id(v)] = format_degree(v)
-        line[x][place[y]] = text
-    widths = [max(map(len, column)) for column in zip(*table)]
-    return "\n".join(["  ".join(map(str.ljust, row, widths)).rstrip() for row in table])
+def _matrix_table(rows, cols, entries) -> Iterator[str]:
+    """A relation as a table, one line at a time: its ``[x, y, text]``
+    entries fill their cells, and every other cell reads 0.  The widths come
+    from the header, the row names and the entries, none narrower than 0."""
+    place = {y: k for k, y in enumerate(cols)}
+    listed = {x: [] for x in rows}
+    widths = [max(len(y), 1 if rows else 0) for y in cols]
+    for x, y, text in entries:
+        k = place[y]
+        listed[x].append((k, text))
+        widths[k] = max(widths[k], len(text))
+    first = max(map(len, rows), default=0)
+    yield "  ".join(map(str.ljust, ["", *cols], [first, *widths])).rstrip()
+    zeros = ["0".ljust(w) for w in widths]
+    for x in rows:
+        cells = zeros.copy()
+        for k, text in listed[x]:
+            cells[k] = text.ljust(widths[k])
+        yield "  ".join([x.ljust(first), *cells]).rstrip()
 
 
 def _indented(value, indent: str = "\n") -> str:
@@ -94,9 +99,11 @@ def _indented(value, indent: str = "\n") -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-def _emit(out, payload: dict, as_json: bool, human: Callable[[], str]) -> None:
-    """Print the payload as JSON, or the human text, built only here."""
-    print(_indented(payload) if as_json else human(), file=out)
+def _emit(out, payload: dict, as_json: bool, human: Callable[[], Iterable[str]]) -> None:
+    """Print the payload as JSON, or the lines of the human text, built only
+    here and printed as they come."""
+    for line in [_indented(payload)] if as_json else human():
+        print(line, file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +127,7 @@ def _eval(args, out) -> int:
     payload = {"concept": concept_text, "values": shown}
     width = max(map(len, shown))
     _emit(out, payload, args.json,
-          lambda: "\n".join(f"{x.ljust(width)}  {text}" for x, text in shown.items()))
+          lambda: ["\n".join(f"{x.ljust(width)}  {text}" for x, text in shown.items())])
     return 0
 
 
@@ -134,7 +141,7 @@ def _bisim(args, out) -> int:
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(out, document, args.json,
-          lambda: _matrix_table(result.rows, result.cols, result.nonzero()))
+          lambda: _matrix_table(result.rows, result.cols, document["entries"]))
     return 0
 
 
@@ -152,7 +159,7 @@ def _check(args, out) -> int:
         ],
     }
     _emit(out, payload, args.json,
-          lambda: "\n".join(v.describe() for v in report.violations) or "satisfied")
+          lambda: [v.describe() for v in report.violations] or ["satisfied"])
     return 0 if report.satisfied else 1
 
 
@@ -168,7 +175,7 @@ def _bisimilar(args, out) -> int:
     human = f"bisimilar ({args.mode})" if result.holds else (
         f"not bisimilar ({args.mode}); individual {result.failing_individual!r} falls below 1"
     )
-    _emit(out, payload, args.json, lambda: human)
+    _emit(out, payload, args.json, lambda: [human])
     return 0 if result.holds else 1
 
 
@@ -197,7 +204,7 @@ def _validate(args, out) -> int:
     human = "validated" if result.valid else f"not validated: {payload['failed']}"
     if result.witness_element:
         human += f" (at element {result.witness_element})"
-    _emit(out, payload, args.json, lambda: human)
+    _emit(out, payload, args.json, lambda: [human])
     return 0 if result.valid else 1
 
 
@@ -219,9 +226,9 @@ def _hm(args, out) -> int:
         "separators": separators,
         "concepts_used": result.concepts_used,
     }
-    _emit(out, payload, args.json, lambda: "\n".join(
-        [_matrix_table(result.matrix.rows, result.matrix.cols, candidate.nonzero())]
-        + [f"separator {pair}: {text}" for pair, text in sorted(separators.items())]
+    _emit(out, payload, args.json, lambda: chain(
+        _matrix_table(candidate.rows, candidate.cols, payload["matrix"]["entries"]),
+        [f"separator {pair}: {text}" for pair, text in sorted(separators.items())],
     ))
     return 0
 

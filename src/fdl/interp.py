@@ -364,11 +364,11 @@ class ConceptEvaluator:
     def _relation(self, r: s.Role) -> FuzzyRelation:
         domain, scale = self.interp.domain, self._scale
         role = s.inverse_normal_form(r)
-        matrix = [[ZERO] * len(domain) for _ in domain]
-        for b in range(len(domain)):
-            for a, v in self._push(role, {b: scale.top}, _EXISTS).items():
-                matrix[a][b] = scale[v]
-        return FuzzyRelation(domain, domain, matrix)
+        return FuzzyRelation(domain, domain, {
+            (a, b): scale[v]
+            for b in range(len(domain))
+            for a, v in self._push(role, {b: scale.top}, _EXISTS).items()
+        })
 
     def _values(self, c: s.Concept) -> Tuple[int, ...]:
         cached = self._concepts.get(c)

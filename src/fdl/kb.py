@@ -280,28 +280,25 @@ def hm_matrix(
     )
     crisp = fragment is Sublanguage.DELTA_EXISTENTIAL
     eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)
-    na, nb = len(ia.domain), len(ib.domain)
-    matrix = [[ONE] * nb for _ in range(na)]
+    live = {(i, j) for i in range(len(ia.domain)) for j in range(len(ib.domain))}
+    # every pair starts at 1, so the working matrix lists them all
+    matrix = dict.fromkeys(live, ONE)
     separators: Dict[Tuple[str, str], Optional[Concept]] = {
         (x, y): None for x in ia.domain for y in ib.domain
     }
-    live = {(i, j) for i in range(na) for j in range(nb)}
     used = 0
     for c in stream:
         if not live:
             break
         used += 1
-        va = eva.concept_values(c)
-        vb = evb.concept_values(c)
-        done = []
-        for (i, j) in live:
+        va, vb = eva.concept_values(c), evb.concept_values(c)
+        for i, j in list(live):
             value = godel_iff(va[i], vb[j])
             if crisp and value != ONE:
                 value = ZERO
-            if value < matrix[i][j]:
-                matrix[i][j] = value
+            if value < matrix[i, j]:
+                matrix[i, j] = value
                 separators[(ia.domain[i], ib.domain[j])] = c
-            if matrix[i][j] == ZERO:
-                done.append((i, j))
-        live.difference_update(done)
+                if value == ZERO:
+                    live.discard((i, j))
     return HmResult(FuzzyRelation(ia.domain, ib.domain, matrix), separators, used)

@@ -125,8 +125,8 @@ splits of each level in reverse, top level first, down to level 2, merges
 two blocks at a time; the pairs across a merge of level v's splits get
 v - 1, each pair once, and the blocks left at the end, those of level 1,
 hold exactly the pairs of nonzero degree.  So listing them costs their
-number, one pair's degree is a lookup in its row of that listing, and an
-n_a × n_b matrix is built only on request.  Under U, an element's row or
+number, one pair's degree is a lookup in its row of that listing, and no
+n_a × n_b matrix is built.  Under U, an element's row or
 column maximum is the highest level at which its block holds an element
 of the other model, so c is the highest level whose blocks all hold
 elements of both, found by the same merges.
@@ -364,12 +364,12 @@ class NestedPartitions:
     """The greatest bisimulation between two models, kept as the nested
     partitions that :class:`_Refinement` leaves: the final blocks of the
     disjoint union, the splits in order and the level marks.  No n_a × n_b
-    matrix is built unless :attr:`relation` is asked for.
+    matrix is built.
 
     ``mode`` is ``"fuzzy"`` or ``"crisp"``; every degree is 0 or 1 in crisp
     mode by construction.  ``at`` reads one pair, ``nonzero`` lists the
     pairs of nonzero degree at a cost that follows their number, and
-    ``relation`` is the dense :class:`FuzzyRelation` of the same read-out.
+    ``relation`` is the :class:`FuzzyRelation` of the same read-out.
     Under U every rank is capped at ``cap``, the least row or column
     maximum (module docstring); otherwise ``cap`` is the top.  The class
     defines no equality of its own: compare two results through their
@@ -479,13 +479,12 @@ class NestedPartitions:
 
     @cached_property
     def relation(self) -> FuzzyRelation:
-        """The dense relation, built on first use."""
-        matrix = [[ZERO] * self.nb for _ in range(self.na)]
+        """The :class:`FuzzyRelation` of the same entries, built on first use."""
         universe = self.universe
-        for row, (ys, ranks) in zip(matrix, self._readout):
-            for j, r in zip(ys, ranks):
-                row[j] = universe[r]
-        return FuzzyRelation(self.rows, self.cols, matrix)
+        return FuzzyRelation(self.rows, self.cols, {
+            (i, j): universe[r]
+            for i, (ys, ranks) in enumerate(self._readout) for j, r in zip(ys, ranks)
+        })
 
 
 @dataclass(frozen=True)

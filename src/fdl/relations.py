@@ -1,22 +1,19 @@
-"""Dense fuzzy relations between two ordered element sequences.
+"""Fuzzy relations between two ordered element sequences, stored as their
+pairs of nonzero degree.
 
-A relation stores one degree for every (row, col) pair; absence is not a
-state.  It holds what is naturally dense: candidate relations Z, which
-``check`` tests at every pair, and outputs such as ``eval_role`` and the
-indistinguishability matrices.  The greatest bisimulation is not one by
-default: :mod:`fdl.refinement` keeps it as nested partitions and builds a
-relation from them only when asked.  Roles of an interpretation are stored
-sparsely in :mod:`fdl.interp`, and the evaluator never builds a relation
-for them.  Roles and candidates are read from lists of ``[x, y, degree]``
-by :func:`read_triples`.  Instances are immutable values to read: a
-relation offers lookup, a crispness test and equality, and no operations
-of its own.
+A relation holds a candidate Z for ``check``, the ``relation`` of a
+greatest bisimulation (which :mod:`fdl.refinement` keeps as nested
+partitions), or an output such as ``eval_role`` and the
+indistinguishability matrices.  :func:`read_triples` reads candidates and
+the roles of a model from lists of ``[x, y, degree]``.  A relation is an
+immutable value: it offers lookup, its nonzero entries, a crispness test
+and equality, and no operations of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .errors import InputError
 from .godel import ZERO, degree
@@ -52,22 +49,20 @@ def read_triples(
 
 
 class FuzzyRelation:
-    """A total map (row element, col element) -> degree."""
+    """A map (row element, col element) -> degree, built from
+    ``{(row index, col index): degree}``; unlisted pairs and pairs listed
+    at degree 0 both have degree 0."""
 
-    __slots__ = ("rows", "cols", "matrix", "_ri", "_ci")
+    __slots__ = ("rows", "cols", "_entries", "_ri", "_ci")
 
-    def __init__(self, rows: Sequence[str], cols: Sequence[str], matrix):
+    def __init__(self, rows: Sequence[str], cols: Sequence[str],
+                 entries: Mapping[Tuple[int, int], Fraction]):
         self.rows: Tuple[str, ...] = tuple(rows)
         self.cols: Tuple[str, ...] = tuple(cols)
-        self.matrix: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple(row) for row in matrix
-        )
-        if len(self.matrix) != len(self.rows) or any(
-            len(r) != len(self.cols) for r in self.matrix
-        ):
-            raise InputError("matrix shape does not match row/col sequences")
         if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
             raise InputError("duplicate element ids in relation index")
+        # row-major order; Fraction.__bool__ reads the numerator
+        self._entries = {pair: entries[pair] for pair in sorted(entries) if entries[pair]}
         self._ri = {x: i for i, x in enumerate(self.rows)}
         self._ci = {y: j for j, y in enumerate(self.cols)}
 
@@ -76,35 +71,35 @@ class FuzzyRelation:
         cls, rows: Sequence[str], cols: Sequence[str], triples
     ) -> "FuzzyRelation":
         """Build from a list of ``[x, y, degree]``; unlisted pairs get degree 0."""
-        matrix = [[ZERO] * len(cols) for _ in rows]
         ri = {x: i for i, x in enumerate(rows)}
         ci = {y: j for j, y in enumerate(cols)}
-        for (i, j), d in read_triples(triples, ri, ci, "relation", InputError).items():
-            matrix[i][j] = d
-        return cls(rows, cols, matrix)
+        return cls(rows, cols, read_triples(triples, ri, ci, "relation", InputError))
 
     def at(self, x: str, y: str) -> Fraction:
         try:
-            return self.matrix[self._ri[x]][self._ci[y]]
+            return self._entries.get((self._ri[x], self._ci[y]), ZERO)
         except KeyError as exc:
             raise InputError(f"unknown element {exc.args[0]!r}") from None
 
+    def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
+        """``(x, y, degree)`` for every pair of nonzero degree, row by row
+        in document order."""
+        rows, cols = self.rows, self.cols
+        for (i, j), v in self._entries.items():
+            yield rows[i], cols[j], v
+
     def is_crisp(self) -> bool:
-        # exact, without Fraction.__eq__: a degree is 0 or 1 exactly when it
-        # is a whole number, numerator 0 or 1
-        return all(v.denominator == 1 and v.numerator in (0, 1) for row in self.matrix for v in row)
+        # exact, without Fraction.__eq__: a nonzero degree is 1 exactly when
+        # it is a whole number
+        return all(v.denominator == 1 for v in self._entries.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzyRelation):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.matrix == other.matrix
-        )
+        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.matrix))
+        return hash((self.rows, self.cols, tuple(self._entries.items())))
 
     def __repr__(self):
         return f"FuzzyRelation(rows={self.rows!r}, cols={self.cols!r})"

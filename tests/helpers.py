@@ -396,10 +396,10 @@ def fixpoint_greatest(ia, ib, features, mode="fuzzy"):
     In crisp mode a pair drops to 0 as soon as any row fails."""
     ctx = _Context(ia, ib, features)
     crisp = mode == "crisp"
-    z = []
+    z = []  # per row, a dict from column index to rank
     for i in range(ctx.na):
-        row = [_ceiling(_static_rows(ctx, i, j), ctx.top) for j in range(ctx.nb)]
-        z.append([0 if v < ctx.top else ctx.top for v in row] if crisp else row)
+        row = {j: _ceiling(_static_rows(ctx, i, j), ctx.top) for j in range(ctx.nb)}
+        z.append({j: 0 if v < ctx.top else ctx.top for j, v in row.items()} if crisp else row)
     changed = True
     while changed:
         changed = False
@@ -432,50 +432,65 @@ def condition_bound(ia, ib, z, features, x, x_prime):
 
 # ---------------------------------------------------------------------------
 # the relation algebra: bisimulations are closed under inverse, composition,
-# sup and a cap by a constant
+# sup and a cap by a constant.  The oracles work on dense matrices.
+
+
+def dense(rel):
+    """The n_a x n_b matrix of degrees of a relation with ``rows``,
+    ``cols`` and ``nonzero()``."""
+    place = {y: j for j, y in enumerate(rel.cols)}
+    matrix = {x: [F(0)] * len(rel.cols) for x in rel.rows}
+    for x, y, v in rel.nonzero():
+        matrix[x][place[y]] = v
+    return list(matrix.values())
+
+
+def from_matrix(rows, cols, matrix):
+    """The :class:`FuzzyRelation` of a matrix of degrees."""
+    return FuzzyRelation(rows, cols, {
+        (i, j): F(v) for i, row in enumerate(matrix) for j, v in enumerate(row)
+    })
 
 
 def identity(elements):
-    return FuzzyRelation(
-        elements, elements, [[F(1 if x == y else 0) for y in elements] for x in elements]
-    )
+    return from_matrix(elements, elements, [[int(x == y) for y in elements] for x in elements])
 
 
 def constant(rows, cols, value):
-    return FuzzyRelation(rows, cols, [[F(value)] * len(cols) for _ in rows])
+    return from_matrix(rows, cols, [[value] * len(cols) for _ in rows])
 
 
 def cells(rel):
     """``(x, y, degree)`` for every pair of ``rel``, row by row."""
-    return [(x, y, v) for x, row in zip(rel.rows, rel.matrix) for y, v in zip(rel.cols, row)]
+    return [(x, y, v) for x, row in zip(rel.rows, dense(rel)) for y, v in zip(rel.cols, row)]
 
 
 def inverse(rel):
-    return FuzzyRelation(rel.cols, rel.rows, zip(*rel.matrix))
+    return from_matrix(rel.cols, rel.rows, zip(*dense(rel)))
 
 
 def compose(left, right):
     """The max-min product; the columns of ``left`` are the rows of ``right``."""
-    columns = list(zip(*right.matrix))
-    return FuzzyRelation(left.rows, right.cols, [
-        [max(map(min, row, column)) for column in columns] for row in left.matrix
+    columns = list(zip(*dense(right)))
+    return from_matrix(left.rows, right.cols, [
+        [max(map(min, row, column)) for column in columns] for row in dense(left)
     ])
 
 
 def rel_sup(relations):
     """The pointwise max of a nonempty list of relations over the same elements."""
-    return FuzzyRelation(relations[0].rows, relations[0].cols, [
-        [max(values) for values in zip(*rows)] for rows in zip(*(r.matrix for r in relations))
+    return from_matrix(relations[0].rows, relations[0].cols, [
+        [max(values) for values in zip(*rows)] for rows in zip(*map(dense, relations))
     ])
 
 
 def cap(rel, bound):
     """The pointwise min with a constant degree."""
-    return FuzzyRelation(rel.rows, rel.cols, [[min(v, bound) for v in row] for row in rel.matrix])
+    return from_matrix(rel.rows, rel.cols, [[min(v, bound) for v in row] for row in dense(rel)])
 
 
 def pointwise_leq(smaller, larger):
-    return all(a <= b for r, s in zip(smaller.matrix, larger.matrix) for a, b in zip(r, s))
+    return all(a <= b for r, s in zip(dense(smaller), dense(larger)) for a, b in zip(r, s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -37,9 +38,9 @@ from fdl.godel import ONE, ZERO, format_degree
 from fdl.interp import degree_objects, degree_ranks, load_interpretation
 from helpers import (
     POOL3, POOL4, cap, cells, chain_pair, compose, condition_bound, constant,
-    counting_hub_pair, counting_subsets, disjoint_union, doubled_hub_pair, fixpoint_greatest,
-    identity, inverse, random_features, random_model, rel_sup, shuffled_copy,
-    shuffled_hub_pair, spread_hub_pair,
+    counting_hub_pair, counting_subsets, dense, disjoint_union, doubled_hub_pair,
+    fixpoint_greatest, from_matrix, identity, inverse, random_features, random_model, rel_sup,
+    rename_model, shuffled_copy, shuffled_hub_pair, spread_hub_pair,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -227,7 +228,7 @@ class TestCheckBisim:
 
     def test_fold_pair_report_pinned(self):
         ia, ib = fold_pair()
-        z = FuzzyRelation(ia.domain, ib.domain, [
+        z = from_matrix(ia.domain, ib.domain, [
             [F(1, 2) if x == "v3" or y == "v2'" else F(1) for y in ib.domain]
             for x in ia.domain
         ])
@@ -237,6 +238,58 @@ class TestCheckBisim:
              format_degree(v.lhs), format_degree(v.rhs))
             for v in report.violations
         ] == FOLD_REPORT
+
+
+class TestCandidateStorage:
+    """The checker reads a candidate's nonzero entries, whatever holds them."""
+
+    def test_every_storage_gets_the_same_report(self):
+        rng = random.Random(167)
+        failing = 0
+        for _ in range(80):
+            ia = random_model(rng, "x", rng.randint(1, 4), POOL4, individual_names=("a",))
+            ib = random_model(rng, "y", rng.randint(1, 4), POOL4, individual_names=("a",))
+            features = random_features(rng)
+            greatest = greatest_bisim(ia, ib, features, rng.choice(MODES))
+            drawn = from_matrix(ia.domain, ib.domain, [
+                [rng.choice(POOL4) for _ in ib.domain] for _ in ia.domain
+            ])
+            for rel, partitions in ((drawn, None), (greatest.relation, greatest)):
+                candidate = CandidateRelation(rel)
+                forms = [rel, candidate,
+                         load_relation(dump_relation(candidate), ia.domain, ib.domain)]
+                if partitions is not None:
+                    forms.append(partitions)
+                reports = [check_bisim(ia, ib, z, features) for z in forms]
+                assert all(report == reports[0] for report in reports[1:])
+                assert reports[0].satisfied or partitions is None
+                failing += not reports[0].satisfied
+        assert failing >= 40
+
+    def test_check_builds_no_dense_matrix(self):
+        # a 1500-element model with out-degree 3 and a renamed copy, related
+        # one to one: 1500 entries against 2.25 million pairs, whose rank
+        # table alone would take tens of MB
+        rng = random.Random(173)
+        n = 1500
+        domain = [f"x{i}" for i in range(n)]
+        ia = Interpretation(
+            domain, {}, {"A": {x: F(rng.randint(1, 100), 100) for x in domain}},
+            {"r": [(x, y, F(rng.randint(1, 100), 100))
+                   for x in domain for y in rng.sample(domain, 3)]},
+        )
+        ib = rename_model(ia, {x: x + "'" for x in domain})
+        z = FuzzyRelation.from_entries(
+            ia.domain, ib.domain, [(x, x + "'", "1") for x in domain]
+        )
+        tracemalloc.start()
+        try:
+            report = check_bisim(ia, ib, z, FeatureSet.parse("I"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.satisfied
+        assert peak < 10 * 2**20, peak
 
 
 class TestConditionBound:
@@ -287,7 +340,7 @@ class TestConditionBound:
             ia = random_model(rng, "x", rng.randint(1, 3), POOL3, individual_names=("a",))
             ib = random_model(rng, "y", rng.randint(1, 3), POOL3, individual_names=("a",))
             features = random_features(rng)
-            z = FuzzyRelation(
+            z = from_matrix(
                 ia.domain,
                 ib.domain,
                 [[rng.choice(POOL3) for _ in ib.domain] for _ in ia.domain],
@@ -296,10 +349,10 @@ class TestConditionBound:
             y = rng.choice(ib.domain)
             bound = condition_bound(ia, ib, z, features, x, y)
             for value in degree_universe(ia, ib):
-                patched = [list(row) for row in z.matrix]
+                patched = dense(z)
                 patched[ia.domain.index(x)][ib.domain.index(y)] = value
                 report = check_bisim(
-                    ia, ib, FuzzyRelation(ia.domain, ib.domain, patched), features
+                    ia, ib, from_matrix(ia.domain, ib.domain, patched), features
                 )
                 local = [
                     v for v in report.violations if (v.x, v.x_prime) == (x, y)
@@ -317,7 +370,7 @@ class TestConditionBound:
             ib = random_model(rng, "y", rng.randint(1, 3), POOL3, density=0.8)
             n = rng.randint(1, 3)
             features = FeatureSet(n_bounds=frozenset({n}))
-            z = FuzzyRelation(
+            z = from_matrix(
                 ia.domain,
                 ib.domain,
                 [[rng.choice(POOL3) for _ in ib.domain] for _ in ia.domain],
@@ -368,7 +421,7 @@ class TestConditionBound:
             ib = random_model(rng, "y", rng.randint(1, 3), POOL3, density=0.8)
             n = rng.randint(1, 2)
             features = FeatureSet(q_bounds=frozenset({n}))
-            z = FuzzyRelation(
+            z = from_matrix(
                 ia.domain,
                 ib.domain,
                 [[rng.choice(POOL3) for _ in ib.domain] for _ in ia.domain],
@@ -423,7 +476,7 @@ class TestConditionBound:
             ia = random_model(rng, "x", rng.randint(1, 3), POOL4, individual_names=("a",))
             ib = random_model(rng, "y", rng.randint(1, 3), POOL4, individual_names=("a",))
             features = random_features(rng)
-            big = FuzzyRelation(
+            big = from_matrix(
                 ia.domain,
                 ib.domain,
                 [[rng.choice(POOL4) for _ in ib.domain] for _ in ia.domain],
@@ -642,7 +695,7 @@ class TestCountingByMatching:
             ib = random_model(rng, "y", rng.randint(1, 4), POOL4, density=0.7)
             bounds = None if rng.random() < 0.5 else frozenset(range(1, rng.randint(2, 4)))
             features = FeatureSet(inverse=rng.random() < 0.4, q_bounds=bounds)
-            z = FuzzyRelation(
+            z = from_matrix(
                 ia.domain, ib.domain,
                 [[rng.choice(POOL4) for _ in ib.domain] for _ in ia.domain],
             )
@@ -655,14 +708,14 @@ class TestCountingByMatching:
         for d, perturb in ((4, True), (7, False), (9, True), (11, True), (11, False)):
             ia, ib = shuffled_hub_pair(rng, d, perturb)
             features = FeatureSet(q_bounds=frozenset(range(1, d + 1)))
-            matrix = [list(row) for row in greatest_bisim(ia, ib, features).relation.matrix]
+            matrix = dense(greatest_bisim(ia, ib, features))
             matrix[0][0] = F(1)
             pool = degree_universe(ia, ib)
             for row in matrix[1:]:
                 for k in range(1, d + 1):
                     if rng.random() < 0.3:
                         row[k] = rng.choice(pool)
-            z = FuzzyRelation(ia.domain, ib.domain, matrix)
+            z = from_matrix(ia.domain, ib.domain, matrix)
             self.check_against_subsets(ia, ib, z, features)
 
 
@@ -797,8 +850,8 @@ class TestGappedCountingLevels:
 
 class TestPartitionResult:
     """The greatest bisimulation kept as nested partitions: ``at`` on every
-    pair, the nonzero listing and the dense ``relation`` read the same
-    degrees, and those are the pairwise fixpoint's."""
+    pair, the nonzero listing and the ``relation`` read the same degrees,
+    and those are the pairwise fixpoint's."""
 
     @staticmethod
     def random_pair(rng):
@@ -829,14 +882,14 @@ class TestPartitionResult:
             features = replace(random_features(rng), universal=rng.random() < 0.5)
             for mode in ("fuzzy", "crisp"):
                 got = greatest_bisim(ia, ib, features, mode)
-                dense = got.relation
+                rel = got.relation
                 assert [got.at(x, y) for x in ia.domain for y in ib.domain] == [
-                    v for _x, _y, v in cells(dense)]
-                assert list(got.nonzero()) == [(x, y, v) for x, y, v in cells(dense) if v]
-                assert dense == fixpoint_greatest(ia, ib, features, mode).relation
+                    v for _x, _y, v in cells(rel)]
+                assert list(got.nonzero()) == [(x, y, v) for x, y, v in cells(rel) if v]
+                assert rel == fixpoint_greatest(ia, ib, features, mode).relation
                 if features.universal and any(v for _x, _y, v in got.nonzero()):
                     uncapped = greatest_bisim(ia, ib, replace(features, universal=False), mode)
-                    capped += dense != uncapped.relation
+                    capped += rel != uncapped.relation
                 graded += any(0 < v < 1 for _x, _y, v in got.nonzero())
         # the pairs exercise partial degrees and a cap that lowers entries
         # without emptying the relation

@@ -92,6 +92,25 @@ class TestBisim:
         assert code == 0
         assert out == "   u'   v'   w'\nu  0.8  0    0\nv  0    1    0.8\nw  0    0.8  1\n"
 
+    @pytest.mark.parametrize("features, table", [
+        # the column of u' is as wide as its name, the others as their cells
+        ("", "    u'  v1'  v2'\n"
+             "u   1   0    0\n"
+             "v1  0   1    0.7\n"
+             "v2  0   0.7  1\n"
+             "v3  0   0.7  1\n"),
+        # a listed cell widens the column of u'
+        ("I,U", "    u'   v1'  v2'\n"
+                "u   0.3  0    0\n"
+                "v1  0    0.3  0.3\n"
+                "v2  0    0.3  0.3\n"
+                "v3  0    0.3  0.3\n"),
+    ])
+    def test_table_of_unequal_widths_pinned(self, files, features, table):
+        code, out, _ = run_cli(["bisim", "-l", files["fold_a"], "-r", files["fold_b"],
+                                "--features", features, "--mode", "fuzzy"])
+        assert (code, out) == (0, table)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_individual_in_one_model_under_nominals(self, files, tmp_path, mode):
         # hub_b names no individual; FB5 needs every name in both models
@@ -383,6 +402,18 @@ class TestHm:
         )
         assert code == 0
         assert "0.8" in out
+
+    def test_human_table_and_separators_pinned(self, files):
+        code, out, _ = run_cli(
+            ["hm", "-l", files["fold_a"], "-r", files["fold_b"], "--features", "",
+             "--fragment", "prime", "--depth", "1"]
+        )
+        assert code == 0
+        assert out == (
+            "    u'  v1'  v2'\nu   1   0    0\nv1  0   1    0.7\nv2  0   0.7  1\nv3  0   0.7  1\n"
+            + "".join(f"separator {pair}: A\n" for pair in (
+                "u|v1'", "u|v2'", "v1|u'", "v1|v2'", "v2|u'", "v2|v1'", "v3|u'", "v3|v1'"))
+        )
 
     def test_delta_separator_listed(self, files):
         code, out, _ = run_cli(

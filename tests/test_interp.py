@@ -37,7 +37,7 @@ from fdl import (
 )
 from fdl.fixtures import fan_model, twin_islands
 from helpers import (
-    POOL4, compose, identity, random_concept, random_features, random_model, random_role,
+    POOL4, compose, dense, identity, random_concept, random_features, random_model, random_role,
     rel_sup, rewrite_definable,
 )
 
@@ -495,7 +495,7 @@ class TestAgainstReference:
                 assert list(got) == loops
             for _ in range(2):
                 r = self.role(rng, rng.randint(1, 3))
-                got = mine.role_values(parse_role(ref.text(r))).matrix
+                got = dense(mine.role_values(parse_role(ref.text(r))))
                 want = [
                     [row.get(j, F(0)) for j in range(len(doc["domain"]))]
                     for row in theirs.role(r)
@@ -602,7 +602,7 @@ class TestIntegerScale:
                 fresh += any(v not in held for v in got)
             for _ in range(2):
                 r = self.role(rng, rng.randint(1, 3), self.CONSTANTS)
-                got = mine.role_values(parse_role(self.text(ref, r))).matrix
+                got = dense(mine.role_values(parse_role(self.text(ref, r))))
                 want = [
                     [row.get(j, F(0)) for j in range(len(doc["domain"]))]
                     for row in theirs.role(r)

@@ -4,13 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from fdl import FuzzyRelation, InputError
-from helpers import cap, compose, constant, identity, inverse, pointwise_leq, rel_sup
+from helpers import (
+    cap, cells, compose, constant, dense, from_matrix, identity, inverse, pointwise_leq, rel_sup,
+)
 
 
 def random_relation(rng, rows, cols):
-    return FuzzyRelation(
-        rows, cols, [[F(rng.randint(0, 4), 4) for _ in cols] for _ in rows]
-    )
+    return from_matrix(rows, cols, [[F(rng.randint(0, 4), 4) for _ in cols] for _ in rows])
 
 
 class TestBasics:
@@ -32,6 +32,41 @@ class TestBasics:
     def test_crisp_detection(self):
         assert identity(["a", "b"]).is_crisp()
         assert not constant(["a"], ["b"], F(1, 2)).is_crisp()
+
+
+class TestSparseEntries:
+    """A relation is its nonzero entries: a pair listed at 0 is absent."""
+
+    def test_explicit_zero_equals_absent(self):
+        listed = FuzzyRelation.from_entries(
+            ["u", "v"], ["w"], [("u", "w", "0"), ("v", "w", "1/2")]
+        )
+        absent = FuzzyRelation.from_entries(["u", "v"], ["w"], [("v", "w", "0.5")])
+        assert listed == absent and hash(listed) == hash(absent)
+        assert listed.at("u", "w") == 0
+        assert list(listed.nonzero()) == [("v", "w", F(1, 2))]
+        assert listed != FuzzyRelation.from_entries(["u", "v"], ["w"], [("u", "w", "1/2")])
+
+    def test_nonzero_is_row_major_whatever_the_document_order(self):
+        rng = random.Random(23)
+        rows, cols = ["c", "a", "b"], ["z", "x", "y", "w"]
+        for _ in range(10):
+            rel = random_relation(rng, rows, cols)
+            listed = [(x, y, v) for x, y, v in cells(rel) if v]
+            shuffled = [list(t) for t in listed]
+            rng.shuffle(shuffled)
+            again = FuzzyRelation.from_entries(rows, cols, shuffled)
+            assert list(again.nonzero()) == list(rel.nonzero()) == listed
+            assert again == rel and hash(again) == hash(rel)
+            assert dense(again) == [[rel.at(x, y) for y in cols] for x in rows]
+
+    def test_crisp_on_the_entries(self):
+        assert FuzzyRelation.from_entries(["u"], ["v", "w"], [("u", "v", "0")]).is_crisp()
+        assert FuzzyRelation.from_entries(["u"], ["v", "w"], [("u", "w", "1")]).is_crisp()
+        assert FuzzyRelation(["u"], ["v"], {}).is_crisp()
+        assert not FuzzyRelation.from_entries(
+            ["u"], ["v", "w"], [("u", "v", "1"), ("u", "w", "0.25")]
+        ).is_crisp()
 
 
 class TestInverse:
