@@ -113,6 +113,8 @@ def iter_fragment(
         )
     if depth < 0:
         raise InputError("depth must be nonnegative")
+    if max_concepts < 0:
+        raise InputError("budget must be nonnegative")
     if features.q_bounds is None or features.n_bounds is None:
         raise InputError("enumeration needs finite number-restriction bounds")
     with_delta = fragment is Sublanguage.DELTA_EXISTENTIAL

@@ -61,7 +61,9 @@ lies above Z, and Z' = Z.  The key of an element changes from level v - 1
 to level v only if it has a static rank or an edge of rank exactly v - 1,
 so level v keys those elements first and then, as each split moves
 elements, only those with an edge into what moved; the largest part of a
-split keeps the block.
+split keeps the block.  An element not keyed still has the key its
+block last shared, so a block whose keyed members share that key, or one
+key and are all of it, has one key and is left whole.
 
 **Crisp mode** is one level, the top, where every row must hold as it
 is.  With Z the indicator of a partition, FB2, FB10 and FB6n/FB7n ask for
@@ -103,11 +105,6 @@ sets at degree f_x(T), so they have the sizes above, counted at the
 weakest degree, and the key lists them once with their f_x.  In fuzzy
 mode every counted successor reads as v, and the pairs are the least sets
 of level v.
-
-The key lists least sets only when it is compared with that of an
-element of the same block whose successors per block differ: equal ones
-give equal least sets.  An element alone in its block has nothing to
-split from and is not keyed.
 
 **U.**  Let Z be the greatest bisimulation without U and c the least of
 the row and column maxima of its A × B part.  min(Z, c) is a bisimulation
@@ -237,8 +234,8 @@ class _Refinement:
                 exact[x].append(len(met))
                 static[x] += tuple([degrees[k - 1] for k in met])
         number: dict = {}
-        self.block = [number.setdefault((tuple(exact[x]), static[x] if crisp else self._clamp(x, 1)),
-                                        len(number)) for x in range(n)]
+        self.block = [number.setdefault((tuple(exact[x]), static[x] if crisp else tuple(
+            [r if r < 1 else top for r in static[x]])), len(number)) for x in range(n)]
         self.members: List[Set[int]] = [set() for _ in number]
         for x, b in enumerate(self.block):
             self.members[b].add(x)
@@ -259,36 +256,6 @@ class _Refinement:
         for v in levels:
             self._split_by_keys(set(range(n)) if v == levels[0] else at_rank[v - 1], v)
             self.marks.append(len(self.splits))
-
-    def _clamp(self, x: int, v: int) -> Tuple[int, ...]:
-        """x's static ranks at level v: a rank >= v reads as the top."""
-        top = self.top
-        return tuple([r if r < v else top for r in self.static[x]])
-
-    def _key(self, x: int, v: int) -> tuple:
-        """What x shares with its block at level v: its clamped static ranks
-        and, per basic role and target block, how many successors of degree
-        >= v it has there, up to ``width`` (crisp: the strongest degree of
-        its successors there, or the ``width`` strongest); under gapped
-        bounds also its least sets, listed only when compared."""
-        block, width, found = self.block, self.width, {}
-        if self.crisp and (width > 1 or self.gapped):
-            for d, label, y in self.edges[x]:
-                found.setdefault((label, block[y]), []).append(d)
-            key = self.static[x], frozenset((at, tuple(ds[:width])) for at, ds in found.items())
-        elif self.crisp:  # edges come strongest first
-            for d, label, y in self.edges[x]:
-                found.setdefault((label, block[y]), d)
-            key = self.static[x], frozenset(found.items())
-        else:
-            for d, label, y in self.edges[x]:
-                if d < v:
-                    break
-                at = label, block[y]
-                found[at] = found.get(at, 0) + 1
-            key = self._clamp(x, v), frozenset(found) if width == 1 else frozenset(
-                (at, min(k, width)) for at, k in found.items())
-        return key + (_LeastSets(found, self._least_sets),) if self.gapped else key
 
     def _least_sets(self, found: dict) -> frozenset:
         """``(role, n, T, f)`` for each basic role, gapped bound n and least
@@ -323,29 +290,61 @@ class _Refinement:
                         least.append((label, n, frozenset([b for _ds, b in subset]), f))
         return frozenset(least)
 
-    def _split(self, b: int, part: List[int], key) -> None:
-        """Move ``part`` out of block ``b`` into a new block."""
-        self.splits.append((len(self.members), b))
-        self.members[b].difference_update(part)
-        for x in part:
-            self.block[x] = len(self.members)
-        self.members.append(set(part))
-        self.shared.append(key)
-
     def _split_by_keys(self, touched: Set[int], v: int) -> None:
-        """Split blocks until every block's members have the same key,
-        keying ``touched`` and then the elements with an edge into what
-        moved; the largest part of a split keeps the block."""
-        block, members, shared = self.block, self.members, self.shared
+        """Split blocks until every block's members have the same level-v
+        key under one key function chosen for the mode and bounds, keying
+        ``touched`` and then the elements with an edge into what moved.  A
+        block whose keyed members share ``shared[b]``, or one key and are
+        all of it, stays whole (exact: see nesting in the module docstring);
+        else the largest part of a split keeps the block."""
+        block, members, shared, edges, static = self.block, self.members, self.shared, self.edges, self.static
+        top, width, gapped, least = self.top, self.width, self.gapped, self._least_sets
+        if self.crisp and (width > 1 or gapped):
+            def key(x: int) -> tuple:
+                found: dict = {}
+                for d, label, y in edges[x]:
+                    found.setdefault((label, block[y]), []).append(d)
+                base = static[x], frozenset([(at, tuple(ds[:width])) for at, ds in found.items()])
+                return base + (_LeastSets(found, least),) if gapped else base
+        elif self.crisp:
+            def key(x: int) -> tuple:
+                found: dict = {}
+                for d, label, y in edges[x]:  # strongest first
+                    found.setdefault((label, block[y]), d)
+                return static[x], frozenset(found.items())
+        elif width == 1 and not gapped:  # counts up to 1: the blocks reached
+            def key(x: int) -> tuple:
+                found = set()
+                for d, label, y in edges[x]:
+                    if d < v:
+                        break
+                    found.add((label, block[y]))
+                return tuple([r if r < v else top for r in static[x]]), frozenset(found)
+        else:
+            def key(x: int) -> tuple:
+                found: dict = {}
+                for d, label, y in edges[x]:
+                    if d < v:
+                        break
+                    at = label, block[y]
+                    found[at] = found.get(at, 0) + 1
+                base = tuple([r if r < v else top for r in static[x]]), frozenset(found) if width == 1 else frozenset(
+                    [(at, min(k, width)) for at, k in found.items()])
+                return base + (_LeastSets(found, least),) if gapped else base
         while touched:
-            # per block, its touched members by key; an element alone in its
-            # block has nothing to split from
+            # per block of two or more elements, its touched members by key
             parts_of: Dict[int, Dict[tuple, List[int]]] = {}
             for x in touched:
-                if len(members[block[x]]) > 1:
-                    parts_of.setdefault(block[x], {}).setdefault(self._key(x, v), []).append(x)
+                b = block[x]
+                if len(members[b]) > 1:
+                    parts_of.setdefault(b, {}).setdefault(key(x), []).append(x)
             moved: List[int] = []
             for b, parts in parts_of.items():
+                if len(parts) == 1:
+                    (k, part), = parts.items()
+                    if len(part) == len(members[b]) or k == shared[b]:
+                        shared[b] = k
+                        continue
                 untouched = len(members[b]) - sum(map(len, parts.values()))
                 if untouched:
                     parts.setdefault(shared[b], [])
@@ -354,7 +353,12 @@ class _Refinement:
                     if k != keep:
                         if untouched and k == shared[b]:
                             part = part + list(members[b].difference(*parts.values()))
-                        self._split(b, part, k)
+                        self.splits.append((len(members), b))  # part moves to a new block
+                        members[b].difference_update(part)
+                        for x in part:
+                            block[x] = len(members)
+                        members.append(set(part))
+                        shared.append(k)
                         moved += part
                 shared[b] = keep
             touched = set().union(*[self.incoming[y] for y in moved])

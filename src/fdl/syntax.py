@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
 from .errors import FeatureError, InputError
@@ -63,6 +64,7 @@ class FeatureSet:
         return cls(True, True, True, True, None, None)
 
     @classmethod
+    @lru_cache(maxsize=256)  # the instances are frozen, so one can be shared
     def parse(cls, text: str) -> "FeatureSet":
         """Parse a comma list such as ``"I,O,U,Self,Q2,N3"``; "" is empty.
 

@@ -904,6 +904,85 @@ class TestPartitionResult:
             assert type(info.value) is InputError
 
 
+class TestRefinementAtBenchmarkScale:
+    """The refinement at the benchmark's sizes: models of 30-40 elements of
+    out-degree 3 with 10 degree levels against their shuffled copies, and,
+    on pairs of 10-14 elements small enough for it, against the pairwise
+    fixpoint."""
+
+    LEVELS = tuple(F(k, 10) for k in range(1, 11))
+    FEATURES = ["", "I", "I,O", "I,U"]
+
+    def random_model(self, rng, low, high):
+        """``low`` to ``high`` elements: copies of a random core of 3-8
+        elements with three r-edges each inside the copy, one degree of
+        each copy redrawn, so that elements of different copies differ only
+        from some level on."""
+        m = rng.randint(3, min(8, low // 2))
+        size = m * rng.randint(-(-low // m), high // m)
+        domain = [f"x{i}" for i in range(size)]
+        a_degrees = [rng.choice(self.LEVELS) for _ in range(m)]
+        edges = [(i, j, rng.choice(self.LEVELS)) for i in range(m) for j in rng.sample(range(m), 3)]
+        concepts, roles = {"A": {}}, {"r": []}
+        for start in range(0, size, m):
+            a_copy, e_copy = list(a_degrees), list(edges)
+            if rng.random() < 0.5:
+                a_copy[rng.randrange(m)] = rng.choice(self.LEVELS)
+            else:
+                i, j, _d = e_copy.pop(rng.randrange(len(e_copy)))
+                e_copy.append((i, j, rng.choice(self.LEVELS)))
+            concepts["A"].update((domain[start + i], d) for i, d in enumerate(a_copy))
+            roles["r"] += [(domain[start + i], domain[start + j], d) for i, j, d in e_copy]
+        return Interpretation(domain, {"a": domain[0]}, concepts, roles)
+
+    @staticmethod
+    def copy(rng, ia):
+        """A renamed copy of ``ia`` in a random order, and the renaming."""
+        names = [f"y{k}" for k in range(len(ia.domain))]
+        rng.shuffle(names)
+        image = dict(zip(ia.domain, names))
+        ib = rename_model(ia, image)
+        domain = list(ib.domain)
+        rng.shuffle(domain)
+        return Interpretation(
+            domain, ib.individuals, {name: dict(zip(ib.domain, row)) for name, row in ib.concepts.items()},
+            {name: list(ib.edges(name)) for name in ib.roles}), image
+
+    @pytest.mark.parametrize("text", FEATURES)
+    def test_copies_relate_at_one(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"scale/{text}")
+        graded = 0
+        for _ in range(8):
+            ia = self.random_model(rng, 30, 40)
+            ib, image = self.copy(rng, ia)
+            for mode in ("fuzzy", "crisp"):
+                got = greatest_bisim(ia, ib, features, mode)
+                assert check_bisim(ia, ib, got, features).satisfied
+                assert all(got.at(x, image[x]) == 1 for x in ia.domain)
+                graded += any(0 < v < 1 for _x, _y, v in got.nonzero())
+        assert graded >= 6
+
+    @pytest.mark.parametrize("text", FEATURES)
+    def test_matches_fixpoint(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"scale-fixpoint/{text}")
+        graded = 0
+        for _ in range(8):
+            ia = self.random_model(rng, 10, 14)
+            ib, image = self.copy(rng, ia)
+            # one concept degree redrawn in the copy
+            concepts = {name: dict(zip(ib.domain, row)) for name, row in ib.concepts.items()}
+            concepts["A"][image[rng.choice(ia.domain)]] = rng.choice((0,) + self.LEVELS)
+            ib = Interpretation(ib.domain, ib.individuals, concepts,
+                                {name: list(ib.edges(name)) for name in ib.roles})
+            for mode in ("fuzzy", "crisp"):
+                got = greatest_bisim(ia, ib, features, mode).relation
+                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                graded += any(0 < v < 1 for _x, _y, v in cells(got))
+        assert graded >= 6
+
+
 class TestDegreeRanks:
     """Degrees are ranked by value, not by the text or object they come
     from: ``"0.5"`` and ``"1/2"``, or ``"1"``, ``"1.0"`` and the constant 1,

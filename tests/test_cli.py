@@ -688,6 +688,7 @@ MALFORMED = {
     "missing option": (["eval", "-c", "A"], None),
     "bad choice": (["bisim", *PAIR, "--mode", "sharp"], None),
     "bad integer": (["hm", *PAIR, "--fragment", "prime", "--depth", "two"], None),
+    "negative budget": (["hm", *PAIR, "--fragment", "prime", "--depth", "1", "--budget", "-5"], None),
     "both boxes": (["validate", "-m", "{model}", "--tbox", "{model}", "--abox", "{model}"], None),
     "superscript bound": (["minimize", "-m", "{model}", "--features", "Q²"], None),
     "circled bound": (["eval", "-m", "{model}", "-c", "A", "--features", "N①"], None),

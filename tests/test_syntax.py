@@ -84,6 +84,12 @@ class TestFeatureSet:
         with pytest.raises(InputError):
             FeatureSet.parse("Q0")
 
+    def test_parse_is_cached_but_errors_are_not(self):
+        assert FeatureSet.parse("I,Q2") is FeatureSet.parse("I,Q2")
+        for _ in range(2):  # a failed parse is not remembered
+            with pytest.raises(InputError, match="unknown feature token 'X'"):
+                FeatureSet.parse("I,X")
+
     def test_bounds_validated(self):
         with pytest.raises(InputError):
             FeatureSet(q_bounds=frozenset({0}))
