@@ -48,10 +48,10 @@ def show(relation):
 
 
 print("greatest fuzzy bisimulation (nested partition refinement):")
-greatest = greatest_bisim(left, right, features, "fuzzy").relation
+greatest = greatest_bisim(left, right, features, "fuzzy")
 show(greatest)
 
-oracle = brute_force_greatest(left, right, features, "fuzzy").relation
+oracle = brute_force_greatest(left, right, features, "fuzzy")
 print("\nenumeration oracle agrees:", oracle == greatest)
 print("passes every condition:", check_bisim(left, right, greatest, features).satisfied)
 
@@ -67,5 +67,5 @@ for depth in range(3):
         break
 
 print("\ncrisp analysis: only exact agreement counts, so the hubs separate:")
-crisp = greatest_bisim(left, right, features, "crisp").relation
+crisp = greatest_bisim(left, right, features, "crisp")
 show(crisp)

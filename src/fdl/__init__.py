@@ -70,7 +70,6 @@ from .interp import (
     reachability,
 )
 from .bisim import (
-    CandidateRelation,
     ConditionReport,
     Violation,
     brute_force_greatest,
@@ -78,7 +77,7 @@ from .bisim import (
     dump_relation,
     load_relation,
 )
-from .refinement import BisimilarityResult, NestedPartitions, bisimilar, greatest_bisim
+from .refinement import BisimilarityResult, bisimilar, greatest_bisim
 from .minimize import (
     MinimalityCertificate,
     Partition,

@@ -37,12 +37,11 @@ the top rank is degree 1, and the operations above act on ranks exactly as
 on the degrees they stand for.  :func:`fdl.interp.degree_ranks` ranks the
 degrees of the two models, plus the values of a candidate relation when a
 caller supplies one, as integers.  Ranks turn back into ``Fraction`` degrees
-only at the API edge: in :class:`CandidateRelation`, in :class:`Violation`
-and in the read-out of :class:`fdl.refinement.NestedPartitions`.
-:mod:`fdl.refinement` ranks the models the same way, reads the same
-bounds and individual pairs, and computes the greatest bisimulation from
-this table as nested partitions whose levels are ranks, in the degree
-universe of the two models.
+only at the API edge: in :class:`Violation` and in the :class:`FuzzyRelation`
+that every result and candidate is.  :mod:`fdl.refinement` ranks the models
+the same way, reads the same bounds and individual pairs, and computes the
+greatest bisimulation from this table as nested partitions whose levels
+are ranks, in the degree universe of the two models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -94,30 +93,6 @@ BRUTE_FORCE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
-class CandidateRelation:
-    """A degree-valued relation between two domains, tagged fuzzy or crisp."""
-
-    relation: FuzzyRelation
-    mode: str = "fuzzy"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "crisp" and not self.relation.is_crisp():
-            raise InputError("a crisp candidate relation must have entries in {0, 1}")
-
-    rows = property(lambda self: self.relation.rows)
-    cols = property(lambda self: self.relation.cols)
-
-    def at(self, x: str, y: str) -> Fraction:
-        return self.relation.at(x, y)
-
-    def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
-        """``(x, y, degree)`` for every pair of nonzero degree, row by row."""
-        return self.relation.nonzero()
-
-
-@dataclass(frozen=True)
 class Violation:
     condition: str
     x: str
@@ -150,29 +125,36 @@ class ConditionReport:
 # relation documents
 
 
-def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> CandidateRelation:
-    """Read ``{"mode": "fuzzy", "entries": [["u", "u'", "0.8"], ...]}``."""
+def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> FuzzyRelation:
+    """Read ``{"mode": "fuzzy", "entries": [["u", "u'", "0.8"], ...]}``; a
+    mode other than fuzzy or crisp, or a crisp one with an entry strictly
+    between 0 and 1, is an :class:`InputError`."""
     if not isinstance(document, dict):
         raise InputError("a relation document must be a JSON object")
     unknown = set(document) - {"mode", "entries"}
     if unknown:
         raise InputError(f"unknown relation document keys: {sorted(unknown)}")
     relation = FuzzyRelation.from_entries(rows, cols, document.get("entries", []))
-    return CandidateRelation(relation, document.get("mode", "fuzzy"))
+    mode = document.get("mode", "fuzzy")
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "crisp" and not relation.is_crisp():
+        raise InputError("a crisp candidate relation must have entries in {0, 1}")
+    return relation
 
 
-def dump_relation(candidate) -> dict:
-    """The relation document of a :class:`CandidateRelation` or of a
-    :class:`fdl.refinement.NestedPartitions`: its pairs of nonzero degree
-    in row-major document order, each degree object formatted once."""
+def dump_relation(relation: FuzzyRelation, mode: str) -> dict:
+    """The relation document of ``relation`` in ``mode``: its pairs of
+    nonzero degree in row-major document order, each degree object
+    formatted once."""
     texts: dict = {}
     entries = []
-    for x, y, v in candidate.nonzero():
+    for x, y, v in relation.nonzero():
         text = texts.get(id(v))
         if text is None:
             text = texts[id(v)] = format_degree(v)
         entries.append([x, y, text])
-    return {"mode": candidate.mode, "entries": entries}
+    return {"mode": mode, "entries": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +204,7 @@ class _Context:
     def relation(self, z: Sequence[Dict[int, int]]) -> FuzzyRelation:
         """The relation of ``z`` in ranks, one dict per row."""
         universe = self.universe
-        return FuzzyRelation(self.dom_a, self.dom_b, {
+        return FuzzyRelation.from_indexed(self.dom_a, self.dom_b, {
             (i, j): universe[r] for i, row in enumerate(z) for j, r in row.items()
         })
 
@@ -260,18 +242,18 @@ def _subset_budget(choices, what: str) -> None:
                           f"subsets (budget {SUBSET_BUDGET})")
 
 
-def _candidate_context(ia, ib, features, z) -> Tuple[_Context, List[Dict[int, int]]]:
+def _candidate_context(
+    ia, ib, features, z: FuzzyRelation
+) -> Tuple[_Context, List[Dict[int, int]]]:
     """The context for checking candidate ``z``, and ``z`` in ranks: per
-    element of A, a dict from the index of each element of B it relates to
-    at a nonzero degree to that degree's rank, in column order."""
+    element of A, its line as a dict from the index of each element of B
+    it relates to at a nonzero degree to that degree's rank, in column
+    order."""
     if z.rows != ia.domain or z.cols != ib.domain:
         raise InputError("candidate relation is not indexed by the two domains")
-    listed = list(z.nonzero())
-    ctx = _Context(ia, ib, features, [v for _x, _y, v in listed])
-    ranks: List[Dict[int, int]] = [{} for _ in ia.domain]
-    for x, y, v in listed:
-        ranks[ia.index(x)][ib.index(y)] = ctx.rank[id(v)]
-    return ctx, ranks
+    ctx = _Context(ia, ib, features, [v for _ys, ds in z.lines for v in ds])
+    rank = ctx.rank
+    return ctx, [dict(zip(ys, [rank[id(v)] for v in ds])) for ys, ds in z.lines]
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +465,12 @@ def _violations(ctx: _Context, z) -> Iterator[Violation]:
 def check_bisim(
     ia: Interpretation,
     ib: Interpretation,
-    z,
+    z: FuzzyRelation,
     features: FeatureSet,
 ) -> ConditionReport:
     """Exhaustively check the bisimulation conditions for candidate ``z``.
 
-    ``z`` may be a :class:`FuzzyRelation`, a :class:`CandidateRelation` or
-    a :class:`fdl.refinement.NestedPartitions`: its ``rows``, ``cols`` and
-    row-major ``nonzero()`` are read, as a pair of degree 0 breaks no
+    Only the lines of ``z`` are read, as a pair of degree 0 breaks no
     condition.  Crisp candidates run the identical checks.
     """
     ctx, z_ranks = _candidate_context(ia, ib, features, z)
@@ -507,7 +487,7 @@ def brute_force_greatest(
     ib: Interpretation,
     features: FeatureSet,
     mode: str = "fuzzy",
-) -> CandidateRelation:
+) -> FuzzyRelation:
     """Greatest bisimulation by enumeration, independent of the refinement.
 
     Enumerates every assignment of degree-universe values to pairs (pruned
@@ -549,4 +529,4 @@ def brute_force_greatest(
         if next(_violations(ctx, z), None) is None:
             for i, j in pairs:
                 best[i][j] = max(best[i][j], z[i][j])
-    return CandidateRelation(ctx.relation(best), mode)
+    return ctx.relation(best)

@@ -17,7 +17,7 @@ from pathlib import Path
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from .bisim import MODES, CandidateRelation, check_bisim, dump_relation, load_relation
+from .bisim import MODES, check_bisim, dump_relation, load_relation
 from .enumeration import DEFAULT_BUDGET
 from .errors import FdlError, InputError
 from .fixtures import run_selftest
@@ -134,7 +134,7 @@ def _eval(args, out) -> int:
 def _bisim(args, out) -> int:
     left, right = _load_model(args.left), _load_model(args.right)
     result = greatest_bisim(left, right, args.features, args.mode)
-    document = dump_relation(result)
+    document = dump_relation(result, args.mode)
     if args.output:
         try:
             Path(args.output).write_text(_indented(document) + "\n", encoding="utf-8")
@@ -170,7 +170,7 @@ def _bisimilar(args, out) -> int:
         "bisimilar": result.holds,
         "mode": args.mode,
         "failing_individual": result.failing_individual,
-        "witness": dump_relation(result.witness),
+        "witness": dump_relation(result.witness, args.mode),
     }
     human = f"bisimilar ({args.mode})" if result.holds else (
         f"not bisimilar ({args.mode}); individual {result.failing_individual!r} falls below 1"
@@ -220,14 +220,14 @@ def _hm(args, out) -> int:
         for (x, y), c in result.separators.items()
         if c is not None
     }
-    candidate = CandidateRelation(result.matrix, "crisp" if crisp else "fuzzy")
+    matrix = result.matrix
     payload = {
-        "matrix": dump_relation(candidate),
+        "matrix": dump_relation(matrix, "crisp" if crisp else "fuzzy"),
         "separators": separators,
         "concepts_used": result.concepts_used,
     }
     _emit(out, payload, args.json, lambda: chain(
-        _matrix_table(candidate.rows, candidate.cols, payload["matrix"]["entries"]),
+        _matrix_table(matrix.rows, matrix.cols, payload["matrix"]["entries"]),
         [f"separator {pair}: {text}" for pair, text in sorted(separators.items())],
     ))
     return 0

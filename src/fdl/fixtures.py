@@ -210,10 +210,10 @@ def _check_fan_evaluation() -> Tuple[bool, str]:
 def _check_hub_greatest() -> Tuple[bool, str]:
     ia, ib = hub_pair()
     features = FeatureSet.none()
-    refined = greatest_bisim(ia, ib, features, "fuzzy").relation
+    refined = greatest_bisim(ia, ib, features, "fuzzy")
     if refined != HUB_PAIR_GREATEST:
         return False, "refinement matrix differs from the known answer"
-    oracle = brute_force_greatest(ia, ib, features, "fuzzy").relation
+    oracle = brute_force_greatest(ia, ib, features, "fuzzy")
     if oracle != refined:
         return False, "enumeration oracle disagrees with the refinement"
     return True, "refinement and enumeration agree on the known matrix"
@@ -267,17 +267,17 @@ def _check_island_quotients() -> Tuple[bool, str]:
 
 def _check_separation_matrices() -> Tuple[bool, str]:
     ia, ib = point_pair()
-    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy").relation
+    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy")
     if z.at("v", "v") != F(1, 2):
         return False, f"one-point pair: got {format_degree(z.at('v', 'v'))}"
     ia, ib = edge_pair()
-    z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy").relation
+    z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy")
     if z.at("u", "u'") != F(1) or z.at("v", "v'") != F(9, 10):
         return False, "edge pair: hub/leaf degrees differ from the known answer"
     if z.at("u", "v'") != F(0) or z.at("v", "u'") != F(0):
         return False, "edge pair: cross entries should vanish"
     ia, ib = leaf_triple_pair()
-    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy").relation
+    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy")
     if z != LEAF_TRIPLE_GREATEST:
         return False, "leaf-triple pair: matrix differs from the known answer"
     return True, "all three separation matrices exact"

@@ -247,12 +247,11 @@ def load_interpretation(document) -> Interpretation:
         raise ModelError(f"unknown model document keys: {sorted(unknown)}")
     if "domain" not in document:
         raise ModelError("a model document needs a 'domain' list")
-    return Interpretation(
-        document["domain"],
-        document.get("individuals") or {},
-        document.get("concepts") or {},
-        document.get("roles") or {},
-    )
+    parts = {key: document.get(key, {}) for key in ("individuals", "concepts", "roles")}
+    for key, value in parts.items():
+        if not isinstance(value, dict):
+            raise ModelError(f"{key} must be a JSON object, got {value!r}")
+    return Interpretation(document["domain"], **parts)
 
 
 def dump_interpretation(interp: Interpretation) -> dict:
@@ -364,7 +363,7 @@ class ConceptEvaluator:
     def _relation(self, r: s.Role) -> FuzzyRelation:
         domain, scale = self.interp.domain, self._scale
         role = s.inverse_normal_form(r)
-        return FuzzyRelation(domain, domain, {
+        return FuzzyRelation.from_indexed(domain, domain, {
             (a, b): scale[v]
             for b in range(len(domain))
             for a, v in self._push(role, {b: scale.top}, _EXISTS).items()

@@ -301,4 +301,4 @@ def hm_matrix(
                 separators[(ia.domain[i], ib.domain[j])] = c
                 if value == ZERO:
                     live.discard((i, j))
-    return HmResult(FuzzyRelation(ia.domain, ib.domain, matrix), separators, used)
+    return HmResult(FuzzyRelation.from_indexed(ia.domain, ib.domain, matrix), separators, used)

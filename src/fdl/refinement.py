@@ -115,32 +115,32 @@ its entries lies below each of its row and column maxima, hence below c.
 So the greatest bisimulation with U is min(Z, c); in crisp mode c < 1
 empties the relation.
 
-**Read-out.**  The result keeps the partitions as they are: the final
-blocks, the splits in order and the level marks, O(n + splits) in all.  A
-pair gets the highest level at which it shares a block.  Undoing the
-splits of each level in reverse, top level first, down to level 2, merges
-two blocks at a time; the pairs across a merge of level v's splits get
-v - 1, each pair once, and the blocks left at the end, those of level 1,
-hold exactly the pairs of nonzero degree.  So listing them costs their
-number, one pair's degree is a lookup in its row of that listing, and no
-n_a × n_b matrix is built.  Under U, an element's row or
-column maximum is the highest level at which its block holds an element
-of the other model, so c is the highest level whose blocks all hold
-elements of both, found by the same merges.
+**Read-out.**  The refinement leaves the final blocks, the splits in
+order and the level marks, O(n + splits) in all, and the result is the
+:class:`FuzzyRelation` read off them, one line per element of A.  A pair
+gets the highest level at which it shares a block.  Undoing the splits of
+each level in reverse, top level first, down to level 2, merges two blocks
+at a time; the pairs across a merge of level v's splits get v - 1, each
+pair once, and the blocks left at the end, those of level 1, hold exactly
+the pairs of nonzero degree.  So an element's line is the elements of B in
+its level-1 block, in document order, filling it costs its length, and no
+n_a × n_b matrix is built.  Under U, an element's row or column maximum is
+the highest level at which its block holds an element of the other model,
+so c is the highest level whose blocks all hold elements of both, found by
+the same merges.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .bisim import MODES, _bounds, _individual_pairs, _subset_budget
 from .errors import InputError, ModelError
-from .godel import ONE, ZERO
+from .godel import ONE
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
@@ -364,137 +364,87 @@ class _Refinement:
             touched = set().union(*[self.incoming[y] for y in moved])
 
 
-class NestedPartitions:
-    """The greatest bisimulation between two models, kept as the nested
-    partitions that :class:`_Refinement` leaves: the final blocks of the
-    disjoint union, the splits in order and the level marks.  No n_a × n_b
-    matrix is built.
+def _merges(refined: _Refinement) -> Iterator[Tuple[int, int, int]]:
+    """The splits of levels 2 and up undone, top level first, as
+    ``(new, old, w)``: merging block ``new`` back into ``old`` joins pairs
+    of rank w.  Those of level 1 part pairs of rank 0 and stay."""
+    splits, marks = refined.splits, refined.marks
+    for w in range(len(marks) - 1, 0, -1):
+        for new, old in reversed(splits[marks[w - 1]:marks[w]]):
+            yield new, old, w
 
-    ``mode`` is ``"fuzzy"`` or ``"crisp"``; every degree is 0 or 1 in crisp
-    mode by construction.  ``at`` reads one pair, ``nonzero`` lists the
-    pairs of nonzero degree at a cost that follows their number, and
-    ``relation`` is the :class:`FuzzyRelation` of the same read-out.
-    Under U every rank is capped at ``cap``, the least row or column
-    maximum (module docstring); otherwise ``cap`` is the top.  The class
-    defines no equality of its own: compare two results through their
-    ``relation``.
-    """
 
-    def __init__(self, ia: Interpretation, ib: Interpretation, refined: _Refinement,
-                 mode: str, universal: bool):
-        self.mode = mode
-        self.rows, self.cols, self.universe = ia.domain, ib.domain, refined.universe
-        self._index_a, self._index_b = ia.index, ib.index
-        self.block, self.splits, self.marks = refined.block, refined.splits, refined.marks
-        self.na, self.nb, self.offset, self.top = refined.na, refined.nb, refined.offset, refined.top
-        # blocks are numbered in order of creation: the initial ones, then
-        # one per split
-        self.initial = len(refined.members) - len(refined.splits)
-        self.cap = self._cap() if universal else self.top
-
-    def _merges(self) -> Iterator[Tuple[int, int, int]]:
-        """The splits of levels 2 and up undone, top level first, as
-        ``(new, old, w)``: merging block ``new`` back into ``old`` joins
-        pairs of rank w.  Those of level 1 part pairs of rank 0 and stay."""
-        splits, marks = self.splits, self.marks
-        for w in range(len(marks) - 1, 0, -1):
-            for new, old in reversed(splits[marks[w - 1]:marks[w]]):
-                yield new, old, w
-
-    def _cap(self) -> int:
-        """The least row or column maximum of the A × B part, in ranks: the
-        highest level whose blocks all hold elements of both models, found
-        by merging blocks back, top level first, until none lacks one."""
-        sides = [0] * (self.initial + len(self.splits))
-        for x, b in enumerate(self.block):
-            sides[b] |= (x < self.na) + 2 * (x >= self.offset)
-        unmixed = len(sides) - sides.count(3)
+def _cap(refined: _Refinement) -> int:
+    """The least row or column maximum of the A × B part, in ranks: the
+    highest level whose blocks all hold elements of both models, found by
+    merging blocks back, top level first, until none lacks one."""
+    sides = [0] * len(refined.members)
+    for x, b in enumerate(refined.block):
+        sides[b] |= (x < refined.na) + 2 * (x >= refined.offset)
+    unmixed = len(sides) - sides.count(3)
+    if not unmixed:
+        return refined.top
+    for new, old, w in _merges(refined):
+        unmixed -= (sides[new] != 3) + (sides[old] != 3)
+        sides[old] |= sides[new]
+        unmixed += sides[old] != 3
         if not unmixed:
-            return self.top
-        for new, old, w in self._merges():
-            unmixed -= (sides[new] != 3) + (sides[old] != 3)
-            sides[old] |= sides[new]
-            unmixed += sides[old] != 3
-            if not unmixed:
-                return w
-        return 0
+            return w
+    return 0
 
-    def at(self, x: str, y: str) -> Fraction:
-        """The degree of ``(x, y)``, looked up in the read-out row of x."""
-        try:
-            i, j = self._index_a(x), self._index_b(y)
-        except ModelError as exc:
-            raise InputError(str(exc)) from None
-        ys, ranks = self._readout[i]
-        k = bisect_left(ys, j)
-        return self.universe[ranks[k]] if k < len(ys) and ys[k] == j else ZERO
 
-    @cached_property
-    def _readout(self) -> List[Tuple[List[int], List[int]]]:
-        """Per element of A, the elements of B in its level-1 block, in
-        document order, and their ranks, capped; every one is at least 1,
-        and with a cap of 0 there are none.  The splits of level 2 and up
-        are undone as in :meth:`_merges`, and the pairs across a merge get
-        its rank, each pair once."""
-        block, na, nb, offset, cap = self.block, self.na, self.nb, self.offset, self.cap
-        if not cap:
-            return [([], [])] * na
-        # the level-1 block of each block: a split of level 2 or up leaves
-        # its new block in the level-1 block of the one it left
-        root = list(range(self.initial + len(self.splits)))
-        for new, old in self.splits[self.marks[0]:]:
-            root[new] = root[old]
-        side_a: List[List[int]] = [[] for _ in root]
-        side_b: List[List[int]] = [[] for _ in root]
-        line: List[List[int]] = [[] for _ in root]
-        at = [0] * nb  # each element of B's place in its level-1 block's line
-        for j in range(nb):
-            b = block[offset + j]
-            side_b[b].append(j)
-            at[j] = len(line[root[b]])
-            line[root[b]].append(j)
-        ranks = [[0] * len(line[root[block[i]]]) for i in range(na)]
-        for i in range(na):
-            side_a[block[i]].append(i)
+def _readout(ia: Interpretation, ib: Interpretation, refined: _Refinement,
+             cap: int) -> FuzzyRelation:
+    """The relation of the nested partitions, ranks capped at ``cap``: per
+    element of A, the elements of B in its level-1 block, in document
+    order, and their degrees; every one is nonzero, and with a cap of 0
+    there are none.  The splits of level 2 and up are undone as in
+    :func:`_merges`, and the pairs across a merge get its degree, each
+    pair once."""
+    block, na, nb, offset = refined.block, refined.na, refined.nb, refined.offset
+    if not cap:
+        return FuzzyRelation(ia.domain, ib.domain, [([], [])] * na)
+    # the level-1 block of each block: a split of level 2 or up leaves its
+    # new block in the level-1 block of the one it left
+    root = list(range(len(refined.members)))
+    for new, old in refined.splits[refined.marks[0]:]:
+        root[new] = root[old]
+    side_a: List[List[int]] = [[] for _ in root]
+    side_b: List[List[int]] = [[] for _ in root]
+    line: List[List[int]] = [[] for _ in root]
+    at = [0] * nb  # each element of B's place in its level-1 block's line
+    for j in range(nb):
+        b = block[offset + j]
+        side_b[b].append(j)
+        at[j] = len(line[root[b]])
+        line[root[b]].append(j)
+    degrees: List[list] = [[None] * len(line[root[block[i]]]) for i in range(na)]
+    for i in range(na):
+        side_a[block[i]].append(i)
+    universe = refined.universe
 
-        def fill(xs, ys, rank):
-            rank = rank if rank < cap else cap
-            for i in xs:
-                row = ranks[i]
-                for j in ys:
-                    row[at[j]] = rank
+    def fill(xs, ys, rank):
+        degree = universe[rank if rank < cap else cap]  # one object per rank
+        for i in xs:
+            row = degrees[i]
+            for j in ys:
+                row[at[j]] = degree
 
-        for xs, ys in zip(side_a, side_b):
-            fill(xs, ys, self.top)
-        for new, old, w in self._merges():
-            fill(side_a[new], side_b[old], w)
-            fill(side_a[old], side_b[new], w)
-            side_a[old] += side_a[new]
-            side_b[old] += side_b[new]
-        return [(line[root[block[i]]], ranks[i]) for i in range(na)]
-
-    def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
-        """``(x, y, degree)`` for every pair of nonzero degree, row by row
-        in document order; each rank is one degree object."""
-        cols, universe = self.cols, self.universe
-        for x, (ys, ranks) in zip(self.rows, self._readout):
-            for j, r in zip(ys, ranks):
-                yield x, cols[j], universe[r]
-
-    @cached_property
-    def relation(self) -> FuzzyRelation:
-        """The :class:`FuzzyRelation` of the same entries, built on first use."""
-        universe = self.universe
-        return FuzzyRelation(self.rows, self.cols, {
-            (i, j): universe[r]
-            for i, (ys, ranks) in enumerate(self._readout) for j, r in zip(ys, ranks)
-        })
+    for xs, ys in zip(side_a, side_b):
+        fill(xs, ys, refined.top)
+    for new, old, w in _merges(refined):
+        fill(side_a[new], side_b[old], w)
+        fill(side_a[old], side_b[new], w)
+        side_a[old] += side_a[new]
+        side_b[old] += side_b[new]
+    return FuzzyRelation(ia.domain, ib.domain,
+                         [(line[root[block[i]]], degrees[i]) for i in range(na)])
 
 
 @dataclass(frozen=True)
 class BisimilarityResult:
     holds: bool
-    witness: NestedPartitions
+    witness: FuzzyRelation
     failing_individual: Optional[str] = None
 
 
@@ -503,18 +453,18 @@ def greatest_bisim(
     ib: Interpretation,
     features: FeatureSet,
     mode: str = "fuzzy",
-) -> NestedPartitions:
+) -> FuzzyRelation:
     """The pointwise-greatest (fuzzy or crisp) bisimulation.
 
     Refines nested partitions of the disjoint union of the two models
-    without U and keeps them; a pair's degree is read off them on request,
-    capped under U by the least row or column maximum.  The module
-    docstring shows why this is the greatest bisimulation.
+    without U and reads the relation off them, capped under U by the
+    least row or column maximum.  The module docstring shows why this is
+    the greatest bisimulation.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     refined = _Refinement(ia, ib, features, mode == "crisp")
-    return NestedPartitions(ia, ib, refined, mode, features.universal)
+    return _readout(ia, ib, refined, _cap(refined) if features.universal else refined.top)
 
 
 def bisimilar(

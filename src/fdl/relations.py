@@ -1,19 +1,23 @@
-"""Fuzzy relations between two ordered element sequences, stored as their
-pairs of nonzero degree.
+"""Fuzzy relations between two ordered element sequences, stored one line
+per row.
 
-A relation holds a candidate Z for ``check``, the ``relation`` of a
-greatest bisimulation (which :mod:`fdl.refinement` keeps as nested
-partitions), or an output such as ``eval_role`` and the
-indistinguishability matrices.  :func:`read_triples` reads candidates and
-the roles of a model from lists of ``[x, y, degree]``.  A relation is an
-immutable value: it offers lookup, its nonzero entries, a crispness test
-and equality, and no operations of its own.
+:class:`FuzzyRelation` is the one relation type: a candidate Z for
+``check``, a greatest bisimulation (which :mod:`fdl.refinement` fills line
+by line from its nested partitions), a brute-force result, and an output
+such as ``eval_role`` or an indistinguishability matrix.  A row's line
+lists the columns of its pairs of nonzero degree, ascending, and their
+degrees: ``nonzero`` walks the lines, ``at`` bisects one, and ``==``
+compares them.  :func:`read_triples` reads candidates and the roles of a
+model from lists of ``[x, y, degree]``.  A relation is an immutable value:
+it offers lookup, its nonzero entries, a crispness test and equality, and
+no operations of its own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 from .godel import ZERO, degree
@@ -49,22 +53,40 @@ def read_triples(
 
 
 class FuzzyRelation:
-    """A map (row element, col element) -> degree, built from
-    ``{(row index, col index): degree}``; unlisted pairs and pairs listed
-    at degree 0 both have degree 0."""
+    """A map (row element, col element) -> degree, stored one line per row:
+    ``lines[i]`` is ``(column indices, degrees)`` of row i's pairs of
+    nonzero degree, in ascending column order.  Unlisted pairs have degree
+    0.  The lines are read, never changed."""
 
-    __slots__ = ("rows", "cols", "_entries", "_ri", "_ci")
+    __slots__ = ("rows", "cols", "lines", "_ri", "_ci")
 
     def __init__(self, rows: Sequence[str], cols: Sequence[str],
-                 entries: Mapping[Tuple[int, int], Fraction]):
+                 lines: List[Tuple[List[int], List[Fraction]]]):
         self.rows: Tuple[str, ...] = tuple(rows)
         self.cols: Tuple[str, ...] = tuple(cols)
-        if len(set(self.rows)) != len(self.rows) or len(set(self.cols)) != len(self.cols):
-            raise InputError("duplicate element ids in relation index")
-        # row-major order; Fraction.__bool__ reads the numerator
-        self._entries = {pair: entries[pair] for pair in sorted(entries) if entries[pair]}
         self._ri = {x: i for i, x in enumerate(self.rows)}
         self._ci = {y: j for j, y in enumerate(self.cols)}
+        if len(self._ri) != len(self.rows) or len(self._ci) != len(self.cols):
+            raise InputError("duplicate element ids in relation index")
+        if len(lines) != len(self.rows):
+            raise InputError("a relation needs one line per row")
+        self.lines = lines
+
+    @classmethod
+    def from_indexed(
+        cls, rows: Sequence[str], cols: Sequence[str],
+        entries: Mapping[Tuple[int, int], Fraction],
+    ) -> "FuzzyRelation":
+        """Build from ``{(row index, col index): degree}``; zero degrees
+        are dropped."""
+        lines: List[Tuple[List[int], List[Fraction]]] = [([], []) for _ in rows]
+        for i, j in sorted(entries):
+            v = entries[i, j]
+            if v:  # Fraction.__bool__ reads the numerator
+                ys, ds = lines[i]
+                ys.append(j)
+                ds.append(v)
+        return cls(rows, cols, lines)
 
     @classmethod
     def from_entries(
@@ -73,33 +95,38 @@ class FuzzyRelation:
         """Build from a list of ``[x, y, degree]``; unlisted pairs get degree 0."""
         ri = {x: i for i, x in enumerate(rows)}
         ci = {y: j for j, y in enumerate(cols)}
-        return cls(rows, cols, read_triples(triples, ri, ci, "relation", InputError))
+        return cls.from_indexed(rows, cols, read_triples(triples, ri, ci, "relation", InputError))
 
     def at(self, x: str, y: str) -> Fraction:
+        """The degree of ``(x, y)``, bisected in the line of x."""
         try:
-            return self._entries.get((self._ri[x], self._ci[y]), ZERO)
+            ys, ds = self.lines[self._ri[x]]
+            j = self._ci[y]
         except KeyError as exc:
             raise InputError(f"unknown element {exc.args[0]!r}") from None
+        k = bisect_left(ys, j)
+        return ds[k] if k < len(ys) and ys[k] == j else ZERO
 
     def nonzero(self) -> Iterator[Tuple[str, str, Fraction]]:
         """``(x, y, degree)`` for every pair of nonzero degree, row by row
         in document order."""
-        rows, cols = self.rows, self.cols
-        for (i, j), v in self._entries.items():
-            yield rows[i], cols[j], v
+        cols = self.cols
+        for x, (ys, ds) in zip(self.rows, self.lines):
+            for j, v in zip(ys, ds):
+                yield x, cols[j], v
 
     def is_crisp(self) -> bool:
         # exact, without Fraction.__eq__: a nonzero degree is 1 exactly when
         # it is a whole number
-        return all(v.denominator == 1 for v in self._entries.values())
+        return all(v.denominator == 1 for _ys, ds in self.lines for v in ds)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FuzzyRelation):
             return NotImplemented
-        return (self.rows, self.cols, self._entries) == (other.rows, other.cols, other._entries)
+        return (self.rows, self.cols, self.lines) == (other.rows, other.cols, other.lines)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._entries.items())))
+        return hash((self.rows, self.cols, tuple([(tuple(ys), tuple(ds)) for ys, ds in self.lines])))
 
     def __repr__(self):
         return f"FuzzyRelation(rows={self.rows!r}, cols={self.cols!r})"

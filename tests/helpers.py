@@ -7,7 +7,6 @@ from fdl import (
     And,
     AtLeast,
     AtLeastUnq,
-    CandidateRelation,
     Compose,
     Concept,
     ConceptAssertion,
@@ -419,7 +418,7 @@ def fixpoint_greatest(ia, ib, features, mode="fuzzy"):
                 if new != current:
                     z[i][j] = new
                     changed = True
-    return CandidateRelation(ctx.relation(z), mode)
+    return ctx.relation(z)
 
 
 def condition_bound(ia, ib, z, features, x, x_prime):
@@ -447,7 +446,7 @@ def dense(rel):
 
 def from_matrix(rows, cols, matrix):
     """The :class:`FuzzyRelation` of a matrix of degrees."""
-    return FuzzyRelation(rows, cols, {
+    return FuzzyRelation.from_indexed(rows, cols, {
         (i, j): F(v) for i, row in enumerate(matrix) for j, v in enumerate(row)
     })
 

@@ -8,7 +8,6 @@ import pytest
 
 from fdl import (
     BudgetError,
-    CandidateRelation,
     FeatureSet,
     FuzzyRelation,
     InputError,
@@ -35,7 +34,8 @@ from fdl.fixtures import (
 )
 from fdl.bisim import MODES
 from fdl.godel import ONE, ZERO, format_degree
-from fdl.interp import degree_objects, degree_ranks, load_interpretation
+from fdl.interp import degree_objects, degree_ranks, dump_interpretation, load_interpretation
+from fdl.minimize import strong_partition
 from helpers import (
     POOL3, POOL4, cap, cells, chain_pair, compose, condition_bound, constant,
     counting_hub_pair, counting_subsets, dense, disjoint_union, doubled_hub_pair,
@@ -217,9 +217,9 @@ class TestCheckBisim:
 
     def test_candidate_relation_mode_invariant(self):
         with pytest.raises(InputError):
-            CandidateRelation(constant(["a"], ["b"], F(1, 2)), "crisp")
+            load_relation({"mode": "crisp", "entries": [["a", "b", "1/2"]]}, ["a"], ["b"])
         with pytest.raises(InputError):
-            CandidateRelation(constant(["a"], ["b"], F(1)), "sharp")
+            load_relation({"mode": "sharp", "entries": [["a", "b", "1"]]}, ["a"], ["b"])
 
     def test_index_mismatch(self):
         ia, ib = hub_pair()
@@ -241,7 +241,8 @@ class TestCheckBisim:
 
 
 class TestCandidateStorage:
-    """The checker reads a candidate's nonzero entries, whatever holds them."""
+    """The checker reads a candidate's nonzero entries, whether built or
+    loaded from its document."""
 
     def test_every_storage_gets_the_same_report(self):
         rng = random.Random(167)
@@ -254,15 +255,11 @@ class TestCandidateStorage:
             drawn = from_matrix(ia.domain, ib.domain, [
                 [rng.choice(POOL4) for _ in ib.domain] for _ in ia.domain
             ])
-            for rel, partitions in ((drawn, None), (greatest.relation, greatest)):
-                candidate = CandidateRelation(rel)
-                forms = [rel, candidate,
-                         load_relation(dump_relation(candidate), ia.domain, ib.domain)]
-                if partitions is not None:
-                    forms.append(partitions)
+            for rel, is_greatest in ((drawn, False), (greatest, True)):
+                forms = [rel, load_relation(dump_relation(rel, "fuzzy"), ia.domain, ib.domain)]
                 reports = [check_bisim(ia, ib, z, features) for z in forms]
                 assert all(report == reports[0] for report in reports[1:])
-                assert reports[0].satisfied or partitions is None
+                assert reports[0].satisfied or not is_greatest
                 failing += not reports[0].satisfied
         assert failing >= 40
 
@@ -326,7 +323,7 @@ class TestConditionBound:
         ia, ib = hub_pair()  # 3 x 3
         elsewhere = constant(["p", "q"], ["s", "t", "w"], F(1))
         reordered = constant(tuple(reversed(ia.domain)), ib.domain, F(1))
-        for z in (elsewhere, reordered, CandidateRelation(reordered)):
+        for z in (elsewhere, reordered):
             with pytest.raises(InputError):
                 condition_bound(ia, ib, z, NO_FEATURES, "u", "u'")
             with pytest.raises(InputError):
@@ -493,8 +490,7 @@ class TestGreatest:
     def test_hub_matrix(self):
         ia, ib = hub_pair()
         result = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy")
-        assert result.relation == HUB_PAIR_GREATEST
-        assert result.mode == "fuzzy"
+        assert result == HUB_PAIR_GREATEST
 
     def test_point_pair(self):
         ia, ib = point_pair()
@@ -502,14 +498,14 @@ class TestGreatest:
 
     def test_edge_pair(self):
         ia, ib = edge_pair()
-        z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy").relation
+        z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy")
         assert z == entries(
             ia.domain, ib.domain, [("u", "u'", 1), ("v", "v'", F(9, 10))]
         )
 
     def test_leaf_triple(self):
         ia, ib = leaf_triple_pair()
-        z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy").relation
+        z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy")
         assert z == LEAF_TRIPLE_GREATEST
 
     def test_sound_and_entries_in_degree_universe(self):
@@ -522,7 +518,7 @@ class TestGreatest:
             for mode in ("fuzzy", "crisp"):
                 z = greatest_bisim(ia, ib, features, mode)
                 assert check_bisim(ia, ib, z, features).satisfied
-                assert all(v in universe for _x, _y, v in cells(z.relation))
+                assert all(v in universe for _x, _y, v in cells(z))
 
     def test_matches_brute_force(self):
         rng = random.Random(83)
@@ -533,7 +529,7 @@ class TestGreatest:
             for mode in ("fuzzy", "crisp"):
                 fix = greatest_bisim(ia, ib, features, mode)
                 oracle = brute_force_greatest(ia, ib, features, mode)
-                assert fix.relation == oracle.relation
+                assert fix == oracle
 
     @pytest.mark.parametrize("features", ["", "I,O"])
     def test_chain_closed_form_beyond_brute_force(self, features):
@@ -545,9 +541,9 @@ class TestGreatest:
         fs = FeatureSet.parse(features)
         diagonal = [(f"a{i}", f"b{i}", p) for i in range(14)]
         fuzzy = greatest_bisim(ia, ib, fs, "fuzzy")
-        assert fuzzy.relation == entries(ia.domain, ib.domain, diagonal)
+        assert fuzzy == entries(ia.domain, ib.domain, diagonal)
         crisp = greatest_bisim(ia, ib, fs, "crisp")
-        assert crisp.relation == entries(ia.domain, ib.domain, [])
+        assert crisp == entries(ia.domain, ib.domain, [])
 
     def test_brute_force_budget_guard(self):
         rng = random.Random(89)
@@ -587,8 +583,8 @@ class TestUniversalRole:
         ring = self.ring(90)
         with_u = greatest_bisim(ring, ring, FeatureSet.parse("I,U"), "crisp")
         without = greatest_bisim(ring, ring, FeatureSet.parse("I"), "crisp")
-        assert with_u.relation == without.relation
-        assert with_u.relation == constant(ring.domain, ring.domain, 1)
+        assert with_u == without
+        assert with_u == constant(ring.domain, ring.domain, 1)
 
     def test_unmatched_element_empties_relation(self):
         # w has no partner, so its FB9 column maximum is 0 at every pair
@@ -611,7 +607,7 @@ class TestUniversalRole:
             features = replace(random_features(rng), universal=True)
             for mode in ("fuzzy", "crisp"):
                 fix = greatest_bisim(ia, ib, features, mode)
-                assert fix.relation == brute_force_greatest(ia, ib, features, mode).relation
+                assert fix == brute_force_greatest(ia, ib, features, mode)
                 assert check_bisim(ia, ib, fix, features).satisfied
 
 
@@ -763,8 +759,8 @@ class TestRefinementAgainstFixpoint:
         for _ in range(60):
             ia, ib = self.random_pair(rng)
             for mode in ("fuzzy", "crisp"):
-                got = greatest_bisim(ia, ib, features, mode).relation
-                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                got = greatest_bisim(ia, ib, features, mode)
+                assert got == fixpoint_greatest(ia, ib, features, mode)
                 values = {v for _x, _y, v in cells(got)}
                 graded += mode == "fuzzy" and any(0 < v < 1 for v in values)
                 related += mode == "crisp" and 1 in values
@@ -800,8 +796,8 @@ class TestGappedCountingLevels:
                 ib = random_model(rng, "y", rng.randint(5, 7), self.POOL, **shape)
             levels.append(len(degree_universe(ia, ib)))
             for mode in ("fuzzy", "crisp"):
-                got = greatest_bisim(ia, ib, features, mode).relation
-                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                got = greatest_bisim(ia, ib, features, mode)
+                assert got == fixpoint_greatest(ia, ib, features, mode)
         assert sum(levels) / len(levels) >= 17
 
     def test_crisp_least_sets_at_each_degree(self):
@@ -814,7 +810,7 @@ class TestGappedCountingLevels:
             features = FeatureSet.parse(text)
             got = greatest_bisim(ia, ib, features, "crisp")
             assert got.at("x", "u") == crisp
-            assert got.relation == fixpoint_greatest(ia, ib, features, "crisp").relation
+            assert got == fixpoint_greatest(ia, ib, features, "crisp")
 
     @pytest.mark.parametrize("mode", ["fuzzy", "crisp"])
     def test_hub_beside_an_empty_element(self, mode):
@@ -841,17 +837,17 @@ class TestGappedCountingLevels:
         # successors, in 200 blocks, are never enumerated
         hub, _copy = spread_hub_pair(200)
         features = FeatureSet.parse("Q2")
-        crisp = greatest_bisim(hub, hub, features, "crisp").relation
+        crisp = greatest_bisim(hub, hub, features, "crisp")
         assert crisp == identity(hub.domain)
-        fuzzy = greatest_bisim(hub, hub, features, "fuzzy").relation
+        fuzzy = greatest_bisim(hub, hub, features, "fuzzy")
         assert fuzzy.at("h0", "h0") == 1 and fuzzy.at("h0", "h1") == 0
         assert fuzzy.at("h3", "h5") == F(3, 200)
 
 
-class TestPartitionResult:
-    """The greatest bisimulation kept as nested partitions: ``at`` on every
-    pair, the nonzero listing and the ``relation`` read the same degrees,
-    and those are the pairwise fixpoint's."""
+class TestGreatestReadout:
+    """The greatest bisimulation read off the nested partitions: ``at`` on
+    every pair and the nonzero listing read the same degrees, and those are
+    the pairwise fixpoint's."""
 
     @staticmethod
     def random_pair(rng):
@@ -882,14 +878,13 @@ class TestPartitionResult:
             features = replace(random_features(rng), universal=rng.random() < 0.5)
             for mode in ("fuzzy", "crisp"):
                 got = greatest_bisim(ia, ib, features, mode)
-                rel = got.relation
                 assert [got.at(x, y) for x in ia.domain for y in ib.domain] == [
-                    v for _x, _y, v in cells(rel)]
-                assert list(got.nonzero()) == [(x, y, v) for x, y, v in cells(rel) if v]
-                assert rel == fixpoint_greatest(ia, ib, features, mode).relation
+                    v for _x, _y, v in cells(got)]
+                assert list(got.nonzero()) == [(x, y, v) for x, y, v in cells(got) if v]
+                assert got == fixpoint_greatest(ia, ib, features, mode)
                 if features.universal and any(v for _x, _y, v in got.nonzero()):
                     uncapped = greatest_bisim(ia, ib, replace(features, universal=False), mode)
-                    capped += rel != uncapped.relation
+                    capped += got != uncapped
                 graded += any(0 < v < 1 for _x, _y, v in got.nonzero())
         # the pairs exercise partial degrees and a cap that lowers entries
         # without emptying the relation
@@ -977,8 +972,8 @@ class TestRefinementAtBenchmarkScale:
             ib = Interpretation(ib.domain, ib.individuals, concepts,
                                 {name: list(ib.edges(name)) for name in ib.roles})
             for mode in ("fuzzy", "crisp"):
-                got = greatest_bisim(ia, ib, features, mode).relation
-                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                got = greatest_bisim(ia, ib, features, mode)
+                assert got == fixpoint_greatest(ia, ib, features, mode)
                 graded += any(0 < v < 1 for _x, _y, v in cells(got))
         assert graded >= 6
 
@@ -1031,8 +1026,8 @@ class TestDegreeRanks:
         graded = 0
         for ia, ib in self.pairs():
             for mode in MODES:
-                got = greatest_bisim(ia, ib, features, mode).relation
-                assert got == fixpoint_greatest(ia, ib, features, mode).relation
+                got = greatest_bisim(ia, ib, features, mode)
+                assert got == fixpoint_greatest(ia, ib, features, mode)
                 graded += any(0 < v < 1 for _x, _y, v in cells(got))
         assert graded
 
@@ -1057,8 +1052,8 @@ class TestClosureLaws:
             features = random_features(rng)
             for mode in ("fuzzy", "crisp"):
                 assert check_bisim(ia, ia, identity(ia.domain), features).satisfied
-                z1 = greatest_bisim(ia, ib, features, mode).relation
-                z2 = greatest_bisim(ib, ic, features, mode).relation
+                z1 = greatest_bisim(ia, ib, features, mode)
+                z2 = greatest_bisim(ib, ic, features, mode)
                 assert check_bisim(ib, ia, inverse(z1), features).satisfied
                 assert check_bisim(ia, ic, compose(z1, z2), features).satisfied
                 family = [z1, compose(z1, compose(z2, inverse(z2)))]
@@ -1067,6 +1062,42 @@ class TestClosureLaws:
                 assert check_bisim(ia, ib, rel_sup(family), features).satisfied
                 checked += 3
         assert checked >= 100
+
+
+class TestAutoBisimulationIsEquivalence:
+    """Under the Goedel semantics the greatest fuzzy auto-bisimulation is a
+    fuzzy equivalence (reflexive, symmetric and min-transitive), and the
+    greatest crisp one an equivalence whose classes are the blocks of
+    ``strong_partition``.  Read off a model against itself and against a
+    reloaded equal copy, this checks the read-out's merges and U cap
+    without the pairwise fixpoint."""
+
+    def test_greatest_auto_bisimulation_is_an_equivalence(self):
+        rng = random.Random("equivalence")
+        graded = 0
+        for _ in range(120):
+            model = random_model(
+                rng, "x", rng.randint(1, 10), rng.choice([POOL3, POOL4]),
+                concept_names=rng.choice([(), ("A",), ("A", "B")]),
+                role_names=rng.choice([("r",), ("r", "s")]),
+                individual_names=rng.choice([(), ("a",), ("a", "b")]),
+                density=rng.choice([0.1, 0.2, 0.4]),
+            )
+            copy = load_interpretation(dump_interpretation(model))
+            features = replace(random_features(rng), universal=rng.random() < 0.5)
+            n = range(len(model.domain))
+            for mode in MODES:
+                blocks = {frozenset(block) for block in strong_partition(model, features).blocks}
+                for other in (model, copy):
+                    z = dense(greatest_bisim(model, other, features, mode))
+                    assert all(z[i][i] == 1 for i in n)
+                    assert all(z[i][j] == z[j][i] for i in n for j in n)
+                    assert all(min(z[i][k], z[k][j]) <= z[i][j] for i in n for j in n for k in n)
+                    graded += any(0 < v < 1 for row in z for v in row)
+                    if mode == "crisp":
+                        classes = {frozenset([model.domain[j] for j in n if z[i][j]]) for i in n}
+                        assert classes == blocks
+        assert graded >= 40
 
 
 class TestBisimilar:
@@ -1112,16 +1143,16 @@ class TestRelationDocuments:
     def test_roundtrip(self):
         ia, ib = hub_pair()
         candidate = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy")
-        doc = dump_relation(candidate)
+        doc = dump_relation(candidate, "fuzzy")
         again = load_relation(doc, ia.domain, ib.domain)
-        assert again.relation == candidate.relation
-        assert again.mode == "fuzzy"
+        assert again == candidate
+        assert dump_relation(again, "fuzzy") == doc
 
     def test_missing_entries_default_zero(self):
         doc = {"mode": "crisp", "entries": [["u", "v", "1"]]}
         rel = load_relation(doc, ["u"], ["v", "w"])
         assert rel.at("u", "w") == 0
-        assert rel.mode == "crisp"
+        assert dump_relation(rel, "crisp") == doc
 
     @pytest.mark.parametrize("second", ["0.5", "1", "0"])
     def test_pair_listed_twice_is_refused(self, second):

@@ -697,6 +697,7 @@ MALFORMED = {
     "valuation as list": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": ["u"]}}),
     "arabic-indic degree": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": "\u0660.\u0665"}}}),
     "individuals as list": (EVAL_DOC, {**GOOD_MODEL, "individuals": ["a"]}),
+    "concepts as null": (EVAL_DOC, {**GOOD_MODEL, "concepts": None}),
     "numeric domain": (EVAL_DOC, {"domain": [1, 2]}),
     "domain as text": (EVAL_DOC, {"domain": "uv"}),
     "relation key": (CHECK_DOC, {"mode": "fuzzy", "entries": [], "rows": []}),

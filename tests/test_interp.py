@@ -135,6 +135,14 @@ class TestLoading:
         {"domain": [1, 2]},
         {"domain": "uv"},
         {"domain": {"u": 1}},
+        # a present section is an object, even when empty or null
+        {"domain": ["u"], "concepts": []},
+        {"domain": ["u"], "concepts": ""},
+        {"domain": ["u"], "concepts": None},
+        {"domain": ["u"], "roles": 0},
+        {"domain": ["u"], "roles": None},
+        {"domain": ["u"], "individuals": False},
+        {"domain": ["u"], "individuals": None},
     ])
     def test_malformed_shapes_are_model_errors(self, doc):
         with pytest.raises(ModelError):

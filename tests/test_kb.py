@@ -258,13 +258,13 @@ class TestKbDocuments:
 class TestHmMatrix:
     def test_depth_zero_dominates_greatest(self):
         ia, ib = hub_pair()
-        greatest = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy").relation
+        greatest = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy")
         shallow = hm_matrix(ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, 0)
         assert pointwise_leq(greatest, shallow.matrix)
 
     def test_antitone_in_depth_and_converges(self):
         ia, ib = hub_pair()
-        greatest = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy").relation
+        greatest = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy")
         previous = None
         converged = False
         for depth in range(0, 3):
