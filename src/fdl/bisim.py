@@ -38,10 +38,11 @@ on the degrees they stand for.  :func:`fdl.interp.degree_ranks` ranks the
 degrees of the two models, plus the values of a candidate relation when a
 caller supplies one, as integers.  Ranks turn back into ``Fraction`` degrees
 only at the API edge: in :class:`Violation` and in the :class:`FuzzyRelation`
-that every result and candidate is.  :mod:`fdl.refinement` ranks the models
-the same way, reads the same bounds and individual pairs, and computes the
-greatest bisimulation from this table as nested partitions whose levels
-are ranks, in the degree universe of the two models.
+that every result and candidate is.  The tables are built once, by
+:class:`_Context`, over the disjoint union of the two models, and
+:mod:`fdl.refinement` reads the same object: it computes the greatest
+bisimulation from this table as nested partitions whose levels are ranks,
+in the degree universe of the two models.
 
 FB6(n) and FB7(n) range over the n-subsets of a successor set.  When the
 bounds n cover every size from 1 to the size k of that set, as ``Q*``
@@ -72,13 +73,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
-from .interp import Interpretation, coded_predecessors, coded_successors, degree_ranks
+from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -162,44 +164,75 @@ def dump_relation(relation: FuzzyRelation, mode: str) -> dict:
 
 
 class _Context:
-    """Rank tables for one (model, model, features) triple.
+    """The rank tables of two models and a feature set over their disjoint
+    union: A's elements, then B's from ``offset`` on (one copy and offset 0
+    when ``ib is ia``).  The condition table and :mod:`fdl.refinement` read
+    them.  ``extra`` adds degrees of neither model, a candidate's, to the
+    universe; ``rank`` maps the ``id`` of each degree object to its rank.
 
-    ``extra`` adds degrees that occur in neither model, the entries of a
-    candidate relation, to the universe.  ``rank`` maps the ``id`` of every
-    degree object of the models and of ``extra`` to its rank.
+    ``edges`` holds per element its edges as ``(rank, label, successor)``,
+    strongest first, label k being basic role ``labels[k]`` (r, then r-
+    under I), and ``incoming`` those with an edge into it; ``concepts`` and
+    ``self_loops`` (under Self) a column of ranks per concept or role name.
     """
 
     def __init__(self, ia: Interpretation, ib: Interpretation, features: FeatureSet, extra=()):
+        models = (ia,) if ib is ia else (ia, ib)
         self.features = features
         self.dom_a, self.dom_b = ia.domain, ib.domain
-        self.na, self.nb = len(ia.domain), len(ib.domain)
-        same = ib is ia  # an auto-bisimulation reads one set of tables twice
-        self.universe, self.rank = degree_ranks(*((ia,) if same else (ia, ib)), extra=extra)
+        self.na, self.nb = na, nb = len(ia.domain), len(ib.domain)
+        n = sum([len(m.domain) for m in models])
+        self.offset = offset = n - nb
+        self.universe, self.rank = degree_ranks(*models, extra=extra)
         self.top, rank = len(self.universe) - 1, self.rank
-
-        def tables(name, read):
-            table = read(ia)
-            return name, table, table if same else read(ib)
-
-        self.conc = [
-            tables(name, lambda m: [rank[id(v)] for v in m.concept_row(name)])
-            for name in sorted(set(ia.concepts) | set(ib.concepts))
-        ]
-        # per basic role: each element's successors as (index, rank) pairs
-        self.basic: List[Tuple[str, list, list]] = []
-        self.self_loops: List[Tuple[str, List[int], List[int]]] = []
+        self.concepts = [(name, [rank[id(d)] for m in models for d in m.concept_row(name)])
+                         for name in sorted(set(ia.concepts) | set(ib.concepts))]
+        self.labels: List[str] = []
+        self.self_loops: List[Tuple[str, List[int]]] = []
+        self.edges: List[list] = [[] for _ in range(n)]
+        self.incoming: List[List[int]] = [[] for _ in range(n)]
+        edges, incoming = self.edges, self.incoming
         for name in sorted(set(ia.roles) | set(ib.roles)):
-            self.basic.append(tables(name, lambda m: coded_successors(m.successors(name), rank)))
-            if features.inverse:
-                self.basic.append(
-                    tables(name + "-", lambda m: coded_predecessors(m.successors(name), rank))
-                )
+            label = len(self.labels)
+            self.labels += [name, name + "-"] if features.inverse else [name]
+            loops = [0] * n
+            for m, start in zip(models, (0, offset)):
+                for x, row in enumerate(m.roles.get(name, ()), start):
+                    for j, d in row:
+                        y, r = j + start, rank[id(d)]
+                        edges[x].append((r, label, y))
+                        incoming[y].append(x)
+                        if features.inverse:
+                            edges[y].append((r, label + 1, x))
+                            incoming[x].append(y)
+                        if y == x:
+                            loops[x] = r
             if features.self_loops:
-                self.self_loops.append(
-                    tables(name, lambda m: [rank[id(v)] for v in m.self_degrees(name)])
-                )
-        self.individual_pairs = _individual_pairs(ia, ib) if features.nominals else []
-        self.q_bounds, self.n_bounds, self.covered = _bounds(features, self.na, self.nb)
+                self.self_loops.append((name, loops))
+        for row in edges:
+            row.sort(reverse=True)
+        # under O, (name, index of a^A, index of a^B) per individual name a
+        self.individual_pairs = [
+            (a, ia.index(ia.individuals[a]), ib.index(ib.individuals[a]))
+            for a in _named_in_both(ia, ib)] if features.nominals else []
+        # the Q and N bounds in increasing order (unrestricted: up to the
+        # larger domain, as any n beyond it is vacuous), and m, where the Q
+        # bounds start with 1..m: FB6/FB7 over up to m successors is a matching
+        self.q_bounds, self.n_bounds = (
+            tuple(range(1, max(na, nb) + 1)) if bounds is None else tuple(sorted(bounds))
+            for bounds in (features.q_bounds, features.n_bounds))
+        self.covered = next((m for m, k in enumerate(self.q_bounds) if k != m + 1),
+                            len(self.q_bounds))
+
+    @cached_property
+    def basic(self) -> List[Tuple[str, List[List[Tuple[int, int]]]]]:
+        """Per label, its name and each element's successors under it as
+        ``(index in its own model, rank)`` in index order, read off
+        ``edges`` on first use (the refinement never needs them)."""
+        offset = self.offset
+        return [(name, [sorted([(y - offset if y >= offset else y, r)
+                                for r, of, y in row if of == k]) for row in self.edges])
+                for k, name in enumerate(self.labels)]
 
     def relation(self, z: Sequence[Dict[int, int]]) -> FuzzyRelation:
         """The relation of ``z`` in ranks, one dict per row."""
@@ -209,27 +242,13 @@ class _Context:
         })
 
 
-def _individual_pairs(ia: Interpretation, ib: Interpretation) -> List[Tuple[str, int, int]]:
-    """``(name, index of a^A, index of a^B)`` for each individual name a of
-    either model, by name; one named in one model only is a ModelError."""
-    pairs = []
-    for name in sorted(set(ia.individuals) | set(ib.individuals)):
-        if name not in ia.individuals or name not in ib.individuals:
-            raise ModelError(f"individual {name!r} is not interpreted in both models")
-        pairs.append((name, ia.index(ia.individuals[name]), ib.index(ib.individuals[name])))
-    return pairs
-
-
-def _bounds(features: FeatureSet, na: int, nb: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    """The Q and N bounds in increasing order (unrestricted: up to the
-    larger domain, as any n beyond it is vacuous), and m, where the Q
-    bounds start with 1..m: FB6/FB7 over up to m successors is a matching."""
-    q_bounds, n_bounds = (
-        tuple(range(1, max(na, nb) + 1)) if bounds is None else tuple(sorted(bounds))
-        for bounds in (features.q_bounds, features.n_bounds)
-    )
-    covered = next((m for m, n in enumerate(q_bounds) if n != m + 1), len(q_bounds))
-    return q_bounds, n_bounds, covered
+def _named_in_both(ia: Interpretation, ib: Interpretation) -> List[str]:
+    """The individual names of the two models, sorted; a name interpreted
+    in one model only is a ModelError."""
+    missing = sorted(ia.individuals.keys() ^ ib.individuals.keys())
+    if missing:
+        raise ModelError(f"individual {missing[0]!r} is not interpreted in both models")
+    return sorted(ia.individuals)
 
 
 def _subset_budget(choices, what: str) -> None:
@@ -262,16 +281,16 @@ def _candidate_context(
 
 def _static_rows(ctx: _Context, i: int, j: int):
     """The rows of pair (i, j) that do not read Z: FB2, FB5 and FB10."""
-    top = ctx.top
-    for name, row_a, row_b in ctx.conc:
-        a, b = row_a[i], row_b[j]
+    top, x2 = ctx.top, ctx.offset + j
+    for name, column in ctx.concepts:
+        a, b = column[i], column[x2]
         if a != b:
             yield "FB2", name, None, top, a if a < b else b
     for name, xa, xb in ctx.individual_pairs:
         if (i == xa) != (j == xb):
             yield "FB5", name, None, top, 0
-    for name, diag_a, diag_b in ctx.self_loops:
-        a, b = diag_a[i], diag_b[j]
+    for name, column in ctx.self_loops:
+        a, b = column[i], column[x2]
         if a != b:
             yield "FB10", name, None, top, a if a < b else b
 
@@ -365,8 +384,9 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
     """
     dom_a, dom_b = ctx.dom_a, ctx.dom_b
     sides = []  # (FB6 or FB7, role, list) per role and direction
-    for label, succ_a, succ_b in ctx.basic:
-        sa, sb = succ_a[i], succ_b[j]
+    x2 = ctx.offset + j
+    for label, succ in ctx.basic:
+        sa, sb = succ[i], succ[x2]
         forth = [(d, dom_a[y], [min(z[y].get(y2, 0), e) for y2, e in sb]) for y, d in sa]
         back = [(e, dom_b[y2], [min(z[y].get(y2, 0), d) for y, d in sa]) for y2, e in sb]
         for code, side in (("FB3", forth), ("FB4", back)):

@@ -1,5 +1,13 @@
 """Exception hierarchy shared by all fdl modules."""
 
+import json
+
+
+def json_text(value) -> str:
+    """``value`` as a JSON document spells it, for error messages; a value
+    that JSON cannot spell is written as its string."""
+    return json.dumps(value, default=str)
+
 
 class FdlError(Exception):
     """Base class for every error raised by this package."""

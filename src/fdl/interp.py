@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelError
+from .errors import ModelError, json_text
 from .godel import ONE, ZERO, degree, format_degree
 from .relations import FuzzyRelation, read_triples
 from . import syntax as s
@@ -91,12 +91,12 @@ class Interpretation:
             raise ModelError("duplicate element ids in the domain")
         for what, value in (("individuals", individuals), ("concepts", concepts), ("roles", roles)):
             if not isinstance(value, (Mapping, type(None))):
-                raise ModelError(f"{what} must be a JSON object, got {value!r}")
+                raise ModelError(f"{what} must be a JSON object, got {json_text(value)}")
 
         individuals = dict(individuals or {})
         for name, target in individuals.items():
             if not isinstance(target, str) or target not in index:
-                raise ModelError(f"individual {name!r} maps to unknown element {target!r}")
+                raise ModelError(f"individual {name!r} maps to unknown element {json_text(target)}")
 
         rows: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
@@ -207,23 +207,6 @@ def _successor_lists(name: str, triples, index: Mapping[str, int]) -> Tuple[Edge
     return tuple([tuple(sorted(row)) for row in succ])
 
 
-def coded_successors(succ: Sequence[Edges], code: Mapping[int, int]) -> List[List[Tuple[int, int]]]:
-    """Successor lists with each degree object d replaced by ``code[id(d)]``."""
-    return [[(j, code[id(d)]) for j, d in row] for row in succ]
-
-
-def coded_predecessors(
-    succ: Sequence[Edges], code: Mapping[int, int]
-) -> List[List[Tuple[int, int]]]:
-    """The predecessor lists, in index order, of successor lists, with each
-    degree object d replaced by ``code[id(d)]``."""
-    pred: List[List[Tuple[int, int]]] = [[] for _ in succ]
-    for i, row in enumerate(succ):
-        for j, d in row:
-            pred[j].append((i, code[id(d)]))
-    return pred
-
-
 # ---------------------------------------------------------------------------
 # documents
 
@@ -250,7 +233,7 @@ def load_interpretation(document) -> Interpretation:
     parts = {key: document.get(key, {}) for key in ("individuals", "concepts", "roles")}
     for key, value in parts.items():
         if not isinstance(value, dict):
-            raise ModelError(f"{key} must be a JSON object, got {value!r}")
+            raise ModelError(f"{key} must be a JSON object, got {json_text(value)}")
     return Interpretation(document["domain"], **parts)
 
 
@@ -433,8 +416,14 @@ class ConceptEvaluator:
             role, forward = role.role, not forward
         edges, key = self._scale.edges, (role.name, forward)
         if key not in edges:
-            coded = coded_successors if forward else coded_predecessors
-            edges[key] = coded(self.interp.successors(role.name), self._scale.of)
+            of, succ = self._scale.of, self.interp.successors(role.name)
+            if forward:
+                edges[key] = [[(j, of[id(d)]) for j, d in row] for row in succ]
+            else:
+                pred = edges[key] = [[] for _ in succ]
+                for i, row in enumerate(succ):
+                    for j, d in row:
+                        pred[j].append((i, of[id(d)]))
         return edges[key]
 
     def _push(self, r: s.Role, vector: Dict[int, int], quantifier) -> Dict[int, int]:
@@ -575,8 +564,8 @@ def _scaled(found: Mapping[int, Fraction]) -> Tuple[int, Dict[int, int]]:
 def degree_ranks(*interps: Interpretation, extra=()) -> Tuple[Tuple[Fraction, ...], Dict[int, int]]:
     """Every degree occurring in the given interpretations, plus 0, 1 and
     ``extra``, in increasing order, and each degree object's rank (place in
-    that order) by ``id``: the rank alphabet of :mod:`fdl.bisim` and
-    :mod:`fdl.refinement`, closed under the Goedel connectives other than
+    that order) by ``id``: the rank alphabet of :class:`fdl.bisim._Context`,
+    which :mod:`fdl.refinement` reads too, closed under the Goedel connectives other than
     involutive negation, which select among their inputs or return 1.  The
     degrees are ranked as integers over their common denominator, so no
     ``Fraction`` is compared or hashed, and ``"0.5"`` and ``"1/2"`` share a

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .enumeration import DEFAULT_BUDGET, Signature, iter_fragment
-from .errors import InputError
+from .errors import InputError, json_text
 from .godel import ONE, ZERO, degree, format_degree, godel_iff
 from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
@@ -187,7 +187,7 @@ def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet])
 
 def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     if not isinstance(entry, dict):
-        raise InputError(f"a {box} entry must be a JSON object, got {entry!r}")
+        raise InputError(f"a {box} entry must be a JSON object, got {json_text(entry)}")
     entry = dict(entry)
     if box == "tbox":
         cls = Gci

@@ -11,8 +11,9 @@ auto-bisimulations of A ⊎ B, and the A × B part of an auto-bisimulation
 of A ⊎ B is a bisimulation between A and B: the two greatest ones agree on
 A × B.  Under O an individual name a is a crisp label on a^A and a^B: FB5
 at (x, x') asks x = a^A iff x' = a^B, which is FB2 of a concept that holds
-to degree 1 at a^A and a^B only.  The union is never built as a model: its
-tables are filled straight from the two successor lists of each role.
+to degree 1 at a^A and a^B only.  The union is never built as a model: the
+refinement reads the rank tables of :class:`fdl.bisim._Context`, which are
+laid out over the union, as the condition checker does.
 
 **Levels.**  Under the Goedel semantics the greatest fuzzy
 auto-bisimulation Z is reflexive, symmetric and min-transitive (Nguyen &
@@ -138,10 +139,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .bisim import MODES, _bounds, _individual_pairs, _subset_budget
+from .bisim import MODES, _Context, _named_in_both, _subset_budget
 from .errors import InputError, ModelError
 from .godel import ONE
-from .interp import Interpretation, degree_ranks
+from .interp import Interpretation
 from .relations import FuzzyRelation
 from .syntax import FeatureSet
 
@@ -170,9 +171,11 @@ class _LeastSets:
 
 class _Refinement:
     """The nested partitions of the greatest bisimulation of ``ia`` and
-    ``ib`` without U, refined on their disjoint union (module docstring),
-    whose per-element tables are filled from the two models in one pass
-    over each role's successor lists, degrees as ranks.
+    ``ib`` without U, refined on their disjoint union (module docstring).
+    ``ctx`` is the :class:`fdl.bisim._Context` of the two models, whose
+    edges and columns over the union it reads; it keeps its own part: the
+    static ranks with the N degrees, what is compared exactly, the
+    elements to key at each rank, and the partition.
 
     Fuzzy mode refines one partition per level 1..top, each from the one
     below; crisp mode has the one level top.  ``block`` holds the last
@@ -182,53 +185,26 @@ class _Refinement:
 
     def __init__(self, ia: Interpretation, ib: Interpretation, features: FeatureSet,
                  crisp: bool):
-        models = (ia,) if ib is ia else (ia, ib)  # a model compared with itself is not doubled
-        self.crisp, self.na, self.nb = crisp, len(ia.domain), len(ib.domain)
-        n = sum([len(m.domain) for m in models])
-        self.offset = n - self.nb  # where B's elements start
-        self.universe, rank = degree_ranks(*models)
-        self.top = top = len(self.universe) - 1
-        q_bounds, n_bounds, covered = _bounds(features, self.na, self.nb)
+        self.ctx = ctx = _Context(ia, ib, features)
+        self.crisp, n, top = crisp, len(ctx.edges), ctx.top
         # per target block, the key counts successors (crisp: keeps degrees)
         # up to this many: m under a covered prefix Q1..Qm, else 1; the
         # bounds above the prefix key the least sets of blocks
-        self.width = covered or 1
-        self.gapped = q_bounds[covered:]
+        self.width = ctx.covered or 1
+        self.gapped = ctx.q_bounds[ctx.covered:]
         # per element: ranks compared clamped at the level (concept and self
         # degrees; per role, its n-th largest successor degree for each N
         # bound n it meets) and what is compared exactly (its names; per
         # role, how many N bounds it meets)
-        columns = [[rank[id(d)] for m in models for d in m.concept_row(name)]
-                   for name in sorted(set(ia.concepts) | set(ib.concepts))]
-        # per element, its edges under every basic role as (degree, role,
-        # successor), strongest first, and those with an edge into it
-        self.edges, self.incoming = edges, incoming = [[] for _ in range(n)], [[] for _ in range(n)]
-        label = 0
-        for name in sorted(set(ia.roles) | set(ib.roles)):
-            loops = [0] * n
-            for m, start in zip(models, (0, self.offset)):
-                for x, row in enumerate(m.roles.get(name, ()), start):
-                    for j, d in row:
-                        y, r = j + start, rank[id(d)]
-                        edges[x].append((r, label, y))
-                        incoming[y].append(x)
-                        if features.inverse:
-                            edges[y].append((r, label + 1, x))
-                            incoming[x].append(y)
-                        if y == x:
-                            loops[x] = r
-            if features.self_loops:
-                columns.append(loops)
-            label += 1 + features.inverse
-        for row in edges:
-            row.sort(reverse=True)
+        columns = [column for _name, column in ctx.concepts + ctx.self_loops]
         self.static = static = list(zip(*columns)) or [()] * n
         exact: List[list] = [[] for _ in range(n)]
-        for name, xa, xb in _individual_pairs(ia, ib) if features.nominals else ():
-            for x in {xa, self.offset + xb}:  # one element when the models are one
+        for name, xa, xb in ctx.individual_pairs:
+            for x in {xa, ctx.offset + xb}:  # one element when the models are one
                 exact[x].append(name)
-        for x, row in enumerate(edges if n_bounds else ()):
-            for role in range(label):
+        n_bounds = ctx.n_bounds
+        for x, row in enumerate(ctx.edges if n_bounds else ()):
+            for role in range(len(ctx.labels)):
                 degrees = [d for d, of, _y in row if of == role]
                 met = n_bounds[:bisect_right(n_bounds, len(degrees))]
                 exact[x].append(len(met))
@@ -250,7 +226,7 @@ class _Refinement:
         for x in range(n) if at_rank else ():
             for r in static[x]:
                 at_rank[r].add(x)
-            for d, _label, _y in edges[x]:
+            for d, _label, _y in ctx.edges[x]:
                 at_rank[d].add(x)
         levels = [top] if crisp else range(1, top + 1)
         for v in levels:
@@ -297,8 +273,9 @@ class _Refinement:
         block whose keyed members share ``shared[b]``, or one key and are
         all of it, stays whole (exact: see nesting in the module docstring);
         else the largest part of a split keeps the block."""
-        block, members, shared, edges, static = self.block, self.members, self.shared, self.edges, self.static
-        top, width, gapped, least = self.top, self.width, self.gapped, self._least_sets
+        block, members, shared, static = self.block, self.members, self.shared, self.static
+        edges, incoming, top = self.ctx.edges, self.ctx.incoming, self.ctx.top
+        width, gapped, least = self.width, self.gapped, self._least_sets
         if self.crisp and (width > 1 or gapped):
             def key(x: int) -> tuple:
                 found: dict = {}
@@ -361,7 +338,7 @@ class _Refinement:
                         shared.append(k)
                         moved += part
                 shared[b] = keep
-            touched = set().union(*[self.incoming[y] for y in moved])
+            touched = set().union(*[incoming[y] for y in moved])
 
 
 def _merges(refined: _Refinement) -> Iterator[Tuple[int, int, int]]:
@@ -378,12 +355,12 @@ def _cap(refined: _Refinement) -> int:
     """The least row or column maximum of the A × B part, in ranks: the
     highest level whose blocks all hold elements of both models, found by
     merging blocks back, top level first, until none lacks one."""
-    sides = [0] * len(refined.members)
+    ctx, sides = refined.ctx, [0] * len(refined.members)
     for x, b in enumerate(refined.block):
-        sides[b] |= (x < refined.na) + 2 * (x >= refined.offset)
+        sides[b] |= (x < ctx.na) + 2 * (x >= ctx.offset)
     unmixed = len(sides) - sides.count(3)
     if not unmixed:
-        return refined.top
+        return ctx.top
     for new, old, w in _merges(refined):
         unmixed -= (sides[new] != 3) + (sides[old] != 3)
         sides[old] |= sides[new]
@@ -393,17 +370,17 @@ def _cap(refined: _Refinement) -> int:
     return 0
 
 
-def _readout(ia: Interpretation, ib: Interpretation, refined: _Refinement,
-             cap: int) -> FuzzyRelation:
+def _readout(refined: _Refinement, cap: int) -> FuzzyRelation:
     """The relation of the nested partitions, ranks capped at ``cap``: per
     element of A, the elements of B in its level-1 block, in document
     order, and their degrees; every one is nonzero, and with a cap of 0
     there are none.  The splits of level 2 and up are undone as in
     :func:`_merges`, and the pairs across a merge get its degree, each
     pair once."""
-    block, na, nb, offset = refined.block, refined.na, refined.nb, refined.offset
+    ctx, block = refined.ctx, refined.block
+    na, nb, offset = ctx.na, ctx.nb, ctx.offset
     if not cap:
-        return FuzzyRelation(ia.domain, ib.domain, [([], [])] * na)
+        return FuzzyRelation(ctx.dom_a, ctx.dom_b, [([], [])] * na)
     # the level-1 block of each block: a split of level 2 or up leaves its
     # new block in the level-1 block of the one it left
     root = list(range(len(refined.members)))
@@ -421,7 +398,7 @@ def _readout(ia: Interpretation, ib: Interpretation, refined: _Refinement,
     degrees: List[list] = [[None] * len(line[root[block[i]]]) for i in range(na)]
     for i in range(na):
         side_a[block[i]].append(i)
-    universe = refined.universe
+    universe = ctx.universe
 
     def fill(xs, ys, rank):
         degree = universe[rank if rank < cap else cap]  # one object per rank
@@ -431,13 +408,13 @@ def _readout(ia: Interpretation, ib: Interpretation, refined: _Refinement,
                 row[at[j]] = degree
 
     for xs, ys in zip(side_a, side_b):
-        fill(xs, ys, refined.top)
+        fill(xs, ys, ctx.top)
     for new, old, w in _merges(refined):
         fill(side_a[new], side_b[old], w)
         fill(side_a[old], side_b[new], w)
         side_a[old] += side_a[new]
         side_b[old] += side_b[new]
-    return FuzzyRelation(ia.domain, ib.domain,
+    return FuzzyRelation(ctx.dom_a, ctx.dom_b,
                          [(line[root[block[i]]], degrees[i]) for i in range(na)])
 
 
@@ -464,7 +441,7 @@ def greatest_bisim(
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     refined = _Refinement(ia, ib, features, mode == "crisp")
-    return _readout(ia, ib, refined, _cap(refined) if features.universal else refined.top)
+    return _readout(refined, _cap(refined) if features.universal else refined.ctx.top)
 
 
 def bisimilar(
@@ -476,7 +453,7 @@ def bisimilar(
     """Decide whether every named individual pair gets degree 1 in the
     greatest bisimulation (fuzzy: bisimilarity; crisp: strong bisimilarity).
     """
-    if not _individual_pairs(ia, ib):  # a name in one model only raises
+    if not _named_in_both(ia, ib):
         raise ModelError("bisimilarity of interpretations is undefined without named individuals")
     greatest = greatest_bisim(ia, ib, features, mode)
     for name in ia.individuals:

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, json_text
 from .godel import ZERO, degree
 
 
@@ -41,7 +41,7 @@ def read_triples(
     for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == 3
                 and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise error(f"{what}: an entry must be [x, y, degree], got {item!r}")
+            raise error(f"{what}: an entry must be [x, y, degree], got {json_text(item)}")
         x, y, d = item
         if x not in rows or y not in cols:
             raise error(f"{what} uses an unknown element in ({x}, {y})")

@@ -32,7 +32,7 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
-from fdl.bisim import MODES
+from fdl.bisim import MODES, _Context
 from fdl.godel import ONE, ZERO, format_degree
 from fdl.interp import degree_objects, degree_ranks, dump_interpretation, load_interpretation
 from fdl.minimize import strong_partition
@@ -1030,6 +1030,58 @@ class TestDegreeRanks:
                 assert got == fixpoint_greatest(ia, ib, features, mode)
                 graded += any(0 < v < 1 for _x, _y, v in cells(got))
         assert graded
+
+
+class TestContextTables:
+    """The one table builder, ``_Context``, read back against the public
+    API of each model: successors, predecessors, self degrees and concept
+    rows, ranked through ``degree_ranks``."""
+
+    @pytest.mark.parametrize("text", ["", "I", "Self", "I,O,Self"])
+    def test_tables_match_the_models(self, text):
+        features = FeatureSet.parse(text)
+        rng = random.Random(f"context {text}")
+        for trial in range(90):
+            shape = dict(concept_names=("A", "B")[:rng.randint(0, 2)],
+                         role_names=rng.choice([("r",), ("s",), ("r", "s")]),
+                         individual_names=("a",), pool=rng.choice([POOL3, POOL4]))
+            ia = random_model(rng, "x", rng.randint(1, 5), density=rng.random(), **shape)
+            ib = (ia, shuffled_copy(rng, ia, "y"),
+                  random_model(rng, "y", rng.randint(1, 5), **shape))[trial % 3]
+            models = (ia,) if ib is ia else (ia, ib)
+            ctx = _Context(ia, ib, features)
+            universe, rank = degree_ranks(*models)
+            assert ctx.universe == universe and ctx.top == len(universe) - 1
+            assert len(ctx.edges) == len(ctx.incoming) == ctx.offset + len(ib.domain)
+            roles = sorted(set(ia.roles) | set(ib.roles))
+            assert ctx.labels == [
+                label for name in roles for label in (name, name + "-")[:1 + features.inverse]]
+            basic = dict(ctx.basic)
+            for m, start in zip((ia, ib), (0, ctx.offset)):
+                size = len(m.domain)
+                for name, column in ctx.concepts:
+                    assert column[start:start + size] == [rank[id(d)] for d in m.concept_row(name)]
+                assert [name for name, _column in ctx.self_loops] == (roles if features.self_loops else [])
+                for name, column in ctx.self_loops:
+                    assert column[start:start + size] == [rank[id(d)] for d in m.self_degrees(name)]
+                for k, label in enumerate(ctx.labels):
+                    succ = m.successors(label.rstrip("-"))
+                    for i in range(size):
+                        if label.endswith("-"):
+                            expected = [(p, rank[id(d)]) for p, row in enumerate(succ)
+                                        for j, d in row if j == i]
+                        else:
+                            expected = [(j, rank[id(d)]) for j, d in succ[i]]
+                        got = sorted((y - start, r) for r, of, y in ctx.edges[start + i] if of == k)
+                        assert got == expected == basic[label][start + i]
+            for x, row in enumerate(ctx.edges):
+                assert row == sorted(row, reverse=True)
+                for _r, _label, y in row:
+                    assert x in ctx.incoming[y]
+            assert sum(map(len, ctx.incoming)) == sum(map(len, ctx.edges))
+            names = sorted(ia.individuals) if features.nominals else []
+            assert ctx.individual_pairs == [
+                (a, ia.index(ia.individuals[a]), ib.index(ib.individuals[a])) for a in names]
 
 
 class TestClosureLaws:

@@ -246,6 +246,71 @@ class TestCheck:
             ("FB4", ["w'"], "0.9", "0.37"),
         ]
 
+    # the report order of every condition code, on two hand-built pairs
+    GRADED = (
+        {"domain": ["u", "v", "w"], "individuals": {"a": "u"},
+         "concepts": {"A": {"u": "1", "v": "0.5"}},
+         "roles": {"r": [["u", "v", "1"], ["u", "w", "0.5"], ["v", "v", "0.5"]]}},
+        {"domain": ["u'", "v'", "w'"], "individuals": {"a": "v'"},
+         "concepts": {"A": {"u'": "1", "v'": "0.3"}},
+         "roles": {"r": [["u'", "v'", "0.8"], ["w'", "w'", "1"]]}},
+        [["u", "u'", "1"], ["v", "v'", "1"], ["w", "w'", "0.5"]],
+    )
+    HUBS = (
+        {"domain": ["h", "x", "y", "z"],
+         "roles": {"r": [["h", "x", "1"], ["h", "y", "1"], ["h", "z", "0.5"]]}},
+        {"domain": ["h'", "x'", "y'"], "roles": {"r": [["h'", "x'", "1"], ["h'", "y'", "0.5"]]}},
+        [["h", "h'", "1"], ["x", "x'", "1"], ["y", "x'", "1"], ["z", "y'", "1"]],
+    )
+
+    @pytest.mark.parametrize("pair, features, expected", [
+        ("GRADED", "O,U,Self,N1", [
+            ("FB5", "u", "u'", None, "a", None, "1", "0"),
+            ("FB3", "u", "u'", "r", None, ["v"], "1", "0.8"),
+            ("FB3", "u", "u'", "r", None, ["w"], "0.5", "0"),
+            ("FB8", "u", "u'", None, None, ["w"], "1", "0.5"),
+            ("FB9", "u", "u'", None, None, ["w'"], "1", "0.5"),
+            ("FB6n(1)", "u", "u'", "r", None, None, "1", "0.8"),
+            ("FB2", "v", "v'", None, "A", None, "1", "0.3"),
+            ("FB5", "v", "v'", None, "a", None, "1", "0"),
+            ("FB10", "v", "v'", None, "r", None, "1", "0"),
+            ("FB3", "v", "v'", "r", None, ["v"], "0.5", "0"),
+            ("FB8", "v", "v'", None, None, ["w"], "1", "0.5"),
+            ("FB9", "v", "v'", None, None, ["w'"], "1", "0.5"),
+            ("FB6n(1)", "v", "v'", "r", None, None, "0.5", "0"),
+            ("FB10", "w", "w'", None, "r", None, "0.5", "0"),
+            ("FB4", "w", "w'", "r", None, ["w'"], "0.5", "0"),
+            ("FB7n(1)", "w", "w'", "r", None, None, "0.5", "0"),
+        ]),
+        ("GRADED", "I,Self", [
+            ("FB3", "u", "u'", "r", None, ["v"], "1", "0.8"),
+            ("FB3", "u", "u'", "r", None, ["w"], "0.5", "0"),
+            ("FB2", "v", "v'", None, "A", None, "1", "0.3"),
+            ("FB10", "v", "v'", None, "r", None, "1", "0"),
+            ("FB3", "v", "v'", "r", None, ["v"], "0.5", "0"),
+            ("FB3", "v", "v'", "r-", None, ["u"], "1", "0.8"),
+            ("FB3", "v", "v'", "r-", None, ["v"], "0.5", "0"),
+            ("FB10", "w", "w'", None, "r", None, "0.5", "0"),
+            ("FB4", "w", "w'", "r", None, ["w'"], "0.5", "0"),
+            ("FB3", "w", "w'", "r-", None, ["u"], "0.5", "0"),
+            ("FB4", "w", "w'", "r-", None, ["w'"], "0.5", "0"),
+        ]),
+        # Q* decides FB6 by matching, Q2 by enumerating the 2-subsets
+        ("HUBS", "Q*", [("FB6(2)", "h", "h'", "r", None, ["x", "y"], "1", "0")]),
+        ("HUBS", "Q2", [("FB6(2)", "h", "h'", "r", None, ["x", "y"], "1", "0")]),
+        ("HUBS", "I,N2", [("FB6n(2)", "h", "h'", "r", None, None, "1", "0.5")]),
+    ])
+    def test_json_report_order(self, tmp_path, pair, features, expected):
+        paths = []
+        for name, doc in zip("abz", getattr(self, pair)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc if name != "z" else {"entries": doc}))
+        code, out, _ = run_cli(["--json", "check", "-l", str(paths[0]), "-r", str(paths[1]),
+                                "-z", str(paths[2]), "--features", features])
+        assert code == 1
+        keys = ("condition", "x", "x_prime", "role", "name", "witness", "lhs", "rhs")
+        assert json.loads(out)["violations"] == [dict(zip(keys, row)) for row in expected]
+
     def test_satisfied(self, files, tmp_path):
         rel = tmp_path / "z.json"
         rel.write_text(

@@ -148,6 +148,19 @@ class TestLoading:
         with pytest.raises(ModelError):
             load_interpretation(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"domain": ["u"], "concepts": None}, "concepts must be a JSON object, got null"),
+        ({"domain": ["u"], "roles": ["a"]}, 'roles must be a JSON object, got ["a"]'),
+        ({"domain": ["u"], "individuals": {"a": False}},
+         "individual 'a' maps to unknown element false"),
+        ({"domain": ["u"], "roles": {"r": [["u", "u"]]}},
+         """role 'r': an entry must be [x, y, degree], got ["u", "u"]"""),
+    ])
+    def test_malformed_values_are_spelled_as_json(self, doc, message):
+        with pytest.raises(ModelError) as raised:
+            load_interpretation(doc)
+        assert str(raised.value) == message
+
     def test_library_role_forms_still_accepted(self):
         model = fan_model()
         triples = list(model.edges("r"))

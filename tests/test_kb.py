@@ -250,6 +250,11 @@ class TestKbDocuments:
         with pytest.raises(InputError):
             load_kb(doc)
 
+    def test_entry_spelled_as_json(self):
+        with pytest.raises(InputError) as raised:
+            load_kb({"tbox": [["A", None, True]]})
+        assert str(raised.value) == 'a tbox entry must be a JSON object, got ["A", null, true]'
+
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             load_kb({"abox": [{"kind": "negated", "a": "a", "b": "b"}]})
