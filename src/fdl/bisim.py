@@ -82,9 +82,7 @@ from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
-from .syntax import FeatureSet
-
-MODES = ("fuzzy", "crisp")
+from .syntax import MODES, FeatureSet, check_mode  # noqa: F401  (fdl.bisim.MODES stays readable)
 
 # Most n-subsets that FB6(n)/FB7(n) may enumerate for one successor set,
 # summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.
@@ -138,8 +136,7 @@ def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> FuzzyRe
         raise InputError(f"unknown relation document keys: {sorted(unknown)}")
     relation = FuzzyRelation.from_entries(rows, cols, document.get("entries", []))
     mode = document.get("mode", "fuzzy")
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     if mode == "crisp" and not relation.is_crisp():
         raise InputError("a crisp candidate relation must have entries in {0, 1}")
     return relation
@@ -518,8 +515,7 @@ def brute_force_greatest(
     the degree universe, so this is exact.  Guarded by
     ``BRUTE_FORCE_BUDGET``.
     """
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     ctx = _Context(ia, ib, features)
     na, nb, top = ctx.na, ctx.nb, ctx.top
     if na * nb > 16:

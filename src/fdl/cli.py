@@ -4,6 +4,12 @@ Exit codes: 0 on success (and for properties that hold), 1 when a checked
 property fails (not bisimilar, conditions violated, box not validated,
 selftest failures), 2 on usage or input errors.  The parser is built once,
 at import; each subcommand is one handler ``(args, out) -> int``.
+
+Importing this module loads only what the parser needs (``fdl.errors``,
+``fdl.godel`` and ``fdl.syntax``).  A handler's other functions load on
+first use, by the module ``__getattr__`` below, and are kept in this
+module's globals; handlers read them there, so a function replaced on
+this module is the one that runs.
 """
 
 from __future__ import annotations
@@ -12,22 +18,46 @@ import argparse
 import contextlib
 import json
 import sys
+from importlib import import_module
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from .bisim import MODES, check_bisim, dump_relation, load_relation
-from .enumeration import DEFAULT_BUDGET
 from .errors import FdlError, InputError
-from .fixtures import run_selftest
 from .godel import format_degree
-from .interp import dump_interpretation, eval_concept, load_interpretation
-from .kb import hm_matrix, load_kb, validates
-from .minimize import prune_unreachable, quotient
-from .parsing import parse_concept
-from .refinement import bisimilar, greatest_bisim
-from .syntax import FeatureSet, Sublanguage, to_text
+from .syntax import DEFAULT_BUDGET, MODES, FeatureSet, Sublanguage, to_text
+
+# The module of each function that a handler loads on first use.
+_LAZY = {
+    name: module
+    for module, names in {
+        "bisim": ("check_bisim", "dump_relation", "load_relation"),
+        "fixtures": ("run_selftest",),
+        "interp": ("dump_interpretation", "eval_concept", "load_interpretation"),
+        "kb": ("hm_matrix", "load_kb", "validates"),
+        "minimize": ("prune_unreachable", "quotient"),
+        "parsing": ("parse_concept",),
+        "refinement": ("bisimilar", "greatest_bisim"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
+
+
+def _use(*names: str) -> None:
+    """Load the named functions into this module's globals, unless they are
+    there already (loaded, or replaced by a caller)."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 @contextlib.contextmanager
@@ -51,6 +81,7 @@ def _read_json(path: str):
 
 
 def _load_model(path: str):
+    _use("load_interpretation")
     return load_interpretation(_read_json(path))
 
 
@@ -111,6 +142,7 @@ def _emit(out, payload: dict, as_json: bool, human: Callable[[], Iterable[str]])
 
 
 def _eval(args, out) -> int:
+    _use("parse_concept", "eval_concept")
     model = _load_model(args.model)
     with _nesting():
         concept = parse_concept(args.concept, args.features)
@@ -132,6 +164,7 @@ def _eval(args, out) -> int:
 
 
 def _bisim(args, out) -> int:
+    _use("greatest_bisim", "dump_relation")
     left, right = _load_model(args.left), _load_model(args.right)
     result = greatest_bisim(left, right, args.features, args.mode)
     document = dump_relation(result, args.mode)
@@ -146,6 +179,7 @@ def _bisim(args, out) -> int:
 
 
 def _check(args, out) -> int:
+    _use("load_relation", "check_bisim")
     left, right = _load_model(args.left), _load_model(args.right)
     candidate = load_relation(_read_json(args.relation), left.domain, right.domain)
     report = check_bisim(left, right, candidate, args.features)
@@ -164,6 +198,7 @@ def _check(args, out) -> int:
 
 
 def _bisimilar(args, out) -> int:
+    _use("bisimilar", "dump_relation")
     left, right = _load_model(args.left), _load_model(args.right)
     result = bisimilar(left, right, args.features, args.mode)
     payload = {
@@ -181,6 +216,7 @@ def _bisimilar(args, out) -> int:
 
 def _minimize(args, out) -> int:
     """``minimize`` (pruning first under ``--prune``) and ``prune``."""
+    _use("prune_unreachable", "quotient", "dump_interpretation")
     model = _load_model(args.model)
     if args.prune:
         model = prune_unreachable(model, args.features)
@@ -192,6 +228,7 @@ def _minimize(args, out) -> int:
 
 
 def _validate(args, out) -> int:
+    _use("load_kb", "validates")
     model = _load_model(args.model)
     box = _read_json(args.tbox or args.abox)
     with _nesting():
@@ -209,6 +246,7 @@ def _validate(args, out) -> int:
 
 
 def _hm(args, out) -> int:
+    _use("hm_matrix", "dump_relation")
     left, right = _load_model(args.left), _load_model(args.right)
     crisp = args.fragment == "delta"
     fragment = Sublanguage.DELTA_EXISTENTIAL if crisp else Sublanguage.CORE_EXISTENTIAL
@@ -234,6 +272,7 @@ def _hm(args, out) -> int:
 
 
 def _selftest(args, out) -> int:
+    _use("run_selftest")
     return 0 if run_selftest(lambda line: print(line, file=out)) else 1
 
 

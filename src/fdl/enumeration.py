@@ -19,6 +19,7 @@ from .errors import BudgetError, InputError
 from .godel import degree
 from .interp import Interpretation
 from .syntax import (
+    DEFAULT_BUDGET,
     And,
     AtLeast,
     AtLeastUnq,
@@ -38,8 +39,6 @@ from .syntax import (
     Universal,
     structural_key,
 )
-
-DEFAULT_BUDGET = 20_000
 
 HM_FRAGMENTS = (Sublanguage.CORE_EXISTENTIAL, Sublanguage.DELTA_EXISTENTIAL)
 

@@ -15,7 +15,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, json_text
 
 Degree = Fraction
 
@@ -56,6 +56,16 @@ def degree(value) -> Fraction:
     if not 0 <= value.numerator <= value.denominator:
         raise InputError(f"degree {format_degree(value)} outside [0, 1]")
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def read_degree(value) -> Fraction:
+    """:func:`degree` of a value read from a JSON document; a value that is
+    no degree is named as the document spells it (``true``, not ``True``)."""
+    if isinstance(value, str):
+        return parse_degree(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise InputError(f"not a degree: {json_text(value)}")
+    return degree(value)
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)

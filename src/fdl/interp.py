@@ -37,7 +37,7 @@ from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, json_text
-from .godel import ONE, ZERO, degree, format_degree
+from .godel import ONE, ZERO, format_degree, read_degree
 from .relations import FuzzyRelation, read_triples
 from . import syntax as s
 
@@ -108,7 +108,7 @@ class Interpretation:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[index[element]] = degree(value)
+                row[index[element]] = read_degree(value)
             rows[name] = tuple(row)
 
         successors = {name: _successor_lists(name, value, index)

@@ -12,13 +12,22 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .enumeration import DEFAULT_BUDGET, Signature, iter_fragment
 from .errors import InputError, json_text
-from .godel import ONE, ZERO, degree, format_degree, godel_iff
+from .godel import ONE, ZERO, degree, format_degree, godel_iff, read_degree
 from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
 from .relations import FuzzyRelation
-from .syntax import Concept, Exists, FeatureSet, Implies, Nominal, Role, Sublanguage, to_text
+from .syntax import (
+    DEFAULT_BUDGET,
+    Concept,
+    Exists,
+    FeatureSet,
+    Implies,
+    Nominal,
+    Role,
+    Sublanguage,
+    to_text,
+)
 
 _CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 _GCI_REL = {">=": operator.ge, ">": operator.gt}
@@ -176,13 +185,15 @@ _DEFAULTS = {"rel": ">=", "cmp": ">="}
 
 
 def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet]):
-    if type_name != "Fraction" and not isinstance(value, str):
-        raise InputError(f"the value of {key!r} must be a string, got {value!r}")
+    if type_name == "Fraction":
+        return read_degree(value)
+    if not isinstance(value, str):
+        raise InputError(f"the value of {key!r} must be a string, got {json_text(value)}")
     if type_name == "Concept":
         return parse_concept(value, features)
     if type_name == "Role":
         return parse_role(value, features)
-    return value  # thresholds go to the item's own degree() check
+    return value
 
 
 def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
@@ -195,7 +206,7 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
         kind = entry.pop("kind", None)
         cls = _KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise InputError(f"unknown assertion kind {kind!r}")
+            raise InputError(f"unknown assertion kind {json_text(kind)}")
     keys = _ITEM_KEYS[cls][1]
     unknown = set(entry) - set(keys)
     if unknown:
@@ -204,7 +215,7 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     for field, key in zip(fields(cls), keys):
         value = entry.get(key, _DEFAULTS.get(key))
         if value is None:
-            raise InputError(f"a {box} entry needs a value for {key!r}: {entry!r}")
+            raise InputError(f"a {box} entry needs a value for {key!r}: {json_text(entry)}")
         values.append(_load_field(field.type, key, value, features))
     return cls(*values)
 
@@ -274,6 +285,8 @@ def hm_matrix(
     to the greatest (fuzzy resp. crisp) bisimulation.  ``separators``
     records, per pair, the first concept attaining the final value.
     """
+    from .enumeration import Signature, iter_fragment  # only this command enumerates
+
     signature = Signature.from_interpretations(ia, ib)
     stream = iter_fragment(
         features, signature, degree_universe(ia, ib), fragment, depth, max_concepts

@@ -139,12 +139,12 @@ from functools import cached_property
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .bisim import MODES, _Context, _named_in_both, _subset_budget
-from .errors import InputError, ModelError
+from .bisim import _Context, _named_in_both, _subset_budget
+from .errors import ModelError
 from .godel import ONE
 from .interp import Interpretation
 from .relations import FuzzyRelation
-from .syntax import FeatureSet
+from .syntax import FeatureSet, check_mode
 
 
 class _LeastSets:
@@ -438,8 +438,7 @@ def greatest_bisim(
     least row or column maximum.  The module docstring shows why this is
     the greatest bisimulation.
     """
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    check_mode(mode)
     refined = _Refinement(ia, ib, features, mode == "crisp")
     return _readout(refined, _cap(refined) if features.universal else refined.ctx.top)
 

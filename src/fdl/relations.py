@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, json_text
-from .godel import ZERO, degree
+from .godel import ZERO, read_degree
 
 
 def read_triples(
@@ -48,7 +48,7 @@ def read_triples(
         pair = rows[x], cols[y]
         if pair in read:
             raise error(f"{what} lists the pair ({x}, {y}) twice")
-        read[pair] = degree(d)
+        read[pair] = read_degree(d)
     return read
 
 

@@ -10,21 +10,35 @@ constants.  Optional features are toggled by a :class:`FeatureSet`:
 * ``Qn``   qualified number restrictions with bound n
 * ``Nn``   unqualified number restrictions with bound n
 
-All nodes are frozen dataclasses: structural equality, hashable, safe to
-share between threads.
+All nodes share one slotted base, :class:`_Node`: they are frozen, equal
+when their class and fields are, hashable, and safe to share between
+threads.  The bisimulation modes and the default concept budget live here
+too, so that the command-line parser can be built from this module alone.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
 
-from .errors import FeatureError, InputError
+from .errors import FeatureError, InputError, json_text
 from .godel import degree, format_degree
+
+# The two bisimulation modes: graded (fuzzy) and all-or-nothing (crisp).
+MODES = ("fuzzy", "crisp")
+
+# Most concepts that enumerating a fragment may build, unless told otherwise.
+DEFAULT_BUDGET = 20_000
+
+
+def check_mode(mode) -> None:
+    if mode not in MODES:
+        raise InputError(f"mode must be one of {MODES}, got {json_text(mode)}")
+
 
 # ---------------------------------------------------------------------------
 # feature sets
@@ -117,53 +131,148 @@ class FeatureSet:
 # role and concept trees
 
 
-class Role:
+_set = object.__setattr__
+
+
+def _initializer(fields: Tuple[str, ...], check: Optional[Callable[["_Node"], None]]):
+    """The ``__init__`` of a node class with these fields: it sets them in
+    order, leaves the hash to be computed on first use and then runs the
+    class's ``check``, if it has one.  One closure per number of fields, so
+    that building a node costs no more than a generated ``__init__``."""
+    if not fields:
+        def __init__(self):
+            _set(self, "_hash", None)
+    elif len(fields) == 1:
+        (a,) = fields
+
+        def __init__(self, x):
+            _set(self, a, x)
+            _set(self, "_hash", None)
+    elif len(fields) == 2:
+        a, b = fields
+
+        def __init__(self, x, y):
+            _set(self, a, x)
+            _set(self, b, y)
+            _set(self, "_hash", None)
+    else:
+        a, b, c = fields
+
+        def __init__(self, x, y, z):
+            _set(self, a, x)
+            _set(self, b, y)
+            _set(self, c, z)
+            _set(self, "_hash", None)
+    if check is None:
+        return __init__
+    unchecked = __init__
+
+    def __init__(self, *values):
+        unchecked(self, *values)
+        check(self)
+    return __init__
+
+
+class _Node:
+    """The base of every role and concept node: frozen, with ``__slots__``,
+    equal when class and field values are equal, and hashed by its field
+    values.
+
+    A node class lists its fields once, as its ``__slots__``; its
+    ``__init__`` and the methods here read them from ``_fields``.
+    ``_children`` names the fields that hold sub-expressions, in field
+    order (every field but the label of the class's :data:`_NODES` row).
+    A class's own ``_check``, if any, validates or normalizes each new
+    node.  The hash and the structural key are kept on the node when first
+    asked for: the evaluator's memo hashes every subconcept, and the
+    enumerator keys every candidate, and candidates share their subtrees.
+    """
+
+    __slots__ = ("_hash", "_key")
+    _fields: Tuple[str, ...] = ()
+    _children: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("__slots__", ())
+        cls.__init__ = _initializer(cls._fields, cls.__dict__.get("_check"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is not other:
+            for name in self._fields:
+                if getattr(self, name) != getattr(other, name):
+                    return False
+        return True
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple([getattr(self, name) for name in self._fields]))
+            _set(self, "_hash", value)
+        return value
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def _map_children(self, transform: Callable[["Expr"], "Expr"]) -> "Expr":
+        """A copy of this node with ``transform`` applied to each direct
+        sub-expression; a leaf comes back itself."""
+        kids = self._children
+        if not kids:
+            return self
+        return type(self)(*[transform(getattr(self, name)) if name in kids else getattr(self, name)
+                            for name in self._fields])
+
+
+class Role(_Node):
     """Marker base class for role expressions."""
 
     __slots__ = ()
 
 
-class Concept:
+class Concept(_Node):
     """Marker base class for concept expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RoleName(Role):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Inverse(Role):
-    role: Role
+    __slots__ = ("role",)
 
 
-@dataclass(frozen=True)
 class Universal(Role):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Compose(Role):
-    left: Role
-    right: Role
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class RoleUnion(Role):
-    left: Role
-    right: Role
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Star(Role):
-    role: Role
+    __slots__ = ("role",)
 
 
-@dataclass(frozen=True)
 class Test(Role):
-    concept: Concept
+    __slots__ = ("concept",)
 
     __test__ = False  # keep pytest from collecting the PDL test operator
 
@@ -175,157 +284,101 @@ def is_basic_role(role: Role) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class Constant(Concept):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", degree(self.value))
+    def _check(self):
+        _set(self, "value", degree(self.value))
 
 
-
-@dataclass(frozen=True)
 class ConceptName(Concept):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Nominal(Concept):
-    individual: str
+    __slots__ = ("individual",)
 
 
-@dataclass(frozen=True)
 class Not(Concept):
     """Goedel negation: 1 at degree 0, else 0."""
 
-    concept: Concept
+    __slots__ = ("concept",)
 
 
-@dataclass(frozen=True)
 class InvNeg(Concept):
     """Involutive negation: 1 - degree."""
 
-    concept: Concept
+    __slots__ = ("concept",)
 
 
-@dataclass(frozen=True)
 class Delta(Concept):
     """Baaz projection; shorthand for Goedel-negated involutive negation."""
 
-    concept: Concept
+    __slots__ = ("concept",)
 
 
-@dataclass(frozen=True)
 class And(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Concept):
-    left: Concept
-    right: Concept
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Exists(Concept):
-    role: Role
-    filler: Concept
+    __slots__ = ("role", "filler")
 
 
-@dataclass(frozen=True)
 class Forall(Concept):
-    role: Role
-    filler: Concept
+    __slots__ = ("role", "filler")
 
 
-@dataclass(frozen=True)
 class SelfLoop(Concept):
     """``exists r . self`` -- defined for role names only."""
 
-    role_name: str
+    __slots__ = ("role_name",)
 
 
-def _check_restriction(n, role):
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"number-restriction bound must be a positive integer, got {n!r}")
-    if not is_basic_role(role):
+def _check_restriction(node) -> None:
+    if not isinstance(node.n, int) or node.n < 1:
+        raise InputError(f"number-restriction bound must be a positive integer, got {node.n!r}")
+    if not is_basic_role(node.role):
         raise InputError("number restrictions require a basic role (a name or its inverse)")
 
 
-@dataclass(frozen=True)
 class AtLeast(Concept):
-    n: int
-    role: Role
-    filler: Concept
-
-    def __post_init__(self):
-        _check_restriction(self.n, self.role)
+    __slots__ = ("n", "role", "filler")
+    _check = _check_restriction
 
 
-@dataclass(frozen=True)
 class Less(Concept):
-    n: int
-    role: Role
-    filler: Concept
-
-    def __post_init__(self):
-        _check_restriction(self.n, self.role)
+    __slots__ = ("n", "role", "filler")
+    _check = _check_restriction
 
 
-@dataclass(frozen=True)
 class AtLeastUnq(Concept):
-    n: int
-    role: Role
-
-    def __post_init__(self):
-        _check_restriction(self.n, self.role)
+    __slots__ = ("n", "role")
+    _check = _check_restriction
 
 
-@dataclass(frozen=True)
 class LessUnq(Concept):
-    n: int
-    role: Role
-
-    def __post_init__(self):
-        _check_restriction(self.n, self.role)
+    __slots__ = ("n", "role")
+    _check = _check_restriction
 
 
 Expr = Union[Concept, Role]
 
-# The fields of each node class that hold sub-expressions, in field order:
-# those annotated Concept or Role (annotations are strings in this module).
-_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
-    cls: tuple(f.name for f in fields(cls) if f.type in ("Concept", "Role"))
-    for cls in Role.__subclasses__() + Concept.__subclasses__()
-}
-
 
 def children(expr: Expr) -> Tuple[Expr, ...]:
     """The direct sub-expressions of a node, in field order."""
-    try:
-        names = _CHILD_FIELDS[type(expr)]
-    except KeyError:
-        raise InputError(f"not a concept or role: {expr!r}") from None
-    if not names:
-        return ()
-    return tuple([getattr(expr, name) for name in names])
-
-
-def _map_children(expr: Expr, transform: Callable[[Expr], Expr]) -> Expr:
-    """A copy of ``expr`` with ``transform`` applied to each direct
-    sub-expression; leaves come back unchanged."""
-    kids = children(expr)
-    if not kids:
-        return expr
-    names = _CHILD_FIELDS[type(expr)]
-    return replace(expr, **{name: transform(kid) for name, kid in zip(names, kids)})
+    if not isinstance(expr, _Node):
+        raise InputError(f"not a concept or role: {expr!r}")
+    names = expr._children
+    return tuple([getattr(expr, name) for name in names]) if names else ()
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +446,16 @@ _NODES: Dict[type, Tuple[int, Optional[str], int, str, Tuple[int, ...]]] = {
     Test: (26, None, _R_ATOM, "%s?", (_C_ATOM,)),
 }
 
+# Every field of a node class but its label holds a sub-expression.
+for _cls, _row in _NODES.items():
+    _cls._children = tuple(name for name in _cls._fields if name != _row[1])
+
 # The views the two readers take of each row: structural_key reads (tag,
 # label, child fields); _text reads (level, text, label, and each child's
 # field and level).
-_KEYS = {cls: (row[0], row[1], _CHILD_FIELDS[cls]) for cls, row in _NODES.items()}
+_KEYS = {cls: (row[0], row[1], cls._children) for cls, row in _NODES.items()}
 _PRINT = {
-    cls: (own, template, label, tuple(zip(_CHILD_FIELDS[cls], levels)))
+    cls: (own, template, label, tuple(zip(cls._children, levels)))
     for cls, (_tag, label, own, template, levels) in _NODES.items()
 }
 
@@ -429,20 +486,19 @@ def structural_key(expr: Expr):
     """A total, deterministic ordering key over syntax trees:
     ``(tag, label, keys of the children)``.
 
-    Computed once per node and kept on it: the enumerator keys every
-    candidate, and candidates share their subtrees.
+    Computed once per node and kept on it (:class:`_Node`).
     """
     try:
         tag, label, names = _KEYS[type(expr)]
     except KeyError:
         raise InputError(f"not a concept or role: {expr!r}") from None
-    key = expr.__dict__.get("_structural_key")
-    if key is None:
+    try:
+        return expr._key
+    except AttributeError:  # not yet asked for
         text = "" if label is None else str(getattr(expr, label))
-        kids = tuple([structural_key(getattr(expr, name)) for name in names])
-        key = (tag, text, kids)
-        object.__setattr__(expr, "_structural_key", key)
-    return key
+        key = (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))
+        _set(expr, "_key", key)
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +534,7 @@ def inverse_normal_form(role: Role) -> Role:
         if isinstance(inner, Test):
             return inverse_normal_form(inner)
         raise InputError(f"not a role: {inner!r}")
-    return _map_children(role, inverse_normal_form)
+    return role._map_children(inverse_normal_form)
 
 
 # ---------------------------------------------------------------------------

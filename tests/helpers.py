@@ -43,7 +43,7 @@ from fdl.bisim import (
     _Context, _candidate_context, _ceiling, _relational_rows, _rows, _static_rows,
     _universal_rows,
 )
-from fdl.syntax import _map_children, children
+from fdl.syntax import children
 
 POOL3 = (F(0), F(1, 2), F(1))
 POOL4 = (F(0), F(1, 3), F(2, 3), F(1))
@@ -508,7 +508,7 @@ def rewrite_definable(c):
     if isinstance(c, Or):
         left, right = rewrite_definable(c.left), rewrite_definable(c.right)
         return And(Implies(Implies(left, right), right), Implies(Implies(right, left), left))
-    return _map_children(c, rewrite_definable)
+    return c._map_children(rewrite_definable)
 
 
 def _usage(expr, found):

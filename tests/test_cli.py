@@ -827,12 +827,36 @@ MALFORMED = {
     "deep JSON": (EVAL_DOC, b"[" * 100_000 + b"]" * 100_000),
     "deep concept in a box": (BOX_DOC, {"abox": [{"kind": "concept", "a": "a", "p": "1",
                                                   "c": "(" * 200 + "A" + ")" * 200}]}),
+    # bad values, which the message spells as the document does (JSON_SPELLED)
+    "degree as true": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": True}}}),
+    "edge degree as null": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": [["u", "v", None]]}}),
+    "relation mode as null": (CHECK_DOC, {"mode": None, "entries": []}),
+    "box concept as list": (BOX_DOC, {"abox": [{"kind": "concept", "c": ["A"], "a": "a",
+                                                "p": "1"}]}),
+    "box comparison as null": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A", "a": "a",
+                                                   "p": "1", "cmp": None}]}),
+    "box threshold as true": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": [{"lhs": "A", "rhs": "A", "p": True}]},
+    ),
+}
+
+# MALFORMED cases whose message names a bad JSON value: the text it must hold
+JSON_SPELLED = {
+    "degree as true": "error: not a degree: true\n",
+    "edge degree as null": "error: not a degree: null\n",
+    "relation mode as null": "got null\n",
+    "box concept as list": 'must be a string, got ["A"]\n',
+    "box comparison as null": '"cmp": null}\n',
+    "box threshold as true": "error: not a degree: true\n",
+    "box unknown kind": 'unknown assertion kind ["same"]\n',
 }
 
 
 class TestErrors:
-    @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_malformed_input_exits_2(self, case, tmp_path, capsys):
+    @staticmethod
+    def run_malformed(case, tmp_path):
+        """Exit code, stdout and stderr of a MALFORMED case."""
         template, document = MALFORMED[case]
         paths = {"model": tmp_path / "model.json", "doc": tmp_path / "doc.json"}
         paths["model"].write_text(json.dumps(GOOD_MODEL))
@@ -842,10 +866,21 @@ class TestErrors:
             paths["doc"].write_text(json.dumps(document))
         argv = [arg.format(**paths) for arg in template]
         out, err = io.StringIO(), io.StringIO()
-        assert main(argv, out=out, err=err) == 2
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return main(argv, out=out, err=err), out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_input_exits_2(self, case, tmp_path, capsys):
+        code, out, err = self.run_malformed(case, tmp_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("case", list(JSON_SPELLED))
+    def test_bad_values_spelled_as_json(self, case, tmp_path):
+        code, _out, err = self.run_malformed(case, tmp_path)
+        assert code == 2
+        assert err.endswith(JSON_SPELLED[case]), err
 
     def test_recursion_past_the_input_keeps_its_traceback(self, files, monkeypatch):
         # only parsing, loading and evaluating input map RecursionError to

@@ -1,8 +1,14 @@
-"""The runtime depends on the standard library only."""
+"""The runtime depends on the standard library only, and a command
+imports only the modules it runs."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fdl
 
@@ -60,3 +66,74 @@ def test_no_unused_imports():
         for name, line in unused_imports(path)
     }
     assert unused == set()
+
+
+# Every name that fdl/__init__.py exports; each must keep resolving.
+EXPORTED = """
+BudgetError FdlError FeatureError InputError ModelError ParseError ONE ZERO degree format_degree
+godel_iff parse_degree FuzzyRelation And AtLeast AtLeastUnq Compose Concept ConceptName Constant
+Delta Exists FeatureSet Forall Implies InvNeg Inverse Less LessUnq Nominal Not Or Role RoleName
+RoleUnion SelfLoop Star Sublanguage Test Universal inverse_normal_form is_basic_role to_text
+validate parse parse_concept parse_role Signature ConceptEvaluator FuzzySet Interpretation
+degree_universe dump_interpretation eval_concept eval_role load_interpretation reachability
+ConditionReport Violation brute_force_greatest check_bisim dump_relation load_relation
+BisimilarityResult bisimilar greatest_bisim MinimalityCertificate Partition
+minimality_certificate prune_unreachable quotient strong_partition ConceptAssertion
+DistinctIndividual Gci HmResult KnowledgeBase RoleAssertion SameIndividual ValidationResult
+dump_kb hm_matrix load_kb validates
+""".split()
+
+
+def test_every_export_still_resolves():
+    assert len(EXPORTED) == 84
+    namespace = {}
+    exec("from fdl import *", namespace)
+    for name in EXPORTED:
+        assert getattr(fdl, name) is namespace[name], name
+        assert name in fdl.__all__ and name in dir(fdl), name
+    for module in ("errors", "godel", "relations", "syntax", "parsing", "enumeration", "interp",
+                   "bisim", "refinement", "minimize", "kb"):
+        assert getattr(fdl, module).__name__ == f"fdl.{module}"
+    with pytest.raises(AttributeError):
+        fdl.no_such_name
+
+
+def modules_after(argv):
+    """The ``fdl`` modules a fresh interpreter holds after ``import fdl.cli``
+    and, for a nonempty ``argv``, one command; the command must succeed."""
+    script = (
+        "import io, json, sys\n"
+        "import fdl.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = fdl.cli.main(argv, out=io.StringIO()) if argv else 0\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    path = [str(Path(fdl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env, check=True)
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return {name[len("fdl."):] for name in modules if name.startswith("fdl.")}
+
+
+@pytest.mark.parametrize("argv,absent", [
+    ([], "interp parsing bisim refinement kb enumeration minimize fixtures"),
+    (["--json", "eval", "-m", "{model}", "-c", "exists r . A"],
+     "bisim refinement kb enumeration minimize fixtures"),
+    (["--json", "bisim", "-l", "{model}", "-r", "{model}", "--features", ""],
+     "parsing kb enumeration minimize fixtures"),
+    (["--json", "validate", "-m", "{model}", "--tbox", "{tbox}"], "enumeration refinement"),
+], ids=["import", "eval", "bisim", "validate"])
+def test_a_command_loads_only_what_it_runs(argv, absent, tmp_path):
+    paths = {"model": tmp_path / "model.json", "tbox": tmp_path / "tbox.json"}
+    paths["model"].write_text(json.dumps({
+        "domain": ["u", "v"], "individuals": {"a": "u"},
+        "concepts": {"A": {"v": "0.5"}}, "roles": {"r": [["u", "v", "0.9"]]},
+    }))
+    paths["tbox"].write_text(json.dumps(
+        {"tbox": [{"lhs": "A and exists r . A", "rhs": "A", "p": "1"}]}
+    ))
+    loaded = modules_after([arg.format(**paths) for arg in argv])
+    assert "cli" in loaded
+    assert loaded.isdisjoint(absent.split()), loaded

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -424,6 +426,80 @@ class TestStructuralKey:
     def test_rejects_non_expressions(self):
         with pytest.raises(InputError):
             structural_key("A")
+
+
+def one_node_per_class():
+    """Fresh nodes, one of each of the 23 classes, built anew on each call."""
+    a, r = ConceptName("A"), RoleName("r")
+    return [
+        Constant(F(1, 2)), a, Nominal("o"), SelfLoop("r"), Not(a), InvNeg(a), Delta(a),
+        And(a, a), Or(a, a), Implies(a, a), Exists(r, a), Forall(r, a), AtLeast(2, r, a),
+        Less(3, r, a), AtLeastUnq(2, Inverse(r)), LessUnq(1, r), r, Universal(), Inverse(r),
+        Star(r), Compose(r, Universal()), RoleUnion(r, r), Test(a),
+    ]
+
+
+class TestNodeSemantics:
+    def test_equal_fields_give_equal_nodes_and_hashes(self):
+        first, second = one_node_per_class(), one_node_per_class()
+        assert len({type(node) for node in first}) == 23
+        for x, y in zip(first, second):
+            assert x is not y
+            assert x == y and not x != y, x
+            assert hash(x) == hash(y), x
+            assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x, x
+        assert len(set(first) | set(second)) == 23
+
+    def test_class_and_fields_both_count(self):
+        a, b = ConceptName("A"), ConceptName("B")
+        assert And(a, b) != Or(a, b)
+        assert And(a, b) != And(b, a)
+        assert Implies(a, b) != Implies(a, a)
+        assert AtLeast(2, RoleName("r"), a) != AtLeast(3, RoleName("r"), a)
+        assert a != "A" and ConceptName("r") != RoleName("r")
+
+    def test_fields_cannot_be_assigned(self):
+        for node in one_node_per_class():
+            for name in ("name", "value", "individual", "role_name", "n", "role",
+                         "left", "concept", "filler"):
+                if hasattr(node, name):
+                    with pytest.raises(AttributeError):
+                        setattr(node, name, ConceptName("B"))
+                    with pytest.raises(AttributeError):
+                        delattr(node, name)
+            with pytest.raises(AttributeError):
+                node.extra = 1
+
+    def test_repr(self):
+        a = ConceptName("A")
+        assert repr(And(a, Exists(RoleName("r"), Constant(F(1, 2))))) == (
+            "And(left=ConceptName(name='A'), right=Exists(role=RoleName(name='r'), "
+            "filler=Constant(value=Fraction(1, 2))))"
+        )
+        assert repr(AtLeastUnq(2, Inverse(RoleName("r")))) == (
+            "AtLeastUnq(n=2, role=Inverse(role=RoleName(name='r')))"
+        )
+        assert repr(Universal()) == "Universal()"
+        assert repr(Test(Nominal("o"))) == "Test(concept=Nominal(individual='o'))"
+
+    def test_checks_run_on_construction(self):
+        assert Constant(1).value == 1 and type(Constant(1).value) is F
+        with pytest.raises(InputError):
+            Constant(F(3, 2))
+        with pytest.raises(InputError):
+            AtLeast(0, RoleName("r"), ConceptName("A"))
+        with pytest.raises(InputError):
+            LessUnq(1, Star(RoleName("r")))
+
+    def test_structural_key_is_computed_once_per_node(self):
+        for node in one_node_per_class():
+            key = structural_key(node)
+            assert structural_key(node) is key
+        a = ConceptName("A")
+        inner = structural_key(a)
+        # a parent reads the key its child already keeps
+        assert structural_key(And(a, Not(a)))[2][0] is inner
+        assert structural_key(And(a, Not(a)))[2][1][2][0] is inner
 
 
 class TestEnumeration:
