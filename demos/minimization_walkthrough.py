@@ -16,7 +16,6 @@ from fdl import (
     Interpretation,
     dump_interpretation,
     load_kb,
-    minimality_certificate,
     prune_unreachable,
     quotient,
     strong_partition,
@@ -51,8 +50,8 @@ small = quotient(prune_unreachable(model, features), features)
 print("\npruned + quotiented model:")
 print(json.dumps(dump_interpretation(small), indent=2))
 
-cert = minimality_certificate(small, features)
-print("no two elements are strongly bisimilar anymore:", cert.is_reduced)
+reduced = strong_partition(small, features).is_identity()
+print("no two elements are strongly bisimilar anymore:", reduced)
 
 box = load_kb(
     {

@@ -27,25 +27,21 @@ _EXPORTS = {
         "Nominal", "Not", "Or", "Role", "RoleName", "RoleUnion", "SelfLoop", "Star", "Sublanguage",
         "Test", "Universal", "inverse_normal_form", "is_basic_role", "to_text", "validate",
     ),
-    "parsing": ("parse", "parse_concept", "parse_role"),
+    "parsing": ("parse_concept", "parse_role"),
     "enumeration": ("Signature",),
     "interp": (
         "ConceptEvaluator", "FuzzySet", "Interpretation", "degree_universe", "dump_interpretation",
-        "eval_concept", "eval_role", "load_interpretation", "reachability",
+        "eval_concept", "load_interpretation", "reachability",
     ),
     "bisim": (
         "ConditionReport", "Violation", "brute_force_greatest", "check_bisim", "dump_relation",
         "load_relation",
     ),
     "refinement": ("BisimilarityResult", "bisimilar", "greatest_bisim"),
-    "minimize": (
-        "MinimalityCertificate", "Partition", "minimality_certificate", "prune_unreachable",
-        "quotient", "strong_partition",
-    ),
+    "minimize": ("Partition", "prune_unreachable", "quotient", "strong_partition"),
     "kb": (
         "ConceptAssertion", "DistinctIndividual", "Gci", "HmResult", "KnowledgeBase",
-        "RoleAssertion", "SameIndividual", "ValidationResult", "dump_kb", "hm_matrix", "load_kb",
-        "validates",
+        "RoleAssertion", "SameIndividual", "ValidationResult", "hm_matrix", "load_kb", "validates",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -82,7 +82,7 @@ from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
-from .syntax import MODES, FeatureSet, check_mode  # noqa: F401  (fdl.bisim.MODES stays readable)
+from .syntax import FeatureSet, check_mode
 
 # Most n-subsets that FB6(n)/FB7(n) may enumerate for one successor set,
 # summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.

@@ -6,10 +6,11 @@ selftest failures), 2 on usage or input errors.  The parser is built once,
 at import; each subcommand is one handler ``(args, out) -> int``.
 
 Importing this module loads only what the parser needs (``fdl.errors``,
-``fdl.godel`` and ``fdl.syntax``).  A handler's other functions load on
-first use, by the module ``__getattr__`` below, and are kept in this
-module's globals; handlers read them there, so a function replaced on
-this module is the one that runs.
+``fdl.godel`` and ``fdl.syntax``).  A handler's other functions, all of
+them exported by :mod:`fdl`, load on first use, by the module
+``__getattr__`` below, and are kept in this module's globals; handlers
+read them there, so a function replaced on this module is the one that
+runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import contextlib
 import json
 import sys
-from importlib import import_module
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from itertools import chain
@@ -28,27 +28,15 @@ from .errors import FdlError, InputError
 from .godel import format_degree
 from .syntax import DEFAULT_BUDGET, MODES, FeatureSet, Sublanguage, to_text
 
-# The module of each function that a handler loads on first use.
-_LAZY = {
-    name: module
-    for module, names in {
-        "bisim": ("check_bisim", "dump_relation", "load_relation"),
-        "fixtures": ("run_selftest",),
-        "interp": ("dump_interpretation", "eval_concept", "load_interpretation"),
-        "kb": ("hm_matrix", "load_kb", "validates"),
-        "minimize": ("prune_unreachable", "quotient"),
-        "parsing": ("parse_concept",),
-        "refinement": ("bisimilar", "greatest_bisim"),
-    }.items()
-    for name in names
-}
-
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    """A name that :mod:`fdl` exports, loaded through ``fdl``'s own table
+    and kept in this module's globals.  Other names, dunders included, are
+    not looked up there."""
+    package = sys.modules[__package__]
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -272,7 +260,8 @@ def _hm(args, out) -> int:
 
 
 def _selftest(args, out) -> int:
-    _use("run_selftest")
+    from .fixtures import run_selftest
+
     return 0 if run_selftest(lambda line: print(line, file=out)) else 1
 
 

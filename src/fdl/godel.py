@@ -17,8 +17,6 @@ from fractions import Fraction
 
 from .errors import InputError, json_text
 
-Degree = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -41,7 +39,8 @@ def degree(value) -> Fraction:
     another share degree objects and the tables keyed by ``id`` stay small.
     Floats are refused: ``0.9`` the float is not 9/10.  Only strings reach
     the cache of :func:`parse_degree`: ``True == 1 == 1.0`` share a hash,
-    and every bool and float must still be refused.
+    and every bool and float must still be refused.  A value that is no
+    degree is named as a JSON document spells it (``true``, not ``True``).
     """
     if isinstance(value, str):
         return parse_degree(value)
@@ -51,21 +50,11 @@ def degree(value) -> Fraction:
             f"'{value}' or a Fraction for exact arithmetic"
         )
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InputError(f"not a degree: {value!r}")
+        raise InputError(f"not a degree: {json_text(value)}")
     # the denominator is positive, so the range shows on the two integers
     if not 0 <= value.numerator <= value.denominator:
         raise InputError(f"degree {format_degree(value)} outside [0, 1]")
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def read_degree(value) -> Fraction:
-    """:func:`degree` of a value read from a JSON document; a value that is
-    no degree is named as the document spells it (``true``, not ``True``)."""
-    if isinstance(value, str):
-        return parse_degree(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InputError(f"not a degree: {json_text(value)}")
-    return degree(value)
 
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)

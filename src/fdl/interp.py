@@ -5,9 +5,7 @@ of individual names to elements, and graded valuations for concept and
 role names.  Valuations are total: anything unlisted is 0.  A role name is
 given as a list of ``[x, y, degree]`` edges and stored sparsely, as each
 element's positive successors.  Instances do not change after
-construction (the integer scale and its caches fill on first use, and any
-thread that fills an entry stores the same value) and the evaluator is
-pure, so concurrent use is safe.
+construction and the evaluator is pure, so concurrent use is safe.
 
 The evaluator grades quantifiers by pushing the filler's vector through
 the role expression, so its cost follows the edges, never n x n.  It
@@ -20,7 +18,8 @@ inputs and selects one of them or returns 0 or 1, so it commutes with the
 map, and the integers are exact.  A constant whose denominator does not
 divide L makes the evaluator start over on the least common multiple of
 the two; nothing is rounded.  Values return to ``Fraction`` only at the
-public methods.
+public methods.  A role is graded only through the concepts built on it:
+with nominals, R(a, b) is the value of ``exists R . {b}`` at a.
 
 Element order everywhere follows the declaration order of the domain,
 which keeps all outputs deterministic.
@@ -37,8 +36,8 @@ from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, json_text
-from .godel import ONE, ZERO, format_degree, read_degree
-from .relations import FuzzyRelation, read_triples
+from .godel import ONE, ZERO, degree, format_degree
+from .relations import read_triples
 from . import syntax as s
 
 # One element's positive (index, degree) successors or predecessors.
@@ -69,11 +68,10 @@ class Interpretation:
     ``(index, degree)`` pairs, sorted by index, with zero degrees dropped.
     The constructor checks and converts the parts of a model document;
     :meth:`_of_parts` stores parts that are already in that form, as
-    :mod:`fdl.minimize` builds them from a valid model.  The integer scale
-    is built on first use.
+    :mod:`fdl.minimize` builds them from a valid model.
     """
 
-    __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_scale")
+    __slots__ = ("domain", "individuals", "concepts", "roles", "_index")
 
     def __init__(
         self,
@@ -108,7 +106,7 @@ class Interpretation:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[index[element]] = read_degree(value)
+                row[index[element]] = degree(value)
             rows[name] = tuple(row)
 
         successors = {name: _successor_lists(name, value, index)
@@ -127,7 +125,7 @@ class Interpretation:
 
     def _fill(self, domain, index, individuals, concepts, roles) -> None:
         self.domain, self._index, self.individuals = domain, index, individuals
-        self.concepts, self.roles, self._scale = concepts, roles, None
+        self.concepts, self.roles = concepts, roles
 
     # -- accessors -------------------------------------------------------
 
@@ -152,15 +150,6 @@ class Interpretation:
         role name, in index order; none when unlisted."""
         succ = self.roles.get(name)
         return succ if succ is not None else ((),) * len(self.domain)
-
-    def scale(self) -> "_Scale":
-        """The model's degrees as integers over their common denominator;
-        built on first use and shared by every evaluator of the model."""
-        if self._scale is None:
-            found = degree_objects(self)
-            top, of = _scaled(found)
-            self._scale = _Scale(top, of, ((of[key], d) for key, d in found.items()))
-        return self._scale
 
     def edges(self, name: str) -> Iterator[Tuple[str, str, Fraction]]:
         """The positive edges of a role name as ``(x, y, degree)``, in
@@ -297,13 +286,13 @@ _EXISTS = (0, min, operator.gt, operator.neg)
 class ConceptEvaluator:
     """Memoizing evaluator bound to one interpretation.
 
-    It grades on the integers of the model's :meth:`Interpretation.scale`
-    (see the module docstring): degree 0 is 0, degree 1 is L, min, max and
-    the residuum (L when p <= q, else q) compare integers, and involutive
-    negation is L - x.  A constant whose denominator does not divide L
-    raises L to their least common multiple for this evaluator only, drops
-    the memo and starts the evaluation over.  ``concept_values`` and
-    ``role_values`` map the integers back to the model's degree objects.
+    It grades on the integers of the model's degrees over their common
+    denominator (see the module docstring): degree 0 is 0, degree 1 is L,
+    min, max and the residuum (L when p <= q, else q) compare integers, and
+    involutive negation is L - x.  A constant whose denominator does not
+    divide L raises L to their least common multiple, drops the memo and
+    starts the evaluation over.  ``concept_values`` maps the integers back
+    to the model's degree objects.
 
     ``exists R . C`` and ``forall R . C`` push the vector of C through R in
     inverse normal form, using the Goedel identities
@@ -322,35 +311,20 @@ class ConceptEvaluator:
 
     def __init__(self, interp: Interpretation):
         self.interp = interp
-        self._scale = interp.scale()
+        found = degree_objects(interp)
+        top, of = _scaled(found)
+        self._scale = _Scale(top, of, ((of[key], d) for key, d in found.items()))
         self._concepts: Dict[s.Concept, Tuple[int, ...]] = {}
 
     def concept_values(self, c: s.Concept) -> Tuple[Fraction, ...]:
-        values = self._exact(self._values, c)
-        return tuple(map(self._scale.__getitem__, values))
-
-    def role_values(self, r: s.Role) -> FuzzyRelation:
-        """The relation denoted by ``r``; its column b is ``exists r . {b}``."""
-        return self._exact(self._relation, r)
-
-    def _exact(self, evaluate, expr):
-        """``evaluate(expr)``, started over on a larger L as long as a
-        constant's denominator does not divide L."""
+        """The degree of every element in ``c``, started over on a larger L
+        as long as a constant's denominator does not divide L."""
         while True:
             try:
-                return evaluate(expr)
+                return tuple(map(self._scale.__getitem__, self._values(c)))
             except _Grow as grow:
                 self._scale = self._scale.grown(grow.args[0])
                 self._concepts.clear()
-
-    def _relation(self, r: s.Role) -> FuzzyRelation:
-        domain, scale = self.interp.domain, self._scale
-        role = s.inverse_normal_form(r)
-        return FuzzyRelation.from_indexed(domain, domain, {
-            (a, b): scale[v]
-            for b in range(len(domain))
-            for a, v in self._push(role, {b: scale.top}, _EXISTS).items()
-        })
 
     def _values(self, c: s.Concept) -> Tuple[int, ...]:
         cached = self._concepts.get(c)
@@ -496,11 +470,6 @@ def eval_concept(interp: Interpretation, c: s.Concept) -> FuzzySet:
     """Grade every domain element by ``c`` under the Goedel semantics."""
     values = ConceptEvaluator(interp).concept_values(c)
     return FuzzySet(interp.domain, values)
-
-
-def eval_role(interp: Interpretation, r: s.Role) -> FuzzyRelation:
-    """The graded binary relation denoted by ``r``."""
-    return ConceptEvaluator(interp).role_values(r)
 
 
 # ---------------------------------------------------------------------------

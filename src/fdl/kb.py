@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, json_text
-from .godel import ONE, ZERO, degree, format_degree, godel_iff, read_degree
+from .godel import ONE, ZERO, degree, format_degree, godel_iff
 from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
 from .relations import FuzzyRelation
@@ -186,7 +186,7 @@ _DEFAULTS = {"rel": ">=", "cmp": ">="}
 
 def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet]):
     if type_name == "Fraction":
-        return read_degree(value)
+        return degree(value)
     if not isinstance(value, str):
         raise InputError(f"the value of {key!r} must be a string, got {json_text(value)}")
     if type_name == "Concept":
@@ -197,8 +197,9 @@ def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet])
 
 
 def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
+    what = "a tbox entry" if box == "tbox" else "an abox entry"
     if not isinstance(entry, dict):
-        raise InputError(f"a {box} entry must be a JSON object, got {json_text(entry)}")
+        raise InputError(f"{what} must be a JSON object, got {json_text(entry)}")
     entry = dict(entry)
     if box == "tbox":
         cls = Gci
@@ -210,12 +211,12 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     keys = _ITEM_KEYS[cls][1]
     unknown = set(entry) - set(keys)
     if unknown:
-        raise InputError(f"unknown keys in a {box} entry: {sorted(unknown)}")
+        raise InputError(f"unknown keys in {what}: {sorted(unknown)}")
     values = []
     for field, key in zip(fields(cls), keys):
         value = entry.get(key, _DEFAULTS.get(key))
         if value is None:
-            raise InputError(f"a {box} entry needs a value for {key!r}: {json_text(entry)}")
+            raise InputError(f"{what} needs a value for {key!r}: {json_text(entry)}")
         values.append(_load_field(field.type, key, value, features))
     return cls(*values)
 
@@ -242,17 +243,12 @@ def load_kb(document, features: Optional[FeatureSet] = None) -> KnowledgeBase:
 
 
 def _dump_item(item: KbItem) -> dict:
-    kind, keys, _text = _ITEM_KEYS[type(item)]
-    entry = {"kind": kind} if kind else {}
-    for field, key in zip(fields(item), keys):
+    """The text of each field of ``item``, by its document key."""
+    entry = {}
+    for field, key in zip(fields(item), _ITEM_KEYS[type(item)][1]):
         write = {"str": str, "Fraction": format_degree}.get(field.type, to_text)
         entry[key] = write(getattr(item, field.name))
     return entry
-
-
-def dump_kb(kb: KnowledgeBase) -> dict:
-    """Inverse of :func:`load_kb`."""
-    return {"tbox": [_dump_item(g) for g in kb.tbox], "abox": [_dump_item(a) for a in kb.abox]}
 
 
 # ---------------------------------------------------------------------------

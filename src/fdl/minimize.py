@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import FeatureError, ModelError
 from .godel import ZERO
@@ -143,25 +143,3 @@ def prune_unreachable(interp: Interpretation, features: FeatureSet) -> Interpret
     }
     domain = tuple([interp.domain[i] for i in kept])
     return Interpretation._of_parts(domain, dict(interp.individuals), concepts, roles)
-
-
-@dataclass(frozen=True)
-class MinimalityCertificate:
-    is_reduced: bool
-    witness_pair: Optional[Tuple[str, str]] = None
-
-
-def minimality_certificate(
-    interp: Interpretation, features: FeatureSet
-) -> MinimalityCertificate:
-    """Report whether strong bisimilarity is the identity on this model.
-
-    An identity partition certifies that no quotient can shrink the model;
-    otherwise the first pair of distinct strongly-bisimilar elements is
-    returned.
-    """
-    partition = strong_partition(interp, features)
-    for members in partition.blocks:
-        if len(members) > 1:
-            return MinimalityCertificate(False, (members[0], members[1]))
-    return MinimalityCertificate(True)

@@ -247,18 +247,13 @@ class _Parser:
         raise ParseError(f"expected a role, found {tok.text or 'end of input'!r}", tok.pos)
 
 
-def parse(
-    text: str, kind: str, features: Optional[s.FeatureSet] = None
-) -> Union[s.Concept, s.Role]:
-    """Parse ``text`` as a ``"concept"`` or ``"role"`` under ``features``.
-
-    Defaults to the permissive feature set, which accepts every construct.
-    """
-    if kind not in ("concept", "role"):
-        raise InputError(f"kind must be 'concept' or 'role', got {kind!r}")
+def _parse(text: str, read, features: Optional[s.FeatureSet]) -> Union[s.Concept, s.Role]:
+    """``read`` (:meth:`_Parser.concept` or :meth:`_Parser.role`) over the
+    whole of ``text``, checked under ``features``: by default the permissive
+    feature set, which accepts every construct."""
     features = features if features is not None else s.FeatureSet.permissive()
     parser = _Parser(text)
-    node = parser.concept() if kind == "concept" else parser.role()
+    node = read(parser)
     trailing = parser.cur
     if trailing.kind != "end":
         raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)
@@ -267,8 +262,10 @@ def parse(
 
 
 def parse_concept(text: str, features: Optional[s.FeatureSet] = None) -> s.Concept:
-    return parse(text, "concept", features)
+    """Parse ``text`` as a concept under ``features``."""
+    return _parse(text, _Parser.concept, features)
 
 
 def parse_role(text: str, features: Optional[s.FeatureSet] = None) -> s.Role:
-    return parse(text, "role", features)
+    """Parse ``text`` as a role under ``features``."""
+    return _parse(text, _Parser.role, features)

@@ -3,8 +3,9 @@ per row.
 
 :class:`FuzzyRelation` is the one relation type: a candidate Z for
 ``check``, a greatest bisimulation (which :mod:`fdl.refinement` fills line
-by line from its nested partitions), a brute-force result, and an output
-such as ``eval_role`` or an indistinguishability matrix.  A row's line
+by line from its nested partitions), a brute-force result, and an
+indistinguishability matrix.  A role is never built as one: the evaluator
+grades it only through concepts (:mod:`fdl.interp`).  A row's line
 lists the columns of its pairs of nonzero degree, ascending, and their
 degrees: ``nonzero`` walks the lines, ``at`` bisects one, and ``==``
 compares them.  :func:`read_triples` reads candidates and the roles of a
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, json_text
-from .godel import ZERO, read_degree
+from .godel import ZERO, degree
 
 
 def read_triples(
@@ -48,7 +49,7 @@ def read_triples(
         pair = rows[x], cols[y]
         if pair in read:
             raise error(f"{what} lists the pair ({x}, {y}) twice")
-        read[pair] = read_degree(d)
+        read[pair] = degree(d)
     return read
 
 

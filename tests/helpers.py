@@ -10,6 +10,7 @@ from fdl import (
     Compose,
     Concept,
     ConceptAssertion,
+    ConceptEvaluator,
     Constant,
     ConceptName,
     Delta,
@@ -36,6 +37,8 @@ from fdl import (
     Test,
     Universal,
     bisimilar,
+    dump_interpretation,
+    load_interpretation,
     reachability,
     validates,
 )
@@ -449,6 +452,18 @@ def from_matrix(rows, cols, matrix):
     return FuzzyRelation.from_indexed(rows, cols, {
         (i, j): F(v) for i, row in enumerate(matrix) for j, v in enumerate(row)
     })
+
+
+def role_relation(interp, role):
+    """The relation that ``role`` denotes on ``interp``: R(a, b) is the
+    value of ``exists R . {b}`` at a, graded on a copy of ``interp`` in
+    which each element is also an individual of its own name."""
+    document = dump_interpretation(interp)
+    for x in interp.domain:
+        assert document["individuals"].setdefault(x, x) == x, f"{x!r} names another element"
+    evaluator = ConceptEvaluator(load_interpretation(document))
+    columns = [evaluator.concept_values(Exists(role, Nominal(b))) for b in interp.domain]
+    return from_matrix(interp.domain, interp.domain, zip(*columns))
 
 
 def identity(elements):

@@ -32,7 +32,8 @@ from fdl.fixtures import (
     leaf_triple_pair,
     point_pair,
 )
-from fdl.bisim import MODES, _Context
+from fdl.bisim import _Context
+from fdl.syntax import MODES
 from fdl.godel import ONE, ZERO, format_degree
 from fdl.interp import degree_objects, degree_ranks, dump_interpretation, load_interpretation
 from fdl.minimize import strong_partition

@@ -17,7 +17,8 @@ import fdl.kb
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
-from fdl.bisim import MODES, load_relation
+from fdl.bisim import load_relation
+from fdl.syntax import MODES
 from fdl.godel import format_degree
 from helpers import counting_hub_pair, doubled_hub_pair
 

@@ -93,7 +93,7 @@ class TestDegreeParsing:
 
     @pytest.mark.parametrize("value,message", [
         (0.9, "refusing float degree 0.9: pass a string such as '0.9' or a Fraction"),
-        (True, "not a degree: True"),
+        (True, "not a degree: true"),
         ("0.5", None),
         (F(3, 2), "degree 1.5 outside [0, 1]"),
         (F(-1, 2), "degree -.5 outside [0, 1]"),

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fdl
+import fdl.cli
 
 SOURCES = sorted(Path(fdl.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,18 +75,17 @@ BudgetError FdlError FeatureError InputError ModelError ParseError ONE ZERO degr
 godel_iff parse_degree FuzzyRelation And AtLeast AtLeastUnq Compose Concept ConceptName Constant
 Delta Exists FeatureSet Forall Implies InvNeg Inverse Less LessUnq Nominal Not Or Role RoleName
 RoleUnion SelfLoop Star Sublanguage Test Universal inverse_normal_form is_basic_role to_text
-validate parse parse_concept parse_role Signature ConceptEvaluator FuzzySet Interpretation
-degree_universe dump_interpretation eval_concept eval_role load_interpretation reachability
+validate parse_concept parse_role Signature ConceptEvaluator FuzzySet Interpretation
+degree_universe dump_interpretation eval_concept load_interpretation reachability
 ConditionReport Violation brute_force_greatest check_bisim dump_relation load_relation
-BisimilarityResult bisimilar greatest_bisim MinimalityCertificate Partition
-minimality_certificate prune_unreachable quotient strong_partition ConceptAssertion
-DistinctIndividual Gci HmResult KnowledgeBase RoleAssertion SameIndividual ValidationResult
-dump_kb hm_matrix load_kb validates
+BisimilarityResult bisimilar greatest_bisim Partition prune_unreachable quotient
+strong_partition ConceptAssertion DistinctIndividual Gci HmResult KnowledgeBase RoleAssertion
+SameIndividual ValidationResult hm_matrix load_kb validates
 """.split()
 
 
 def test_every_export_still_resolves():
-    assert len(EXPORTED) == 84
+    assert len(EXPORTED) == 79
     namespace = {}
     exec("from fdl import *", namespace)
     for name in EXPORTED:
@@ -96,6 +96,31 @@ def test_every_export_still_resolves():
         assert getattr(fdl, module).__name__ == f"fdl.{module}"
     with pytest.raises(AttributeError):
         fdl.no_such_name
+
+
+def names_passed_to_use():
+    """Every name that a handler of ``fdl.cli`` passes to ``_use``."""
+    tree = ast.parse(Path(fdl.cli.__file__).read_text(encoding="utf-8"))
+    return {
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_use"
+        for arg in node.args
+    }
+
+
+def test_cli_loads_only_exported_names():
+    names = names_passed_to_use()
+    assert {"load_interpretation", "greatest_bisim", "hm_matrix", "quotient"} <= names
+    for name in sorted(names):
+        assert name in fdl.__all__, name
+        assert getattr(fdl.cli, name) is getattr(fdl, name), name
+
+
+@pytest.mark.parametrize("name", ["__path__", "__all__", "no_such_name"])
+def test_cli_lends_no_other_package_name(name):
+    with pytest.raises(AttributeError):
+        getattr(fdl.cli, name)
 
 
 def modules_after(argv):

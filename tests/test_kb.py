@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction as F
 
@@ -6,17 +5,21 @@ import pytest
 
 import fdl.kb
 from fdl import (
+    Compose,
     ConceptAssertion,
+    ConceptName,
+    Exists,
     FeatureSet,
     Gci,
     InputError,
     Interpretation,
+    KnowledgeBase,
     RoleAssertion,
+    RoleName,
     SameIndividual,
     DistinctIndividual,
     bisimilar,
     Sublanguage,
-    dump_kb,
     greatest_bisim,
     hm_matrix,
     load_kb,
@@ -202,6 +205,9 @@ class TestOneEvaluatorPerBox:
 
 
 class TestKbDocuments:
+    EXISTS_R_A = Exists(RoleName("r"), ConceptName("A"))
+    R_THEN_S = Compose(RoleName("r"), RoleName("s"))
+
     def test_roundtrip(self):
         doc = {
             "tbox": [{"lhs": "B", "rhs": "exists r . A", "rel": ">=", "p": "0.1"}],
@@ -212,11 +218,18 @@ class TestKbDocuments:
                 {"kind": "role", "r": "r ; s", "a": "a", "b": "b", "cmp": "<", "p": "0.5"},
             ],
         }
-        kb = load_kb(doc)
-        assert len(kb.tbox) == 1 and len(kb.abox) == 4
-        assert load_kb(dump_kb(kb)) == kb
+        assert load_kb(doc) == KnowledgeBase(
+            (Gci(ConceptName("B"), self.EXISTS_R_A, ">=", F(1, 10)),),
+            (
+                ConceptAssertion(self.EXISTS_R_A, "a", ">=", F(4, 5)),
+                SameIndividual("a", "b"),
+                DistinctIndividual("a", "c"),
+                RoleAssertion(self.R_THEN_S, "a", "b", "<", F(1, 2)),
+            ),
+        )
 
     def test_readme_example_dumps_back_key_for_key(self):
+        # each item reads as the document wrote it, key for key
         doc = {
             "tbox": [{"lhs": "B", "rhs": "exists r . A", "rel": ">=", "p": "0.1"}],
             "abox": [
@@ -226,7 +239,23 @@ class TestKbDocuments:
                 {"kind": "distinct", "a": "a", "b": "c"},
             ],
         }
-        assert json.dumps(dump_kb(load_kb(doc))) == json.dumps(doc)
+        kb = load_kb(doc)
+        assert kb == KnowledgeBase(
+            (Gci(ConceptName("B"), self.EXISTS_R_A, ">=", F(1, 10)),),
+            (
+                ConceptAssertion(self.EXISTS_R_A, "a", ">=", F(4, 5)),
+                RoleAssertion(self.R_THEN_S, "a", "b", "<", F(1, 2)),
+                SameIndividual("a", "b"),
+                DistinctIndividual("a", "c"),
+            ),
+        )
+        assert [item.describe() for item in kb.items()] == [
+            "(B included-in exists r . A) >= 0.1",
+            "(exists r . A)(a) >= 0.8",
+            "(r ; s)(a, b) < 0.5",
+            "a = b",
+            "a != c",
+        ]
 
     def test_defaults_and_integer_thresholds(self):
         kb = load_kb({"tbox": [{"lhs": "A", "rhs": "B", "p": 1}],
@@ -254,6 +283,18 @@ class TestKbDocuments:
         with pytest.raises(InputError) as raised:
             load_kb({"tbox": [["A", None, True]]})
         assert str(raised.value) == 'a tbox entry must be a JSON object, got ["A", null, true]'
+
+    @pytest.mark.parametrize("entry,message", [
+        ([1], "an abox entry must be a JSON object, got [1]"),
+        ({"kind": "same", "a": "a", "b": "b", "c": "A"},
+         "unknown keys in an abox entry: ['c']"),
+        ({"kind": "concept", "c": "A", "a": "a", "cmp": None, "p": "1"},
+         """an abox entry needs a value for 'cmp': {"c": "A", "a": "a", "cmp": null, "p": "1"}"""),
+    ])
+    def test_abox_entry_messages(self, entry, message):
+        with pytest.raises(InputError) as raised:
+            load_kb({"abox": [entry]})
+        assert str(raised.value) == message
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):

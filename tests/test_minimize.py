@@ -14,7 +14,6 @@ from fdl import (
     bisimilar,
     check_bisim,
     greatest_bisim,
-    minimality_certificate,
     prune_unreachable,
     quotient,
     strong_partition,
@@ -154,7 +153,6 @@ class TestPartitionRefinement:
         )
         start = time.perf_counter()
         assert strong_partition(chain, features).is_identity()
-        assert minimality_certificate(chain, features).is_reduced
         assert time.perf_counter() - start < 1
 
     def test_two_model_chain_and_ring_scale(self):
@@ -401,17 +399,20 @@ class TestResultsMatchTheDocumentPath:
 
 
 class TestMinimalityCertificate:
+    """A model is reduced when its strong partition is the identity;
+    otherwise the first block with two members gives a witness pair."""
+
     def test_quotient_is_reduced(self):
-        cert = minimality_certificate(quotient(twin_islands(), NO_FEATURES), NO_FEATURES)
-        assert cert.is_reduced and cert.witness_pair is None
+        q = quotient(twin_islands(), NO_FEATURES)
+        assert strong_partition(q, NO_FEATURES).is_identity()
 
     def test_original_has_witness(self):
-        cert = minimality_certificate(twin_islands(), NO_FEATURES)
-        assert not cert.is_reduced
-        a, b = cert.witness_pair
         partition = strong_partition(twin_islands(), NO_FEATURES)
+        assert not partition.is_identity()
+        a, b = next(block for block in partition.blocks if len(block) > 1)[:2]
         assert partition.block_of[a] == partition.block_of[b] and a != b
+        assert (a, b) == ("u", "u'")
 
     def test_singleton_model(self):
         model = Interpretation(["u"], concepts={"A": {"u": F(1, 3)}})
-        assert minimality_certificate(model, NO_FEATURES).is_reduced
+        assert strong_partition(model, NO_FEATURES).is_identity()

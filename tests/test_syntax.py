@@ -38,7 +38,6 @@ from fdl import (
     Test,
     Universal,
     inverse_normal_form,
-    parse,
     parse_concept,
     parse_role,
     to_text,
@@ -99,7 +98,7 @@ class TestFeatureSet:
 
 class TestParser:
     def test_plus_sugar_with_test(self):
-        got = parse("exists (A? ; r)+ . {c}", "concept", PERMISSIVE)
+        got = parse_concept("exists (A? ; r)+ . {c}", PERMISSIVE)
         step = Compose(Test(ConceptName("A")), RoleName("r"))
         assert got == Exists(Compose(step, Star(step)), Nominal("c"))
 
@@ -197,10 +196,6 @@ class TestParser:
         validate(Exists(Universal(), ConceptName("A")), FeatureSet(universal=True))
         with pytest.raises(FeatureError):
             validate(Exists(Universal(), ConceptName("A")), FeatureSet.none())
-
-    def test_bad_kind(self):
-        with pytest.raises(InputError):
-            parse("A", "formula", PERMISSIVE)
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
