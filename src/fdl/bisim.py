@@ -71,8 +71,6 @@ different counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
@@ -82,7 +80,7 @@ from .errors import BudgetError, InputError, ModelError
 from .godel import ZERO, format_degree
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
-from .syntax import FeatureSet, check_mode
+from .syntax import FeatureSet, _Record, check_mode
 
 # Most n-subsets that FB6(n)/FB7(n) may enumerate for one successor set,
 # summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.
@@ -92,16 +90,13 @@ SUBSET_BUDGET = 2**14
 BRUTE_FORCE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    x: str
-    x_prime: str
-    role: Optional[str] = None
-    symbol: Optional[str] = None
-    witness: Optional[Tuple[str, ...]] = None
-    lhs: Fraction = ZERO
-    rhs: Fraction = ZERO
+class Violation(_Record):
+    """A condition that fails at the pair (x, x_prime): on a role or a
+    concept name (``symbol``), through the ``witness`` elements, because
+    its ``lhs`` degree exceeds its ``rhs``."""
+
+    __slots__ = ("condition", "x", "x_prime", "role", "symbol", "witness", "lhs", "rhs")
+    _defaults = {"role": None, "symbol": None, "witness": None, "lhs": ZERO, "rhs": ZERO}
 
     def describe(self) -> str:
         parts = [f"{self.condition} fails at ({self.x}, {self.x_prime})"]
@@ -115,10 +110,11 @@ class Violation:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    satisfied: bool
-    violations: Tuple[Violation, ...]
+class ConditionReport(_Record):
+    """Whether a candidate relation is a bisimulation, and a tuple of the
+    violations that say why not."""
+
+    __slots__ = ("satisfied", "violations")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import contextlib
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _string
-from pathlib import Path
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -158,7 +157,8 @@ def _bisim(args, out) -> int:
     document = dump_relation(result, args.mode)
     if args.output:
         try:
-            Path(args.output).write_text(_indented(document) + "\n", encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as file:
+                file.write(_indented(document) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
     _emit(out, document, args.json,

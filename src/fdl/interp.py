@@ -30,7 +30,6 @@ from __future__ import annotations
 import heapq
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -44,12 +43,11 @@ from . import syntax as s
 Edges = Tuple[Tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class FuzzySet:
-    """A total graded subset of an ordered element sequence."""
+class FuzzySet(s._Record):
+    """A total graded subset of an ordered element sequence: a tuple of
+    ``elements`` and one of their ``degrees``."""
 
-    elements: Tuple[str, ...]
-    degrees: Tuple[Fraction, ...]
+    __slots__ = ("elements", "degrees")
 
     def at(self, element: str) -> Fraction:
         try:

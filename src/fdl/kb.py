@@ -8,8 +8,6 @@ interpretations; it does no entailment reasoning.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, json_text
@@ -24,8 +22,9 @@ from .syntax import (
     FeatureSet,
     Implies,
     Nominal,
-    Role,
     Sublanguage,
+    _Record,
+    _set,
     to_text,
 )
 
@@ -33,7 +32,7 @@ _CMP = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt
 _GCI_REL = {">=": operator.ge, ">": operator.gt}
 
 
-class _Item:
+class _Item(_Record):
     """A box item; its text is written once, in :data:`_ITEM_KEYS`."""
 
     __slots__ = ()
@@ -42,59 +41,46 @@ class _Item:
         return _ITEM_KEYS[type(self)][2].format_map(_dump_item(self))
 
 
-@dataclass(frozen=True)
+def _check_assertion(item) -> None:
+    if item.cmp not in _CMP:
+        raise InputError(f"comparison must be one of {sorted(_CMP)}, got {item.cmp!r}")
+    _set(item, "threshold", degree(item.threshold))
+
+
 class SameIndividual(_Item):
-    a: str
-    b: str
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class DistinctIndividual(_Item):
-    a: str
-    b: str
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class ConceptAssertion(_Item):
-    concept: Concept
-    individual: str
-    cmp: str
-    threshold: Fraction
+    """The degree of a concept at an individual compares (``cmp``) to a
+    threshold."""
 
-    def __post_init__(self):
-        if self.cmp not in _CMP:
-            raise InputError(f"comparison must be one of {sorted(_CMP)}, got {self.cmp!r}")
-        object.__setattr__(self, "threshold", degree(self.threshold))
+    __slots__ = ("concept", "individual", "cmp", "threshold")
+    _check = _check_assertion
 
 
-@dataclass(frozen=True)
 class RoleAssertion(_Item):
-    role: Role
-    a: str
-    b: str
-    cmp: str
-    threshold: Fraction
+    """The degree of a role between two individuals compares (``cmp``) to
+    a threshold."""
 
-    def __post_init__(self):
-        if self.cmp not in _CMP:
-            raise InputError(f"comparison must be one of {sorted(_CMP)}, got {self.cmp!r}")
-        object.__setattr__(self, "threshold", degree(self.threshold))
+    __slots__ = ("role", "a", "b", "cmp", "threshold")
+    _check = _check_assertion
 
 
-@dataclass(frozen=True)
 class Gci(_Item):
     """Graded concept inclusion: the implication degree clears a threshold
     everywhere."""
 
-    lhs: Concept
-    rhs: Concept
-    rel: str
-    threshold: Fraction
+    __slots__ = ("lhs", "rhs", "rel", "threshold")
 
-    def __post_init__(self):
+    def _check(self):
         if self.rel not in _GCI_REL:
             raise InputError(f"inclusion relation must be '>=' or '>', got {self.rel!r}")
-        object.__setattr__(self, "threshold", degree(self.threshold))
+        _set(self, "threshold", degree(self.threshold))
         if self.threshold == ZERO:
             raise InputError("inclusion thresholds must lie in (0, 1]")
 
@@ -103,20 +89,22 @@ Assertion = Union[SameIndividual, DistinctIndividual, ConceptAssertion, RoleAsse
 KbItem = Union[Assertion, Gci]
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
-    tbox: Tuple[Gci, ...] = ()
-    abox: Tuple[Assertion, ...] = ()
+class KnowledgeBase(_Record):
+    """A tuple of inclusions and a tuple of assertions."""
+
+    __slots__ = ("tbox", "abox")
+    _defaults = {"tbox": (), "abox": ()}
 
     def items(self) -> Tuple[KbItem, ...]:
         return self.tbox + self.abox
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    valid: bool
-    failed_item: Optional[KbItem] = None
-    witness_element: Optional[str] = None
+class ValidationResult(_Record):
+    """Whether a box holds on a model; if not, the first item that fails
+    and, for an inclusion, an element where it fails."""
+
+    __slots__ = ("valid", "failed_item", "witness_element")
+    _defaults = {"failed_item": None, "witness_element": None}
 
 
 def _failure(
@@ -171,7 +159,7 @@ def validates(interp: Interpretation, items: Sequence[KbItem]) -> ValidationResu
 
 
 # Each box item class: its "kind" tag in the ABox (None for the TBox's
-# inclusions), the document key of each dataclass field, in field order, and
+# inclusions), the document key of each of its fields, in field order, and
 # its describe() text over those keys.
 _ITEM_KEYS = {
     Gci: (None, ("lhs", "rhs", "rel", "p"), "({lhs} included-in {rhs}) {rel} {p}"),
@@ -182,18 +170,18 @@ _ITEM_KEYS = {
 }
 _KINDS = {kind: cls for cls, (kind, _keys, _text) in _ITEM_KEYS.items() if kind}
 _DEFAULTS = {"rel": ">=", "cmp": ">="}
+# The keys that hold grammar text, and the parser of each; "p" holds a
+# degree, and every other key a plain string.
+_PARSERS = {"lhs": parse_concept, "rhs": parse_concept, "c": parse_concept, "r": parse_role}
 
 
-def _load_field(type_name: str, key: str, value, features: Optional[FeatureSet]):
-    if type_name == "Fraction":
+def _load_field(key: str, value, features: Optional[FeatureSet]):
+    if key == "p":
         return degree(value)
     if not isinstance(value, str):
         raise InputError(f"the value of {key!r} must be a string, got {json_text(value)}")
-    if type_name == "Concept":
-        return parse_concept(value, features)
-    if type_name == "Role":
-        return parse_role(value, features)
-    return value
+    parse = _PARSERS.get(key)
+    return value if parse is None else parse(value, features)
 
 
 def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
@@ -213,11 +201,11 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     if unknown:
         raise InputError(f"unknown keys in {what}: {sorted(unknown)}")
     values = []
-    for field, key in zip(fields(cls), keys):
+    for key in keys:
         value = entry.get(key, _DEFAULTS.get(key))
         if value is None:
             raise InputError(f"{what} needs a value for {key!r}: {json_text(entry)}")
-        values.append(_load_field(field.type, key, value, features))
+        values.append(_load_field(key, value, features))
     return cls(*values)
 
 
@@ -245,9 +233,9 @@ def load_kb(document, features: Optional[FeatureSet] = None) -> KnowledgeBase:
 def _dump_item(item: KbItem) -> dict:
     """The text of each field of ``item``, by its document key."""
     entry = {}
-    for field, key in zip(fields(item), _ITEM_KEYS[type(item)][1]):
-        write = {"str": str, "Fraction": format_degree}.get(field.type, to_text)
-        entry[key] = write(getattr(item, field.name))
+    for name, key in zip(item._fields, _ITEM_KEYS[type(item)][1]):
+        write = format_degree if key == "p" else to_text if key in _PARSERS else str
+        entry[key] = write(getattr(item, name))
     return entry
 
 
@@ -255,11 +243,11 @@ def _dump_item(item: KbItem) -> dict:
 # logical indistinguishability
 
 
-@dataclass(frozen=True)
-class HmResult:
-    matrix: FuzzyRelation
-    separators: Dict[Tuple[str, str], Optional[Concept]]
-    concepts_used: int
+class HmResult(_Record):
+    """The indistinguishability matrix, per pair the first concept that
+    attains its value (or None), and the number of concepts enumerated."""
+
+    __slots__ = ("matrix", "separators", "concepts_used")
 
 
 def hm_matrix(

@@ -20,7 +20,6 @@ source is valid, so its degrees, names and edges need no second check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -29,15 +28,14 @@ from .godel import ZERO
 from .interp import Interpretation, reachability
 # greatest_bisim is not called here; bench/spans.py wraps the name
 from .refinement import _Refinement, greatest_bisim  # noqa: F401
-from .syntax import FeatureSet
+from .syntax import FeatureSet, _Record
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty blocks covering a domain, in document order."""
+class Partition(_Record):
+    """Disjoint nonempty blocks covering a domain, in document order: a
+    tuple of member tuples, and each member's block index."""
 
-    blocks: Tuple[Tuple[str, ...], ...]
-    block_of: Dict[str, int]
+    __slots__ = ("blocks", "block_of")
 
     def is_identity(self) -> bool:
         return all(len(block) == 1 for block in self.blocks)

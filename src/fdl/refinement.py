@@ -134,17 +134,16 @@ the same merges.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .bisim import _Context, _named_in_both, _subset_budget
 from .errors import ModelError
 from .godel import ONE
 from .interp import Interpretation
 from .relations import FuzzyRelation
-from .syntax import FeatureSet, check_mode
+from .syntax import FeatureSet, _Record, check_mode
 
 
 class _LeastSets:
@@ -418,11 +417,12 @@ def _readout(refined: _Refinement, cap: int) -> FuzzyRelation:
                          [(line[root[block[i]]], degrees[i]) for i in range(na)])
 
 
-@dataclass(frozen=True)
-class BisimilarityResult:
-    holds: bool
-    witness: FuzzyRelation
-    failing_individual: Optional[str] = None
+class BisimilarityResult(_Record):
+    """Whether two models are bisimilar, the greatest bisimulation that
+    shows it, and the first individual it fails at, if any."""
+
+    __slots__ = ("holds", "witness", "failing_individual")
+    _defaults = {"failing_individual": None}
 
 
 def greatest_bisim(

@@ -10,20 +10,22 @@ constants.  Optional features are toggled by a :class:`FeatureSet`:
 * ``Qn``   qualified number restrictions with bound n
 * ``Nn``   unqualified number restrictions with bound n
 
-All nodes share one slotted base, :class:`_Node`: they are frozen, equal
-when their class and fields are, hashable, and safe to share between
-threads.  The bisimulation modes and the default concept budget live here
-too, so that the command-line parser can be built from this module alone.
+The feature set, the syntax nodes, and the result and box-item records of
+the other modules share one slotted base, :class:`_Record`: they are
+frozen, equal when their class and fields are, hashable unless a field
+holds a dict, and safe to share between threads.  No class is generated
+at import.  The bisimulation modes and the default concept budget live
+here too, so that the command-line parser can be built from this module
+alone.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import FeatureError, InputError, json_text
 from .godel import degree, format_degree
@@ -41,24 +43,171 @@ def check_mode(mode) -> None:
 
 
 # ---------------------------------------------------------------------------
+# records: the shared base of feature sets, syntax nodes and results
+
+
+_set = object.__setattr__
+
+
+def _listing(names) -> str:
+    """Quoted names as Python's own argument errors list them."""
+    quoted = [repr(name) for name in names]
+    if len(quoted) < 3:
+        return " and ".join(quoted)
+    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
+
+
+def _keyword_initializer(cls, check: Optional[Callable[["_Record"], None]]):
+    """The ``__init__`` of a record class: it takes each field by position
+    or by keyword, falls back on ``_defaults`` for the fields left out, and
+    refuses other calls with the message a written-out ``__init__`` would
+    give.  Then it runs the class's ``check``, if it has one."""
+    fields, defaults = cls._fields, cls._defaults
+    required = [name for name in fields if name not in defaults]
+    function = f"{cls.__qualname__}.__init__()"
+    takes = f"from {len(required) + 1} to " if defaults else ""
+    takes += f"{len(fields) + 1} positional arguments"
+
+    def bind(args, kwargs) -> List[object]:
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{function} got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{function} got multiple values for argument {name!r}")
+            values[name] = value
+        if len(args) > len(fields):
+            raise TypeError(f"{function} takes {takes} but {len(args) + 1} were given")
+        missing = [name for name in required if name not in values]
+        if missing:
+            s = "s" if len(missing) > 1 else ""
+            raise TypeError(f"{function} missing {len(missing)} required positional "
+                            f"argument{s}: {_listing(missing)}")
+        return [values[name] if name in values else defaults[name] for name in fields]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            args = bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        _set(self, "_hash", None)
+        if check is not None:
+            check(self)
+    return __init__
+
+
+def _positional_initializer(fields: Tuple[str, ...], check: Optional[Callable[["_Node"], None]]):
+    """The ``__init__`` of a node class with these fields: it sets them in
+    order, leaves the hash to be computed on first use and then runs the
+    class's ``check``, if it has one.  One closure per number of fields, so
+    that building a node costs no more than a generated ``__init__``."""
+    if not fields:
+        def __init__(self):
+            _set(self, "_hash", None)
+    elif len(fields) == 1:
+        (a,) = fields
+
+        def __init__(self, x):
+            _set(self, a, x)
+            _set(self, "_hash", None)
+    elif len(fields) == 2:
+        a, b = fields
+
+        def __init__(self, x, y):
+            _set(self, a, x)
+            _set(self, b, y)
+            _set(self, "_hash", None)
+    else:
+        a, b, c = fields
+
+        def __init__(self, x, y, z):
+            _set(self, a, x)
+            _set(self, b, y)
+            _set(self, c, z)
+            _set(self, "_hash", None)
+    if check is None:
+        return __init__
+    unchecked = __init__
+
+    def __init__(self, *values):
+        unchecked(self, *values)
+        check(self)
+    return __init__
+
+
+class _Record:
+    """The base of feature sets, syntax nodes, and the result and box-item
+    records: frozen, with ``__slots__``, equal when class and field values
+    are equal, hashed by its field values, and copied and pickled through
+    its constructor.
+
+    A record class lists its fields once, as its ``__slots__``; slots named
+    with a leading underscore hold caches and are not fields.  Its
+    ``__init__`` and the methods here read the fields from ``_fields``;
+    ``__init__`` takes them by position or keyword, and ``_defaults`` maps
+    the fields that may be left out to their values.  A class's own
+    ``_check``, if any, validates or normalizes each new record.  The hash
+    is kept on the record when first asked for; a record with a dict field
+    has none.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+        cls.__init__ = cls._initializer(cls.__dict__.get("_check"))
+
+    @classmethod
+    def _initializer(cls, check):
+        return _keyword_initializer(cls, check)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is not other:
+            for name in self._fields:
+                if getattr(self, name) != getattr(other, name):
+                    return False
+        return True
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(tuple([getattr(self, name) for name in self._fields]))
+            _set(self, "_hash", value)
+        return value
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+# ---------------------------------------------------------------------------
 # feature sets
 
 
 _FEATURE_WORDS = {"I": "inverse", "O": "nominals", "U": "universal", "Self": "self_loops"}
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(_Record):
     """Selected optional features; bounds of None mean "every n >= 1"."""
 
-    inverse: bool = False
-    nominals: bool = False
-    universal: bool = False
-    self_loops: bool = False
-    q_bounds: Optional[FrozenSet[int]] = frozenset()
-    n_bounds: Optional[FrozenSet[int]] = frozenset()
+    __slots__ = ("inverse", "nominals", "universal", "self_loops", "q_bounds", "n_bounds")
+    _defaults = {"inverse": False, "nominals": False, "universal": False, "self_loops": False,
+                 "q_bounds": frozenset(), "n_bounds": frozenset()}
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("q_bounds", "n_bounds"):
             bounds = getattr(self, name)
             if bounds is None:
@@ -66,7 +215,7 @@ class FeatureSet:
             bounds = frozenset(bounds)
             if any(not isinstance(n, int) or n < 1 for n in bounds):
                 raise InputError(f"{name} must contain positive integers")
-            object.__setattr__(self, name, bounds)
+            _set(self, name, bounds)
 
     @classmethod
     def none(cls) -> "FeatureSet":
@@ -131,99 +280,23 @@ class FeatureSet:
 # role and concept trees
 
 
-_set = object.__setattr__
+class _Node(_Record):
+    """The base of every role and concept node: a record built by position
+    only, by an ``__init__`` made for its number of fields.
 
-
-def _initializer(fields: Tuple[str, ...], check: Optional[Callable[["_Node"], None]]):
-    """The ``__init__`` of a node class with these fields: it sets them in
-    order, leaves the hash to be computed on first use and then runs the
-    class's ``check``, if it has one.  One closure per number of fields, so
-    that building a node costs no more than a generated ``__init__``."""
-    if not fields:
-        def __init__(self):
-            _set(self, "_hash", None)
-    elif len(fields) == 1:
-        (a,) = fields
-
-        def __init__(self, x):
-            _set(self, a, x)
-            _set(self, "_hash", None)
-    elif len(fields) == 2:
-        a, b = fields
-
-        def __init__(self, x, y):
-            _set(self, a, x)
-            _set(self, b, y)
-            _set(self, "_hash", None)
-    else:
-        a, b, c = fields
-
-        def __init__(self, x, y, z):
-            _set(self, a, x)
-            _set(self, b, y)
-            _set(self, c, z)
-            _set(self, "_hash", None)
-    if check is None:
-        return __init__
-    unchecked = __init__
-
-    def __init__(self, *values):
-        unchecked(self, *values)
-        check(self)
-    return __init__
-
-
-class _Node:
-    """The base of every role and concept node: frozen, with ``__slots__``,
-    equal when class and field values are equal, and hashed by its field
-    values.
-
-    A node class lists its fields once, as its ``__slots__``; its
-    ``__init__`` and the methods here read them from ``_fields``.
     ``_children`` names the fields that hold sub-expressions, in field
     order (every field but the label of the class's :data:`_NODES` row).
-    A class's own ``_check``, if any, validates or normalizes each new
-    node.  The hash and the structural key are kept on the node when first
-    asked for: the evaluator's memo hashes every subconcept, and the
-    enumerator keys every candidate, and candidates share their subtrees.
+    The structural key, like the hash, is kept on the node when first asked
+    for: the evaluator's memo hashes every subconcept, and the enumerator
+    keys every candidate, and candidates share their subtrees.
     """
 
-    __slots__ = ("_hash", "_key")
-    _fields: Tuple[str, ...] = ()
+    __slots__ = ("_key",)
     _children: Tuple[str, ...] = ()
 
-    def __init_subclass__(cls):
-        cls._fields = cls.__dict__.get("__slots__", ())
-        cls.__init__ = _initializer(cls._fields, cls.__dict__.get("_check"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self is not other:
-            for name in self._fields:
-                if getattr(self, name) != getattr(other, name):
-                    return False
-        return True
-
-    def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = hash(tuple([getattr(self, name) for name in self._fields]))
-            _set(self, "_hash", value)
-        return value
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({shown})"
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self._fields])
+    @classmethod
+    def _initializer(cls, check):
+        return _positional_initializer(cls._fields, check)
 
     def _map_children(self, transform: Callable[["Expr"], "Expr"]) -> "Expr":
         """A copy of this node with ``transform`` applied to each direct

@@ -123,6 +123,13 @@ def random_features(rng, with_bounds=True):
     )
 
 
+def with_features(features, **changes):
+    """A :class:`FeatureSet` with the fields of ``features``, but those
+    named in ``changes`` set as given."""
+    fields = ("inverse", "nominals", "universal", "self_loops", "q_bounds", "n_bounds")
+    return FeatureSet(**{**{name: getattr(features, name) for name in fields}, **changes})
+
+
 def random_role(rng, features, role_names, depth, concept_maker):
     choices = ["name"]
     if features.inverse:
@@ -585,7 +592,8 @@ def theorem_applies(ia, ib, features, mode, items):
     if not bisimilar(ia, ib, features, mode).holds:
         return False
     if mode == "fuzzy" and any(
-        _involutive(part) for item in items for part in vars(item).values()
+        _involutive(part) for item in items
+        for part in (getattr(item, name, None) for name in ("concept", "role", "lhs", "rhs"))
         if isinstance(part, (Concept, Role))
     ):
         return False

@@ -1,7 +1,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -41,7 +40,7 @@ from helpers import (
     POOL3, POOL4, cap, cells, chain_pair, compose, condition_bound, constant,
     counting_hub_pair, counting_subsets, dense, disjoint_union, doubled_hub_pair,
     fixpoint_greatest, from_matrix, identity, inverse, random_features, random_model, rel_sup,
-    rename_model, shuffled_copy, shuffled_hub_pair, spread_hub_pair,
+    rename_model, shuffled_copy, shuffled_hub_pair, spread_hub_pair, with_features,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -605,7 +604,7 @@ class TestUniversalRole:
         for _ in range(12):
             ia = random_model(rng, "x", rng.randint(1, 3), POOL3, individual_names=("a",))
             ib = random_model(rng, "y", rng.randint(1, 3), POOL3, individual_names=("a",))
-            features = replace(random_features(rng), universal=True)
+            features = with_features(random_features(rng), universal=True)
             for mode in ("fuzzy", "crisp"):
                 fix = greatest_bisim(ia, ib, features, mode)
                 assert fix == brute_force_greatest(ia, ib, features, mode)
@@ -668,7 +667,7 @@ class TestCountingByMatching:
             ceiling[x, x2] = min(ceiling.get((x, x2), F(1)), F(1) if strength <= rhs else rhs)
             if min(z.at(x, x2), strength) > rhs:
                 violating.add((x, x2, role, code[:3]))
-        uncounted = replace(features, q_bounds=frozenset())
+        uncounted = with_features(features, q_bounds=frozenset())
         for x in ia.domain:
             for x2 in ib.domain:
                 assert condition_bound(ia, ib, z, features, x, x2) == min(
@@ -876,7 +875,7 @@ class TestGreatestReadout:
         capped = graded = 0
         for _ in range(400):
             ia, ib = self.random_pair(rng)
-            features = replace(random_features(rng), universal=rng.random() < 0.5)
+            features = with_features(random_features(rng), universal=rng.random() < 0.5)
             for mode in ("fuzzy", "crisp"):
                 got = greatest_bisim(ia, ib, features, mode)
                 assert [got.at(x, y) for x in ia.domain for y in ib.domain] == [
@@ -884,7 +883,8 @@ class TestGreatestReadout:
                 assert list(got.nonzero()) == [(x, y, v) for x, y, v in cells(got) if v]
                 assert got == fixpoint_greatest(ia, ib, features, mode)
                 if features.universal and any(v for _x, _y, v in got.nonzero()):
-                    uncapped = greatest_bisim(ia, ib, replace(features, universal=False), mode)
+                    without_u = with_features(features, universal=False)
+                    uncapped = greatest_bisim(ia, ib, without_u, mode)
                     capped += got != uncapped
                 graded += any(0 < v < 1 for _x, _y, v in got.nonzero())
         # the pairs exercise partial degrees and a cap that lowers entries
@@ -1137,7 +1137,7 @@ class TestAutoBisimulationIsEquivalence:
                 density=rng.choice([0.1, 0.2, 0.4]),
             )
             copy = load_interpretation(dump_interpretation(model))
-            features = replace(random_features(rng), universal=rng.random() < 0.5)
+            features = with_features(random_features(rng), universal=rng.random() < 0.5)
             n = range(len(model.domain))
             for mode in MODES:
                 blocks = {frozenset(block) for block in strong_partition(model, features).blocks}

@@ -123,9 +123,23 @@ def test_cli_lends_no_other_package_name(name):
         getattr(fdl.cli, name)
 
 
+# Standard-library modules that no command needs; a fresh interpreter must
+# not load them beyond what it holds before running anything.
+UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "pathlib"}
+
+
+def run_fresh(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    ``fdl``; it must exit 0."""
+    path = [str(Path(fdl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+
+
 def modules_after(argv):
-    """The ``fdl`` modules a fresh interpreter holds after ``import fdl.cli``
-    and, for a nonempty ``argv``, one command; the command must succeed."""
+    """The modules a fresh interpreter holds after ``import fdl.cli`` and,
+    for a nonempty ``argv``, one command; the command must succeed."""
     script = (
         "import io, json, sys\n"
         "import fdl.cli\n"
@@ -133,25 +147,31 @@ def modules_after(argv):
         "code = fdl.cli.main(argv, out=io.StringIO()) if argv else 0\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
-    path = [str(Path(fdl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, check=True)
+    proc = run_fresh(script, json.dumps(argv))
     code, modules = json.loads(proc.stdout)
     assert code == 0, proc.stderr
-    return {name[len("fdl."):] for name in modules if name.startswith("fdl.")}
+    return set(modules)
+
+
+def bare_modules():
+    """The modules a fresh interpreter holds before running anything, which
+    site hooks of the environment may add to."""
+    return set(run_fresh("import sys; print(' '.join(sys.modules))").stdout.split())
 
 
 @pytest.mark.parametrize("argv,absent", [
     ([], "interp parsing bisim refinement kb enumeration minimize fixtures"),
     (["--json", "eval", "-m", "{model}", "-c", "exists r . A"],
      "bisim refinement kb enumeration minimize fixtures"),
-    (["--json", "bisim", "-l", "{model}", "-r", "{model}", "--features", ""],
+    (["--json", "bisim", "-l", "{model}", "-r", "{model}", "--features", "", "-o", "{out}"],
      "parsing kb enumeration minimize fixtures"),
     (["--json", "validate", "-m", "{model}", "--tbox", "{tbox}"], "enumeration refinement"),
-], ids=["import", "eval", "bisim", "validate"])
+    (["--json", "minimize", "-m", "{model}", "--features", "U"],
+     "parsing kb enumeration fixtures"),
+], ids=["import", "eval", "bisim", "validate", "minimize"])
 def test_a_command_loads_only_what_it_runs(argv, absent, tmp_path):
-    paths = {"model": tmp_path / "model.json", "tbox": tmp_path / "tbox.json"}
+    paths = {"model": tmp_path / "model.json", "tbox": tmp_path / "tbox.json",
+             "out": tmp_path / "relation.json"}
     paths["model"].write_text(json.dumps({
         "domain": ["u", "v"], "individuals": {"a": "u"},
         "concepts": {"A": {"v": "0.5"}}, "roles": {"r": [["u", "v", "0.9"]]},
@@ -159,6 +179,9 @@ def test_a_command_loads_only_what_it_runs(argv, absent, tmp_path):
     paths["tbox"].write_text(json.dumps(
         {"tbox": [{"lhs": "A and exists r . A", "rhs": "A", "p": "1"}]}
     ))
-    loaded = modules_after([arg.format(**paths) for arg in argv])
+    modules = modules_after([arg.format(**paths) for arg in argv])
+    loaded = {name[len("fdl."):] for name in modules if name.startswith("fdl.")}
     assert "cli" in loaded
     assert loaded.isdisjoint(absent.split()), loaded
+    extra = (modules - bare_modules()) & UNNEEDED
+    assert extra == set()

@@ -10,33 +10,47 @@ from fdl import (
     And,
     AtLeast,
     AtLeastUnq,
+    BisimilarityResult,
     BudgetError,
     Compose,
+    ConceptAssertion,
     ConceptName,
+    ConditionReport,
     Constant,
     Delta,
+    DistinctIndividual,
     Exists,
     FeatureError,
     FeatureSet,
     Forall,
+    FuzzyRelation,
+    FuzzySet,
+    Gci,
+    HmResult,
     Implies,
     InputError,
     InvNeg,
     Inverse,
+    KnowledgeBase,
     Less,
     LessUnq,
     Nominal,
     Not,
     Or,
     ParseError,
+    Partition,
+    RoleAssertion,
     RoleName,
     RoleUnion,
+    SameIndividual,
     SelfLoop,
     Signature,
     Star,
     Sublanguage,
     Test,
     Universal,
+    ValidationResult,
+    Violation,
     inverse_normal_form,
     parse_concept,
     parse_role,
@@ -495,6 +509,184 @@ class TestNodeSemantics:
         # a parent reads the key its child already keeps
         assert structural_key(And(a, Not(a)))[2][0] is inner
         assert structural_key(And(a, Not(a)))[2][1][2][0] is inner
+
+
+def one_record_per_class():
+    """Fresh records, one of each of the 14 result, feature and box-item
+    classes, built anew on each call, with each record's repr."""
+    a, r = ConceptName("A"), RoleName("r")
+    relation = FuzzyRelation(("u",), ("v",), [([0], [F(1, 2)])])
+    violation = Violation("FB2", "u", "v", None, "A", None, F(1), F(1, 2))
+    gci = Gci(a, Exists(r, a), ">", F(1, 2))
+    same = SameIndividual("a", "b")
+    violation_text = (
+        "Violation(condition='FB2', x='u', x_prime='v', role=None, symbol='A', witness=None, "
+        "lhs=Fraction(1, 1), rhs=Fraction(1, 2))"
+    )
+    relation_text = "FuzzyRelation(rows=('u',), cols=('v',))"
+    gci_text = (
+        "Gci(lhs=ConceptName(name='A'), rhs=Exists(role=RoleName(name='r'), "
+        "filler=ConceptName(name='A')), rel='>', threshold=Fraction(1, 2))"
+    )
+    return [
+        (FeatureSet(True, False, True, False, [2], None),
+         "FeatureSet(inverse=True, nominals=False, universal=True, self_loops=False, "
+         "q_bounds=frozenset({2}), n_bounds=None)"),
+        (FuzzySet(("u", "v"), (F(1, 2), F(1))),
+         "FuzzySet(elements=('u', 'v'), degrees=(Fraction(1, 2), Fraction(1, 1)))"),
+        (violation, violation_text),
+        (ConditionReport(False, (violation,)),
+         f"ConditionReport(satisfied=False, violations=({violation_text},))"),
+        (BisimilarityResult(False, relation, "a"),
+         f"BisimilarityResult(holds=False, witness={relation_text}, failing_individual='a')"),
+        (Partition((("u", "v"), ("w",)), {"u": 0, "v": 0, "w": 1}),
+         "Partition(blocks=(('u', 'v'), ('w',)), block_of={'u': 0, 'v': 0, 'w': 1})"),
+        (same, "SameIndividual(a='a', b='b')"),
+        (DistinctIndividual("a", "c"), "DistinctIndividual(a='a', b='c')"),
+        (ConceptAssertion(a, "a", "<", "0.5"),
+         "ConceptAssertion(concept=ConceptName(name='A'), individual='a', cmp='<', "
+         "threshold=Fraction(1, 2))"),
+        (RoleAssertion(r, "a", "b", ">=", 1),
+         "RoleAssertion(role=RoleName(name='r'), a='a', b='b', cmp='>=', "
+         "threshold=Fraction(1, 1))"),
+        (gci, gci_text),
+        (KnowledgeBase((gci,), (same,)),
+         f"KnowledgeBase(tbox=({gci_text},), abox=(SameIndividual(a='a', b='b'),))"),
+        (ValidationResult(False, gci, "u"),
+         f"ValidationResult(valid=False, failed_item={gci_text}, witness_element='u')"),
+        (HmResult(relation, {("u", "v"): a}, 3),
+         f"HmResult(matrix={relation_text}, separators={{('u', 'v'): ConceptName(name='A')}}, "
+         "concepts_used=3)"),
+    ]
+
+
+# Each record class's fields, in order.
+RECORD_FIELDS = {
+    FeatureSet: ("inverse", "nominals", "universal", "self_loops", "q_bounds", "n_bounds"),
+    FuzzySet: ("elements", "degrees"),
+    Violation: ("condition", "x", "x_prime", "role", "symbol", "witness", "lhs", "rhs"),
+    ConditionReport: ("satisfied", "violations"),
+    BisimilarityResult: ("holds", "witness", "failing_individual"),
+    Partition: ("blocks", "block_of"),
+    SameIndividual: ("a", "b"),
+    DistinctIndividual: ("a", "b"),
+    ConceptAssertion: ("concept", "individual", "cmp", "threshold"),
+    RoleAssertion: ("role", "a", "b", "cmp", "threshold"),
+    Gci: ("lhs", "rhs", "rel", "threshold"),
+    KnowledgeBase: ("tbox", "abox"),
+    ValidationResult: ("valid", "failed_item", "witness_element"),
+    HmResult: ("matrix", "separators", "concepts_used"),
+}
+
+
+class TestRecordSemantics:
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        first, second = one_record_per_class(), one_record_per_class()
+        assert {type(x) for x, _text in first} == set(RECORD_FIELDS)
+        for (x, _text), (y, _same) in zip(first, second):
+            assert x is not y
+            assert x == y and not x != y, x
+            assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x, x
+            assert copy.copy(x) == x, x
+            if isinstance(x, (Partition, HmResult)):  # their fields hold dicts
+                with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                    hash(x)
+            else:
+                assert hash(x) == hash(y), x
+        hashable = [x for x, _text in first + second if not isinstance(x, (Partition, HmResult))]
+        assert len(set(hashable)) == 12
+
+    def test_class_and_fields_both_count(self):
+        assert SameIndividual("a", "b") != DistinctIndividual("a", "b")
+        assert SameIndividual("a", "b") != SameIndividual("b", "a")
+        assert SameIndividual("a", "b") != ("a", "b")
+        assert FeatureSet() != FeatureSet(universal=True)
+        assert Violation("FB1", "u", "v") != Violation("FB1", "u", "v", lhs=F(1))
+        assert ValidationResult(True) != ConditionReport(True, None)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        for record, _text in one_record_per_class():
+            for name in RECORD_FIELDS[type(record)] + ("extra",):
+                with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                    setattr(record, name, 1)
+                with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                    delattr(record, name)
+
+    def test_repr(self):
+        for record, text in one_record_per_class():
+            assert repr(record) == text
+
+    def test_positional_keyword_and_default_construction(self):
+        for record, _text in one_record_per_class():
+            cls = type(record)
+            values = {name: getattr(record, name) for name in RECORD_FIELDS[cls]}
+            assert cls(*values.values()) == record
+            assert cls(**values) == record
+            assert repr(cls(**values)) == repr(record)
+        assert FeatureSet() == FeatureSet(False, False, False, False, frozenset(), frozenset())
+        assert FeatureSet(nominals=True).nominals and FeatureSet() == FeatureSet.none()
+        assert Violation("FB1", "u", "v") == Violation("FB1", "u", "v", None, None, None, 0, 0)
+        relation = FuzzyRelation((), (), [])
+        assert BisimilarityResult(True, relation).failing_individual is None
+        assert KnowledgeBase() == KnowledgeBase((), ()) == KnowledgeBase(abox=())
+        assert ValidationResult(True) == ValidationResult(True, None, None)
+        assert ValidationResult(valid=True, witness_element="u").witness_element == "u"
+
+    def test_construction_errors(self):
+        a = ConceptName("A")
+        cases = [
+            (lambda: SameIndividual("a"),
+             "SameIndividual.__init__() missing 1 required positional argument: 'b'"),
+            (lambda: ConditionReport(),
+             "ConditionReport.__init__() missing 2 required positional arguments: "
+             "'satisfied' and 'violations'"),
+            (lambda: Gci(a),
+             "Gci.__init__() missing 3 required positional arguments: 'rhs', 'rel', and "
+             "'threshold'"),
+            (lambda: SameIndividual("a", "b", "c"),
+             "SameIndividual.__init__() takes 3 positional arguments but 4 were given"),
+            (lambda: Violation(*"abcdefghi"),
+             "Violation.__init__() takes from 4 to 9 positional arguments but 10 were given"),
+            (lambda: FeatureSet(*range(7)),
+             "FeatureSet.__init__() takes from 1 to 7 positional arguments but 8 were given"),
+            (lambda: SameIndividual("a", a="b"),
+             "SameIndividual.__init__() got multiple values for argument 'a'"),
+            (lambda: FeatureSet(inverse=True, foo=1),
+             "FeatureSet.__init__() got an unexpected keyword argument 'foo'"),
+        ]
+        for build, message in cases:
+            with pytest.raises(TypeError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_checks_run_on_construction(self):
+        features = FeatureSet(q_bounds=[2, 2, 3], n_bounds=(1,))
+        assert features.q_bounds == frozenset({2, 3}) and type(features.q_bounds) is frozenset
+        assert type(features.n_bounds) is frozenset
+        assert FeatureSet(q_bounds=None).q_bounds is None
+        for field, bounds in [("q_bounds", [0]), ("n_bounds", {1, -2}), ("q_bounds", [1.5])]:
+            with pytest.raises(InputError) as info:
+                FeatureSet(**{field: bounds})
+            assert str(info.value) == f"{field} must contain positive integers"
+        a, r = ConceptName("A"), RoleName("r")
+        item = ConceptAssertion(a, "a", ">", "0.25")
+        assert item.threshold == F(1, 4) and type(item.threshold) is F
+        assert type(RoleAssertion(r, "a", "b", "<=", 1).threshold) is F
+        assert type(Gci(a, a, ">=", 1).threshold) is F
+        cases = [
+            (lambda: ConceptAssertion(a, "a", "=", 1),
+             "comparison must be one of ['<', '<=', '>', '>='], got '='"),
+            (lambda: RoleAssertion(r, "a", "b", "!=", 1),
+             "comparison must be one of ['<', '<=', '>', '>='], got '!='"),
+            (lambda: Gci(a, a, "<=", 1), "inclusion relation must be '>=' or '>', got '<='"),
+            (lambda: Gci(a, a, ">", 0), "inclusion thresholds must lie in (0, 1]"),
+            (lambda: Gci(a, a, ">=", "0.0"), "inclusion thresholds must lie in (0, 1]"),
+            (lambda: ConceptAssertion(a, "a", ">=", 2), "degree 2 outside [0, 1]"),
+        ]
+        for build, message in cases:
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == message
 
 
 class TestEnumeration:
