@@ -59,7 +59,9 @@ def degree(value) -> Fraction:
 
 @functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
 def parse_degree(text: str) -> Fraction:
-    """Parse ``"0.25"`` / ``"1/4"`` / ``"1"`` into a reduced Fraction in [0, 1]."""
+    """Parse ``"0.25"`` / ``"1/4"`` / ``"1"`` into a reduced Fraction in [0, 1];
+    every zero text gives ``ZERO`` itself, so a reader can drop zeros by
+    identity."""
     stripped = text.strip()
     if not _DEGREE_RE.fullmatch(stripped):
         raise InputError(f"malformed degree {text!r}")
@@ -69,7 +71,17 @@ def parse_degree(text: str) -> Fraction:
         raise InputError(f"malformed degree {text!r}") from exc
     if not ZERO <= result <= ONE:
         raise InputError(f"degree {text!r} outside [0, 1]")
-    return result
+    return result or ZERO
+
+
+class DegreeTexts(dict):
+    """One document's degree texts, each read once by :func:`parse_degree`
+    to one object.  Look up strings only: ``True == 1 == 1.0`` share a
+    hash, and a bool or float must still be refused by :func:`degree`."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_degree(text)
+        return value
 
 
 def format_degree(value: Fraction) -> str:

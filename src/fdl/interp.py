@@ -32,10 +32,10 @@ import json
 import operator
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, json_text
-from .godel import ONE, ZERO, degree, format_degree
+from .godel import ONE, ZERO, DegreeTexts, degree, format_degree
 from .relations import read_triples
 from . import syntax as s
 
@@ -94,6 +94,7 @@ class Interpretation:
             if not isinstance(target, str) or target not in index:
                 raise ModelError(f"individual {name!r} maps to unknown element {json_text(target)}")
 
+        texts = DegreeTexts()
         rows: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
             if not isinstance(valuation, Mapping):
@@ -104,11 +105,13 @@ class Interpretation:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
                     )
-                row[index[element]] = degree(value)
+                row[index[element]] = texts[value] if type(value) is str else degree(value)
             rows[name] = tuple(row)
 
-        successors = {name: _successor_lists(name, value, index)
-                      for name, value in (roles or {}).items()}
+        successors = {}
+        for name, value in (roles or {}).items():
+            lines = read_triples(value, index, index, f"role {name!r}", ModelError, texts)
+            successors[name] = tuple(map(tuple, lines))
         self._fill(tuple(domain), index, individuals, rows, successors)
 
     @classmethod
@@ -182,16 +185,6 @@ class Interpretation:
             f"individuals={self.individuals!r}, "
             f"concepts={sorted(self.concepts)!r}, roles={sorted(self.roles)!r})"
         )
-
-
-def _successor_lists(name: str, triples, index: Mapping[str, int]) -> Tuple[Edges, ...]:
-    """Successor lists from a role's list of ``[x, y, degree]`` edges."""
-    edges = read_triples(triples, index, index, f"role {name!r}", ModelError)
-    succ: List[List[Tuple[int, Fraction]]] = [[] for _ in index]
-    for (i, j), d in edges.items():
-        if d.numerator:
-            succ[i].append((j, d))
-    return tuple([tuple(sorted(row)) for row in succ])
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +500,8 @@ def degree_objects(*interps: Interpretation) -> Dict[int, Fraction]:
     and 1, keyed by ``id``.
 
     Hashing a Fraction is slow, and a loaded model shares one object per
-    degree text, so callers tell degrees apart by identity first and hash
+    degree text (its document's :class:`fdl.godel.DegreeTexts` reads each
+    text once), so callers tell degrees apart by identity first and hash
     each distinct object once.
     """
     found = {id(ZERO): ZERO, id(ONE): ONE}

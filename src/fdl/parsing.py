@@ -247,11 +247,16 @@ class _Parser:
         raise ParseError(f"expected a role, found {tok.text or 'end of input'!r}", tok.pos)
 
 
+# The default feature set, which accepts every construct; feature sets are
+# frozen, so every call shares this one.
+_PERMISSIVE = s.FeatureSet.permissive()
+
+
 def _parse(text: str, read, features: Optional[s.FeatureSet]) -> Union[s.Concept, s.Role]:
     """``read`` (:meth:`_Parser.concept` or :meth:`_Parser.role`) over the
     whole of ``text``, checked under ``features``: by default the permissive
-    feature set, which accepts every construct."""
-    features = features if features is not None else s.FeatureSet.permissive()
+    feature set."""
+    features = features if features is not None else _PERMISSIVE
     parser = _Parser(text)
     node = read(parser)
     trailing = parser.cur

@@ -9,36 +9,44 @@ grades it only through concepts (:mod:`fdl.interp`).  A row's line
 lists the columns of its pairs of nonzero degree, ascending, and their
 degrees: ``nonzero`` walks the lines, ``at`` bisects one, and ``==``
 compares them.  :func:`read_triples` reads candidates and the roles of a
-model from lists of ``[x, y, degree]``.  A relation is an immutable value:
-it offers lookup, its nonzero entries, a crispness test and equality, and
-no operations of its own.
+model from lists of ``[x, y, degree]`` in one pass, straight into such
+lines of ``(column, degree)`` pairs: a model stores them as its successor
+lists and :meth:`FuzzyRelation.from_entries` splits them into columns and
+degrees.  A relation is an immutable value: it offers lookup, its nonzero
+entries, a crispness test and equality, and no operations of its own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, json_text
-from .godel import ZERO, degree
+from .godel import ZERO, DegreeTexts, degree
 
 
 def read_triples(
-    items, rows: Mapping[str, int], cols: Mapping[str, int], what: str, error: type
-) -> Dict[Tuple[int, int], Fraction]:
-    """Read a list of ``[x, y, degree]`` into ``{(i, j): degree}``.
+    items, rows: Mapping[str, int], cols: Mapping[str, int], what: str, error: type,
+    texts: DegreeTexts,
+) -> List[List[Tuple[int, Fraction]]]:
+    """Read a list of ``[x, y, degree]`` in one pass into one line per
+    row: that row's ``(column, degree)`` pairs of nonzero degree, in
+    ascending column order.
 
     ``rows`` and ``cols`` give each element's position.  A graded binary
     relation is written this way in both of its documents: the roles of a
     model and a candidate bisimulation.  A list that is not of triples, an
-    unknown element or a pair listed twice raises ``error`` with ``what``
-    naming the list; a bad degree raises :class:`InputError`.  Zero degrees
-    are kept.
+    unknown element or a pair listed twice (at any degree, 0 too) raises
+    ``error`` with ``what`` naming the list; a bad degree raises
+    :class:`InputError`.  The first faulty entry decides.  Degree texts
+    are read through ``texts``, the document's table, and any other degree
+    by :func:`degree`; a zero degree reads as ``ZERO``.
     """
     if not isinstance(items, (list, tuple)):
         raise error(f"{what} must be a list of [x, y, degree] triples")
-    read: Dict[Tuple[int, int], Fraction] = {}
+    lines: List[List[Tuple[int, Fraction]]] = [[] for _ in rows]
+    width, seen = len(cols), set()
     for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == 3
                 and isinstance(item[0], str) and isinstance(item[1], str)):
@@ -46,11 +54,17 @@ def read_triples(
         x, y, d = item
         if x not in rows or y not in cols:
             raise error(f"{what} uses an unknown element in ({x}, {y})")
-        pair = rows[x], cols[y]
-        if pair in read:
+        i, j = rows[x], cols[y]
+        pair = i * width + j
+        if pair in seen:
             raise error(f"{what} lists the pair ({x}, {y}) twice")
-        read[pair] = degree(d)
-    return read
+        seen.add(pair)
+        d = texts[d] if type(d) is str else degree(d) or ZERO
+        if d is not ZERO:
+            lines[i].append((j, d))
+    for line in lines:
+        line.sort()  # the columns are distinct, so no degree is compared
+    return lines
 
 
 class FuzzyRelation:
@@ -96,7 +110,8 @@ class FuzzyRelation:
         """Build from a list of ``[x, y, degree]``; unlisted pairs get degree 0."""
         ri = {x: i for i, x in enumerate(rows)}
         ci = {y: j for j, y in enumerate(cols)}
-        return cls.from_indexed(rows, cols, read_triples(triples, ri, ci, "relation", InputError))
+        lines = read_triples(triples, ri, ci, "relation", InputError, DegreeTexts())
+        return cls(rows, cols, [([j for j, _d in line], [d for _j, d in line]) for line in lines])
 
     def at(self, x: str, y: str) -> Fraction:
         """The degree of ``(x, y)``, bisected in the line of x."""

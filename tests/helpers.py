@@ -46,6 +46,8 @@ from fdl.bisim import (
     _Context, _candidate_context, _ceiling, _relational_rows, _rows, _static_rows,
     _universal_rows,
 )
+from fdl.errors import json_text
+from fdl.godel import degree
 from fdl.syntax import children
 
 POOL3 = (F(0), F(1, 2), F(1))
@@ -437,6 +439,42 @@ def condition_bound(ia, ib, z, features, x, x_prime):
     ctx, ranks = _candidate_context(ia, ib, features, z)
     rows = _rows(ctx, ranks, ia.index(x), ib.index(x_prime), _universal_rows(ctx, ranks))
     return ctx.universe[_ceiling(rows, ctx.top)]
+
+
+# ---------------------------------------------------------------------------
+# the dict-based reader of [x, y, degree] lists, kept as the oracle of
+# fdl.relations.read_triples
+
+
+def read_triples_oracle(items, rows, cols, what, error):
+    """``{(i, j): degree}`` of a list of ``[x, y, degree]``, zero degrees
+    kept, with the checks, their order and their messages of
+    :func:`fdl.relations.read_triples`."""
+    if not isinstance(items, (list, tuple)):
+        raise error(f"{what} must be a list of [x, y, degree] triples")
+    read = {}
+    for item in items:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise error(f"{what}: an entry must be [x, y, degree], got {json_text(item)}")
+        x, y, d = item
+        if x not in rows or y not in cols:
+            raise error(f"{what} uses an unknown element in ({x}, {y})")
+        pair = rows[x], cols[y]
+        if pair in read:
+            raise error(f"{what} lists the pair ({x}, {y}) twice")
+        read[pair] = degree(d)
+    return read
+
+
+def oracle_lines(read, n_rows):
+    """Each row's ``(column, degree)`` pairs of nonzero degree in
+    ascending column order, from the oracle's dict."""
+    lines = [[] for _ in range(n_rows)]
+    for (i, j), d in sorted(read.items()):  # the pairs are distinct
+        if d:
+            lines[i].append((j, d))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,13 @@ class TestLoading:
         with pytest.raises(ModelError):
             load_interpretation(doc)
 
+    @pytest.mark.parametrize("second", ["0.5", "1", "0"])
+    def test_role_pair_listed_twice_is_refused(self, second):
+        doc = {"domain": ["u", "v"], "roles": {"r": [["u", "v", "1"], ["u", "v", second]]}}
+        with pytest.raises(ModelError) as raised:
+            load_interpretation(doc)
+        assert str(raised.value) == "role 'r' lists the pair (u, v) twice"
+
     def test_zero_degree_edge_is_dropped(self):
         with_zero = load_interpretation(
             {"domain": ["u", "v"], "roles": {"r": [["u", "v", "0"], ["v", "u", "1/2"]]}}
@@ -659,13 +666,28 @@ class TestIntegerScale:
             assert validates(model, items).failed_item == failed
 
 
+def fraction_calls(run):
+    """The calls into ``fractions`` while ``run()`` runs."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run()
+    profiler.disable()
+    return sum(
+        entry.callcount for entry in profiler.getstats()
+        if not isinstance(entry.code, str) and entry.code.co_filename == fractions.__file__
+    )
+
+
 class TestFractionCalls:
     """Grading calls into ``fractions`` per distinct degree, not per edge."""
 
-    def test_sparse_model(self):
+    @staticmethod
+    def sparse_document():
+        """200 elements, two concepts, two roles of 3 edges per element, and
+        about 100 distinct degree texts."""
         rng = random.Random(12)
         domain = [f"e{i}" for i in range(200)]
-        doc = {
+        return {
             "domain": domain,
             "concepts": {
                 name: {x: f"{rng.randint(1, 100) / 100}" for x in domain} for name in "AB"
@@ -676,18 +698,20 @@ class TestFractionCalls:
                 for name in ("r", "s")
             },
         }
-        model = load_interpretation(json.dumps(doc))
+
+    def test_sparse_model(self):
+        model = load_interpretation(json.dumps(self.sparse_document()))
         assert sum(map(len, model.roles["r"] + model.roles["s"])) == 1200
         distinct = len(fdl.interp.degree_objects(model))
         concept = parse_concept(
             "(exists r . forall s- . (A -> 1/3)) or (>= 2 r . inv B) or forall (r | s)* . A"
         )
-        profiler = cProfile.Profile()
-        profiler.enable()
-        eval_concept(model, concept)
-        profiler.disable()
-        calls = sum(
-            entry.callcount for entry in profiler.getstats()
-            if not isinstance(entry.code, str) and entry.code.co_filename == fractions.__file__
-        )
-        assert calls <= 4 * distinct
+        assert fraction_calls(lambda: eval_concept(model, concept)) <= 4 * distinct
+
+    def test_loading_reads_each_degree_text_once(self):
+        doc = self.sparse_document()
+        texts = {d for row in doc["concepts"].values() for d in row.values()}
+        texts.update(d for edges in doc["roles"].values() for _x, _y, d in edges)
+        text = json.dumps(doc)
+        load_interpretation(text)  # fills parse_degree's cache
+        assert fraction_calls(lambda: load_interpretation(text)) <= len(texts)

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from fdl import FuzzyRelation, InputError
+from fdl import FuzzyRelation, InputError, Interpretation, ModelError, degree
 from helpers import (
-    cap, cells, compose, constant, dense, from_matrix, identity, inverse, pointwise_leq, rel_sup,
+    cap, cells, compose, constant, dense, from_matrix, identity, inverse, oracle_lines,
+    pointwise_leq, read_triples_oracle, rel_sup,
 )
 
 
@@ -67,6 +68,97 @@ class TestSparseEntries:
         assert not FuzzyRelation.from_entries(
             ["u"], ["v", "w"], [("u", "v", "1"), ("u", "w", "0.25")]
         ).is_crisp()
+
+
+# equal degrees under several spellings, zeros among them
+SPELLINGS = ("0", "0.0", F(0), 0, "0.5", "1/2", "2/4", F(1, 2), "0.25", "1/4", "3/4", "0.75",
+             "1", "1.0", F(1), 1)
+# entries of each kind of fault, given the first entry of the list
+FAULTS = {
+    "shape": lambda rng, first: rng.choice(
+        (["u0"], ("u0", "u0", "1", "1"), [["u0"], "u0", "1"], "u0", None)),
+    "unknown": lambda rng, first: rng.choice((["zz", "u0", "1"], ("u0", "zz", "0"))),
+    "twice": lambda rng, first: [first[0], first[1], rng.choice(SPELLINGS)],
+    "degree": lambda rng, first: ["u0", "u0", rng.choice(("2", "1/0", "0.5.", "-1", 0.5, True,
+                                                         None, ["1"], " "))],
+}
+
+
+def random_entries(rng, rows, cols):
+    """A shuffled list of ``[x, y, degree]`` over distinct pairs, each a
+    list or a tuple, its degree a random spelling."""
+    pairs = [(x, y) for x in rows for y in cols if rng.random() < 0.6]
+    rng.shuffle(pairs)
+    return [rng.choice((list, tuple))((x, y, rng.choice(SPELLINGS))) for x, y in pairs]
+
+
+def raised(read):
+    """The class and message of what ``read()`` raises."""
+    with pytest.raises((InputError, ModelError)) as info:
+        read()
+    return type(info.value), str(info.value)
+
+
+class TestReaderAgainstOracle:
+    """Roles and candidates read as the dict-based reader of
+    ``helpers.read_triples_oracle`` reads them, and a faulty list raises its
+    exception."""
+
+    def test_roles_and_concepts(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            domain = [f"u{i}" for i in range(rng.randint(1, 5))]
+            index = {x: i for i, x in enumerate(domain)}
+            roles = {name: random_entries(rng, domain, domain) for name in "rs"}
+            concepts = {"A": {x: rng.choice(SPELLINGS) for x in domain if rng.random() < 0.7}}
+            model = Interpretation(domain, {}, concepts, roles)
+            for name, entries in roles.items():
+                read = read_triples_oracle(entries, index, index, f"role {name!r}", ModelError)
+                assert model.roles[name] == tuple(map(tuple, oracle_lines(read, len(domain))))
+            assert model.concepts["A"] == tuple(degree(concepts["A"].get(x, 0)) for x in domain)
+
+    def test_candidates(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            rows = [f"u{i}" for i in range(rng.randint(1, 5))]
+            cols = [f"v{j}" for j in range(rng.randint(1, 5))]
+            entries = random_entries(rng, rows, cols)
+            read = read_triples_oracle(entries, {x: i for i, x in enumerate(rows)},
+                                       {y: j for j, y in enumerate(cols)}, "relation", InputError)
+            expected = FuzzyRelation(rows, cols, [
+                ([j for j, _d in line], [d for _j, d in line])
+                for line in oracle_lines(read, len(rows))
+            ])
+            got = FuzzyRelation.from_entries(rows, cols, entries)
+            assert got.lines == expected.lines and got == expected
+
+    @pytest.mark.parametrize("second", list(FAULTS))
+    @pytest.mark.parametrize("first", list(FAULTS))
+    def test_two_faults_raise_as_the_oracle(self, first, second):
+        rng = random.Random(f"{first} {second}")
+        domain = ["u0", "u1", "u2"]
+        index = {x: i for i, x in enumerate(domain)}
+        for _ in range(20):
+            entries = random_entries(rng, domain, domain) or [["u1", "u2", "1"]]
+            k1 = rng.randint(1, len(entries))
+            k2 = rng.randint(k1, len(entries))
+            head = entries[0]
+            entries = (entries[:k1] + [FAULTS[first](rng, head)] + entries[k1:k2]
+                       + [FAULTS[second](rng, head)] + entries[k2:])
+            role = raised(lambda: read_triples_oracle(entries, index, index, "role 'r'",
+                                                      ModelError))
+            assert raised(lambda: Interpretation(domain, {}, {}, {"r": entries})) == role
+            candidate = raised(lambda: read_triples_oracle(entries, index, index, "relation",
+                                                           InputError))
+            assert raised(lambda: FuzzyRelation.from_entries(domain, domain, entries)) == candidate
+
+    @pytest.mark.parametrize("items", [{"u0": "1"}, "u0", None, 1])
+    def test_not_a_list(self, items):
+        index = {"u0": 0}
+        assert raised(lambda: Interpretation(["u0"], {}, {}, {"r": items})) == raised(
+            lambda: read_triples_oracle(items, index, index, "role 'r'", ModelError))
+        assert raised(lambda: FuzzyRelation.from_entries(["u0"], ["u0"], items)) == raised(
+            lambda: read_triples_oracle(items, index, index, "relation", InputError))
 
 
 class TestInverse:

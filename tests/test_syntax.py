@@ -58,7 +58,7 @@ from fdl import (
     validate,
 )
 from fdl.enumeration import iter_fragment
-from fdl.syntax import _NODES, Concept, Role, structural_key
+from fdl.syntax import _NODES, Concept, Role, children, structural_key
 from helpers import classify_sublanguage, random_concept, random_features, rewrite_definable
 
 PERMISSIVE = FeatureSet.permissive()
@@ -205,6 +205,22 @@ class TestParser:
             parse_concept(">= 2 r . A", FeatureSet(q_bounds=frozenset({3})))
         with pytest.raises(FeatureError):
             parse_concept("exists r . self", nothing)
+
+    def test_no_features_is_the_permissive_set(self):
+        text = (
+            "(exists (r- ; s*)+ . {a}) and forall (A? | U ; r) . (not B or inv delta 0.5)"
+            " -> (>= 2 r . C) and (< 3 s- . 1/4) and (>= 1 r) and (< 2 s) and exists r . self"
+        )
+        got = parse_concept(text)
+        found, stack = set(), [got]
+        while stack:
+            node = stack.pop()
+            found.add(type(node))
+            stack.extend(children(node))
+        assert found == set(_NODES)  # every constructor occurs
+        assert got == parse_concept(text, FeatureSet.permissive())
+        role = "(r- ; s*)+ | A? ; U"
+        assert parse_role(role) == parse_role(role, FeatureSet.permissive())
 
     def test_validate_programmatic(self):
         validate(Exists(Universal(), ConceptName("A")), FeatureSet(universal=True))
