@@ -227,10 +227,16 @@ def _validate(args, out) -> int:
         "element": result.witness_element,
     }
     human = "validated" if result.valid else f"not validated: {payload['failed']}"
-    if result.witness_element:
+    if result.witness_element is not None:
         human += f" (at element {result.witness_element})"
     _emit(out, payload, args.json, lambda: [human])
     return 0 if result.valid else 1
+
+
+def _pair_part(name: str) -> str:
+    """A name in a separator's ``x|y`` key, written as a JSON string if it
+    holds ``|`` or ``"``, so that distinct pairs get distinct keys."""
+    return json.dumps(name, ensure_ascii=False) if "|" in name or '"' in name else name
 
 
 def _hm(args, out) -> int:
@@ -242,7 +248,7 @@ def _hm(args, out) -> int:
         left, right, args.features, fragment, args.depth, max_concepts=args.budget,
     )
     separators = {
-        f"{x}|{y}": to_text(c)
+        f"{_pair_part(x)}|{_pair_part(y)}": to_text(c)
         for (x, y), c in result.separators.items()
         if c is not None
     }

@@ -13,10 +13,12 @@ constants.  Optional features are toggled by a :class:`FeatureSet`:
 The feature set, the syntax nodes, and the result and box-item records of
 the other modules share one slotted base, :class:`_Record`: they are
 frozen, equal when their class and fields are, hashable unless a field
-holds a dict, and safe to share between threads.  No class is generated
-at import.  The bisimulation modes and the default concept budget live
-here too, so that the command-line parser can be built from this module
-alone.
+holds a dict, and safe to share between threads.  Each takes its fields
+by position or by keyword, through one ``__init__`` factory; no class is
+generated at import.  Each node class is described once, by its row of
+:data:`_NODES`, which the printer and :func:`structural_key` both read.
+The bisimulation modes and the default concept budget live here too, so
+that the command-line parser can be built from this module alone.
 """
 
 from __future__ import annotations
@@ -58,15 +60,16 @@ def _listing(names) -> str:
 
 
 def _keyword_initializer(cls, check: Optional[Callable[["_Record"], None]]):
-    """The ``__init__`` of a record class: it takes each field by position
-    or by keyword, falls back on ``_defaults`` for the fields left out, and
-    refuses other calls with the message a written-out ``__init__`` would
-    give.  Then it runs the class's ``check``, if it has one."""
+    """The ``__init__`` of every record class, nodes included: it takes
+    each field by position or by keyword, falls back on ``_defaults`` for
+    the fields left out, and refuses other calls with the message a
+    written-out ``__init__`` would give.  Then it runs the class's
+    ``check``, if it has one, however the fields were passed."""
     fields, defaults = cls._fields, cls._defaults
     required = [name for name in fields if name not in defaults]
     function = f"{cls.__qualname__}.__init__()"
     takes = f"from {len(required) + 1} to " if defaults else ""
-    takes += f"{len(fields) + 1} positional arguments"
+    takes += f"{len(fields) + 1} positional argument" + ("s" if fields else "")
 
     def bind(args, kwargs) -> List[object]:
         values = dict(zip(fields, args))
@@ -96,45 +99,6 @@ def _keyword_initializer(cls, check: Optional[Callable[["_Record"], None]]):
     return __init__
 
 
-def _positional_initializer(fields: Tuple[str, ...], check: Optional[Callable[["_Node"], None]]):
-    """The ``__init__`` of a node class with these fields: it sets them in
-    order, leaves the hash to be computed on first use and then runs the
-    class's ``check``, if it has one.  One closure per number of fields, so
-    that building a node costs no more than a generated ``__init__``."""
-    if not fields:
-        def __init__(self):
-            _set(self, "_hash", None)
-    elif len(fields) == 1:
-        (a,) = fields
-
-        def __init__(self, x):
-            _set(self, a, x)
-            _set(self, "_hash", None)
-    elif len(fields) == 2:
-        a, b = fields
-
-        def __init__(self, x, y):
-            _set(self, a, x)
-            _set(self, b, y)
-            _set(self, "_hash", None)
-    else:
-        a, b, c = fields
-
-        def __init__(self, x, y, z):
-            _set(self, a, x)
-            _set(self, b, y)
-            _set(self, c, z)
-            _set(self, "_hash", None)
-    if check is None:
-        return __init__
-    unchecked = __init__
-
-    def __init__(self, *values):
-        unchecked(self, *values)
-        check(self)
-    return __init__
-
-
 class _Record:
     """The base of feature sets, syntax nodes, and the result and box-item
     records: frozen, with ``__slots__``, equal when class and field values
@@ -143,9 +107,10 @@ class _Record:
 
     A record class lists its fields once, as its ``__slots__``; slots named
     with a leading underscore hold caches and are not fields.  Its
-    ``__init__`` and the methods here read the fields from ``_fields``;
-    ``__init__`` takes them by position or keyword, and ``_defaults`` maps
-    the fields that may be left out to their values.  A class's own
+    ``__init__``, made by :func:`_keyword_initializer` for every subclass,
+    and the methods here read the fields from ``_fields``; ``__init__``
+    takes them by position or keyword, and ``_defaults`` maps the fields
+    that may be left out to their values.  A class's own
     ``_check``, if any, validates or normalizes each new record.  The hash
     is kept on the record when first asked for; a record with a dict field
     has none.
@@ -157,11 +122,7 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
-        cls.__init__ = cls._initializer(cls.__dict__.get("_check"))
-
-    @classmethod
-    def _initializer(cls, check):
-        return _keyword_initializer(cls, check)
+        cls.__init__ = _keyword_initializer(cls, cls.__dict__.get("_check"))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -281,8 +242,8 @@ class FeatureSet(_Record):
 
 
 class _Node(_Record):
-    """The base of every role and concept node: a record built by position
-    only, by an ``__init__`` made for its number of fields.
+    """The base of every role and concept node: a record with no defaults,
+    so that each field is given, by position or by keyword.
 
     ``_children`` names the fields that hold sub-expressions, in field
     order (every field but the label of the class's :data:`_NODES` row).
@@ -293,10 +254,6 @@ class _Node(_Record):
 
     __slots__ = ("_key",)
     _children: Tuple[str, ...] = ()
-
-    @classmethod
-    def _initializer(cls, check):
-        return _positional_initializer(cls._fields, check)
 
     def _map_children(self, transform: Callable[["Expr"], "Expr"]) -> "Expr":
         """A copy of this node with ``transform`` applied to each direct
@@ -523,19 +480,9 @@ _NODES: Dict[type, Tuple[int, Optional[str], int, str, Tuple[int, ...]]] = {
 for _cls, _row in _NODES.items():
     _cls._children = tuple(name for name in _cls._fields if name != _row[1])
 
-# The views the two readers take of each row: structural_key reads (tag,
-# label, child fields); _text reads (level, text, label, and each child's
-# field and level).
-_KEYS = {cls: (row[0], row[1], cls._children) for cls, row in _NODES.items()}
-_PRINT = {
-    cls: (own, template, label, tuple(zip(cls._children, levels)))
-    for cls, (_tag, label, own, template, levels) in _NODES.items()
-}
-
-
 def _text(expr: Expr, level: int) -> str:
     try:
-        own, template, label, kids = _PRINT[type(expr)]
+        _tag, label, own, template, levels = _NODES[type(expr)]
     except KeyError:
         raise InputError(f"not a concept or role: {expr!r}") from None
     if label is None:
@@ -544,7 +491,7 @@ def _text(expr: Expr, level: int) -> str:
         value = getattr(expr, label)
         # degrees print as decimals; their key label stays the fraction
         parts = [format_degree(value) if type(value) is Fraction else value]
-    for name, at in kids:
+    for name, at in zip(expr._children, levels):
         parts.append(_text(getattr(expr, name), at))
     text = template % tuple(parts)
     return f"({text})" if own < level else text
@@ -562,14 +509,14 @@ def structural_key(expr: Expr):
     Computed once per node and kept on it (:class:`_Node`).
     """
     try:
-        tag, label, names = _KEYS[type(expr)]
+        tag, label, _own, _template, _levels = _NODES[type(expr)]
     except KeyError:
         raise InputError(f"not a concept or role: {expr!r}") from None
     try:
         return expr._key
     except AttributeError:  # not yet asked for
         text = "" if label is None else str(getattr(expr, label))
-        key = (tag, text, tuple([structural_key(getattr(expr, name)) for name in names]))
+        key = (tag, text, tuple([structural_key(getattr(expr, name)) for name in expr._children]))
         _set(expr, "_key", key)
         return key
 

@@ -459,6 +459,20 @@ class TestValidate:
         code, out, _ = run_cli(["validate", "-m", files["edge_a"], "--tbox", str(strict)])
         assert code == 1 and "not validated" in out
 
+    def test_witness_named_by_the_empty_string(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(
+            {"domain": ["", "u"], "concepts": {"A": {"u": "1"}}, "roles": {}}
+        ))
+        box = tmp_path / "box.json"
+        box.write_text(json.dumps({"tbox": [{"lhs": "1", "rhs": "A", "rel": ">=", "p": "1"}]}))
+        argv = ["validate", "-m", str(model), "--tbox", str(box)]
+        code, out, _ = run_cli(argv)
+        assert code == 1
+        assert out == "not validated: (1 included-in A) >= 1 (at element )\n"
+        code, out, _ = run_cli(["--json"] + argv)
+        assert code == 1 and json.loads(out)["element"] == ""
+
 
 class TestHm:
     def test_fuzzy_matrix(self, files):
@@ -480,6 +494,23 @@ class TestHm:
             + "".join(f"separator {pair}: A\n" for pair in (
                 "u|v1'", "u|v2'", "v1|u'", "v1|v2'", "v2|u'", "v2|v1'", "v3|u'", "v3|v1'"))
         )
+
+    def test_separator_keys_of_names_holding_a_bar_stay_distinct(self, tmp_path):
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(json.dumps(
+            {"domain": ["a|b", "a"], "concepts": {"A": {"a|b": "1"}}, "roles": {}}
+        ))
+        right.write_text(json.dumps(
+            {"domain": ["c", "b|c"], "concepts": {"A": {"b|c": "1"}}, "roles": {}}
+        ))
+        argv = ["hm", "-l", str(left), "-r", str(right), "--features", "",
+                "--fragment", "prime", "--depth", "1"]
+        code, out, _ = run_cli(["--json"] + argv)
+        assert code == 0
+        assert json.loads(out)["separators"] == {'"a|b"|c': "A", 'a|"b|c"': "A"}
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        assert out.splitlines()[-2:] == ['separator "a|b"|c: A', 'separator a|"b|c": A']
 
     def test_delta_separator_listed(self, files):
         code, out, _ = run_cli(

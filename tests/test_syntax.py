@@ -509,12 +509,18 @@ class TestNodeSemantics:
 
     def test_checks_run_on_construction(self):
         assert Constant(1).value == 1 and type(Constant(1).value) is F
+        value = Constant(value="0.5").value
+        assert value == F(1, 2) and type(value) is F
         with pytest.raises(InputError):
             Constant(F(3, 2))
+        r, a = RoleName("r"), ConceptName("A")
+        with pytest.raises(InputError) as by_position:
+            AtLeast(0, r, a)
+        with pytest.raises(InputError) as by_keyword:
+            AtLeast(n=0, role=r, filler=a)
+        assert str(by_keyword.value) == str(by_position.value)
         with pytest.raises(InputError):
-            AtLeast(0, RoleName("r"), ConceptName("A"))
-        with pytest.raises(InputError):
-            LessUnq(1, Star(RoleName("r")))
+            LessUnq(1, Star(r))
 
     def test_structural_key_is_computed_once_per_node(self):
         for node in one_node_per_class():
@@ -525,6 +531,24 @@ class TestNodeSemantics:
         # a parent reads the key its child already keeps
         assert structural_key(And(a, Not(a)))[2][0] is inner
         assert structural_key(And(a, Not(a)))[2][1][2][0] is inner
+
+    def test_keyword_construction_equals_positional(self):
+        for node in one_node_per_class():
+            rebuilt = type(node)(**{name: getattr(node, name) for name in node._fields})
+            assert rebuilt == node and hash(rebuilt) == hash(node), node
+
+    def test_construction_errors_name_the_class_and_field(self):
+        a = ConceptName("A")
+        with pytest.raises(TypeError) as caught:
+            And(a)
+        assert str(caught.value) == (
+            "And.__init__() missing 1 required positional argument: 'right'"
+        )
+        with pytest.raises(TypeError) as caught:
+            Universal(1)
+        assert str(caught.value) == (
+            "Universal.__init__() takes 1 positional argument but 2 were given"
+        )
 
 
 def one_record_per_class():
