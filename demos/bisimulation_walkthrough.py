@@ -14,7 +14,6 @@ from fractions import Fraction as F
 from fdl import (
     FeatureSet,
     Interpretation,
-    Sublanguage,
     brute_force_greatest,
     check_bisim,
     format_degree,
@@ -57,7 +56,7 @@ print("passes every condition:", check_bisim(left, right, greatest, features).sa
 
 print("\nindistinguishability matrices by concept height:")
 for depth in range(3):
-    hm = hm_matrix(left, right, features, Sublanguage.CORE_EXISTENTIAL, depth)
+    hm = hm_matrix(left, right, features, "fuzzy", depth)
     hub_entry = format_degree(hm.matrix.at("u", "u'"))
     print(f"  height <= {depth}: (u,u') = {hub_entry}"
           f"   equals the greatest: {hm.matrix == greatest}")

@@ -24,8 +24,8 @@ _EXPORTS = {
     "syntax": (
         "And", "AtLeast", "AtLeastUnq", "Compose", "Concept", "ConceptName", "Constant", "Delta",
         "Exists", "FeatureSet", "Forall", "Implies", "InvNeg", "Inverse", "Less", "LessUnq",
-        "Nominal", "Not", "Or", "Role", "RoleName", "RoleUnion", "SelfLoop", "Star", "Sublanguage",
-        "Test", "Universal", "inverse_normal_form", "is_basic_role", "to_text", "validate",
+        "Nominal", "Not", "Or", "Role", "RoleName", "RoleUnion", "SelfLoop", "Star", "Test",
+        "Universal", "is_basic_role", "to_text", "validate",
     ),
     "parsing": ("parse_concept", "parse_role"),
     "enumeration": ("Signature",),

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, List, Optional
 
 from .errors import FdlError, InputError
 from .godel import format_degree
-from .syntax import DEFAULT_BUDGET, MODES, FeatureSet, Sublanguage, to_text
+from .syntax import DEFAULT_BUDGET, MODES, FeatureSet, to_text
 
 
 def __getattr__(name: str):
@@ -65,6 +65,8 @@ def _read_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer with more digits than int reads
+        raise InputError(f"{path}: invalid JSON: an integer has too many digits") from exc
 
 
 def _load_model(path: str):
@@ -242,11 +244,8 @@ def _pair_part(name: str) -> str:
 def _hm(args, out) -> int:
     _use("hm_matrix", "dump_relation")
     left, right = _load_model(args.left), _load_model(args.right)
-    crisp = args.fragment == "delta"
-    fragment = Sublanguage.DELTA_EXISTENTIAL if crisp else Sublanguage.CORE_EXISTENTIAL
-    result = hm_matrix(
-        left, right, args.features, fragment, args.depth, max_concepts=args.budget,
-    )
+    mode = "crisp" if args.fragment == "delta" else "fuzzy"
+    result = hm_matrix(left, right, args.features, mode, args.depth, max_concepts=args.budget)
     separators = {
         f"{_pair_part(x)}|{_pair_part(y)}": to_text(c)
         for (x, y), c in result.separators.items()
@@ -254,7 +253,7 @@ def _hm(args, out) -> int:
     }
     matrix = result.matrix
     payload = {
-        "matrix": dump_relation(matrix, "crisp" if crisp else "fuzzy"),
+        "matrix": dump_relation(matrix, mode),
         "separators": separators,
         "concepts_used": result.concepts_used,
     }

@@ -2,9 +2,9 @@
 
 Used as the witness generator for the logical-indistinguishability matrix:
 the greatest fuzzy bisimulation is the infimum of Goedel equivalences over
-CORE_EXISTENTIAL concepts, and the greatest crisp one is exact agreement
-over DELTA_EXISTENTIAL concepts, so enumerating those fragments up to a
-height bound approximates both from above.
+the core existential concepts, and the greatest crisp one is exact
+agreement over the Delta-existential concepts, so enumerating those
+fragments up to a height bound approximates both from above.
 
 Conjunctions are canonicalized (flattened, conjunct-sorted, idempotent
 duplicates dropped) to stop the exponential duplicate blowup; emission
@@ -35,12 +35,10 @@ from .syntax import (
     Role,
     RoleName,
     SelfLoop,
-    Sublanguage,
     Universal,
+    check_mode,
     structural_key,
 )
-
-HM_FRAGMENTS = (Sublanguage.CORE_EXISTENTIAL, Sublanguage.DELTA_EXISTENTIAL)
 
 
 class Signature:
@@ -93,11 +91,13 @@ def iter_fragment(
     features: FeatureSet,
     signature: Signature,
     constants: Sequence,
-    fragment: Sublanguage,
+    mode: str,
     depth: int,
     max_concepts: int = DEFAULT_BUDGET,
 ):
-    """Lazily yield the fragment concepts of height <= depth.
+    """Lazily yield the concepts of height <= depth of the fragment that
+    characterizes ``mode``: the core existential one for ``"fuzzy"``, the
+    Delta-existential one for ``"crisp"``.
 
     Within a height stratum, cheap discriminating shapes (quantifiers,
     projections, implications against constants) come before the quadratic
@@ -105,18 +105,14 @@ def iter_fragment(
     Raises :class:`BudgetError` once more than ``max_concepts`` concepts
     would be emitted.
     """
-    if fragment not in HM_FRAGMENTS:
-        raise InputError(
-            "enumeration covers the existential fragments only "
-            f"({[f.value for f in HM_FRAGMENTS]}), got {fragment!r}"
-        )
+    check_mode(mode)
     if depth < 0:
         raise InputError("depth must be nonnegative")
     if max_concepts < 0:
         raise InputError("budget must be nonnegative")
     if features.q_bounds is None or features.n_bounds is None:
         raise InputError("enumeration needs finite number-restriction bounds")
-    with_delta = fragment is Sublanguage.DELTA_EXISTENTIAL
+    with_delta = mode == "crisp"
     free_implies = not with_delta and features.has_qualified()
 
     constant_nodes = sorted(

@@ -9,6 +9,13 @@ def json_text(value) -> str:
     return json.dumps(value, default=str)
 
 
+def too_many_digits(what: str, text: str) -> str:
+    """The message for a numeral with more digits than Python converts
+    (``sys.get_int_max_str_digits()``): it names the numeral by its first
+    characters and its length, not by all of them."""
+    return f"{what} {text[:12]}... of {len(text)} characters has too many digits"
+
+
 class FdlError(Exception):
     """Base class for every error raised by this package."""
 

@@ -15,7 +15,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import InputError, json_text
+from .errors import InputError, json_text, too_many_digits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,6 +69,8 @@ def parse_degree(text: str) -> Fraction:
         result = Fraction(stripped)
     except ZeroDivisionError as exc:
         raise InputError(f"malformed degree {text!r}") from exc
+    except ValueError as exc:
+        raise InputError(too_many_digits("degree", stripped)) from exc
     if not ZERO <= result <= ONE:
         raise InputError(f"degree {text!r} outside [0, 1]")
     return result or ZERO

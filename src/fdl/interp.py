@@ -15,9 +15,9 @@ is strictly increasing and sends 0 to 0, 1 to L and 1 - x to L - x.  Every
 other connective (min, max, the residuum, not, Delta, the suprema and
 infima of the quantifiers, the n-th largest of counting) compares its
 inputs and selects one of them or returns 0 or 1, so it commutes with the
-map, and the integers are exact.  A constant whose denominator does not
-divide L makes the evaluator start over on the least common multiple of
-the two; nothing is rounded.  Values return to ``Fraction`` only at the
+map, and the integers are exact.  Before a concept is graded, L grows to
+the least common multiple of itself and the denominators of the concept's
+constants; nothing is rounded.  Values return to ``Fraction`` only at the
 public methods.  A role is graded only through the concepts built on it:
 with nominals, R(a, b) is the value of ``exists R . {b}`` at a.
 
@@ -203,6 +203,8 @@ def load_interpretation(document) -> Interpretation:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer with more digits than int reads
+            raise ModelError("invalid JSON: an integer has too many digits") from exc
     if not isinstance(document, dict):
         raise ModelError("a model document must be a JSON object")
     unknown = set(document) - {"domain", "individuals", "concepts", "roles"}
@@ -262,10 +264,6 @@ class _Scale(dict):
         return value
 
 
-class _Grow(Exception):
-    """A constant's denominator (the argument) does not divide L."""
-
-
 # A quantifier's filler vector travels through a role as a dict holding only
 # the entries that differ from the quantifier's neutral value: 0 for exists,
 # L for forall.  Per quantifier: that value, the edge operation, the order
@@ -280,24 +278,25 @@ class ConceptEvaluator:
     It grades on the integers of the model's degrees over their common
     denominator (see the module docstring): degree 0 is 0, degree 1 is L,
     min, max and the residuum (L when p <= q, else q) compare integers, and
-    involutive negation is L - x.  A constant whose denominator does not
-    divide L raises L to their least common multiple, drops the memo and
-    starts the evaluation over.  ``concept_values`` maps the integers back
-    to the model's degree objects.
+    involutive negation is L - x.  ``concept_values`` first raises L to
+    take in the denominators of the concept's constants, dropping the memo
+    if L grows, and maps the integers back to the model's degree objects.
 
-    ``exists R . C`` and ``forall R . C`` push the vector of C through R in
-    inverse normal form, using the Goedel identities
+    ``exists R . C`` and ``forall R . C`` push the vector of C through R as
+    written, using the Goedel identities
 
     * ``Q (R ; S) . C`` = ``Q R . Q S . C`` for both quantifiers;
     * ``exists (R | S) . C`` = max, ``forall (R | S) . C`` = min;
     * ``exists D? . C`` = ``D and C``, ``forall D? . C`` = ``D -> C``;
     * ``exists R* . C`` is the least solution of ``v = max(C, exists R . v)``
-      and ``forall R* . C`` the greatest of ``v = min(C, forall R . v)``.
+      and ``forall R* . C`` the greatest of ``v = min(C, forall R . v)``;
 
-    A role name moves each entry to the element's predecessors, so the
-    work follows the edges and no n x n role is built.  The concept memo
-    is confined to the instance, so results are deterministic and identical
-    to un-memoized evaluation.
+    and, below an inverse, the paper's converses (R ; S)- = S- ; R-,
+    (R | S)- = R- | S-, (R*)- = (R-)*, (D?)- = D? and U- = U.  A role name
+    moves each entry to the element's predecessors, or to its successors
+    below an odd number of inverses, so the work follows the edges and no
+    n x n role is built.  The concept memo is confined to the instance, so
+    results are deterministic and identical to un-memoized evaluation.
     """
 
     def __init__(self, interp: Interpretation):
@@ -308,14 +307,20 @@ class ConceptEvaluator:
         self._concepts: Dict[s.Concept, Tuple[int, ...]] = {}
 
     def concept_values(self, c: s.Concept) -> Tuple[Fraction, ...]:
-        """The degree of every element in ``c``, started over on a larger L
-        as long as a constant's denominator does not divide L."""
-        while True:
-            try:
-                return tuple(map(self._scale.__getitem__, self._values(c)))
-            except _Grow as grow:
-                self._scale = self._scale.grown(grow.args[0])
-                self._concepts.clear()
+        """The degree of every element in ``c``, graded once L is a
+        multiple of the denominator of each of its constants.  The walk
+        skips subconcepts in the memo: they were graded on the present L."""
+        top, stack = self._scale.top, [c]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, s.Constant):
+                top = lcm(top, e.value.denominator)
+            elif isinstance(e, s._Node) and e not in self._concepts:
+                stack.extend(s.children(e))
+        if top != self._scale.top:
+            self._scale = self._scale.grown(top)
+            self._concepts.clear()
+        return tuple(map(self._scale.__getitem__, self._values(c)))
 
     def _values(self, c: s.Concept) -> Tuple[int, ...]:
         cached = self._concepts.get(c)
@@ -331,10 +336,7 @@ class ConceptEvaluator:
         interp, top = self.interp, self._scale.top
         n = len(interp.domain)
         if isinstance(c, s.Constant):
-            q = c.value.denominator
-            if top % q:
-                raise _Grow(q)
-            return (c.value.numerator * (top // q),) * n
+            return (c.value.numerator * (top // c.value.denominator),) * n
         if isinstance(c, s.ConceptName):
             return self._ints(interp.concept_row(c.name))
         if isinstance(c, s.Nominal):
@@ -358,7 +360,7 @@ class ConceptEvaluator:
                 top, lambda d, x: top if d <= x else x, operator.lt, operator.pos)
             neutral = quantifier[0]
             vector = {b: v for b, v in enumerate(self._values(c.filler)) if v != neutral}
-            pushed = self._push(s.inverse_normal_form(c.role), vector, quantifier)
+            pushed = self._push(c.role, vector, quantifier)
             return tuple(pushed.get(a, neutral) for a in range(n))
         if isinstance(c, s.SelfLoop):
             return self._ints(interp.self_degrees(c.role_name))
@@ -391,27 +393,31 @@ class ConceptEvaluator:
                         pred[j].append((i, of[id(d)]))
         return edges[key]
 
-    def _push(self, r: s.Role, vector: Dict[int, int], quantifier) -> Dict[int, int]:
-        """``Q r . v`` for a role in inverse normal form, where ``vector``
+    def _push(self, r: s.Role, vector: Dict[int, int], quantifier, forward=True) -> Dict[int, int]:
+        """``Q r . v``, or ``Q r- . v`` when not ``forward``, where ``vector``
         and the result hold the entries of v and of the answer that differ
         from Q's neutral value."""
         if not vector:
             return vector
         neutral, edge, better, key = quantifier
-        if isinstance(r, (s.RoleName, s.Inverse)):
+        if isinstance(r, s.RoleName):
             out: Dict[int, int] = {}
-            predecessors = self._basic(r, forward=False)
+            sources = self._basic(r, forward=not forward)
             for b, x in vector.items():
-                for a, d in predecessors[b]:
+                for a, d in sources[b]:
                     v = edge(d, x)
                     if better(v, out.get(a, neutral)):
                         out[a] = v
             return out
+        if isinstance(r, s.Inverse):
+            return self._push(r.role, vector, quantifier, not forward)
         if isinstance(r, s.Compose):
-            return self._push(r.left, self._push(r.right, vector, quantifier), quantifier)
+            first, then = (r.right, r.left) if forward else (r.left, r.right)
+            pushed = self._push(first, vector, quantifier, forward)
+            return self._push(then, pushed, quantifier, forward)
         if isinstance(r, s.RoleUnion):
-            out = self._push(r.left, vector, quantifier)
-            for a, v in self._push(r.right, vector, quantifier).items():
+            out = self._push(r.left, vector, quantifier, forward)
+            for a, v in self._push(r.right, vector, quantifier, forward).items():
                 if better(v, out.get(a, neutral)):
                     out[a] = v
             return out
@@ -427,14 +433,15 @@ class ConceptEvaluator:
             best = min(vector.values(), key=key)
             return dict.fromkeys(range(len(self.interp.domain)), best)
         if isinstance(r, s.Star):
-            return self._star(r.role, vector, quantifier)
+            return self._star(r.role, vector, quantifier, forward)
         raise ModelError(f"not a role: {r!r}")
 
-    def _star(self, r: s.Role, vector: Dict[int, int], quantifier) -> Dict[int, int]:
-        """``Q r* . v``: a widest-path search that settles the elements in
-        order of value, best first, and pushes each group of equal values
-        through ``r`` once.  A push never yields a value better than its
-        input, so a settled value is final."""
+    def _star(self, r: s.Role, vector: Dict[int, int], quantifier, forward) -> Dict[int, int]:
+        """``Q r* . v``, or ``Q (r-)* . v`` when not ``forward``: a
+        widest-path search that settles the elements in order of value, best
+        first, and pushes each group of equal values through ``r`` once.  A
+        push never yields a value better than its input, so a settled value
+        is final."""
         neutral, _edge, better, key = quantifier
         result = dict(vector)
         heap = [(key(v), a) for a, v in vector.items()]
@@ -450,7 +457,7 @@ class ConceptEvaluator:
                 if a not in settled:
                     group[a] = result[a]
             settled.update(group)
-            for a, v in self._push(r, group, quantifier).items():
+            for a, v in self._push(r, group, quantifier, forward).items():
                 if better(v, result.get(a, neutral)):
                     result[a] = v
                     heapq.heappush(heap, (key(v), a))

@@ -22,7 +22,6 @@ from .syntax import (
     FeatureSet,
     Implies,
     Nominal,
-    Sublanguage,
     _Record,
     _set,
     to_text,
@@ -254,16 +253,16 @@ def hm_matrix(
     ia: Interpretation,
     ib: Interpretation,
     features: FeatureSet,
-    fragment: Sublanguage,
+    mode: str,
     depth: int,
     max_concepts: int = DEFAULT_BUDGET,
 ) -> HmResult:
     """Logical indistinguishability over a fragment, up to a height bound.
 
-    CORE_EXISTENTIAL: entry (x, x') is the minimum over enumerated concepts
-    of the Goedel equivalence of their values -- the fuzzy matrix.
-    DELTA_EXISTENTIAL: entry is 1 when every enumerated concept agrees
-    exactly, else 0 -- the crisp matrix.
+    ``"fuzzy"`` enumerates the core existential fragment: entry (x, x') is
+    the minimum over enumerated concepts of the Goedel equivalence of their
+    values.  ``"crisp"`` enumerates the Delta-existential fragment: entry is
+    1 when every enumerated concept agrees exactly, else 0.
 
     The matrix is antitone in ``depth`` and, on finite models, stabilizes
     to the greatest (fuzzy resp. crisp) bisimulation.  ``separators``
@@ -273,9 +272,9 @@ def hm_matrix(
 
     signature = Signature.from_interpretations(ia, ib)
     stream = iter_fragment(
-        features, signature, degree_universe(ia, ib), fragment, depth, max_concepts
+        features, signature, degree_universe(ia, ib), mode, depth, max_concepts
     )
-    crisp = fragment is Sublanguage.DELTA_EXISTENTIAL
+    crisp = mode == "crisp"
     eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)
     live = {(i, j) for i in range(len(ia.domain)) for j in range(len(ib.domain))}
     # every pair starts at 1, so the working matrix lists them all

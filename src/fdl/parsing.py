@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, too_many_digits
 from .godel import DEGREE_TEXT, parse_degree
 from . import syntax as s
 
@@ -164,12 +164,17 @@ class _Parser:
     def count(self) -> int:
         """A counting bound: ASCII digits, at least 1."""
         tok = self.take("number")
-        if not re.fullmatch(r"[0-9]+", tok.text) or int(tok.text) < 1:
+        try:
+            n = int(tok.text) if re.fullmatch(r"[0-9]+", tok.text) else 0
+        except ValueError as exc:
+            message = too_many_digits("number-restriction bound", tok.text)
+            raise ParseError(message, tok.pos) from exc
+        if n < 1:
             raise ParseError(
                 f"number-restriction bound must be a positive integer, got {tok.text!r}",
                 tok.pos,
             )
-        return int(tok.text)
+        return n
 
     def atom(self) -> s.Concept:
         tok = self.cur

@@ -1,4 +1,4 @@
-"""Concept and role syntax trees, feature sets, and the sublanguage names.
+"""Concept and role syntax trees and feature sets.
 
 The language extends a PDL-style description logic with graded truth
 constants.  Optional features are toggled by a :class:`FeatureSet`:
@@ -24,12 +24,11 @@ that the command-line parser can be built from this module alone.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import FeatureError, InputError, json_text
+from .errors import FeatureError, InputError, json_text, too_many_digits
 from .godel import degree, format_degree
 
 # The two bisimulation modes: graded (fuzzy) and all-or-nothing (crisp).
@@ -202,16 +201,21 @@ class FeatureSet(_Record):
                 continue
             if token in _FEATURE_WORDS:
                 kwargs[_FEATURE_WORDS[token]] = True
-            elif token in ("Q*", "N*"):
+                continue
+            if token in ("Q*", "N*"):
                 bounds[token[0]] = None
-            elif re.fullmatch(r"[QN][0-9]+", token) and int(token[1:]) >= 1:  # ASCII digits
-                if bounds[token[0]] is not None:
-                    bounds[token[0]].add(int(token[1:]))
-            else:
+                continue
+            try:
+                n = int(token[1:]) if re.fullmatch(r"[QN][0-9]+", token) else 0  # ASCII digits
+            except ValueError as exc:
+                raise InputError(too_many_digits("feature token", token)) from exc
+            if n < 1:
                 raise InputError(
                     f"unknown feature token {token!r}; expected I, O, U, Self, "
                     f"Q<n>, N<n>, Q* or N*"
                 )
+            if bounds[token[0]] is not None:
+                bounds[token[0]].add(n)
         return cls(q_bounds=bounds["Q"], n_bounds=bounds["N"], **kwargs)
 
     def format(self) -> str:
@@ -254,15 +258,6 @@ class _Node(_Record):
 
     __slots__ = ("_key",)
     _children: Tuple[str, ...] = ()
-
-    def _map_children(self, transform: Callable[["Expr"], "Expr"]) -> "Expr":
-        """A copy of this node with ``transform`` applied to each direct
-        sub-expression; a leaf comes back itself."""
-        kids = self._children
-        if not kids:
-            return self
-        return type(self)(*[transform(getattr(self, name)) if name in kids else getattr(self, name)
-                            for name in self._fields])
 
 
 class Role(_Node):
@@ -519,66 +514,3 @@ def structural_key(expr: Expr):
         key = (tag, text, tuple([structural_key(getattr(expr, name)) for name in expr._children]))
         _set(expr, "_key", key)
         return key
-
-
-# ---------------------------------------------------------------------------
-# rewrites
-
-
-def inverse_normal_form(role: Role) -> Role:
-    """Push inverses down so they apply to role names only.
-
-    Roles inside concept tests are normalised too; given a concept, every
-    role nested in it is.
-    """
-    if isinstance(role, Inverse):
-        inner = role.role
-        if isinstance(inner, RoleName):
-            return role
-        if isinstance(inner, Inverse):
-            return inverse_normal_form(inner.role)
-        if isinstance(inner, Universal):
-            return inner
-        if isinstance(inner, Compose):
-            return Compose(
-                inverse_normal_form(Inverse(inner.right)),
-                inverse_normal_form(Inverse(inner.left)),
-            )
-        if isinstance(inner, RoleUnion):
-            return RoleUnion(
-                inverse_normal_form(Inverse(inner.left)),
-                inverse_normal_form(Inverse(inner.right)),
-            )
-        if isinstance(inner, Star):
-            return Star(inverse_normal_form(Inverse(inner.role)))
-        if isinstance(inner, Test):
-            return inverse_normal_form(inner)
-        raise InputError(f"not a role: {inner!r}")
-    return role._map_children(inverse_normal_form)
-
-
-# ---------------------------------------------------------------------------
-# sublanguages
-
-
-class Sublanguage(Enum):
-    """The five nested grammars this package distinguishes.
-
-    CORE                no involutive negation at all
-    CORE_EXISTENTIAL    CORE minus composite roles, Goedel negation,
-                        disjunction, value restrictions and "< n" forms;
-                        implication only against constants unless a Q bound
-                        is enabled
-    EXTENDED            everything, involutive negation included
-    DELTA               EXTENDED, but involutive negation only inside the
-                        Baaz projection
-    DELTA_EXISTENTIAL   the existential restriction of DELTA; implication
-                        only against constants, negations only as the Baaz
-                        projection
-    """
-
-    CORE = "core"
-    CORE_EXISTENTIAL = "core-existential"
-    EXTENDED = "extended"
-    DELTA = "delta"
-    DELTA_EXISTENTIAL = "delta-existential"

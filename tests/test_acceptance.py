@@ -16,7 +16,6 @@ from fdl import (
     FuzzyRelation,
     Gci,
     Interpretation,
-    Sublanguage,
     bisimilar,
     brute_force_greatest,
     check_bisim,
@@ -43,6 +42,7 @@ from fdl.fixtures import (
 from helpers import (
     POOL3,
     POOL4,
+    Sublanguage,
     cap,
     classify_sublanguage,
     compose,
@@ -327,10 +327,7 @@ def test_08_oracle_equivalence():
         for ia, ib in _oracle_instances():
             for text in FEATURE_GRID:
                 features = FeatureSet.parse(text)
-                for mode, fragment in (
-                    ("fuzzy", Sublanguage.CORE_EXISTENTIAL),
-                    ("crisp", Sublanguage.DELTA_EXISTENTIAL),
-                ):
+                for mode in ("fuzzy", "crisp"):
                     fix = greatest_bisim(ia, ib, features, mode)
                     oracle = brute_force_greatest(ia, ib, features, mode)
                     assert fix == oracle, (text, mode)
@@ -339,7 +336,7 @@ def test_08_oracle_equivalence():
                         # the full infimum over the fragment, computed
                         # independently of the fixpoint
                         hm = hm_matrix(
-                            ia, ib, features, fragment, depth,
+                            ia, ib, features, mode, depth,
                             max_concepts=400_000,
                         )
                         if hm.matrix == fix:

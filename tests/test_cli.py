@@ -778,6 +778,11 @@ EVAL_DOC = ["eval", "-m", "{doc}", "-c", "A"]
 CHECK_DOC = ["check", *PAIR, "-z", "{doc}"]
 BOX_DOC = ["validate", "-m", "{model}", "--abox", "{doc}"]
 
+# The most digits int() converts, or 0 where the interpreter sets no limit;
+# LONG has one digit more.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * ((DIGIT_LIMIT or 4300) + 1)
+
 # name -> (argv with {model}/{doc} placeholders, the JSON written to {doc},
 # or the bytes written as they are)
 MALFORMED = {
@@ -871,7 +876,35 @@ MALFORMED = {
         ["validate", "-m", "{model}", "--tbox", "{doc}"],
         {"tbox": [{"lhs": "A", "rhs": "A", "p": True}]},
     ),
+    # numerals longer than int() converts (LONG_NAMED)
+    "long model degree": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": "0." + LONG}}}),
+    "long constant": (["eval", "-m", "{model}", "-c", "0." + LONG], None),
+    "long bound": (["eval", "-m", "{model}", "-c", f">= {LONG} r . A"], None),
+    "long JSON integer": (EVAL_DOC, b'{"domain": ["u"], "concepts": {"A": {"u": %s}}}'
+                          % LONG.encode()),
+    "long feature bound": (["eval", "-m", "{model}", "-c", "A", "--features", "Q" + LONG], None),
+    "long relation degree": (CHECK_DOC, {"entries": [["u", "u", "0." + LONG]]}),
+    "long box threshold": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": [{"lhs": "A", "rhs": "A", "p": "0." + LONG}]},
+    ),
 }
+
+# MALFORMED cases of a numeral past the digit limit: their whole error output,
+# which names the numeral by its first characters and its length
+_DEGREE_NAMED = f"error: degree 0.1111111111... of {len(LONG) + 2} characters has too many digits"
+LONG_NAMED = {
+    "long model degree": _DEGREE_NAMED + "\n",
+    "long constant": _DEGREE_NAMED + " (at position 0)\n",
+    "long bound": f"error: number-restriction bound {LONG[:12]}... of {len(LONG)} characters "
+                  "has too many digits (at position 3)\n",
+    "long JSON integer": "error: {doc}: invalid JSON: an integer has too many digits\n",
+    "long feature bound": f"error: feature token Q{LONG[:11]}... of {len(LONG) + 1} characters "
+                          "has too many digits\n",
+    "long relation degree": _DEGREE_NAMED + "\n",
+    "long box threshold": _DEGREE_NAMED + "\n",
+}
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
 # MALFORMED cases whose message names a bad JSON value: the text it must hold
 JSON_SPELLED = {
@@ -900,7 +933,10 @@ class TestErrors:
         out, err = io.StringIO(), io.StringIO()
         return main(argv, out=out, err=err), out.getvalue(), err.getvalue()
 
-    @pytest.mark.parametrize("case", list(MALFORMED))
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=needs_digit_limit) if case in LONG_NAMED else case
+        for case in MALFORMED
+    ])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
         code, out, err = self.run_malformed(case, tmp_path)
         assert code == 2
@@ -913,6 +949,13 @@ class TestErrors:
         code, _out, err = self.run_malformed(case, tmp_path)
         assert code == 2
         assert err.endswith(JSON_SPELLED[case]), err
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("case", list(LONG_NAMED))
+    def test_long_numerals_named_briefly(self, case, tmp_path):
+        code, _out, err = self.run_malformed(case, tmp_path)
+        assert code == 2
+        assert err == LONG_NAMED[case].format(doc=tmp_path / "doc.json")
 
     def test_recursion_past_the_input_keeps_its_traceback(self, files, monkeypatch):
         # only parsing, loading and evaluating input map RecursionError to

@@ -74,9 +74,9 @@ EXPORTED = """
 BudgetError FdlError FeatureError InputError ModelError ParseError ONE ZERO degree format_degree
 godel_iff parse_degree FuzzyRelation And AtLeast AtLeastUnq Compose Concept ConceptName Constant
 Delta Exists FeatureSet Forall Implies InvNeg Inverse Less LessUnq Nominal Not Or Role RoleName
-RoleUnion SelfLoop Star Sublanguage Test Universal inverse_normal_form is_basic_role to_text
-validate parse_concept parse_role Signature ConceptEvaluator FuzzySet Interpretation
-degree_universe dump_interpretation eval_concept load_interpretation reachability
+RoleUnion SelfLoop Star Test Universal is_basic_role to_text validate parse_concept parse_role
+Signature ConceptEvaluator FuzzySet Interpretation degree_universe dump_interpretation
+eval_concept load_interpretation reachability
 ConditionReport Violation brute_force_greatest check_bisim dump_relation load_relation
 BisimilarityResult bisimilar greatest_bisim Partition prune_unreachable quotient
 strong_partition ConceptAssertion DistinctIndividual Gci HmResult KnowledgeBase RoleAssertion
@@ -85,7 +85,7 @@ SameIndividual ValidationResult hm_matrix load_kb validates
 
 
 def test_every_export_still_resolves():
-    assert len(EXPORTED) == 79
+    assert len(EXPORTED) == 77
     namespace = {}
     exec("from fdl import *", namespace)
     for name in EXPORTED:

@@ -19,7 +19,6 @@ from fdl import (
     SameIndividual,
     DistinctIndividual,
     bisimilar,
-    Sublanguage,
     greatest_bisim,
     hm_matrix,
     load_kb,
@@ -305,7 +304,7 @@ class TestHmMatrix:
     def test_depth_zero_dominates_greatest(self):
         ia, ib = hub_pair()
         greatest = greatest_bisim(ia, ib, NO_FEATURES, "fuzzy")
-        shallow = hm_matrix(ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, 0)
+        shallow = hm_matrix(ia, ib, NO_FEATURES, "fuzzy", 0)
         assert pointwise_leq(greatest, shallow.matrix)
 
     def test_antitone_in_depth_and_converges(self):
@@ -315,7 +314,7 @@ class TestHmMatrix:
         converged = False
         for depth in range(0, 3):
             result = hm_matrix(
-                ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, depth,
+                ia, ib, NO_FEATURES, "fuzzy", depth,
                 max_concepts=100_000,
             )
             if previous is not None:
@@ -329,9 +328,9 @@ class TestHmMatrix:
 
     def test_point_pair_fragments(self):
         ia, ib = point_pair()
-        prime = hm_matrix(ia, ib, FINITE_ALL, Sublanguage.CORE_EXISTENTIAL, 2)
+        prime = hm_matrix(ia, ib, FINITE_ALL, "fuzzy", 2)
         assert prime.matrix.at("v", "v") == F(1, 2)
-        delta = hm_matrix(ia, ib, FINITE_ALL, Sublanguage.DELTA_EXISTENTIAL, 2)
+        delta = hm_matrix(ia, ib, FINITE_ALL, "crisp", 2)
         assert delta.matrix.at("v", "v") == 0
         separator = delta.separators[("v", "v")]
         assert separator is not None
@@ -342,8 +341,8 @@ class TestHmMatrix:
 
     def test_deterministic(self):
         ia, ib = hub_pair()
-        first = hm_matrix(ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, 2)
-        second = hm_matrix(ia, ib, NO_FEATURES, Sublanguage.CORE_EXISTENTIAL, 2)
+        first = hm_matrix(ia, ib, NO_FEATURES, "fuzzy", 2)
+        second = hm_matrix(ia, ib, NO_FEATURES, "fuzzy", 2)
         assert first.matrix == second.matrix
         assert first.separators == second.separators
 
@@ -355,14 +354,14 @@ class TestHmMatrix:
         from fdl.fixtures import fold_pair
 
         ia, _ = fold_pair()
-        result = hm_matrix(ia, ia, NO_FEATURES, Sublanguage.DELTA_EXISTENTIAL, 2)
+        result = hm_matrix(ia, ia, NO_FEATURES, "crisp", 2)
         assert result.matrix.at("v1", "v2") == 0
         assert result.separators[("v1", "v2")] is not None
         produced = list(iter_fragment(
             NO_FEATURES,
             Signature(["A"], ["r"], []),
             [F(0), F(7, 10), F(1)],
-            Sublanguage.DELTA_EXISTENTIAL,
+            "crisp",
             2,
             max_concepts=10_000,
         ))

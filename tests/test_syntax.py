@@ -46,12 +46,10 @@ from fdl import (
     SelfLoop,
     Signature,
     Star,
-    Sublanguage,
     Test,
     Universal,
     ValidationResult,
     Violation,
-    inverse_normal_form,
     parse_concept,
     parse_role,
     to_text,
@@ -59,7 +57,9 @@ from fdl import (
 )
 from fdl.enumeration import iter_fragment
 from fdl.syntax import _NODES, Concept, Role, children, structural_key
-from helpers import classify_sublanguage, random_concept, random_features, rewrite_definable
+from helpers import (
+    Sublanguage, classify_sublanguage, random_concept, random_features, rewrite_definable,
+)
 
 PERMISSIVE = FeatureSet.permissive()
 
@@ -253,47 +253,6 @@ class TestParser:
         for _ in range(200):
             role = random_role(rng, PERMISSIVE, ("r", "s"), 3, concept_maker)
             assert parse_role(to_text(role), PERMISSIVE) == role
-
-
-class TestInverseNormalForm:
-    def test_compose_flips(self):
-        got = inverse_normal_form(Inverse(Compose(RoleName("r"), RoleName("s"))))
-        assert got == Compose(Inverse(RoleName("s")), Inverse(RoleName("r")))
-
-    def test_double_inverse_cancels(self):
-        assert inverse_normal_form(Inverse(Inverse(RoleName("r")))) == RoleName("r")
-
-    def test_star_union_test(self):
-        got = inverse_normal_form(
-            Inverse(Star(RoleUnion(RoleName("r"), Test(ConceptName("A")))))
-        )
-        assert got == Star(
-            RoleUnion(Inverse(RoleName("r")), Test(ConceptName("A")))
-        )
-
-    def test_universal_self_inverse(self):
-        assert inverse_normal_form(Inverse(Universal())) == Universal()
-
-    def test_result_has_inverses_on_names_only(self):
-        rng = random.Random(31)
-        from helpers import random_role
-
-        def concept_maker(rng_, d):
-            return random_concept(rng_, PERMISSIVE, max(d, 0), extended=True)
-
-        def check(role):
-            if isinstance(role, Inverse):
-                assert isinstance(role.role, RoleName)
-                return
-            if isinstance(role, (Compose, RoleUnion)):
-                check(role.left)
-                check(role.right)
-            elif isinstance(role, Star):
-                check(role.role)
-
-        for _ in range(200):
-            role = random_role(rng, PERMISSIVE, ("r", "s"), 3, concept_maker)
-            check(inverse_normal_form(role))
 
 
 class TestRewriteDefinable:
@@ -735,7 +694,7 @@ class TestEnumeration:
             FeatureSet.none(),
             Signature(["A"], ["r"], []),
             [F(0), F(1)],
-            Sublanguage.CORE_EXISTENTIAL,
+            "fuzzy",
             0,
         ))
         assert got == [Constant(F(0)), Constant(F(1)), ConceptName("A")]
@@ -745,7 +704,7 @@ class TestEnumeration:
             FeatureSet.none(),
             Signature(["A"], ["r"], []),
             [F(0), F(1)],
-            Sublanguage.CORE_EXISTENTIAL,
+            "fuzzy",
             1,
         ))
         a = ConceptName("A")
@@ -764,8 +723,10 @@ class TestEnumeration:
             q_bounds=frozenset({2}), n_bounds=frozenset({1}),
         )
         signature = Signature(["A"], ["r"], ["a"])
-        for fragment in (Sublanguage.CORE_EXISTENTIAL, Sublanguage.DELTA_EXISTENTIAL):
-            for c in iter_fragment(features, signature, [F(0), F(1, 2), F(1)], fragment, 1, 5000):
+        for mode, fragment in (
+            ("fuzzy", Sublanguage.CORE_EXISTENTIAL), ("crisp", Sublanguage.DELTA_EXISTENTIAL),
+        ):
+            for c in iter_fragment(features, signature, [F(0), F(1, 2), F(1)], mode, 1, 5000):
                 assert fragment in classify_sublanguage(c, features)
                 validate(c, features)
 
@@ -775,7 +736,7 @@ class TestEnumeration:
                 FeatureSet(q_bounds=frozenset({2})),
                 Signature(["A", "B"], ["r", "s"], []),
                 [F(0), F(1, 2), F(1)],
-                Sublanguage.CORE_EXISTENTIAL,
+                "fuzzy",
                 3,
                 max_concepts=500,
             ))
@@ -785,14 +746,13 @@ class TestEnumeration:
             FeatureSet.none(),
             Signature(["A"], ["r"], []),
             [F(0), F(1)],
-            Sublanguage.DELTA_EXISTENTIAL,
+            "crisp",
             2,
         )
         assert list(iter_fragment(*args)) == list(iter_fragment(*args))
 
     def test_rejects_other_fragments(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="mode must be one of"):
             list(iter_fragment(
-                FeatureSet.none(), Signature(["A"], ["r"], []), [F(1)],
-                Sublanguage.CORE, 1,
+                FeatureSet.none(), Signature(["A"], ["r"], []), [F(1)], "core", 1,
             ))
