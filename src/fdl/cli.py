@@ -11,6 +11,13 @@ them exported by :mod:`fdl`, load on first use, by the module
 ``__getattr__`` below, and are kept in this module's globals; handlers
 read them there, so a function replaced on this module is the one that
 runs.
+
+JSON output has the bytes of ``json.dumps(..., indent=2)``.  Small
+payloads are written whole by ``_indented``.  A relation document (``bisim``
+and its ``-o`` file, the ``witness`` of ``bisimilar``, the ``matrix`` of
+``hm``) is written one row at a time, straight from the relation's lines,
+by ``_relation_chunks``; no ``[x, y, degree]`` entry list is built, and the
+human table reads the lines too.
 """
 
 from __future__ import annotations
@@ -18,12 +25,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _string
 from itertools import chain
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from .errors import FdlError, InputError
+from .errors import FdlError, InputError, too_many_digits
 from .godel import format_degree
 from .syntax import DEFAULT_BUDGET, MODES, FeatureSet, to_text
 
@@ -74,24 +82,28 @@ def _load_model(path: str):
     return load_interpretation(_read_json(path))
 
 
-def _matrix_table(rows, cols, entries) -> Iterator[str]:
-    """A relation as a table, one line at a time: its ``[x, y, text]``
-    entries fill their cells, and every other cell reads 0.  The widths come
-    from the header, the row names and the entries, none narrower than 0."""
-    place = {y: k for k, y in enumerate(cols)}
-    listed = {x: [] for x in rows}
+def _matrix_table(relation) -> Iterator[str]:
+    """A relation as a table, one line at a time: its pairs of nonzero
+    degree fill their cells, and every other cell reads 0.  The widths come
+    from the header, the row names and the listed degrees, none narrower
+    than 0; each degree object is formatted once."""
+    rows, cols, lines = relation.rows, relation.cols, relation.lines
+    texts: dict = {}
     widths = [max(len(y), 1 if rows else 0) for y in cols]
-    for x, y, text in entries:
-        k = place[y]
-        listed[x].append((k, text))
-        widths[k] = max(widths[k], len(text))
+    for ys, ds in lines:
+        for j, v in zip(ys, ds):
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = format_degree(v)
+            if len(text) > widths[j]:
+                widths[j] = len(text)
     first = max(map(len, rows), default=0)
     yield "  ".join(map(str.ljust, ["", *cols], [first, *widths])).rstrip()
     zeros = ["0".ljust(w) for w in widths]
-    for x in rows:
+    for x, (ys, ds) in zip(rows, lines):
         cells = zeros.copy()
-        for k, text in listed[x]:
-            cells[k] = text.ljust(widths[k])
+        for j, v in zip(ys, ds):
+            cells[j] = texts[id(v)].ljust(widths[j])
         yield "  ".join([x.ljust(first), *cells]).rstrip()
 
 
@@ -126,6 +138,56 @@ def _emit(out, payload: dict, as_json: bool, human: Callable[[], Iterable[str]])
         print(line, file=out)
 
 
+def _relation_chunks(relation, mode: str, indent: str = "\n") -> Iterator[str]:
+    """``_indented(dump_relation(relation, mode), indent)``, one chunk per
+    row, written straight from the relation's lines: each row and column
+    name is encoded once, and so is each degree object, keyed by ``id`` as
+    in ``dump_relation``."""
+    l1, l2, l3 = indent + "  ", indent + "    ", indent + "      "
+    yield "{" + l1 + '"mode": ' + _string(mode) + "," + l1 + '"entries": ['
+    # an entry is l2 [ l3 x , l3 y , l3 degree l2 ]: its parts after x by
+    # column, and after y by degree object
+    cols = ["," + l3 + _string(y) + "," + l3 for y in relation.cols]
+    close = l2 + "]"
+    texts: dict = {}
+    comma = ""
+    for x, (ys, ds) in zip(relation.rows, relation.lines):
+        if not ys:
+            continue
+        opening = l2 + "[" + l3 + _string(x)
+        parts = []
+        for j, v in zip(ys, ds):
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _string(format_degree(v)) + close
+            parts.append(opening + cols[j] + text)
+        yield comma + ",".join(parts)
+        comma = ","
+    yield (l1 + "]" if comma else "]") + indent + "}"
+
+
+def _object_chunks(fields: dict, mode: str) -> Iterator[str]:
+    """``_indented(fields)`` one chunk at a time, for an object whose
+    :class:`FuzzyRelation` values are written as their relation documents
+    in ``mode`` by :func:`_relation_chunks`."""
+    _use("FuzzyRelation")
+    opening = "{"
+    for key, value in fields.items():
+        yield opening + "\n  " + _string(key) + ": "
+        if isinstance(value, FuzzyRelation):
+            yield from _relation_chunks(value, mode, "\n  ")
+        else:
+            yield _indented(value, "\n  ")
+        opening = ","
+    yield "\n}"
+
+
+def _write(out, chunks: Iterable[str]) -> None:
+    """Write a JSON document chunk by chunk, and end its line."""
+    out.writelines(chunks)
+    out.write("\n")
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -153,18 +215,20 @@ def _eval(args, out) -> int:
 
 
 def _bisim(args, out) -> int:
-    _use("greatest_bisim", "dump_relation")
+    _use("greatest_bisim")
     left, right = _load_model(args.left), _load_model(args.right)
     result = greatest_bisim(left, right, args.features, args.mode)
-    document = dump_relation(result, args.mode)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as file:
-                file.write(_indented(document) + "\n")
+                _write(file, _relation_chunks(result, args.mode))
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
-    _emit(out, document, args.json,
-          lambda: _matrix_table(result.rows, result.cols, document["entries"]))
+    if args.json:
+        _write(out, _relation_chunks(result, args.mode))
+        return 0
+    for line in _matrix_table(result):
+        print(line, file=out)
     return 0
 
 
@@ -188,19 +252,21 @@ def _check(args, out) -> int:
 
 
 def _bisimilar(args, out) -> int:
-    _use("bisimilar", "dump_relation")
+    _use("bisimilar")
     left, right = _load_model(args.left), _load_model(args.right)
     result = bisimilar(left, right, args.features, args.mode)
-    payload = {
-        "bisimilar": result.holds,
-        "mode": args.mode,
-        "failing_individual": result.failing_individual,
-        "witness": dump_relation(result.witness, args.mode),
-    }
-    human = f"bisimilar ({args.mode})" if result.holds else (
-        f"not bisimilar ({args.mode}); individual {result.failing_individual!r} falls below 1"
-    )
-    _emit(out, payload, args.json, lambda: [human])
+    if args.json:
+        _write(out, _object_chunks({
+            "bisimilar": result.holds,
+            "mode": args.mode,
+            "failing_individual": result.failing_individual,
+            "witness": result.witness,
+        }, args.mode))
+    elif result.holds:
+        print(f"bisimilar ({args.mode})", file=out)
+    else:
+        print(f"not bisimilar ({args.mode}); individual {result.failing_individual!r} "
+              "falls below 1", file=out)
     return 0 if result.holds else 1
 
 
@@ -242,7 +308,7 @@ def _pair_part(name: str) -> str:
 
 
 def _hm(args, out) -> int:
-    _use("hm_matrix", "dump_relation")
+    _use("hm_matrix")
     left, right = _load_model(args.left), _load_model(args.right)
     mode = "crisp" if args.fragment == "delta" else "fuzzy"
     result = hm_matrix(left, right, args.features, mode, args.depth, max_concepts=args.budget)
@@ -251,16 +317,18 @@ def _hm(args, out) -> int:
         for (x, y), c in result.separators.items()
         if c is not None
     }
-    matrix = result.matrix
-    payload = {
-        "matrix": dump_relation(matrix, mode),
-        "separators": separators,
-        "concepts_used": result.concepts_used,
-    }
-    _emit(out, payload, args.json, lambda: chain(
-        _matrix_table(matrix.rows, matrix.cols, payload["matrix"]["entries"]),
+    if args.json:
+        _write(out, _object_chunks({
+            "matrix": result.matrix,
+            "separators": separators,
+            "concepts_used": result.concepts_used,
+        }, mode))
+        return 0
+    for line in chain(
+        _matrix_table(result.matrix),
         [f"separator {pair}: {text}" for pair, text in sorted(separators.items())],
-    ))
+    ):
+        print(line, file=out)
     return 0
 
 
@@ -272,6 +340,20 @@ def _selftest(args, out) -> int:
 
 # ---------------------------------------------------------------------------
 # the parser
+
+
+def _whole(option: str) -> Callable[[str], int]:
+    """The type of an integer option: ``int``, but a numeral with more
+    digits than ``int`` converts is named by its first characters and its
+    length, not by all of them."""
+    def read(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+                raise InputError(too_many_digits(option, text)) from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return read
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,8 +412,8 @@ def _parser() -> _Parser:
     box.add_argument("--abox")
     p = command("hm", _hm, "logical-indistinguishability matrix", pair, features)
     p.add_argument("--fragment", choices=("prime", "delta"), required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--depth", type=_whole("--depth"), required=True)
+    p.add_argument("--budget", type=_whole("--budget"), default=DEFAULT_BUDGET,
                    help="cap on enumerated concepts (default %(default)s)")
     command("selftest", _selftest, "run the embedded fixture checks")
     return parser

@@ -478,6 +478,31 @@ def oracle_lines(read, n_rows):
 
 
 # ---------------------------------------------------------------------------
+# the entries-based table of fdl.cli, kept as the oracle of fdl.cli._matrix_table
+
+
+def matrix_table_oracle(rows, cols, entries):
+    """A relation as a table, one line at a time: its ``[x, y, text]``
+    entries fill their cells, and every other cell reads 0.  The widths come
+    from the header, the row names and the entries, none narrower than 0."""
+    place = {y: k for k, y in enumerate(cols)}
+    listed = {x: [] for x in rows}
+    widths = [max(len(y), 1 if rows else 0) for y in cols]
+    for x, y, text in entries:
+        k = place[y]
+        listed[x].append((k, text))
+        widths[k] = max(widths[k], len(text))
+    first = max(map(len, rows), default=0)
+    yield "  ".join(map(str.ljust, ["", *cols], [first, *widths])).rstrip()
+    zeros = ["0".ljust(w) for w in widths]
+    for x in rows:
+        cells = zeros.copy()
+        for k, text in listed[x]:
+            cells[k] = text.ljust(widths[k])
+        yield "  ".join([x.ljust(first), *cells]).rstrip()
+
+
+# ---------------------------------------------------------------------------
 # the relation algebra: bisimulations are closed under inverse, composition,
 # sup and a cap by a constant.  The oracles work on dense matrices.
 

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,10 +18,11 @@ import fdl.kb
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
 from fdl.interp import dump_interpretation, load_interpretation
-from fdl.bisim import load_relation
+from fdl.bisim import dump_relation, load_relation
+from fdl.relations import FuzzyRelation
 from fdl.syntax import MODES
-from fdl.godel import format_degree
-from helpers import counting_hub_pair, doubled_hub_pair
+from fdl.godel import degree, format_degree
+from helpers import counting_hub_pair, doubled_hub_pair, matrix_table_oracle
 
 
 @pytest.fixture
@@ -46,6 +48,16 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(argv, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def without_entry_lists(monkeypatch):
+    """``fdl.cli.dump_relation`` raises: the relation commands write their
+    documents and tables straight from the relation, with no entry list."""
+    def refuse(*_args):
+        raise AssertionError("entry list built")
+
+    monkeypatch.setattr(fdl.cli, "dump_relation", refuse)
 
 
 class TestEval:
@@ -86,6 +98,7 @@ class TestEval:
 
 
 class TestBisim:
+    @pytest.mark.usefixtures("without_entry_lists")
     def test_matrix_contains_hub_value(self, files):
         code, out, _ = run_cli(
             ["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "", "--mode", "fuzzy"]
@@ -134,6 +147,7 @@ class TestBisim:
         assert relation.at("u", "u'") == load_relation(doc, hub_pair()[0].domain, hub_pair()[1].domain).at("u", "u'")
         assert doc["mode"] == "fuzzy"
 
+    @pytest.mark.usefixtures("without_entry_lists")
     def test_output_file(self, files, tmp_path):
         target = tmp_path / "rel.json"
         code, out, _ = run_cli(
@@ -162,6 +176,7 @@ HUB_ENTRIES = [
 FOLD_CRISP_ENTRIES = [["u", "u'", "1"], ["v1", "v1'", "1"], ["v2", "v2'", "1"], ["v3", "v2'", "1"]]
 
 
+@pytest.mark.usefixtures("without_entry_lists")
 class TestRelationOutputPinned:
     """The exact ``--json`` bytes of ``bisim`` and ``bisimilar``."""
 
@@ -214,6 +229,56 @@ class TestLazyHumanText:
             assert run_cli(["--json", *argv])[0] == 0
             with pytest.raises(AssertionError, match="matrix table built"):
                 run_cli(argv)
+
+
+# names that JSON escapes, or writes as they are
+NAMES = ["u", "", 'q"uote', "back\\slash", "new\nline", "\u00e9", "\u6f22", "\U0001f642", "x y"]
+# "0.5" and "1/2" read as distinct objects of one value
+DEGREES = [degree("1"), degree("0.5"), degree("1/2"), degree("1/3"), degree("0.25")]
+
+
+def random_relation(rng):
+    """A relation of up to five rows and columns named from NAMES, some
+    rows without pairs, each pair's degree drawn from DEGREES."""
+    rows = rng.sample(NAMES, rng.randint(0, 5))
+    cols = rng.sample(NAMES, rng.randint(0, 5))
+    density = rng.choice([0.0, 0.3, 1.0])
+    lines = []
+    for _x in rows:
+        js = [j for j in range(len(cols)) if rng.random() < density]
+        lines.append((js, [rng.choice(DEGREES) for _j in js]))
+    return FuzzyRelation(rows, cols, lines)
+
+
+class TestRelationWriter:
+    """The relation documents and tables written from a relation's lines
+    agree with those written from ``dump_relation``'s entry list."""
+
+    RELATIONS = [FuzzyRelation([], [], []), FuzzyRelation(["u"], ["v"], [([], [])])] + [
+        random_relation(random.Random(f"relation writer {k}")) for k in range(300)
+    ]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_document_at_top_level(self, mode):
+        for rel in self.RELATIONS:
+            expected = json.dumps(dump_relation(rel, mode), indent=2)
+            assert "".join(fdl.cli._relation_chunks(rel, mode)) == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_document_as_witness(self, mode):
+        for rel in self.RELATIONS:
+            fields = {"bisimilar": False, "mode": mode, "failing_individual": "a"}
+            expected = json.dumps({**fields, "witness": dump_relation(rel, mode)}, indent=2)
+            written = fdl.cli._object_chunks({**fields, "witness": rel}, mode)
+            assert "".join(written) == expected
+            assert ("".join(fdl.cli._relation_chunks(rel, mode, "\n  "))
+                    == fdl.cli._indented(dump_relation(rel, mode), "\n  "))
+
+    def test_table(self):
+        for rel in self.RELATIONS:
+            entries = dump_relation(rel, "fuzzy")["entries"]
+            assert (list(fdl.cli._matrix_table(rel))
+                    == list(matrix_table_oracle(rel.rows, rel.cols, entries)))
 
 
 class TestCheck:
@@ -341,6 +406,15 @@ class TestBisimilar:
              "--features", "O,U,Self,N2", "--mode", "crisp"]
         )
         assert code == 0 and "bisimilar" in out
+
+    @pytest.mark.usefixtures("without_entry_lists")
+    @pytest.mark.parametrize("features, code, line", [
+        ("O,U,Self,N2", 0, "bisimilar (crisp)"),
+        ("I", 1, "not bisimilar (crisp); individual 'a' falls below 1"),
+    ])
+    def test_human_line_pinned(self, files, features, code, line):
+        assert run_cli(["bisimilar", "-l", files["fold_a"], "-r", files["fold_b"],
+                        "--features", features, "--mode", "crisp"]) == (code, line + "\n", "")
 
     def test_fails_with_individual(self, files):
         code, out, _ = run_cli(
@@ -483,6 +557,7 @@ class TestHm:
         assert code == 0
         assert "0.8" in out
 
+    @pytest.mark.usefixtures("without_entry_lists")
     def test_human_table_and_separators_pinned(self, files):
         code, out, _ = run_cli(
             ["hm", "-l", files["fold_a"], "-r", files["fold_b"], "--features", "",
@@ -523,6 +598,7 @@ class TestHm:
         assert any("delta" in text for text in doc["separators"].values())
 
 
+    @pytest.mark.usefixtures("without_entry_lists")
     def test_json_output_pinned(self, files):
         code, out, _ = run_cli(
             ["--json", "hm", "-l", files["hub_a"], "-r", files["hub_b"], "--features", "",
@@ -888,6 +964,8 @@ MALFORMED = {
         ["validate", "-m", "{model}", "--tbox", "{doc}"],
         {"tbox": [{"lhs": "A", "rhs": "A", "p": "0." + LONG}]},
     ),
+    "long depth": (["hm", *PAIR, "--fragment", "prime", "--depth", LONG], None),
+    "long budget": (["hm", *PAIR, "--fragment", "prime", "--depth", "1", "--budget", LONG], None),
 }
 
 # MALFORMED cases of a numeral past the digit limit: their whole error output,
@@ -903,6 +981,9 @@ LONG_NAMED = {
                           "has too many digits\n",
     "long relation degree": _DEGREE_NAMED + "\n",
     "long box threshold": _DEGREE_NAMED + "\n",
+    "long depth": f"error: --depth {LONG[:12]}... of {len(LONG)} characters has too many digits\n",
+    "long budget": f"error: --budget {LONG[:12]}... of {len(LONG)} characters "
+                   "has too many digits\n",
 }
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
@@ -956,6 +1037,14 @@ class TestErrors:
         code, _out, err = self.run_malformed(case, tmp_path)
         assert code == 2
         assert err == LONG_NAMED[case].format(doc=tmp_path / "doc.json")
+
+    def test_long_text_that_is_no_numeral_keeps_the_parser_message(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(GOOD_MODEL))
+        pair = ["-l", str(model), "-r", str(model), "--features", ""]
+        code, out, err = run_cli(["hm", *pair, "--fragment", "prime", "--depth", LONG + "x"])
+        assert (code, out) == (2, "")
+        assert err == f"error: fdl hm: argument --depth: invalid int value: {LONG + 'x'!r}\n"
 
     def test_recursion_past_the_input_keeps_its_traceback(self, files, monkeypatch):
         # only parsing, loading and evaluating input map RecursionError to
