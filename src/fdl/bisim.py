@@ -228,11 +228,14 @@ class _Context:
                 for k, name in enumerate(self.labels)]
 
     def relation(self, z: Sequence[Dict[int, int]]) -> FuzzyRelation:
-        """The relation of ``z`` in ranks, one dict per row."""
-        universe = self.universe
-        return FuzzyRelation.from_indexed(self.dom_a, self.dom_b, {
-            (i, j): universe[r] for i, row in enumerate(z) for j, r in row.items()
-        })
+        """The relation of ``z`` in ranks, one dict per row that lists its
+        columns in ascending order, as both callers build them; rank 0 is
+        degree 0, and its pairs are left out of the lines."""
+        universe, lines = self.universe, []
+        for row in z:
+            ys = [j for j, r in row.items() if r]
+            lines.append((ys, [universe[row[j]] for j in ys]))
+        return FuzzyRelation(self.dom_a, self.dom_b, lines)
 
 
 def _named_in_both(ia: Interpretation, ib: Interpretation) -> List[str]:

@@ -12,12 +12,16 @@ them exported by :mod:`fdl`, load on first use, by the module
 read them there, so a function replaced on this module is the one that
 runs.
 
-JSON output has the bytes of ``json.dumps(..., indent=2)``.  Small
-payloads are written whole by ``_indented``.  A relation document (``bisim``
-and its ``-o`` file, the ``witness`` of ``bisimilar``, the ``matrix`` of
-``hm``) is written one row at a time, straight from the relation's lines,
-by ``_relation_chunks``; no ``[x, y, degree]`` entry list is built, and the
-human table reads the lines too.
+The handlers of ``eval``, ``bisim``, ``check``, ``bisimilar``,
+``validate`` and ``hm`` each print their result through one ``_emit``
+call: the human lines, or JSON with the bytes of ``json.dumps(...,
+indent=2)``.  A relation document (``bisim`` and its ``-o`` file, the
+``witness`` of ``bisimilar``, the ``matrix`` of ``hm``) is written one row
+at a time, straight from the relation's lines, by ``_relation_chunks``; no
+``[x, y, degree]`` entry list is built, and the human table reads the lines
+too.  Other values are written whole by ``_indented``.  ``minimize`` and
+``prune`` print their model document compact under ``--json`` and
+indented otherwise.
 """
 
 from __future__ import annotations
@@ -131,13 +135,6 @@ def _indented(value, indent: str = "\n") -> str:
     return opening + inner + ("," + inner).join(items) + indent + closing
 
 
-def _emit(out, payload: dict, as_json: bool, human: Callable[[], Iterable[str]]) -> None:
-    """Print the payload as JSON, or the lines of the human text, built only
-    here and printed as they come."""
-    for line in [_indented(payload)] if as_json else human():
-        print(line, file=out)
-
-
 def _relation_chunks(relation, mode: str, indent: str = "\n") -> Iterator[str]:
     """``_indented(dump_relation(relation, mode), indent)``, one chunk per
     row, written straight from the relation's lines: each row and column
@@ -188,6 +185,21 @@ def _write(out, chunks: Iterable[str]) -> None:
     out.write("\n")
 
 
+def _emit(out, payload, as_json: bool, human: Callable[[], Iterable[str]],
+          mode: str = "") -> None:
+    """Print the payload as JSON, or the lines of the human text, built only
+    here and printed as they come.  A dict payload is written by
+    :func:`_object_chunks`, a :class:`FuzzyRelation` by
+    :func:`_relation_chunks`, both in ``mode``."""
+    if not as_json:
+        for line in human():
+            print(line, file=out)
+    elif isinstance(payload, dict):
+        _write(out, _object_chunks(payload, mode))
+    else:
+        _write(out, _relation_chunks(payload, mode))
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
@@ -224,11 +236,7 @@ def _bisim(args, out) -> int:
                 _write(file, _relation_chunks(result, args.mode))
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
-    if args.json:
-        _write(out, _relation_chunks(result, args.mode))
-        return 0
-    for line in _matrix_table(result):
-        print(line, file=out)
+    _emit(out, result, args.json, lambda: _matrix_table(result), args.mode)
     return 0
 
 
@@ -255,18 +263,15 @@ def _bisimilar(args, out) -> int:
     _use("bisimilar")
     left, right = _load_model(args.left), _load_model(args.right)
     result = bisimilar(left, right, args.features, args.mode)
-    if args.json:
-        _write(out, _object_chunks({
-            "bisimilar": result.holds,
-            "mode": args.mode,
-            "failing_individual": result.failing_individual,
-            "witness": result.witness,
-        }, args.mode))
-    elif result.holds:
-        print(f"bisimilar ({args.mode})", file=out)
-    else:
-        print(f"not bisimilar ({args.mode}); individual {result.failing_individual!r} "
-              "falls below 1", file=out)
+    payload = {
+        "bisimilar": result.holds,
+        "mode": args.mode,
+        "failing_individual": result.failing_individual,
+        "witness": result.witness,
+    }
+    human = f"bisimilar ({args.mode})" if result.holds else (
+        f"not bisimilar ({args.mode}); individual {result.failing_individual!r} falls below 1")
+    _emit(out, payload, args.json, lambda: [human], args.mode)
     return 0 if result.holds else 1
 
 
@@ -317,18 +322,15 @@ def _hm(args, out) -> int:
         for (x, y), c in result.separators.items()
         if c is not None
     }
-    if args.json:
-        _write(out, _object_chunks({
-            "matrix": result.matrix,
-            "separators": separators,
-            "concepts_used": result.concepts_used,
-        }, mode))
-        return 0
-    for line in chain(
+    payload = {
+        "matrix": result.matrix,
+        "separators": separators,
+        "concepts_used": result.concepts_used,
+    }
+    _emit(out, payload, args.json, lambda: chain(
         _matrix_table(result.matrix),
         [f"separator {pair}: {text}" for pair, text in sorted(separators.items())],
-    ):
-        print(line, file=out)
+    ), mode)
     return 0
 
 

@@ -127,20 +127,17 @@ def iter_fragment(
         exists_roles.append(Universal())
 
     seen = set()
-    count = 0
     levels: List[List[Concept]] = []
 
     def emit(c: Concept, level: List[Concept]):
-        nonlocal count
         key = structural_key(c)
         if key in seen:
             return
-        if count >= max_concepts:
+        if len(seen) >= max_concepts:
             raise BudgetError(
                 f"fragment enumeration exceeded the budget of {max_concepts} concepts"
             )
         seen.add(key)
-        count += 1
         level.append(c)
         yield c
 

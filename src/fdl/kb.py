@@ -277,8 +277,8 @@ def hm_matrix(
     crisp = mode == "crisp"
     eva, evb = ConceptEvaluator(ia), ConceptEvaluator(ib)
     live = {(i, j) for i in range(len(ia.domain)) for j in range(len(ib.domain))}
-    # every pair starts at 1, so the working matrix lists them all
-    matrix = dict.fromkeys(live, ONE)
+    # every pair starts at 1; one list of degrees per element of A
+    matrix = [[ONE] * len(ib.domain) for _ in ia.domain]
     separators: Dict[Tuple[str, str], Optional[Concept]] = {
         (x, y): None for x in ia.domain for y in ib.domain
     }
@@ -292,9 +292,13 @@ def hm_matrix(
             value = godel_iff(va[i], vb[j])
             if crisp and value != ONE:
                 value = ZERO
-            if value < matrix[i, j]:
-                matrix[i, j] = value
+            if value < matrix[i][j]:
+                matrix[i][j] = value
                 separators[(ia.domain[i], ib.domain[j])] = c
                 if value == ZERO:
                     live.discard((i, j))
-    return HmResult(FuzzyRelation.from_indexed(ia.domain, ib.domain, matrix), separators, used)
+    lines = []
+    for row in matrix:
+        ys = [j for j, v in enumerate(row) if v]  # Fraction.__bool__ reads the numerator
+        lines.append((ys, [row[j] for j in ys]))
+    return HmResult(FuzzyRelation(ia.domain, ib.domain, lines), separators, used)

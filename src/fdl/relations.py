@@ -88,22 +88,6 @@ class FuzzyRelation:
         self.lines = lines
 
     @classmethod
-    def from_indexed(
-        cls, rows: Sequence[str], cols: Sequence[str],
-        entries: Mapping[Tuple[int, int], Fraction],
-    ) -> "FuzzyRelation":
-        """Build from ``{(row index, col index): degree}``; zero degrees
-        are dropped."""
-        lines: List[Tuple[List[int], List[Fraction]]] = [([], []) for _ in rows]
-        for i, j in sorted(entries):
-            v = entries[i, j]
-            if v:  # Fraction.__bool__ reads the numerator
-                ys, ds = lines[i]
-                ys.append(j)
-                ds.append(v)
-        return cls(rows, cols, lines)
-
-    @classmethod
     def from_entries(
         cls, rows: Sequence[str], cols: Sequence[str], triples
     ) -> "FuzzyRelation":

@@ -519,9 +519,12 @@ def dense(rel):
 
 def from_matrix(rows, cols, matrix):
     """The :class:`FuzzyRelation` of a matrix of degrees."""
-    return FuzzyRelation.from_indexed(rows, cols, {
-        (i, j): F(v) for i, row in enumerate(matrix) for j, v in enumerate(row)
-    })
+    lines = []
+    for row in matrix:
+        row = [F(v) for v in row]
+        ys = [j for j, v in enumerate(row) if v]
+        lines.append((ys, [row[j] for j in ys]))
+    return FuzzyRelation(rows, cols, lines)
 
 
 def role_relation(interp, role):

@@ -165,13 +165,20 @@ def bare_modules():
      "bisim refinement kb enumeration minimize fixtures"),
     (["--json", "bisim", "-l", "{model}", "-r", "{model}", "--features", "", "-o", "{out}"],
      "parsing kb enumeration minimize fixtures"),
+    (["--json", "check", "-l", "{model}", "-r", "{model}", "--features", "", "-z", "{identity}"],
+     "parsing kb enumeration refinement minimize fixtures"),
+    (["--json", "bisimilar", "-l", "{model}", "-r", "{model}", "--features", "O"],
+     "parsing kb enumeration minimize fixtures"),
     (["--json", "validate", "-m", "{model}", "--tbox", "{tbox}"], "enumeration refinement"),
+    (["--json", "hm", "-l", "{model}", "-r", "{model}", "--features", "", "--fragment", "prime",
+      "--depth", "1"], "bisim refinement minimize fixtures"),
     (["--json", "minimize", "-m", "{model}", "--features", "U"],
      "parsing kb enumeration fixtures"),
-], ids=["import", "eval", "bisim", "validate", "minimize"])
+    (["--json", "prune", "-m", "{model}", "--features", ""], "parsing kb enumeration fixtures"),
+], ids=["import", "eval", "bisim", "check", "bisimilar", "validate", "hm", "minimize", "prune"])
 def test_a_command_loads_only_what_it_runs(argv, absent, tmp_path):
     paths = {"model": tmp_path / "model.json", "tbox": tmp_path / "tbox.json",
-             "out": tmp_path / "relation.json"}
+             "out": tmp_path / "relation.json", "identity": tmp_path / "identity.json"}
     paths["model"].write_text(json.dumps({
         "domain": ["u", "v"], "individuals": {"a": "u"},
         "concepts": {"A": {"v": "0.5"}}, "roles": {"r": [["u", "v", "0.9"]]},
@@ -179,6 +186,7 @@ def test_a_command_loads_only_what_it_runs(argv, absent, tmp_path):
     paths["tbox"].write_text(json.dumps(
         {"tbox": [{"lhs": "A and exists r . A", "rhs": "A", "p": "1"}]}
     ))
+    paths["identity"].write_text(json.dumps({"entries": [["u", "u", "1"], ["v", "v", "1"]]}))
     modules = modules_after([arg.format(**paths) for arg in argv])
     loaded = {name[len("fdl."):] for name in modules if name.startswith("fdl.")}
     assert "cli" in loaded

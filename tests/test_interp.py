@@ -351,7 +351,7 @@ class TestNoDenseRole:
         assert validates(model, box).valid
         assert built == []
         # the counter sees a relation that is built
-        FuzzyRelation.from_indexed(model.domain, model.domain, {})
+        FuzzyRelation(model.domain, model.domain, [([], []) for _ in model.domain])
         assert len(built) == 1
 
 

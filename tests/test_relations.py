@@ -64,7 +64,7 @@ class TestSparseEntries:
     def test_crisp_on_the_entries(self):
         assert FuzzyRelation.from_entries(["u"], ["v", "w"], [("u", "v", "0")]).is_crisp()
         assert FuzzyRelation.from_entries(["u"], ["v", "w"], [("u", "w", "1")]).is_crisp()
-        assert FuzzyRelation.from_indexed(["u"], ["v"], {}).is_crisp()
+        assert FuzzyRelation(["u"], ["v"], [([], [])]).is_crisp()
         assert not FuzzyRelation.from_entries(
             ["u"], ["v", "w"], [("u", "v", "1"), ("u", "w", "0.25")]
         ).is_crisp()
