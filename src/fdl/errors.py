@@ -16,6 +16,15 @@ def too_many_digits(what: str, text: str) -> str:
     return f"{what} {text[:12]}... of {len(text)} characters has too many digits"
 
 
+def quoted(text: str) -> str:
+    """``text`` quoted for an error message, or, past 40 characters, named
+    by its first characters and its length, as :func:`too_many_digits`
+    names a numeral."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:12]!r}... of {len(text)} characters"
+
+
 class FdlError(Exception):
     """Base class for every error raised by this package."""
 

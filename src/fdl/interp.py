@@ -66,10 +66,15 @@ class Interpretation:
     ``(index, degree)`` pairs, sorted by index, with zero degrees dropped.
     The constructor checks and converts the parts of a model document;
     :meth:`_of_parts` stores parts that are already in that form, as
-    :mod:`fdl.minimize` builds them from a valid model.
+    :mod:`fdl.minimize` builds them from a valid model.  Either keeps the
+    model's degree table, its degree objects plus 0 and 1 by ``id``, which
+    :func:`degree_objects` reads: the constructor collects it while
+    reading (the values of the document's :class:`fdl.godel.DegreeTexts`
+    and every degree given as another value), and :meth:`_of_parts` reads
+    it off the parts.
     """
 
-    __slots__ = ("domain", "individuals", "concepts", "roles", "_index")
+    __slots__ = ("domain", "individuals", "concepts", "roles", "_index", "_degrees")
 
     def __init__(
         self,
@@ -94,39 +99,57 @@ class Interpretation:
             if not isinstance(target, str) or target not in index:
                 raise ModelError(f"individual {name!r} maps to unknown element {json_text(target)}")
 
-        texts = DegreeTexts()
+        texts, found = DegreeTexts(), {id(ZERO): ZERO, id(ONE): ONE}
         rows: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
             if not isinstance(valuation, Mapping):
                 raise ModelError(f"concept {name!r} must map elements to degrees")
             row = [ZERO] * len(domain)
             for element, value in valuation.items():
-                if element not in index:
+                try:
+                    k = index[element]
+                except KeyError:
                     raise ModelError(
                         f"concept {name!r} grades unknown element {element!r}"
-                    )
-                row[index[element]] = texts[value] if type(value) is str else degree(value)
+                    ) from None
+                if type(value) is str:
+                    row[k] = texts[value]
+                else:
+                    d = row[k] = degree(value)
+                    found[id(d)] = d
             rows[name] = tuple(row)
 
         successors = {}
         for name, value in (roles or {}).items():
-            lines = read_triples(value, index, index, f"role {name!r}", ModelError, texts)
+            lines = read_triples(value, index, index, f"role {name!r}", ModelError, texts, found)
             successors[name] = tuple(map(tuple, lines))
-        self._fill(tuple(domain), index, individuals, rows, successors)
+        for d in texts.values():
+            found[id(d)] = d
+        self._fill(tuple(domain), index, individuals, rows, successors, found)
 
     @classmethod
     def _of_parts(cls, domain, individuals, concepts, roles) -> "Interpretation":
         """An interpretation from parts already in the stored form above,
         which the caller vouches for: a tuple of distinct element ids,
         individuals on them, concept rows of degree objects, and role
-        successor lists."""
+        successor lists.  Its degree table is read off these parts: a
+        table of the model they came from may hold more degrees."""
+        found = {id(ZERO): ZERO, id(ONE): ONE}
+        for row in concepts.values():
+            for d in row:
+                found[id(d)] = d
+        for succ in roles.values():
+            for row in succ:
+                for _j, d in row:
+                    found[id(d)] = d
         interp = cls.__new__(cls)
-        interp._fill(domain, {x: i for i, x in enumerate(domain)}, individuals, concepts, roles)
+        interp._fill(domain, {x: i for i, x in enumerate(domain)}, individuals, concepts, roles,
+                     found)
         return interp
 
-    def _fill(self, domain, index, individuals, concepts, roles) -> None:
+    def _fill(self, domain, index, individuals, concepts, roles, degrees) -> None:
         self.domain, self._index, self.individuals = domain, index, individuals
-        self.concepts, self.roles = concepts, roles
+        self.concepts, self.roles, self._degrees = concepts, roles, degrees
 
     # -- accessors -------------------------------------------------------
 
@@ -504,22 +527,18 @@ def reachability(
 
 def degree_objects(*interps: Interpretation) -> Dict[int, Fraction]:
     """Every degree object occurring in the given interpretations, plus 0
-    and 1, keyed by ``id``.
+    and 1, keyed by ``id``: the union of their degree tables.
 
     Hashing a Fraction is slow, and a loaded model shares one object per
     degree text (its document's :class:`fdl.godel.DegreeTexts` reads each
     text once), so callers tell degrees apart by identity first and hash
-    each distinct object once.
+    each distinct object once.  A model keeps its table from construction:
+    its document's degree texts and every degree given as another value,
+    or, for :meth:`Interpretation._of_parts`, the objects of its parts.
     """
-    found = {id(ZERO): ZERO, id(ONE): ONE}
+    found: Dict[int, Fraction] = {}
     for interp in interps:
-        for row in interp.concepts.values():
-            for d in row:
-                found[id(d)] = d
-        for succ in interp.roles.values():
-            for row in succ:
-                for _j, d in row:
-                    found[id(d)] = d
+        found.update(interp._degrees)
     return found
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError, json_text
 from .godel import ZERO, DegreeTexts, degree
@@ -28,7 +28,7 @@ from .godel import ZERO, DegreeTexts, degree
 
 def read_triples(
     items, rows: Mapping[str, int], cols: Mapping[str, int], what: str, error: type,
-    texts: DegreeTexts,
+    texts: DegreeTexts, found: Dict[int, Fraction],
 ) -> List[List[Tuple[int, Fraction]]]:
     """Read a list of ``[x, y, degree]`` in one pass into one line per
     row: that row's ``(column, degree)`` pairs of nonzero degree, in
@@ -36,35 +36,50 @@ def read_triples(
 
     ``rows`` and ``cols`` give each element's position.  A graded binary
     relation is written this way in both of its documents: the roles of a
-    model and a candidate bisimulation.  A list that is not of triples, an
-    unknown element or a pair listed twice (at any degree, 0 too) raises
-    ``error`` with ``what`` naming the list; a bad degree raises
-    :class:`InputError`.  The first faulty entry decides.  Degree texts
-    are read through ``texts``, the document's table, and any other degree
-    by :func:`degree`; a zero degree reads as ``ZERO``.
+    model and a candidate bisimulation.  Each entry is unpacked and its
+    elements looked up once; only an entry that fails there is examined
+    for its message.  A list that is not of triples, an unknown element or
+    a pair listed twice (at any degree, 0 too) raises ``error`` with
+    ``what`` naming the list; a bad degree raises :class:`InputError`.
+    The first faulty entry decides.  Degree texts are read through
+    ``texts``, the document's table, and any other degree by
+    :func:`degree`, and then added to ``found`` by ``id``; a zero degree
+    reads as ``ZERO``.
     """
     if not isinstance(items, (list, tuple)):
         raise error(f"{what} must be a list of [x, y, degree] triples")
     lines: List[List[Tuple[int, Fraction]]] = [[] for _ in rows]
     width, seen = len(cols), set()
     for item in items:
-        if not (isinstance(item, (list, tuple)) and len(item) == 3
-                and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise error(f"{what}: an entry must be [x, y, degree], got {json_text(item)}")
-        x, y, d = item
-        if x not in rows or y not in cols:
-            raise error(f"{what} uses an unknown element in ({x}, {y})")
-        i, j = rows[x], cols[y]
+        try:
+            # a 3-key dict or a 3-character string would unpack too
+            x, y, d = item if isinstance(item, (list, tuple)) else ()
+            i, j = rows[x], cols[y]
+        except (KeyError, TypeError, ValueError):
+            raise error(_entry_fault(item, what)) from None
         pair = i * width + j
         if pair in seen:
             raise error(f"{what} lists the pair ({x}, {y}) twice")
         seen.add(pair)
-        d = texts[d] if type(d) is str else degree(d) or ZERO
+        if type(d) is str:
+            d = texts[d]
+        else:
+            d = degree(d) or ZERO
+            found[id(d)] = d
         if d is not ZERO:
             lines[i].append((j, d))
     for line in lines:
         line.sort()  # the columns are distinct, so no degree is compared
     return lines
+
+
+def _entry_fault(item, what: str) -> str:
+    """Why an entry failed to unpack into two known elements: its shape,
+    tested first, or else an unknown element."""
+    if not (isinstance(item, (list, tuple)) and len(item) == 3
+            and isinstance(item[0], str) and isinstance(item[1], str)):
+        return f"{what}: an entry must be [x, y, degree], got {json_text(item)}"
+    return f"{what} uses an unknown element in ({item[0]}, {item[1]})"
 
 
 class FuzzyRelation:
@@ -94,7 +109,7 @@ class FuzzyRelation:
         """Build from a list of ``[x, y, degree]``; unlisted pairs get degree 0."""
         ri = {x: i for i, x in enumerate(rows)}
         ci = {y: j for j, y in enumerate(cols)}
-        lines = read_triples(triples, ri, ci, "relation", InputError, DegreeTexts())
+        lines = read_triples(triples, ri, ci, "relation", InputError, DegreeTexts(), {})
         return cls(rows, cols, [([j for j, _d in line], [d for _j, d in line]) for line in lines])
 
     def at(self, x: str, y: str) -> Fraction:

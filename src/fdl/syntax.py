@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import FeatureError, InputError, json_text, too_many_digits
+from .errors import FeatureError, InputError, json_text, quoted, too_many_digits
 from .godel import degree, format_degree
 
 # The two bisimulation modes: graded (fuzzy) and all-or-nothing (crisp).
@@ -211,7 +211,7 @@ class FeatureSet(_Record):
                 raise InputError(too_many_digits("feature token", token)) from exc
             if n < 1:
                 raise InputError(
-                    f"unknown feature token {token!r}; expected I, O, U, Self, "
+                    f"unknown feature token {quoted(token)}; expected I, O, U, Self, "
                     f"Q<n>, N<n>, Q* or N*"
                 )
             if bounds[token[0]] is not None:

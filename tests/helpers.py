@@ -47,9 +47,12 @@ from fdl.bisim import (
     _universal_rows,
 )
 from fdl.errors import json_text
-from fdl.godel import degree
+from fdl.godel import ONE, ZERO, degree
 from fdl.syntax import children
 
+# equal degrees under several spellings, zeros among them
+SPELLINGS = ("0", "0.0", F(0), 0, "0.5", "1/2", "2/4", F(1, 2), "0.25", "1/4", "3/4", "0.75",
+             "1", "1.0", F(1), 1)
 POOL3 = (F(0), F(1, 2), F(1))
 POOL4 = (F(0), F(1, 3), F(2, 3), F(1))
 
@@ -475,6 +478,35 @@ def oracle_lines(read, n_rows):
         if d:
             lines[i].append((j, d))
     return lines
+
+
+# ---------------------------------------------------------------------------
+# the walk over every concept cell and edge, kept as the oracle of
+# fdl.interp.degree_objects
+
+
+def degree_objects_oracle(*interps):
+    """Every degree object in the concept rows and role edges of the given
+    interpretations, plus 0 and 1, by ``id``."""
+    found = {id(ZERO): ZERO, id(ONE): ONE}
+    for interp in interps:
+        for row in interp.concepts.values():
+            for d in row:
+                found[id(d)] = d
+        for succ in interp.roles.values():
+            for row in succ:
+                for _j, d in row:
+                    found[id(d)] = d
+    return found
+
+
+def degree_ranks_oracle(*interps):
+    """The distinct degrees of :func:`degree_objects_oracle` in increasing
+    order, compared as Fractions, and each object's place among them by
+    ``id``."""
+    found = degree_objects_oracle(*interps)
+    values = sorted(set(found.values()))
+    return tuple(values), {key: values.index(d) for key, d in found.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1038,6 +1038,16 @@ class TestErrors:
         assert code == 2
         assert err == LONG_NAMED[case].format(doc=tmp_path / "doc.json")
 
+    @pytest.mark.parametrize("features", ["7" * 5000, "I," + "x" * 5000])
+    def test_long_feature_tokens_named_briefly(self, features, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(GOOD_MODEL))
+        code, out, err = run_cli(["eval", "-m", str(model), "-c", "A", "--features", features])
+        token = features.split(",")[-1]
+        assert (code, out) == (2, "")
+        assert err == (f"error: unknown feature token {token[:12]!r}... of 5000 characters; "
+                       "expected I, O, U, Self, Q<n>, N<n>, Q* or N*\n")
+
     def test_long_text_that_is_no_numeral_keeps_the_parser_message(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(GOOD_MODEL))

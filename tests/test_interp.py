@@ -25,19 +25,24 @@ from fdl import (
     RoleAssertion,
     Star,
     Test,
+    degree,
     degree_universe,
     dump_interpretation,
     eval_concept,
     load_interpretation,
     parse_concept,
     parse_role,
+    prune_unreachable,
+    quotient,
     reachability,
     validates,
 )
 from fdl.fixtures import fan_model, twin_islands
+from fdl.interp import degree_objects, degree_ranks
 from helpers import (
-    POOL4, compose, dense, identity, random_concept, random_features, random_model, random_role,
-    rel_sup, rewrite_definable, role_relation,
+    POOL4, SPELLINGS, compose, degree_objects_oracle, degree_ranks_oracle, dense, identity,
+    random_concept, random_features, random_model, random_role, rel_sup, rewrite_definable,
+    role_relation,
 )
 
 PERMISSIVE = FeatureSet.permissive()
@@ -310,6 +315,77 @@ class TestReachability:
             ["u", "v"], {"a": "u"}, roles={"r": [("u", "v", F(1, 2))]}
         )
         assert reachability(model, FeatureSet.none()) == ({"u", "v"}, True)
+
+
+class TestDegreeTableAgainstOracle:
+    """A model keeps a table of its degree objects: ``degree_objects`` holds
+    exactly the objects that the walk of ``helpers.degree_objects_oracle``
+    finds in its cells and edges, and ``degree_ranks`` ranks them alike."""
+
+    @staticmethod
+    def spelled(rng):
+        """A document whose concept cells and edges use every spelling, and
+        a twin of one element, its degrees spelled anew, that a quotient
+        merges into it unless other elements tell them apart."""
+        domain = [f"u{i}" for i in range(rng.randint(3, 5))]
+        cells = [("A", x) for x in domain] + [("B", x) for x in domain]
+        cells += [(name, x, y) for name in "rs" for x in domain for y in domain]
+        rng.shuffle(cells)
+        spellings = list(SPELLINGS) + [rng.choice(SPELLINGS) for _ in cells[len(SPELLINGS):]]
+        document = {"domain": domain, "individuals": {"a": domain[0]},
+                    "concepts": {"A": {}, "B": {}}, "roles": {"r": [], "s": []}}
+        for cell, spelling in zip(cells, spellings):
+            if len(cell) == 2:
+                document["concepts"][cell[0]][cell[1]] = spelling
+            else:
+                document["roles"][cell[0]].append([cell[1], cell[2], spelling])
+
+        def equal(spelling):
+            return rng.choice([e for e in SPELLINGS if degree(e) == degree(spelling)])
+
+        x = rng.choice(domain)
+        for valuation in document["concepts"].values():
+            if x in valuation:
+                valuation["t"] = equal(valuation[x])
+        for edges in document["roles"].values():
+            edges += [["t", y, equal(d)] for z, y, d in edges if z == x]
+        document["domain"].append("t")
+        return load_interpretation(document)
+
+    @staticmethod
+    def api(rng):
+        """A model given Fraction and int degrees, a fresh object each, int 0
+        in a concept and an edge."""
+        domain = [f"v{i}" for i in range(rng.randint(2, 5))]
+
+        def value():
+            return rng.choice((0, 1, F(0), F(1), F(rng.randint(1, 5), 6)))
+
+        concepts = {"A": {x: value() for x in domain}, "B": {domain[0]: 0}}
+        edges = [(x, y, value()) for x in domain for y in domain[1:] if rng.random() < 0.6]
+        edges.append((domain[0], domain[0], 0))
+        return Interpretation(domain, {"b": domain[-1]}, concepts, {"r": edges})
+
+    @staticmethod
+    def check(*models):
+        for model in models:
+            found, walked = degree_objects(model), degree_objects_oracle(model)
+            assert found.keys() == walked.keys()
+            assert all(found[key] is d for key, d in walked.items())
+        universe, rank = degree_ranks(*models)
+        assert (universe, rank) == degree_ranks_oracle(*models)
+
+    def test_four_kinds_of_model(self):
+        rng = random.Random(34)
+        features = FeatureSet.parse("")
+        for _ in range(60):
+            models = [self.spelled(rng), self.api(rng)]
+            models += [quotient(m, features) for m in models]
+            models += [prune_unreachable(m, features) for m in models[:2]]
+            for m in models:
+                self.check(m)
+            for m1, m2 in zip(models, models[1:] + models[:1]):
+                self.check(m1, m2)
 
 
 class TestNoDenseRole:

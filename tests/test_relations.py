@@ -5,8 +5,8 @@ import pytest
 
 from fdl import FuzzyRelation, InputError, Interpretation, ModelError, degree
 from helpers import (
-    cap, cells, compose, constant, dense, from_matrix, identity, inverse, oracle_lines,
-    pointwise_leq, read_triples_oracle, rel_sup,
+    SPELLINGS, cap, cells, compose, constant, dense, from_matrix, identity, inverse,
+    oracle_lines, pointwise_leq, read_triples_oracle, rel_sup,
 )
 
 
@@ -70,13 +70,13 @@ class TestSparseEntries:
         ).is_crisp()
 
 
-# equal degrees under several spellings, zeros among them
-SPELLINGS = ("0", "0.0", F(0), 0, "0.5", "1/2", "2/4", F(1, 2), "0.25", "1/4", "3/4", "0.75",
-             "1", "1.0", F(1), 1)
 # entries of each kind of fault, given the first entry of the list
 FAULTS = {
+    # the last three unpack: a shape test must refuse the 3-key object, whose
+    # keys are known elements, and name the other two by their shape
     "shape": lambda rng, first: rng.choice(
-        (["u0"], ("u0", "u0", "1", "1"), [["u0"], "u0", "1"], "u0", None)),
+        (["u0"], ("u0", "u0", "1", "1"), [["u0"], "u0", "1"], "u0", None,
+         {"u0": "1", "u1": "1", "u2": "1"}, [0, "u0", "1"], [True, "u0", "1"])),
     "unknown": lambda rng, first: rng.choice((["zz", "u0", "1"], ("u0", "zz", "0"))),
     "twice": lambda rng, first: [first[0], first[1], rng.choice(SPELLINGS)],
     "degree": lambda rng, first: ["u0", "u0", rng.choice(("2", "1/0", "0.5.", "-1", 0.5, True,

@@ -99,6 +99,13 @@ class TestFeatureSet:
         with pytest.raises(InputError):
             FeatureSet.parse("Q0")
 
+    def test_a_token_is_named_whole_up_to_40_characters(self):
+        for token, named in (("x" * 40, repr("x" * 40)),
+                             ("x" * 41, "'xxxxxxxxxxxx'... of 41 characters")):
+            with pytest.raises(InputError) as info:
+                FeatureSet.parse(f"I,{token}")
+            assert str(info.value).startswith(f"unknown feature token {named}; expected")
+
     def test_parse_is_cached_but_errors_are_not(self):
         assert FeatureSet.parse("I,Q2") is FeatureSet.parse("I,Q2")
         for _ in range(2):  # a failed parse is not remembered
