@@ -188,7 +188,6 @@ class _Context:
         for name in sorted(set(ia.roles) | set(ib.roles)):
             label = len(self.labels)
             self.labels += [name, name + "-"] if features.inverse else [name]
-            loops = [0] * n
             for m, start in zip(models, (0, offset)):
                 for x, row in enumerate(m.roles.get(name, ()), start):
                     for j, d in row:
@@ -198,10 +197,9 @@ class _Context:
                         if features.inverse:
                             edges[y].append((r, label + 1, x))
                             incoming[x].append(y)
-                        if y == x:
-                            loops[x] = r
             if features.self_loops:
-                self.self_loops.append((name, loops))
+                self.self_loops.append(
+                    (name, [rank[id(d)] for m in models for d in m.self_degrees(name)]))
         for row in edges:
             row.sort(reverse=True)
         # under O, (name, index of a^A, index of a^B) per individual name a

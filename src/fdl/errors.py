@@ -16,13 +16,19 @@ def too_many_digits(what: str, text: str) -> str:
     return f"{what} {text[:12]}... of {len(text)} characters has too many digits"
 
 
-def quoted(text: str) -> str:
-    """``text`` quoted for an error message, or, past 40 characters, named
-    by its first characters and its length, as :func:`too_many_digits`
-    names a numeral."""
+def briefly(text: str) -> str:
+    """``text`` as it is for an error message, or, past 40 characters,
+    named by its first characters and its length, as
+    :func:`too_many_digits` names a numeral."""
     if len(text) <= 40:
-        return repr(text)
+        return text
     return f"{text[:12]!r}... of {len(text)} characters"
+
+
+def quoted(value) -> str:
+    """``value`` as ``repr`` spells it for an error message, or, a text
+    past 40 characters, named as :func:`briefly` names it."""
+    return briefly(value) if isinstance(value, str) and len(value) > 40 else repr(value)
 
 
 class FdlError(Exception):

@@ -15,7 +15,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .errors import InputError, json_text, too_many_digits
+from .errors import InputError, json_text, quoted, too_many_digits
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,15 +64,15 @@ def parse_degree(text: str) -> Fraction:
     identity."""
     stripped = text.strip()
     if not _DEGREE_RE.fullmatch(stripped):
-        raise InputError(f"malformed degree {text!r}")
+        raise InputError(f"malformed degree {quoted(text)}")
     try:
         result = Fraction(stripped)
     except ZeroDivisionError as exc:
-        raise InputError(f"malformed degree {text!r}") from exc
+        raise InputError(f"malformed degree {quoted(text)}") from exc
     except ValueError as exc:
         raise InputError(too_many_digits("degree", stripped)) from exc
     if not ZERO <= result <= ONE:
-        raise InputError(f"degree {text!r} outside [0, 1]")
+        raise InputError(f"degree {quoted(text)} outside [0, 1]")
     return result or ZERO
 
 

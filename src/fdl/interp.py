@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelError, json_text
+from .errors import ModelError, briefly, json_text
 from .godel import ONE, ZERO, DegreeTexts, degree, format_degree
 from .relations import read_triples
 from . import syntax as s
@@ -92,7 +92,7 @@ class Interpretation:
             raise ModelError("duplicate element ids in the domain")
         for what, value in (("individuals", individuals), ("concepts", concepts), ("roles", roles)):
             if not isinstance(value, (Mapping, type(None))):
-                raise ModelError(f"{what} must be a JSON object, got {json_text(value)}")
+                raise ModelError(f"{what} must be a JSON object, got {briefly(json_text(value))}")
 
         individuals = dict(individuals or {})
         for name, target in individuals.items():
@@ -238,7 +238,7 @@ def load_interpretation(document) -> Interpretation:
     parts = {key: document.get(key, {}) for key in ("individuals", "concepts", "roles")}
     for key, value in parts.items():
         if not isinstance(value, dict):
-            raise ModelError(f"{key} must be a JSON object, got {json_text(value)}")
+            raise ModelError(f"{key} must be a JSON object, got {briefly(json_text(value))}")
     return Interpretation(document["domain"], **parts)
 
 

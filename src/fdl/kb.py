@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .errors import InputError, json_text
+from .errors import InputError, briefly, json_text, quoted
 from .godel import ONE, ZERO, degree, format_degree, godel_iff
 from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
@@ -42,7 +42,7 @@ class _Item(_Record):
 
 def _check_assertion(item) -> None:
     if item.cmp not in _CMP:
-        raise InputError(f"comparison must be one of {sorted(_CMP)}, got {item.cmp!r}")
+        raise InputError(f"comparison must be one of {sorted(_CMP)}, got {quoted(item.cmp)}")
     _set(item, "threshold", degree(item.threshold))
 
 
@@ -78,7 +78,7 @@ class Gci(_Item):
 
     def _check(self):
         if self.rel not in _GCI_REL:
-            raise InputError(f"inclusion relation must be '>=' or '>', got {self.rel!r}")
+            raise InputError(f"inclusion relation must be '>=' or '>', got {quoted(self.rel)}")
         _set(self, "threshold", degree(self.threshold))
         if self.threshold == ZERO:
             raise InputError("inclusion thresholds must lie in (0, 1]")
@@ -194,7 +194,7 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
         kind = entry.pop("kind", None)
         cls = _KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise InputError(f"unknown assertion kind {json_text(kind)}")
+            raise InputError(f"unknown assertion kind {briefly(json_text(kind))}")
     keys = _ITEM_KEYS[cls][1]
     unknown = set(entry) - set(keys)
     if unknown:

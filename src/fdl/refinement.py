@@ -43,12 +43,16 @@ write w = min(strength, v).
   below v are rows of a lower level.
 * FB8 and FB9 (U) are left to the cap below.
 
-So level v keys each element by its static ranks clamped at v (concept
-and self degrees, n-th largest successor degrees) and, per basic role and
-target block, the number of its successors there of degree >= v, up to m
-when the Q bounds start with 1..m and up to 1 otherwise, and by the least
-sets of the bounds above m (below); names and the number of N bounds an
-element's successor count meets are compared exactly.
+So level v keys each element by its static ranks clamped at v and, per
+basic role and target block, the number of its successors there of degree
+>= v, up to m when the Q bounds start with 1..m and up to 1 otherwise, and
+by the least sets of the bounds above m (below).  The static ranks are the
+concept and self degrees and, per role, the n-th largest successor degree
+for each N bound n the element meets, followed by a 0.  Successor degrees
+are positive and no clamp changes a 0, so the number of N bounds met is
+compared exactly.  Under O a name is the crisp concept of FB5 above, which
+reads the same at every level: the first partition keys each element's
+names too, and the later ones, which only refine it, need not.
 
 **Nesting.**  Level v starts from the partition of level v - 1 and splits
 blocks until every block's members share the level-v key.  A split never
@@ -74,7 +78,9 @@ suprema of the two elements' successor degrees there agree.  Under Q1..Qm,
 FB6(n) and FB7(n) ask at each degree v, as above, for equal min(m, number
 of successors of degree >= v) per block, which is equality of the m
 largest successor degrees per block (``Q*``: the whole sorted list); the
-largest is the supremum, so FB3 and FB4 are covered too.
+largest is the supremum, so FB3 and FB4 are covered too.  Clamping at the
+top changes no rank, so this is the key of level top with every successor
+kept, not only those of degree >= v.
 
 **Q bounds with a gap** (``Q2``, ``Q1,Q3``): a bound n above the prefix
 1..m gives no per-block count.  At level v, let P_x(T) say that x has at
@@ -104,8 +110,8 @@ subset of T has a weaker f_x: for any T, a least T' inside T with f_x(T')
 >= f_x(T) is such a pair, with f_x(T') = f_x(T).  Those T are the least
 sets at degree f_x(T), so they have the sizes above, counted at the
 weakest degree, and the key lists them once with their f_x.  In fuzzy
-mode every counted successor reads as v, and the pairs are the least sets
-of level v.
+mode every counted successor reads as the top, as any rank >= v does, and
+the pairs are the least sets of level v.
 
 **U.**  Let Z be the greatest bisimulation without U and c the least of
 the row and column maxima of its A × B part.  min(Z, c) is a bisimulation
@@ -148,8 +154,8 @@ from .syntax import FeatureSet, _Record, check_mode
 
 class _LeastSets:
     """The part of a key that gapped Q bounds add: the least sets of
-    ``found``, an element's successors per (role, block) (fuzzy: counted;
-    crisp: their degrees), listed by ``least`` only when compared with an
+    ``found``, the degrees of an element's successors per (role, block) as
+    the key reads them, listed by ``least`` only when compared with an
     element whose ``found`` differs, as equal ``found`` give equal least
     sets.  It comes last in the key and hashes to a constant, so only keys
     that agree on everything else compare it."""
@@ -173,8 +179,9 @@ class _Refinement:
     ``ib`` without U, refined on their disjoint union (module docstring).
     ``ctx`` is the :class:`fdl.bisim._Context` of the two models, whose
     edges and columns over the union it reads; it keeps its own part: the
-    static ranks with the N degrees, what is compared exactly, the
-    elements to key at each rank, and the partition.
+    static ranks with the N degrees, the elements to key at each rank, and
+    the partition, which starts from the static ranks clamped at the first
+    level and, under O, the names.
 
     Fuzzy mode refines one partition per level 1..top, each from the one
     below; crisp mode has the one level top.  ``block`` holds the last
@@ -186,31 +193,33 @@ class _Refinement:
                  crisp: bool):
         self.ctx = ctx = _Context(ia, ib, features)
         self.crisp, n, top = crisp, len(ctx.edges), ctx.top
-        # per target block, the key counts successors (crisp: keeps degrees)
-        # up to this many: m under a covered prefix Q1..Qm, else 1; the
-        # bounds above the prefix key the least sets of blocks
+        # per target block, the key keeps up to this many successors: m
+        # under a covered prefix Q1..Qm, else 1; the bounds above the prefix
+        # key the least sets of blocks
         self.width = ctx.covered or 1
         self.gapped = ctx.q_bounds[ctx.covered:]
-        # per element: ranks compared clamped at the level (concept and self
-        # degrees; per role, its n-th largest successor degree for each N
-        # bound n it meets) and what is compared exactly (its names; per
-        # role, how many N bounds it meets)
+        # per element, its ranks compared clamped at the level: concept and
+        # self degrees, and per role its n-th largest successor degree for
+        # each N bound n it meets, then a 0, so that the number of bounds
+        # met is compared too
         columns = [column for _name, column in ctx.concepts + ctx.self_loops]
         self.static = static = list(zip(*columns)) or [()] * n
-        exact: List[list] = [[] for _ in range(n)]
-        for name, xa, xb in ctx.individual_pairs:
-            for x in {xa, ctx.offset + xb}:  # one element when the models are one
-                exact[x].append(name)
         n_bounds = ctx.n_bounds
         for x, row in enumerate(ctx.edges if n_bounds else ()):
             for role in range(len(ctx.labels)):
                 degrees = [d for d, of, _y in row if of == role]
                 met = n_bounds[:bisect_right(n_bounds, len(degrees))]
-                exact[x].append(len(met))
-                static[x] += tuple([degrees[k - 1] for k in met])
+                static[x] += tuple([degrees[k - 1] for k in met]) + (0,)
+        levels = [top] if crisp else range(1, top + 1)
+        first = [tuple([r if r < levels[0] else top for r in ranks]) for ranks in static]
+        # under O each element's names follow its ranks (a name is never a
+        # rank), in the first partition only: a name is crisp, so no later
+        # level changes it
+        for name, xa, xb in ctx.individual_pairs:
+            for x in {xa, ctx.offset + xb}:  # one element when the models are one
+                first[x] += (name,)
         number: dict = {}
-        self.block = [number.setdefault((tuple(exact[x]), static[x] if crisp else tuple(
-            [r if r < 1 else top for r in static[x]])), len(number)) for x in range(n)]
+        self.block = [number.setdefault(ranks, len(number)) for ranks in first]
         self.members: List[Set[int]] = [set() for _ in number]
         for x, b in enumerate(self.block):
             self.members[b].add(x)
@@ -227,7 +236,6 @@ class _Refinement:
                 at_rank[r].add(x)
             for d, _label, _y in ctx.edges[x]:
                 at_rank[d].add(x)
-        levels = [top] if crisp else range(1, top + 1)
         for v in levels:
             self._split_by_keys(set(range(n)) if v == levels[0] else at_rank[v - 1], v)
             self.marks.append(len(self.splits))
@@ -236,12 +244,10 @@ class _Refinement:
         """``(role, n, T, f)`` for each basic role, gapped bound n and least
         set T of target blocks, where f is the n-th strongest degree of the
         successors in T and every proper subset of T has a weaker one;
-        ``found`` maps (role, block) to the degrees of the successors there,
-        strongest first (fuzzy: to how many there are, as the key counts
-        those of degree >= v alike).  The subsets are counted against
-        ``SUBSET_BUDGET`` before any is listed."""
-        if not self.crisp:
-            found = {at: [1] * k for at, k in found.items()}
+        ``found`` maps (role, block) to the degrees of the successors there
+        as the key reads them, strongest first (fuzzy: each reads as the
+        top).  The subsets are counted against ``SUBSET_BUDGET`` before any
+        is listed."""
         plan = []
         for label in {role for role, _b in found}:
             blocks = sorted([(ds, b) for (role, b), ds in found.items() if role == label],
@@ -267,28 +273,39 @@ class _Refinement:
 
     def _split_by_keys(self, touched: Set[int], v: int) -> None:
         """Split blocks until every block's members have the same level-v
-        key under one key function chosen for the mode and bounds, keying
-        ``touched`` and then the elements with an edge into what moved.  A
-        block whose keyed members share ``shared[b]``, or one key and are
-        all of it, stays whole (exact: see nesting in the module docstring);
-        else the largest part of a split keeps the block."""
+        key, keying ``touched`` and then the elements with an edge into
+        what moved.  A block whose keyed members share ``shared[b]``, or one
+        key and are all of it, stays whole (exact: see nesting in the module
+        docstring); else the largest part of a split keeps the block.
+
+        The key is an element's static ranks clamped at v and, per basic
+        role and target block, the first ``width`` of its successor degrees
+        there, a degree >= v reading as the top (fuzzy mode skips those
+        below v), followed under gapped bounds by its :class:`_LeastSets`.
+        Width 1 without gapped bounds has a fast path per mode: crisp keeps
+        the strongest degree per block, and fuzzy the blocks reached."""
         block, members, shared, static = self.block, self.members, self.shared, self.static
         edges, incoming, top = self.ctx.edges, self.ctx.incoming, self.ctx.top
         width, gapped, least = self.width, self.gapped, self._least_sets
-        if self.crisp and (width > 1 or gapped):
+        if width > 1 or gapped:
+            floor = 0 if self.crisp else v
+
             def key(x: int) -> tuple:
                 found: dict = {}
-                for d, label, y in edges[x]:
-                    found.setdefault((label, block[y]), []).append(d)
-                base = static[x], frozenset([(at, tuple(ds[:width])) for at, ds in found.items()])
+                for d, label, y in edges[x]:  # strongest first
+                    if d < floor:
+                        break
+                    found.setdefault((label, block[y]), []).append(d if d < v else top)
+                base = tuple([r if r < v else top for r in static[x]]), frozenset(
+                    [(at, tuple(ds[:width])) for at, ds in found.items()])
                 return base + (_LeastSets(found, least),) if gapped else base
-        elif self.crisp:
+        elif self.crisp:  # the strongest degree per block
             def key(x: int) -> tuple:
                 found: dict = {}
                 for d, label, y in edges[x]:  # strongest first
                     found.setdefault((label, block[y]), d)
                 return static[x], frozenset(found.items())
-        elif width == 1 and not gapped:  # counts up to 1: the blocks reached
+        else:  # the blocks reached
             def key(x: int) -> tuple:
                 found = set()
                 for d, label, y in edges[x]:
@@ -296,17 +313,6 @@ class _Refinement:
                         break
                     found.add((label, block[y]))
                 return tuple([r if r < v else top for r in static[x]]), frozenset(found)
-        else:
-            def key(x: int) -> tuple:
-                found: dict = {}
-                for d, label, y in edges[x]:
-                    if d < v:
-                        break
-                    at = label, block[y]
-                    found[at] = found.get(at, 0) + 1
-                base = tuple([r if r < v else top for r in static[x]]), frozenset(found) if width == 1 else frozenset(
-                    [(at, min(k, width)) for at, k in found.items()])
-                return base + (_LeastSets(found, least),) if gapped else base
         while touched:
             # per block of two or more elements, its touched members by key
             parts_of: Dict[int, Dict[tuple, List[int]]] = {}

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .errors import InputError, json_text
+from .errors import InputError, briefly, json_text
 from .godel import ZERO, DegreeTexts, degree
 
 
@@ -79,7 +79,7 @@ def _entry_fault(item, what: str) -> str:
     if not (isinstance(item, (list, tuple)) and len(item) == 3
             and isinstance(item[0], str) and isinstance(item[1], str)):
         return f"{what}: an entry must be [x, y, degree], got {json_text(item)}"
-    return f"{what} uses an unknown element in ({item[0]}, {item[1]})"
+    return f"{what} uses an unknown element in ({briefly(item[0])}, {briefly(item[1])})"
 
 
 class FuzzyRelation:

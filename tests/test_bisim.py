@@ -720,7 +720,7 @@ class TestRefinementAgainstFixpoint:
 
     FEATURES = [
         "", "I", "O", "U", "Self", "N2", "N*", "Q1,Q2", "Q*", "Q2", "Q1,Q3",
-        "I,O,U", "I,Q*", "U,Self,Q2", "I,O,U,Self,Q1,Q2,N2",
+        "I,O,U", "I,Q*", "U,Self,Q2", "I,O,U,Self,Q1,Q2,N2", "N1,N3", "O,N2", "I,O,N*,Q1,Q3",
     ]
 
     @staticmethod

@@ -966,10 +966,23 @@ MALFORMED = {
     ),
     "long depth": (["hm", *PAIR, "--fragment", "prime", "--depth", LONG], None),
     "long budget": (["hm", *PAIR, "--fragment", "prime", "--depth", "1", "--budget", LONG], None),
+    # other long text in a faulty place (LONG_NAMED)
+    "long unknown element": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": [["u", "w" * 5000, "1"]]}}),
+    "long malformed degree": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": "x" * 5000}}}),
+    "long degree above 1": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"v": "2" + " " * 4999}}}),
+    "long assertion kind": (BOX_DOC, {"abox": [{"kind": "k" * 5000, "a": "a", "b": "a"}]}),
+    "long inclusion relation": (
+        ["validate", "-m", "{model}", "--tbox", "{doc}"],
+        {"tbox": [{"lhs": "A", "rhs": "A", "p": "1", "rel": "<" * 5000}]},
+    ),
+    "long comparison": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A", "a": "a", "p": "1",
+                                            "cmp": "=" * 5000}]}),
+    "long individuals": (EVAL_DOC, {**GOOD_MODEL, "individuals": ["a" * 4996]}),
 }
 
-# MALFORMED cases of a numeral past the digit limit: their whole error output,
-# which names the numeral by its first characters and its length
+# MALFORMED cases of long text, first those of a numeral past the digit limit:
+# their whole error output, which names the text by its first characters and
+# its length
 _DEGREE_NAMED = f"error: degree 0.1111111111... of {len(LONG) + 2} characters has too many digits"
 LONG_NAMED = {
     "long model degree": _DEGREE_NAMED + "\n",
@@ -985,6 +998,21 @@ LONG_NAMED = {
     "long budget": f"error: --budget {LONG[:12]}... of {len(LONG)} characters "
                    "has too many digits\n",
 }
+# the cases above need int() to have a digit limit
+DIGIT_LIMITED = set(LONG_NAMED)
+LONG_NAMED.update({
+    "long unknown element": "error: role 'r' uses an unknown element in "
+                            "(u, 'wwwwwwwwwwww'... of 5000 characters)\n",
+    "long malformed degree": "error: malformed degree 'xxxxxxxxxxxx'... of 5000 characters\n",
+    "long degree above 1": "error: degree '2           '... of 5000 characters outside [0, 1]\n",
+    "long assertion kind": "error: unknown assertion kind '\"kkkkkkkkkkk'... of 5002 characters\n",
+    "long inclusion relation": "error: inclusion relation must be '>=' or '>', got "
+                               "'<<<<<<<<<<<<'... of 5000 characters\n",
+    "long comparison": "error: comparison must be one of ['<', '<=', '>', '>='], got "
+                       "'============'... of 5000 characters\n",
+    "long individuals": "error: individuals must be a JSON object, got "
+                        "'[\"aaaaaaaaaa'... of 5000 characters\n",
+})
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
 # MALFORMED cases whose message names a bad JSON value: the text it must hold
@@ -1015,7 +1043,7 @@ class TestErrors:
         return main(argv, out=out, err=err), out.getvalue(), err.getvalue()
 
     @pytest.mark.parametrize("case", [
-        pytest.param(case, marks=needs_digit_limit) if case in LONG_NAMED else case
+        pytest.param(case, marks=needs_digit_limit) if case in DIGIT_LIMITED else case
         for case in MALFORMED
     ])
     def test_malformed_input_exits_2(self, case, tmp_path, capsys):
@@ -1031,12 +1059,15 @@ class TestErrors:
         assert code == 2
         assert err.endswith(JSON_SPELLED[case]), err
 
-    @needs_digit_limit
-    @pytest.mark.parametrize("case", list(LONG_NAMED))
+    @pytest.mark.parametrize("case", [
+        pytest.param(case, marks=needs_digit_limit) if case in DIGIT_LIMITED else case
+        for case in LONG_NAMED
+    ])
     def test_long_numerals_named_briefly(self, case, tmp_path):
-        code, _out, err = self.run_malformed(case, tmp_path)
-        assert code == 2
+        code, out, err = self.run_malformed(case, tmp_path)
+        assert (code, out) == (2, "")
         assert err == LONG_NAMED[case].format(doc=tmp_path / "doc.json")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("features", ["7" * 5000, "I," + "x" * 5000])
     def test_long_feature_tokens_named_briefly(self, features, tmp_path):

@@ -685,6 +685,12 @@ class TestRecordSemantics:
             (lambda: RoleAssertion(r, "a", "b", "!=", 1),
              "comparison must be one of ['<', '<=', '>', '>='], got '!='"),
             (lambda: Gci(a, a, "<=", 1), "inclusion relation must be '>=' or '>', got '<='"),
+            (lambda: ConceptAssertion(a, "a", None, 1),
+             "comparison must be one of ['<', '<=', '>', '>='], got None"),
+            (lambda: RoleAssertion(r, "a", "b", 3, 1),
+             "comparison must be one of ['<', '<=', '>', '>='], got 3"),
+            (lambda: Gci(a, a, 5, 1), "inclusion relation must be '>=' or '>', got 5"),
+            (lambda: Gci(a, a, None, 1), "inclusion relation must be '>=' or '>', got None"),
             (lambda: Gci(a, a, ">", 0), "inclusion thresholds must lie in (0, 1]"),
             (lambda: Gci(a, a, ">=", "0.0"), "inclusion thresholds must lie in (0, 1]"),
             (lambda: ConceptAssertion(a, "a", ">=", 2), "degree 2 outside [0, 1]"),
