@@ -60,13 +60,11 @@ smaller one, so the ceiling and the verdict are those of the enumeration;
 Bounds with a gap below k, such as ``Q2`` or ``Q1,Q2,Q16``, are not a
 matching problem, and their n-subsets are enumerated, which is exponential
 in k.  Before enumerating, the subsets over all bounds n are counted, and
-more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`.
-:mod:`fdl.refinement` does not read this table: it keys each element by
-the least sets of target blocks that hold n of its successors, and counts
-those sets against the same budget.  So it decides a hub whose successors
-fall into a few blocks, which the checker refuses, and stops only on two
-elements of one block whose successors fall into many blocks, with
-different counts.
+more than ``SUBSET_BUDGET`` of them raise :class:`BudgetError`.  Only
+this table enumerates, for :func:`check_bisim` and
+:func:`brute_force_greatest`.  :mod:`fdl.refinement` does not read it: it
+compares two elements' successor counts over unions of target blocks by a
+walk over the blocks, which needs no budget.
 """
 
 from __future__ import annotations
@@ -206,11 +204,13 @@ class _Context:
         self.individual_pairs = [
             (a, ia.index(ia.individuals[a]), ib.index(ib.individuals[a]))
             for a in _named_in_both(ia, ib)] if features.nominals else []
-        # the Q and N bounds in increasing order (unrestricted: up to the
-        # larger domain, as any n beyond it is vacuous), and m, where the Q
-        # bounds start with 1..m: FB6/FB7 over up to m successors is a matching
+        # the Q and N bounds in increasing order up to the larger domain, as
+        # any n beyond it is vacuous (unrestricted: every n up to it), and m,
+        # where the Q bounds start with 1..m: FB6/FB7 over up to m successors
+        # is a matching
+        cap = max(na, nb)
         self.q_bounds, self.n_bounds = (
-            tuple(range(1, max(na, nb) + 1)) if bounds is None else tuple(sorted(bounds))
+            tuple([n for n in sorted(range(1, cap + 1) if bounds is None else bounds) if n <= cap])
             for bounds in (features.q_bounds, features.n_bounds))
         self.covered = next((m for m, k in enumerate(self.q_bounds) if k != m + 1),
                             len(self.q_bounds))
@@ -243,16 +243,6 @@ def _named_in_both(ia: Interpretation, ib: Interpretation) -> List[str]:
     if missing:
         raise ModelError(f"individual {missing[0]!r} is not interpreted in both models")
     return sorted(ia.individuals)
-
-
-def _subset_budget(choices, what: str) -> None:
-    """Refuse, with :class:`BudgetError`, to enumerate the s-subsets of k
-    successors or target blocks (``what``) for each (k, s) in ``choices``
-    when there are more than ``SUBSET_BUDGET`` in all."""
-    needed = sum([comb(k, s) for k, s in choices])
-    if needed > SUBSET_BUDGET:
-        raise BudgetError(f"qualified counting over {max(choices)[0]} {what} needs {needed} "
-                          f"subsets (budget {SUBSET_BUDGET})")
 
 
 def _candidate_context(
@@ -397,7 +387,10 @@ def _relational_rows(ctx: _Context, z, i: int, j: int, universal: tuple):
             if len(side) <= ctx.covered:
                 matched.append((code, label, side))
             else:
-                _subset_budget([(len(side), n) for n in ctx.q_bounds], "successors")
+                needed = sum([comb(len(side), n) for n in ctx.q_bounds])
+                if needed > SUBSET_BUDGET:
+                    raise BudgetError(f"qualified counting over {len(side)} successors needs "
+                                      f"{needed} subsets (budget {SUBSET_BUDGET})")
                 enumerated.append((code, label, side))
         for code, label, side in matched:
             row = _hall_row(side)

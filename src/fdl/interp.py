@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelError, briefly, json_text
+from .errors import ModelError, briefly, json_text, quoted
 from .godel import ONE, ZERO, DegreeTexts, degree, format_degree
 from .relations import read_triples
 from . import syntax as s
@@ -97,7 +97,8 @@ class Interpretation:
         individuals = dict(individuals or {})
         for name, target in individuals.items():
             if not isinstance(target, str) or target not in index:
-                raise ModelError(f"individual {name!r} maps to unknown element {json_text(target)}")
+                raise ModelError(
+                    f"individual {name!r} maps to unknown element {briefly(json_text(target))}")
 
         texts, found = DegreeTexts(), {id(ZERO): ZERO, id(ONE): ONE}
         rows: Dict[str, Tuple[Fraction, ...]] = {}
@@ -110,7 +111,7 @@ class Interpretation:
                     k = index[element]
                 except KeyError:
                     raise ModelError(
-                        f"concept {name!r} grades unknown element {element!r}"
+                        f"concept {name!r} grades unknown element {quoted(element)}"
                     ) from None
                 if type(value) is str:
                     row[k] = texts[value]

@@ -178,7 +178,7 @@ def _load_field(key: str, value, features: Optional[FeatureSet]):
     if key == "p":
         return degree(value)
     if not isinstance(value, str):
-        raise InputError(f"the value of {key!r} must be a string, got {json_text(value)}")
+        raise InputError(f"the value of {key!r} must be a string, got {briefly(json_text(value))}")
     parse = _PARSERS.get(key)
     return value if parse is None else parse(value, features)
 
@@ -186,7 +186,7 @@ def _load_field(key: str, value, features: Optional[FeatureSet]):
 def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     what = "a tbox entry" if box == "tbox" else "an abox entry"
     if not isinstance(entry, dict):
-        raise InputError(f"{what} must be a JSON object, got {json_text(entry)}")
+        raise InputError(f"{what} must be a JSON object, got {briefly(json_text(entry))}")
     entry = dict(entry)
     if box == "tbox":
         cls = Gci
@@ -203,7 +203,10 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     for key in keys:
         value = entry.get(key, _DEFAULTS.get(key))
         if value is None:
-            raise InputError(f"{what} needs a value for {key!r}: {json_text(entry)}")
+            # the entry as JSON spells it, each value named briefly
+            spelled = ", ".join([f"{json_text(k)}: {briefly(json_text(v))}"
+                                 for k, v in entry.items()])
+            raise InputError(f"{what} needs a value for {key!r}: {{{spelled}}}")
         values.append(_load_field(key, value, features))
     return cls(*values)
 

@@ -46,13 +46,14 @@ write w = min(strength, v).
 So level v keys each element by its static ranks clamped at v and, per
 basic role and target block, the number of its successors there of degree
 >= v, up to m when the Q bounds start with 1..m and up to 1 otherwise, and
-by the least sets of the bounds above m (below).  The static ranks are the
-concept and self degrees and, per role, the n-th largest successor degree
-for each N bound n the element meets, followed by a 0.  Successor degrees
-are positive and no clamp changes a 0, so the number of N bounds met is
-compared exactly.  Under O a name is the crisp concept of FB5 above, which
-reads the same at every level: the first partition keys each element's
-names too, and the later ones, which only refine it, need not.
+by those numbers compared as below for the bounds above m.  The static
+ranks are the concept and self degrees and, per role, the n-th largest
+successor degree for each N bound n the element meets, followed by a 0.
+Successor degrees are positive and no clamp changes a 0, so the number of
+N bounds met is compared exactly.  Under O a name is the crisp concept of
+FB5 above, which reads the same at every level: the first partition keys
+each element's names too, and the later ones, which only refine it, need
+not.
 
 **Nesting.**  Level v starts from the partition of level v - 1 and splits
 blocks until every block's members share the level-v key.  A split never
@@ -90,28 +91,28 @@ holds exactly when P_x(T) implies P_x'(T) for every T: given S, take T =
 the blocks of S; given T with P_x(T), take n such successors as S, whose
 blocks lie inside T.  FB7(n) is the converse, so together they ask P_x =
 P_x'; rows of lower strength are lower levels.  P_x holds on every
-superset of a set it holds on, so it is fixed by its least sets: with
-c(B) the number of x's successors of degree >= v in block B, T is least
-when sum_T c >= n > sum_T c - min_T c, as dropping the block of fewest
-successors loses the least.  Such a T has no block with c(B) = 0, at
-least as many blocks as the fullest blocks need to hold n, and at most
-n; the subsets of those sizes are counted before they are listed, and
-more than ``SUBSET_BUDGET`` raise :class:`BudgetError`.  So level v keys
-x also by its least sets per role and bound, over the partition being
-refined, and they change only when a block of x's successors moves.
+superset of a set it holds on, so it is fixed by its least sets, which
+are compared here without being listed.  With c(B) and c'(B) the numbers
+of x's and x''s successors of degree >= v in block B, P_x and P_x' differ
+exactly when some T has sum_T c >= n > sum_T c', or the converse.  That
+is a 0/1 knapsack: one walk over the blocks keeps, per s from 0 to n, the
+least sum_T c' over the T whose sum_T c, capped at n, is s, and the two
+differ when that least sum at s = n is below n.  A bound n above both
+totals over all blocks holds nowhere, and no walk runs for it; one above
+a single total is told apart by T = all blocks.  So a walk runs only for
+an n up to the out-degree, and a comparison costs O(roles · degrees ·
+bounds · blocks · min(n, out-degree)).  That is polynomial in the model,
+though a bound is a numeral that may be far larger than any out-degree.
+So level v keys x also by its successor counts per role and block,
+walked only against a key that agrees on everything else; they change
+only when a block of x's successors moves.
 
 In crisp mode the row of a set S with least degree d holds when x' has n
 successors of degree >= d in the blocks of S, so FB6(n) and FB7(n) ask
-P_x = P_x' with the successors of degree >= d, for every d.  Let f_x(T) be
-the n-th strongest degree of x's successors in T (0 with fewer); P_x at d
-holds at T exactly when f_x(T) >= d, so this asks f_x = f_x'.  f_x only
-grows with T, and it is fixed by the pairs (T, f_x(T)) where every proper
-subset of T has a weaker f_x: for any T, a least T' inside T with f_x(T')
->= f_x(T) is such a pair, with f_x(T') = f_x(T).  Those T are the least
-sets at degree f_x(T), so they have the sizes above, counted at the
-weakest degree, and the key lists them once with their f_x.  In fuzzy
-mode every counted successor reads as the top, as any rank >= v does, and
-the pairs are the least sets of level v.
+P_x = P_x' with the successors of degree >= d, for every d.  The counts
+change only at the degrees of x's and x''s successors, so the walks run
+at each of those.  In fuzzy mode every counted successor reads as the
+top, as any rank >= v does, and the walks run at the top only.
 
 **U.**  Let Z be the greatest bisimulation without U and c the least of
 the row and column maxima of its A × B part.  min(Z, c) is a bisimulation
@@ -140,11 +141,9 @@ the same merges.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
-from itertools import combinations
 from typing import Dict, Iterator, List, Set, Tuple
 
-from .bisim import _Context, _named_in_both, _subset_budget
+from .bisim import _Context, _named_in_both
 from .errors import ModelError
 from .godel import ONE
 from .interp import Interpretation
@@ -152,26 +151,53 @@ from .relations import FuzzyRelation
 from .syntax import FeatureSet, _Record, check_mode
 
 
-class _LeastSets:
-    """The part of a key that gapped Q bounds add: the least sets of
-    ``found``, the degrees of an element's successors per (role, block) as
-    the key reads them, listed by ``least`` only when compared with an
-    element whose ``found`` differs, as equal ``found`` give equal least
-    sets.  It comes last in the key and hashes to a constant, so only keys
-    that agree on everything else compare it."""
+def _apart(counts, n: int) -> bool:
+    """Whether some union T of the blocks of ``counts``, pairs (c, c') of
+    two elements' successor counts per block, has sum_T c >= n > sum_T c'
+    or the converse: a 0/1 knapsack, run both ways, whose ``least[s]`` is
+    the least sum of c' over the T whose sum of c, capped at n, is s."""
+    for pairs in counts, [(c2, c) for c, c2 in counts]:
+        least = [0] + [n] * n  # n stands for n or more
+        for mine, theirs in pairs:
+            for s in range(n - 1, -1, -1):
+                t = min(s + mine, n)
+                least[t] = min(least[t], least[s] + theirs)
+        if least[n] < n:
+            return True
+    return False
 
-    def __init__(self, found, least):
-        self.found, self.least = found, least
+
+class _LeastSets:
+    """The part of a key that gapped Q bounds add: ``found``, the degrees of
+    an element's successors per (role, block) as the key reads them,
+    strongest first.  Two are equal when, per role, degree d in either
+    (fuzzy: the top) and bound n, every union of target blocks holds n
+    successors of degree >= d from both or from neither, which is equality
+    of the least sets of the module docstring.  It comes last in the key and
+    hashes to a constant, so only keys that agree on everything else
+    compare it."""
+
+    def __init__(self, found: dict, gapped: tuple):
+        self.found, self.gapped = found, gapped
 
     def __hash__(self) -> int:
         return 0
 
     def __eq__(self, other) -> bool:
-        return self.found == other.found or self.sets == other.sets
-
-    @cached_property
-    def sets(self) -> frozenset:
-        return self.least(self.found)
+        mine, theirs = self.found, other.found
+        if mine == theirs:
+            return True
+        reached = mine.keys() | theirs.keys()
+        for label in {role for role, _b in reached}:
+            lists = [(mine.get(at, ()), theirs.get(at, ())) for at in reached if at[0] == label]
+            for d in {e for pair in lists for ds in pair for e in ds}:
+                counts = [tuple([sum([e >= d for e in ds]) for ds in pair]) for pair in lists]
+                # a bound above both totals holds nowhere, so no walk is
+                # longer than the out-degree
+                most = max(map(sum, zip(*counts)))
+                if any(_apart(counts, n) for n in self.gapped if n <= most):
+                    return False
+        return True
 
 
 class _Refinement:
@@ -195,7 +221,7 @@ class _Refinement:
         self.crisp, n, top = crisp, len(ctx.edges), ctx.top
         # per target block, the key keeps up to this many successors: m
         # under a covered prefix Q1..Qm, else 1; the bounds above the prefix
-        # key the least sets of blocks
+        # compare counts over unions of blocks (_LeastSets)
         self.width = ctx.covered or 1
         self.gapped = ctx.q_bounds[ctx.covered:]
         # per element, its ranks compared clamped at the level: concept and
@@ -240,37 +266,6 @@ class _Refinement:
             self._split_by_keys(set(range(n)) if v == levels[0] else at_rank[v - 1], v)
             self.marks.append(len(self.splits))
 
-    def _least_sets(self, found: dict) -> frozenset:
-        """``(role, n, T, f)`` for each basic role, gapped bound n and least
-        set T of target blocks, where f is the n-th strongest degree of the
-        successors in T and every proper subset of T has a weaker one;
-        ``found`` maps (role, block) to the degrees of the successors there
-        as the key reads them, strongest first (fuzzy: each reads as the
-        top).  The subsets are counted against ``SUBSET_BUDGET`` before any
-        is listed."""
-        plan = []
-        for label in {role for role, _b in found}:
-            blocks = sorted([(ds, b) for (role, b), ds in found.items() if role == label],
-                            key=lambda block: len(block[0]), reverse=True)
-            # a least set has at most n blocks, and at least as many as the
-            # fullest blocks need to hold n
-            plan += [(label, n, blocks, s) for n in self.gapped
-                     for s in range(1, min(n, len(blocks)) + 1)
-                     if sum([len(ds) for ds, _b in blocks[:s]]) >= n]
-        _subset_budget([(len(blocks), s) for _l, _n, blocks, s in plan], "target blocks")
-        least = []
-        for label, n, blocks, s in plan:
-            for subset in combinations(blocks, s):
-                degrees = sorted([d for ds, _b in subset for d in ds], reverse=True)
-                if len(degrees) >= n:
-                    f = degrees[n - 1]
-                    # dropping the block with fewest successors of degree
-                    # >= f loses the fewest
-                    held = [sum([d >= f for d in ds]) for ds, _b in subset]
-                    if sum(held) - min(held) < n:
-                        least.append((label, n, frozenset([b for _ds, b in subset]), f))
-        return frozenset(least)
-
     def _split_by_keys(self, touched: Set[int], v: int) -> None:
         """Split blocks until every block's members have the same level-v
         key, keying ``touched`` and then the elements with an edge into
@@ -286,7 +281,7 @@ class _Refinement:
         the strongest degree per block, and fuzzy the blocks reached."""
         block, members, shared, static = self.block, self.members, self.shared, self.static
         edges, incoming, top = self.ctx.edges, self.ctx.incoming, self.ctx.top
-        width, gapped, least = self.width, self.gapped, self._least_sets
+        width, gapped = self.width, self.gapped
         if width > 1 or gapped:
             floor = 0 if self.crisp else v
 
@@ -298,7 +293,7 @@ class _Refinement:
                     found.setdefault((label, block[y]), []).append(d if d < v else top)
                 base = tuple([r if r < v else top for r in static[x]]), frozenset(
                     [(at, tuple(ds[:width])) for at, ds in found.items()])
-                return base + (_LeastSets(found, least),) if gapped else base
+                return base + (_LeastSets(found, gapped),) if gapped else base
         elif self.crisp:  # the strongest degree per block
             def key(x: int) -> tuple:
                 found: dict = {}

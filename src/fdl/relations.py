@@ -59,7 +59,7 @@ def read_triples(
             raise error(_entry_fault(item, what)) from None
         pair = i * width + j
         if pair in seen:
-            raise error(f"{what} lists the pair ({x}, {y}) twice")
+            raise error(f"{what} lists the pair ({briefly(x)}, {briefly(y)}) twice")
         seen.add(pair)
         if type(d) is str:
             d = texts[d]
@@ -78,7 +78,7 @@ def _entry_fault(item, what: str) -> str:
     tested first, or else an unknown element."""
     if not (isinstance(item, (list, tuple)) and len(item) == 3
             and isinstance(item[0], str) and isinstance(item[1], str)):
-        return f"{what}: an entry must be [x, y, degree], got {json_text(item)}"
+        return f"{what}: an entry must be [x, y, degree], got {briefly(json_text(item))}"
     return f"{what} uses an unknown element in ({briefly(item[0])}, {briefly(item[1])})"
 
 

@@ -445,6 +445,35 @@ def condition_bound(ia, ib, z, features, x, x_prime):
 
 
 # ---------------------------------------------------------------------------
+# the listing of least sets of target blocks, kept as the oracle of
+# fdl.refinement._LeastSets
+
+
+def least_sets_oracle(found, gapped):
+    """``(role, n, T, f)`` for each basic role, gapped bound n and least set
+    T of target blocks, where f is the n-th strongest degree of the
+    successors in T and every proper subset of T has a weaker one;
+    ``found`` maps (role, block) to the degrees of the successors there,
+    strongest first."""
+    least = []
+    for label in {role for role, _b in found}:
+        blocks = [(ds, b) for (role, b), ds in found.items() if role == label]
+        for n in gapped:
+            # a least set has at most n blocks
+            for s in range(1, min(n, len(blocks)) + 1):
+                for subset in combinations(blocks, s):
+                    degrees = sorted([d for ds, _b in subset for d in ds], reverse=True)
+                    if len(degrees) >= n:
+                        f = degrees[n - 1]
+                        # dropping the block with fewest successors of degree
+                        # >= f loses the fewest
+                        held = [sum([d >= f for d in ds]) for ds, _b in subset]
+                        if sum(held) - min(held) < n:
+                            least.append((label, n, frozenset([b for _ds, b in subset]), f))
+    return frozenset(least)
+
+
+# ---------------------------------------------------------------------------
 # the dict-based reader of [x, y, degree] lists, kept as the oracle of
 # fdl.relations.read_triples
 

@@ -36,11 +36,13 @@ from fdl.syntax import MODES
 from fdl.godel import ONE, ZERO, format_degree
 from fdl.interp import degree_objects, degree_ranks, dump_interpretation, load_interpretation
 from fdl.minimize import strong_partition
+from fdl.refinement import _LeastSets
 from helpers import (
     POOL3, POOL4, cap, cells, chain_pair, compose, condition_bound, constant,
     counting_hub_pair, counting_subsets, dense, disjoint_union, doubled_hub_pair,
-    fixpoint_greatest, from_matrix, identity, inverse, random_features, random_model, rel_sup,
-    rename_model, shuffled_copy, shuffled_hub_pair, spread_hub_pair, with_features,
+    fixpoint_greatest, from_matrix, identity, inverse, least_sets_oracle, random_features,
+    random_model, rel_sup, rename_model, shuffled_copy, shuffled_hub_pair, spread_hub_pair,
+    with_features,
 )
 
 NO_FEATURES = FeatureSet.none()
@@ -617,10 +619,11 @@ class TestCountingBudget:
     # before enumerating
     def test_wide_hub_refused_by_checker_and_fixpoint(self):
         # Q2..Q16 leaves out size 1, so the checker enumerates the 65519
-        # subsets.  The refinement lists the least sets of target blocks only
-        # for hubs in one block with different successor counts: it decides
-        # hubs with successors in 2 blocks, and equal hubs with successors in
-        # 16, and refuses hubs with successors in 16 blocks, one apart
+        # subsets.  The refinement compares the hubs' successor counts over
+        # unions of target blocks by a walk and needs no budget: hubs with
+        # successors in 2 blocks, or in 16 with equal counts, are bisimilar;
+        # with successors in 16 blocks, one apart, block 16 holds two of
+        # g0's successors and one of h0's, so FB7(2) fails at (h0, g0)
         ia, ib = counting_hub_pair(16)
         features = FeatureSet(q_bounds=frozenset(range(2, 17)))
         allones = constant(ia.domain, ib.domain, F(1))
@@ -632,8 +635,8 @@ class TestCountingBudget:
             for pair in (ia, ib), spread_hub_pair(16):
                 result = bisimilar(*pair, features, mode)
                 assert result.holds and result.witness.at("h0", "g0") == 1
-            with pytest.raises(BudgetError, match=r"65519 subsets \(budget 16384\)"):
-                greatest_bisim(*doubled_hub_pair(16), features, mode)
+            got = greatest_bisim(*doubled_hub_pair(16), features, mode)
+            assert got.at("h0", "g0") == 0 and got.at("h3", "g3") == 1
 
     def test_wide_hub_decided_under_covering_bounds(self):
         # Q1..Q16 and Q* cover every subset size of 16 successors, so the
@@ -649,6 +652,19 @@ class TestCountingBudget:
     def test_budget_counts_enabled_bounds_only(self):
         ia, ib = counting_hub_pair(16)
         assert bisimilar(ia, ib, FeatureSet.parse("Q1,Q2,Q16"), "crisp").holds
+
+    def test_bounds_beyond_the_domain_are_dropped(self):
+        # no element has more successors than its model has elements, so
+        # Q1000000000 and N1000000000 bind nowhere; the checker must not
+        # enumerate subsets of that size, as it would allocate that many
+        # indices before finding none
+        ia, ib = doubled_hub_pair(4)
+        ctx = _Context(ia, ib, FeatureSet.parse("Q2,Q1000000000,N1000000000"))
+        assert (ctx.q_bounds, ctx.n_bounds) == ((2,), ())
+        allones = constant(ia.domain, ib.domain, F(1))
+        report = check_bisim(ia, ib, allones, FeatureSet.parse("Q2,Q1000000000"))
+        assert report == check_bisim(ia, ib, allones, FeatureSet.parse("Q2"))
+        assert not report.satisfied
 
     def test_out_degree_eleven_stays_within_budget(self):
         # the largest hubs of the fixpoint benchmark: 2047 subsets
@@ -769,12 +785,12 @@ class TestRefinementAgainstFixpoint:
 
 
 class TestGappedCountingLevels:
-    """Q bounds with a gap over many degree levels: the refinement's least
-    sets of target blocks against the pairwise fixpoint."""
+    """Q bounds with a gap over many degree levels: the refinement's walk
+    over unions of target blocks against the pairwise fixpoint."""
 
     POOL = tuple(F(k, 20) for k in range(21))
 
-    @pytest.mark.parametrize("text", ["Q2", "Q1,Q3", "I,Q2"])
+    @pytest.mark.parametrize("text", ["Q2", "Q1,Q3", "I,Q2", "Q2,Q1000000000"])
     def test_many_levels_match_fixpoint(self, text):
         features = FeatureSet.parse(text)
         rng = random.Random(f"gapped/{text}")
@@ -815,8 +831,8 @@ class TestGappedCountingLevels:
     @pytest.mark.parametrize("mode", ["fuzzy", "crisp"])
     def test_hub_beside_an_empty_element(self, mode):
         # the hub shares its first block with z, which has no successors, so
-        # their keys differ before the hub's least sets over its successors'
-        # 200 blocks would be listed
+        # their keys differ before the hub's successor counts over its
+        # successors' 200 blocks would be walked
         hub, _copy = spread_hub_pair(200)
         model = disjoint_union(hub, Interpretation(["z"]))
         got = greatest_bisim(model, model, FeatureSet.parse("Q2"), mode)
@@ -825,16 +841,17 @@ class TestGappedCountingLevels:
     @pytest.mark.parametrize("mode", ["fuzzy", "crisp"])
     def test_graded_hubs_are_listed_once(self, mode):
         # hubs one successor apart, with 180 successors in 180 blocks and
-        # 180 edge degrees: their least sets under Q2 are the 16110 pairs of
-        # blocks, each with its weaker degree, listed once and not per degree
+        # 180 edge degrees: under Q2 their least sets are the 16110 pairs of
+        # blocks, each with its weaker degree; the walk compares the counts
+        # per degree without listing any of them
         start = time.perf_counter()
         got = greatest_bisim(*doubled_hub_pair(180, graded=True), FeatureSet.parse("Q2"), mode)
         assert time.perf_counter() - start < 2
         assert got.at("h0", "g0") == 0 and got.at("h7", "g7") == 1
 
     def test_lone_hub_is_not_keyed(self):
-        # the hub is alone in its block, so the least sets of its 200
-        # successors, in 200 blocks, are never enumerated
+        # the hub is alone in its block, so its successor counts over its
+        # successors' 200 blocks are never walked
         hub, _copy = spread_hub_pair(200)
         features = FeatureSet.parse("Q2")
         crisp = greatest_bisim(hub, hub, features, "crisp")
@@ -842,6 +859,54 @@ class TestGappedCountingLevels:
         fuzzy = greatest_bisim(hub, hub, features, "fuzzy")
         assert fuzzy.at("h0", "h0") == 1 and fuzzy.at("h0", "h1") == 0
         assert fuzzy.at("h3", "h5") == F(3, 200)
+
+
+class TestGappedWalkAgainstListing:
+    """The walk that compares two elements' successor counts over unions of
+    target blocks against the listing of their least sets, on random
+    ``found`` dicts and mutated copies."""
+
+    GAPPED = [(2,), (3,), (2, 4), (2, 3, 4, 5), (3, 5), (2, 7)]
+    TOP = 4
+
+    def random_found(self, rng, crisp):
+        found = {}
+        for _ in range(rng.randint(1, 6)):
+            k = rng.randint(1, 3)
+            ds = [rng.randint(1, self.TOP) for _ in range(k)] if crisp else [self.TOP] * k
+            found[rng.randrange(2), rng.randrange(6)] = sorted(ds, reverse=True)
+        return found
+
+    def mutated(self, rng, found, crisp):
+        """A copy with one successor added, dropped, regraded or moved."""
+        copy = {at: list(ds) for at, ds in found.items()}
+        at = rng.choice(sorted(copy))
+        d = rng.randint(1, self.TOP) if crisp else self.TOP
+        change = rng.randrange(4)
+        if change == 0:
+            copy.setdefault((rng.randrange(2), rng.randrange(6)), []).append(d)
+        elif change in (1, 3):
+            copy[at].pop(rng.randrange(len(copy[at])))
+            if change == 3:
+                copy.setdefault((at[0], rng.randrange(6)), []).append(d)
+        else:
+            copy[at][rng.randrange(len(copy[at]))] = d
+        return {at: sorted(ds, reverse=True) for at, ds in copy.items() if ds}
+
+    @pytest.mark.parametrize("gapped", GAPPED)
+    def test_walk_matches_least_sets(self, gapped):
+        rng = random.Random(f"walk/{gapped}")
+        outcomes = {True: 0, False: 0}
+        for trial in range(3500):
+            crisp = trial % 2 == 0
+            a = self.random_found(rng, crisp)
+            b = self.mutated(rng, a, crisp) if rng.random() < 0.8 else self.random_found(rng, crisp)
+            expected = a == b or least_sets_oracle(a, gapped) == least_sets_oracle(b, gapped)
+            assert (_LeastSets(a, gapped) == _LeastSets(b, gapped)) == expected
+            assert (_LeastSets(b, gapped) == _LeastSets(a, gapped)) == expected
+            outcomes[expected] += 1
+        # both answers are common
+        assert min(outcomes.values()) >= 350
 
 
 class TestGreatestReadout:

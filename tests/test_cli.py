@@ -450,8 +450,8 @@ class TestBisimilar:
 
     def test_counting_budget_stops_wide_hub(self, tmp_path):
         # Q2..Q16 leaves out size 1: the hubs with successors in 2 blocks
-        # are decided; with successors in 16 blocks, one apart, the least
-        # sets of target blocks need too many subsets
+        # are bisimilar; with successors in 16 blocks, one apart, block 16
+        # holds two of g0's successors and one of h0's, so FB7(2) fails
         features = ",".join(f"Q{n}" for n in range(2, 17))
         paths = self.wide_hub_files(tmp_path)
         for mode in MODES:
@@ -463,12 +463,13 @@ class TestBisimilar:
         paths = self.wide_hub_files(tmp_path, doubled_hub_pair)
         for mode in MODES:
             start = time.perf_counter()
-            code, _, err = run_cli(
+            code, out, err = run_cli(
                 ["bisimilar", "-l", paths[0], "-r", paths[1], "--features", features,
                  "--mode", mode]
             )
             assert time.perf_counter() - start < 1.0
-            assert code == 2 and "budget" in err
+            assert code == 1 and err == ""
+            assert out.startswith(f"not bisimilar ({mode}); individual 'a' falls below 1")
 
     def test_covering_counting_bounds_decide_wide_hub(self, tmp_path):
         paths = self.wide_hub_files(tmp_path)
@@ -978,6 +979,16 @@ MALFORMED = {
     "long comparison": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A", "a": "a", "p": "1",
                                             "cmp": "=" * 5000}]}),
     "long individuals": (EVAL_DOC, {**GOOD_MODEL, "individuals": ["a" * 4996]}),
+    "long individual target": (EVAL_DOC, {**GOOD_MODEL, "individuals": {"a": "w" * 5000}}),
+    "long graded element": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A": {"w" * 5000: "1"}}}),
+    "long role entry": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r": [["u", "v", "1", "x" * 4980]]}}),
+    "long pair twice": (EVAL_DOC, {"domain": ["u", "w" * 5000],
+                                   "roles": {"r": [["w" * 5000, "u", "1"]] * 2}}),
+    "long box value not text": (BOX_DOC, {"abox": [{"kind": "concept", "c": ["A" * 4996],
+                                                     "a": "a", "p": "1"}]}),
+    "long box entry": (BOX_DOC, {"abox": ["a" * 4998]}),
+    "long box entry without a key": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A",
+                                                         "a": "a" * 4998}]}),
 }
 
 # MALFORMED cases of long text, first those of a numeral past the digit limit:
@@ -1012,6 +1023,20 @@ LONG_NAMED.update({
                        "'============'... of 5000 characters\n",
     "long individuals": "error: individuals must be a JSON object, got "
                         "'[\"aaaaaaaaaa'... of 5000 characters\n",
+    "long individual target": "error: individual 'a' maps to unknown element "
+                              "'\"wwwwwwwwwww'... of 5002 characters\n",
+    "long graded element": "error: concept 'A' grades unknown element "
+                           "'wwwwwwwwwwww'... of 5000 characters\n",
+    "long role entry": "error: role 'r': an entry must be [x, y, degree], got "
+                       "'[\"u\", \"v\", \"'... of 4999 characters\n",
+    "long pair twice": "error: role 'r' lists the pair "
+                       "('wwwwwwwwwwww'... of 5000 characters, u) twice\n",
+    "long box value not text": "error: the value of 'c' must be a string, got "
+                               "'[\"AAAAAAAAAA'... of 5000 characters\n",
+    "long box entry": "error: an abox entry must be a JSON object, got "
+                      "'\"aaaaaaaaaaa'... of 5000 characters\n",
+    "long box entry without a key": "error: an abox entry needs a value for 'p': "
+                                    "{{\"c\": \"A\", \"a\": '\"aaaaaaaaaaa'... of 5000 characters}}\n",
 })
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
