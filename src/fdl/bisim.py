@@ -74,7 +74,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, InputError, ModelError
+from .errors import BudgetError, InputError, ModelError, listed
 from .godel import ZERO, format_degree
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
@@ -127,7 +127,7 @@ def load_relation(document, rows: Sequence[str], cols: Sequence[str]) -> FuzzyRe
         raise InputError("a relation document must be a JSON object")
     unknown = set(document) - {"mode", "entries"}
     if unknown:
-        raise InputError(f"unknown relation document keys: {sorted(unknown)}")
+        raise InputError(f"unknown relation document keys: {listed(unknown)}")
     relation = FuzzyRelation.from_entries(rows, cols, document.get("entries", []))
     mode = document.get("mode", "fuzzy")
     check_mode(mode)

@@ -31,6 +31,12 @@ def quoted(value) -> str:
     return briefly(value) if isinstance(value, str) and len(value) > 40 else repr(value)
 
 
+def listed(names) -> str:
+    """The sorted ``names`` as the ``repr`` of their list spells them, each
+    name past 40 characters named as :func:`briefly` names it."""
+    return "[" + ", ".join(map(quoted, sorted(names))) + "]"
+
+
 class FdlError(Exception):
     """Base class for every error raised by this package."""
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelError, briefly, json_text, quoted
+from .errors import ModelError, briefly, json_text, listed, quoted
 from .godel import ONE, ZERO, DegreeTexts, degree, format_degree
 from .relations import read_triples
 from . import syntax as s
@@ -53,7 +53,7 @@ class FuzzySet(s._Record):
         try:
             return self.degrees[self.elements.index(element)]
         except ValueError:
-            raise ModelError(f"unknown element {element!r}") from None
+            raise ModelError(f"unknown element {quoted(element)}") from None
 
     def __iter__(self):
         return iter(zip(self.elements, self.degrees))
@@ -104,7 +104,7 @@ class Interpretation:
         rows: Dict[str, Tuple[Fraction, ...]] = {}
         for name, valuation in (concepts or {}).items():
             if not isinstance(valuation, Mapping):
-                raise ModelError(f"concept {name!r} must map elements to degrees")
+                raise ModelError(f"concept {quoted(name)} must map elements to degrees")
             row = [ZERO] * len(domain)
             for element, value in valuation.items():
                 try:
@@ -158,13 +158,13 @@ class Interpretation:
         try:
             return self._index[element]
         except KeyError:
-            raise ModelError(f"unknown element {element!r}") from None
+            raise ModelError(f"unknown element {quoted(element)}") from None
 
     def individual(self, name: str) -> str:
         try:
             return self.individuals[name]
         except KeyError:
-            raise ModelError(f"unknown individual {name!r}") from None
+            raise ModelError(f"unknown individual {quoted(name)}") from None
 
     def concept_row(self, name: str) -> Tuple[Fraction, ...]:
         """Valuation of a concept name; all-zero when unlisted."""
@@ -233,7 +233,7 @@ def load_interpretation(document) -> Interpretation:
         raise ModelError("a model document must be a JSON object")
     unknown = set(document) - {"domain", "individuals", "concepts", "roles"}
     if unknown:
-        raise ModelError(f"unknown model document keys: {sorted(unknown)}")
+        raise ModelError(f"unknown model document keys: {listed(unknown)}")
     if "domain" not in document:
         raise ModelError("a model document needs a 'domain' list")
     parts = {key: document.get(key, {}) for key in ("individuals", "concepts", "roles")}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .errors import InputError, briefly, json_text, quoted
+from .errors import InputError, briefly, json_text, listed, quoted
 from .godel import ONE, ZERO, degree, format_degree, godel_iff
 from .interp import ConceptEvaluator, Interpretation, degree_universe
 from .parsing import parse_concept, parse_role
@@ -198,7 +198,7 @@ def _load_item(box: str, entry, features: Optional[FeatureSet]) -> KbItem:
     keys = _ITEM_KEYS[cls][1]
     unknown = set(entry) - set(keys)
     if unknown:
-        raise InputError(f"unknown keys in {what}: {sorted(unknown)}")
+        raise InputError(f"unknown keys in {what}: {listed(unknown)}")
     values = []
     for key in keys:
         value = entry.get(key, _DEFAULTS.get(key))
@@ -222,7 +222,7 @@ def load_kb(document, features: Optional[FeatureSet] = None) -> KnowledgeBase:
         raise InputError("a TBox/ABox document must be a JSON object")
     unknown = set(document) - {"tbox", "abox"}
     if unknown:
-        raise InputError(f"unknown TBox/ABox document keys: {sorted(unknown)}")
+        raise InputError(f"unknown TBox/ABox document keys: {listed(unknown)}")
     boxes = {}
     for box in ("tbox", "abox"):
         entries = document.get(box, [])

@@ -79,8 +79,11 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         # token position -> the concept test read from there and its end,
-        # or None when no test starts there
+        # or None when no test starts there; a test ends with a '?' after its
+        # first token, so none starts at or after the last '?'
         self.tests: Dict[int, Optional[Tuple[s.Test, int]]] = {}
+        self.last_mark = max((k for k, tok in enumerate(self.tokens) if tok.kind == "?"),
+                             default=-1)
 
     # -- token plumbing ------------------------------------------------
 
@@ -225,9 +228,10 @@ class _Parser:
         tok = self.cur
         # A concept test ends with '?'; try that reading first and back off.
         # The attempt at each position is remembered: nested tests would
-        # otherwise re-parse the same text at every level.
+        # otherwise re-parse the same text at every level.  Past the last
+        # '?' no test can start, and nothing is tried.
         start = self.i
-        if start not in self.tests:
+        if start < self.last_mark and start not in self.tests:
             found = None
             try:
                 concept = self.concept()
@@ -236,7 +240,7 @@ class _Parser:
             except ParseError:
                 pass
             self.tests[start] = found
-        found = self.tests[start]
+        found = self.tests.get(start)
         if found is not None:
             self.i = found[1]
             return found[0]

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -989,6 +990,14 @@ MALFORMED = {
     "long box entry": (BOX_DOC, {"abox": ["a" * 4998]}),
     "long box entry without a key": (BOX_DOC, {"abox": [{"kind": "concept", "c": "A",
                                                          "a": "a" * 4998}]}),
+    "long model key": (EVAL_DOC, {**GOOD_MODEL, "k" * 5000: []}),
+    "long relation key": (CHECK_DOC, {"entries": [], "k" * 5000: []}),
+    "long box entry key": (BOX_DOC, {"abox": [{"kind": "same", "a": "a", "b": "a",
+                                               "k" * 5000: "a"}]}),
+    "long box document key": (BOX_DOC, {"abox": [], "k" * 5000: []}),
+    "long concept not a map": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A" * 5000: ["u"]}}),
+    "long nominal": (["eval", "-m", "{model}", "-c", "{{" + "a" * 5000 + "}}"], None),
+    "long evaluated element": (["eval", "-m", "{model}", "-c", "A", "-e", "w" * 5000], None),
 }
 
 # MALFORMED cases of long text, first those of a numeral past the digit limit:
@@ -1037,6 +1046,18 @@ LONG_NAMED.update({
                       "'\"aaaaaaaaaaa'... of 5000 characters\n",
     "long box entry without a key": "error: an abox entry needs a value for 'p': "
                                     "{{\"c\": \"A\", \"a\": '\"aaaaaaaaaaa'... of 5000 characters}}\n",
+    "long model key": "error: unknown model document keys: "
+                      "['kkkkkkkkkkkk'... of 5000 characters]\n",
+    "long relation key": "error: unknown relation document keys: "
+                         "['kkkkkkkkkkkk'... of 5000 characters]\n",
+    "long box entry key": "error: unknown keys in an abox entry: "
+                          "['kkkkkkkkkkkk'... of 5000 characters]\n",
+    "long box document key": "error: unknown TBox/ABox document keys: "
+                             "['kkkkkkkkkkkk'... of 5000 characters]\n",
+    "long concept not a map": "error: concept 'AAAAAAAAAAAA'... of 5000 characters "
+                              "must map elements to degrees\n",
+    "long nominal": "error: unknown individual 'aaaaaaaaaaaa'... of 5000 characters\n",
+    "long evaluated element": "error: unknown element 'wwwwwwwwwwww'... of 5000 characters\n",
 })
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
@@ -1134,6 +1155,42 @@ class TestErrors:
         assert run_cli(["eval", "-m", files["fan"], "-c", "A"])[0] == 0
         assert run_cli(["prune", "-m", files["islands"], "--features", ""])[0] == 0
         assert built == []
+
+
+class TestCollectorPause:
+    """``main`` runs the handler with the cyclic collector disabled, and
+    enables it afterwards only if it was enabled before."""
+
+    def test_enabled_after_a_normal_return(self, files):
+        assert gc.isenabled()
+        assert run_cli(["eval", "-m", files["fan"], "-c", "A"])[0] == 0
+        assert gc.isenabled()
+
+    def test_enabled_after_an_input_error(self, files):
+        assert run_cli(["eval", "-m", files["fan"], "-c", "A and"])[0] == 2
+        assert gc.isenabled()
+
+    def test_enabled_after_an_escaping_exception(self, files, monkeypatch):
+        during = []
+
+        def fail(*_args):
+            during.append(gc.isenabled())
+            raise KeyError("in the handler")
+
+        monkeypatch.setattr(fdl.cli, "greatest_bisim", fail)
+        with pytest.raises(KeyError, match="in the handler"):
+            main(["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", ""])
+        assert during == [False]
+        assert gc.isenabled()
+
+    def test_left_disabled_when_the_caller_disabled_it(self, files):
+        gc.disable()
+        try:
+            assert run_cli(["eval", "-m", files["fan"], "-c", "A"])[0] == 0
+            assert run_cli(["eval", "-m", files["fan"], "-c", "A and"])[0] == 2
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 _JSON_VALUES = st.recursive(

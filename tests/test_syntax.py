@@ -200,6 +200,32 @@ class TestParser:
         assert time.monotonic() - start < 1
         assert parse_concept(to_text(got)) == got
 
+    @pytest.mark.parametrize("text, expected", [
+        ("exists (r ; (A)?) . B",
+         Exists(Compose(RoleName("r"), Test(ConceptName("A"))), ConceptName("B"))),
+        ("exists (r | s ; A?) . B",
+         Exists(RoleUnion(RoleName("r"), Compose(RoleName("s"), Test(ConceptName("A")))),
+                ConceptName("B"))),
+        ("forall (r- ; s*) . exists (r ; (A and B)?) . C",
+         Forall(Compose(Inverse(RoleName("r")), Star(RoleName("s"))),
+                Exists(Compose(RoleName("r"), Test(And(ConceptName("A"), ConceptName("B")))),
+                       ConceptName("C")))),
+    ])
+    def test_only_test_comes_late(self, text, expected):
+        # no test is tried at role positions past the last '?'
+        assert parse_concept(text) == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("exists (A? ; ) . B", "expected a role, found ')' (at position 13)"),
+        ("exists ((A)? ; r ; -) . B", "expected a role, found '-' (at position 19)"),
+        ("exists (r ; A? ; (s | )) . B", "expected a role, found ')' (at position 22)"),
+        ("forall (A? | r ;) . B", "expected a role, found ')' (at position 16)"),
+    ])
+    def test_malformed_role_after_the_last_test(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_concept(text)
+        assert str(exc.value) == message
+
     def test_feature_violations(self):
         nothing = FeatureSet.none()
         with pytest.raises(FeatureError):
