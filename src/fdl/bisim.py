@@ -74,14 +74,17 @@ from itertools import combinations, product
 from math import comb
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, InputError, ModelError, listed
+from .errors import BudgetError, InputError, ModelError, listed, quoted
 from .godel import ZERO, format_degree
 from .interp import Interpretation, degree_ranks
 from .relations import FuzzyRelation
 from .syntax import FeatureSet, _Record, check_mode
 
 # Most n-subsets that FB6(n)/FB7(n) may enumerate for one successor set,
-# summed over the enabled bounds n.  Out-degree 14 under Q1..Q14 fits.
+# summed over the enabled bounds n.  Out-degree 14 under Q2..Q14 (16369
+# subsets) fits, and out-degree 15 does not.  Sides of at most m successors
+# under bounds that start Q1..Qm, and every side under Q*, are matched, not
+# enumerated.
 SUBSET_BUDGET = 2**14
 
 # Most candidate relations that brute_force_greatest may enumerate.
@@ -171,9 +174,9 @@ class _Context:
         models = (ia,) if ib is ia else (ia, ib)
         self.features = features
         self.dom_a, self.dom_b = ia.domain, ib.domain
-        self.na, self.nb = na, nb = len(ia.domain), len(ib.domain)
+        self.na, self.nb = len(ia.domain), len(ib.domain)
         n = sum([len(m.domain) for m in models])
-        self.offset = offset = n - nb
+        self.offset = offset = n - self.nb
         self.universe, self.rank = degree_ranks(*models, extra=extra)
         self.top, rank = len(self.universe) - 1, self.rank
         self.concepts = [(name, [rank[id(d)] for m in models for d in m.concept_row(name)])
@@ -204,11 +207,11 @@ class _Context:
         self.individual_pairs = [
             (a, ia.index(ia.individuals[a]), ib.index(ib.individuals[a]))
             for a in _named_in_both(ia, ib)] if features.nominals else []
-        # the Q and N bounds in increasing order up to the larger domain, as
-        # any n beyond it is vacuous (unrestricted: every n up to it), and m,
-        # where the Q bounds start with 1..m: FB6/FB7 over up to m successors
-        # is a matching
-        cap = max(na, nb)
+        # the Q and N bounds in increasing order up to the largest number of
+        # edges of any element, as no element has n successors for an n beyond
+        # it (unrestricted: every n up to it), and m, where the Q bounds start
+        # with 1..m: FB6/FB7 over up to m successors is a matching
+        cap = max(map(len, edges), default=0)
         self.q_bounds, self.n_bounds = (
             tuple([n for n in sorted(range(1, cap + 1) if bounds is None else bounds) if n <= cap])
             for bounds in (features.q_bounds, features.n_bounds))
@@ -241,7 +244,7 @@ def _named_in_both(ia: Interpretation, ib: Interpretation) -> List[str]:
     in one model only is a ModelError."""
     missing = sorted(ia.individuals.keys() ^ ib.individuals.keys())
     if missing:
-        raise ModelError(f"individual {missing[0]!r} is not interpreted in both models")
+        raise ModelError(f"individual {quoted(missing[0])} is not interpreted in both models")
     return sorted(ia.individuals)
 
 

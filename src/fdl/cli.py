@@ -67,19 +67,9 @@ def _use(*names: str) -> None:
             __getattr__(name)
 
 
-@contextlib.contextmanager
-def _nesting():
-    """Input nested deeper than Python's recursion limit, while it is
-    parsed, loaded or evaluated, is an input error."""
-    try:
-        yield
-    except RecursionError as exc:
-        raise InputError("input nests too deeply") from exc
-
-
 def _read_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as handle, _nesting():
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -215,10 +205,8 @@ def _emit(out, payload, as_json: bool, human: Callable[[], Iterable[str]],
 def _eval(args, out) -> int:
     _use("parse_concept", "eval_concept")
     model = _load_model(args.model)
-    with _nesting():
-        concept = parse_concept(args.concept, args.features)
-        values = eval_concept(model, concept)
-        concept_text = to_text(concept)
+    concept = parse_concept(args.concept, args.features)
+    values = eval_concept(model, concept)
     if args.element is not None:
         pairs = [(args.element, values.at(args.element))]
     else:
@@ -227,7 +215,7 @@ def _eval(args, out) -> int:
     texts = {id(v): v for _x, v in pairs}
     texts = {key: format_degree(v) for key, v in texts.items()}
     shown = {x: texts[id(v)] for x, v in pairs}
-    payload = {"concept": concept_text, "values": shown}
+    payload = {"concept": to_text(concept), "values": shown}
     width = max(map(len, shown))
     _emit(out, payload, args.json,
           lambda: ["\n".join(f"{x.ljust(width)}  {text}" for x, text in shown.items())])
@@ -300,8 +288,7 @@ def _validate(args, out) -> int:
     _use("load_kb", "validates")
     model = _load_model(args.model)
     box = _read_json(args.tbox or args.abox)
-    with _nesting():
-        result = validates(model, load_kb(box, args.features).items())
+    result = validates(model, load_kb(box, args.features).items())
     payload = {
         "valid": result.valid,
         "failed": result.failed_item.describe() if result.failed_item else None,
@@ -438,7 +425,9 @@ def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
     again afterwards only if it was enabled on entry.  Reference counting
     still frees everything, since no handler builds a cycle.  Parsing the
     arguments stays outside the pause: argparse's help formatter does build
-    cycles."""
+    cycles.  An :class:`FdlError`, and a ``RecursionError`` (input nested
+    deeper than Python's recursion limit), is one ``error:`` line and exit
+    code 2."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
@@ -453,6 +442,9 @@ def main(argv: Optional[List[str]] = None, out=None, err=None) -> int:
                 gc.enable()
     except FdlError as exc:
         print(f"error: {exc}", file=err)
+        return 2
+    except RecursionError:  # from parsing, loading or evaluating deeply nested input
+        print("error: input nests too deeply", file=err)
         return 2
     except SystemExit:  # after --help
         return 0

@@ -8,7 +8,8 @@ objects, so callers may extend them freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from itertools import product
+from typing import Callable, Iterator, List, Tuple
 
 from .bisim import brute_force_greatest
 from .godel import format_degree
@@ -180,126 +181,90 @@ ALL_BUT_UNIVERSAL = FeatureSet(True, True, False, True, None, None)
 
 
 # ---------------------------------------------------------------------------
-# the selftest table
+# the selftest table: each check yields (what, got, expected) comparisons
 
 
-def _check_fan_evaluation() -> Tuple[bool, str]:
+def _entries(what: str, got: FuzzyRelation, expected: FuzzyRelation) -> Iterator[tuple]:
+    """Two relations over the same domains, compared entry by entry."""
+    for x, y in product(expected.rows, expected.cols):
+        yield f"{what} ({x}, {y})", got.at(x, y), expected.at(x, y)
+
+
+def _fan_evaluation() -> Iterator[tuple]:
     model = fan_model()
-    expected = [
-        ("forall r . A", "u", F(1, 2)),
-        ("exists r . A", "u", F(4, 5)),
-        ("< 2 r . A", "u", F(0)),
-        (">= 2 r . A", "u", F(3, 5)),
-        ("exists (r | r-)* . A", "v1", F(4, 5)),
-        ("exists (r | r-)* . A", "v2", F(9, 10)),
-        ("exists (r | r-)* . A", "v3", F(7, 10)),
-        ("forall (r | r-)* . A", "v1", F(0)),
-        ("forall (r | r-)* . A", "v2", F(0)),
-        ("forall (r | r-)* . A", "v3", F(0)),
-    ]
-    for text, element, value in expected:
-        got = eval_concept(model, parse_concept(text)).at(element)
-        if got != value:
-            return False, (
-                f"{text} at {element}: expected {format_degree(value)}, "
-                f"got {format_degree(got)}"
-            )
-    return True, f"{len(expected)} graded values exact"
+    for text, element, value in [
+        ("forall r . A", "u", F(1, 2)), ("exists r . A", "u", F(4, 5)),
+        ("< 2 r . A", "u", F(0)), (">= 2 r . A", "u", F(3, 5)),
+        ("exists (r | r-)* . A", "v1", F(4, 5)), ("exists (r | r-)* . A", "v2", F(9, 10)),
+        ("exists (r | r-)* . A", "v3", F(7, 10)), ("forall (r | r-)* . A", "v1", F(0)),
+        ("forall (r | r-)* . A", "v2", F(0)), ("forall (r | r-)* . A", "v3", F(0)),
+    ]:
+        yield f"{text} at {element}", eval_concept(model, parse_concept(text)).at(element), value
 
 
-def _check_hub_greatest() -> Tuple[bool, str]:
+def _hub_greatest() -> Iterator[tuple]:
     ia, ib = hub_pair()
-    features = FeatureSet.none()
-    refined = greatest_bisim(ia, ib, features, "fuzzy")
-    if refined != HUB_PAIR_GREATEST:
-        return False, "refinement matrix differs from the known answer"
-    oracle = brute_force_greatest(ia, ib, features, "fuzzy")
-    if oracle != refined:
-        return False, "enumeration oracle disagrees with the refinement"
-    return True, "refinement and enumeration agree on the known matrix"
+    refined = greatest_bisim(ia, ib, FeatureSet.none(), "fuzzy")
+    yield from _entries("refinement", refined, HUB_PAIR_GREATEST)
+    yield from _entries("oracle", brute_force_greatest(ia, ib, FeatureSet.none(), "fuzzy"), refined)
 
 
-def _check_fold_crisp_suite() -> Tuple[bool, str]:
+def _fold_verdicts() -> Iterator[tuple]:
     ia, ib = fold_pair()
-    expectations = [
-        ("O,U,Self,N2", True),
-        ("O,U,Self,Q2,N2", False),
-        ("I", False),
-        ("Q3", False),
-        ("N3", False),
-    ]
-    for text, expected in expectations:
-        got = bisimilar(ia, ib, FeatureSet.parse(text), "crisp").holds
-        if got != expected:
-            return False, (
-                f"features {text or 'none'}: expected strong bisimilarity "
-                f"{expected}, got {got}"
-            )
-    return True, "all strong-bisimilarity verdicts as recorded"
+    for text, holds in [("O,U,Self,N2", True), ("O,U,Self,Q2,N2", False), ("I", False),
+                        ("Q3", False), ("N3", False)]:
+        yield f"features {text}", bisimilar(ia, ib, FeatureSet.parse(text), "crisp").holds, holds
 
 
-def _check_island_quotients() -> Tuple[bool, str]:
+def _island_quotients() -> Iterator[tuple]:
     model = twin_islands()
-    cases = [
-        ("", 3),
-        ("U", 3),
-        ("O", 4),
-        ("O,U", 4),
-        ("I", 7),
-    ]
-    for text, expected_blocks in cases:
-        features = FeatureSet.parse(text)
-        q = quotient(model, features)
-        if len(q.domain) != expected_blocks:
-            return False, (
-                f"features {text or 'none'}: expected {expected_blocks} blocks, "
-                f"got {len(q.domain)}"
-            )
-        if expected_blocks in (3, 4):
-            for hub in (b for b in q.domain if b.startswith("{u")):
-                degrees = sorted(d for _j, d in q.successors("r")[q.index(hub)])
-                if degrees != [F(1, 2), F(3, 5)]:
-                    return False, (
-                        f"features {text or 'none'}: edge degrees {degrees} at {hub}"
-                    )
-    return True, "block counts and quotient edge degrees as recorded"
+    for text, blocks in [("", 3), ("U", 3), ("O", 4), ("O,U", 4), ("I", 7)]:
+        q = quotient(model, FeatureSet.parse(text))
+        yield f"features {text or 'none'}: blocks", len(q.domain), blocks
+        for hub in (b for b in q.domain if b.startswith("{u") and blocks < 7):
+            degrees = sorted(format_degree(d) for _j, d in q.successors("r")[q.index(hub)])
+            yield f"features {text or 'none'}: edge degrees at {hub}", degrees, ["0.5", "0.6"]
 
 
-def _check_separation_matrices() -> Tuple[bool, str]:
-    ia, ib = point_pair()
-    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy")
-    if z.at("v", "v") != F(1, 2):
-        return False, f"one-point pair: got {format_degree(z.at('v', 'v'))}"
-    ia, ib = edge_pair()
-    z = greatest_bisim(ia, ib, ALL_BUT_UNIVERSAL, "fuzzy")
-    if z.at("u", "u'") != F(1) or z.at("v", "v'") != F(9, 10):
-        return False, "edge pair: hub/leaf degrees differ from the known answer"
-    if z.at("u", "v'") != F(0) or z.at("v", "u'") != F(0):
-        return False, "edge pair: cross entries should vanish"
-    ia, ib = leaf_triple_pair()
-    z = greatest_bisim(ia, ib, ALL_FEATURES, "fuzzy")
-    if z != LEAF_TRIPLE_GREATEST:
-        return False, "leaf-triple pair: matrix differs from the known answer"
-    return True, "all three separation matrices exact"
+def _separation_matrices() -> Iterator[tuple]:
+    for what, pair, features, expected in [
+        ("one-point pair", point_pair, ALL_FEATURES,
+         FuzzyRelation.from_entries(["v"], ["v"], [("v", "v", F(1, 2))])),
+        ("edge pair", edge_pair, ALL_BUT_UNIVERSAL, FuzzyRelation.from_entries(
+            ["u", "v"], ["u'", "v'"], [("u", "u'", F(1)), ("v", "v'", F(9, 10))])),
+        ("leaf-triple pair", leaf_triple_pair, ALL_FEATURES, LEAF_TRIPLE_GREATEST),
+    ]:
+        yield from _entries(what, greatest_bisim(*pair(), features, "fuzzy"), expected)
 
 
-SELFTEST: List[Tuple[str, Callable[[], Tuple[bool, str]]]] = [
-    ("fan model evaluation", _check_fan_evaluation),
-    ("hub pair greatest fuzzy bisimulation", _check_hub_greatest),
-    ("fold pair strong-bisimilarity verdicts", _check_fold_crisp_suite),
-    ("twin-island quotients", _check_island_quotients),
-    ("separation matrices", _check_separation_matrices),
+# (name, check, what its PASS line says)
+SELFTEST: List[Tuple[str, Callable[[], Iterator[tuple]], str]] = [
+    ("fan model evaluation", _fan_evaluation, "10 graded values exact"),
+    ("hub pair greatest fuzzy bisimulation", _hub_greatest,
+     "refinement and enumeration agree on the known matrix"),
+    ("fold pair strong-bisimilarity verdicts", _fold_verdicts,
+     "all strong-bisimilarity verdicts as recorded"),
+    ("twin-island quotients", _island_quotients,
+     "block counts and quotient edge degrees as recorded"),
+    ("separation matrices", _separation_matrices, "all three separation matrices exact"),
 ]
 
 
+def _shown(value) -> str:
+    """A compared value as a FAIL line writes it, degrees by format_degree."""
+    return format_degree(value) if isinstance(value, Fraction) else str(value)
+
+
 def run_selftest(write) -> bool:
-    """Run every embedded check, printing one line each; True if all pass."""
+    """Run every embedded check, printing one line each: PASS, or FAIL with its
+    first comparison that differs or the error it raised; True if all pass."""
     all_ok = True
-    for name, check in SELFTEST:
+    for name, check, summary in SELFTEST:
         try:
-            ok, detail = check()
+            failure = next((f"{what}: expected {_shown(expected)}, got {_shown(got)}"
+                            for what, got, expected in check() if got != expected), None)
         except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"error: {exc}"
-        all_ok = all_ok and ok
-        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+            failure = f"error: {exc}"
+        all_ok = all_ok and failure is None
+        write(f"PASS  {name}: {summary}" if failure is None else f"FAIL  {name}: {failure}")
     return all_ok

@@ -97,8 +97,8 @@ class Interpretation:
         individuals = dict(individuals or {})
         for name, target in individuals.items():
             if not isinstance(target, str) or target not in index:
-                raise ModelError(
-                    f"individual {name!r} maps to unknown element {briefly(json_text(target))}")
+                raise ModelError(f"individual {quoted(name)} maps to unknown element "
+                                 f"{briefly(json_text(target))}")
 
         texts, found = DegreeTexts(), {id(ZERO): ZERO, id(ONE): ONE}
         rows: Dict[str, Tuple[Fraction, ...]] = {}
@@ -111,7 +111,7 @@ class Interpretation:
                     k = index[element]
                 except KeyError:
                     raise ModelError(
-                        f"concept {name!r} grades unknown element {quoted(element)}"
+                        f"concept {quoted(name)} grades unknown element {quoted(element)}"
                     ) from None
                 if type(value) is str:
                     row[k] = texts[value]
@@ -122,7 +122,8 @@ class Interpretation:
 
         successors = {}
         for name, value in (roles or {}).items():
-            lines = read_triples(value, index, index, f"role {name!r}", ModelError, texts, found)
+            lines = read_triples(value, index, index, f"role {quoted(name)}", ModelError, texts,
+                                 found)
             successors[name] = tuple(map(tuple, lines))
         for d in texts.values():
             found[id(d)] = d

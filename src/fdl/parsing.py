@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import InputError, ParseError, too_many_digits
+from .errors import InputError, ParseError, quoted, too_many_digits
 from .godel import DEGREE_TEXT, parse_degree
 from . import syntax as s
 
@@ -95,7 +95,8 @@ class _Parser:
         tok = self.cur
         if tok.kind != kind:
             expected = kind if kind != "name" else "a name"
-            raise ParseError(f"expected {expected}, found {tok.text or 'end of input'!r}", tok.pos)
+            raise ParseError(f"expected {expected}, found {quoted(tok.text or 'end of input')}",
+                             tok.pos)
         self.i += 1
         return tok
 
@@ -253,7 +254,7 @@ class _Parser:
             inner = self.role()
             self.take(")")
             return inner
-        raise ParseError(f"expected a role, found {tok.text or 'end of input'!r}", tok.pos)
+        raise ParseError(f"expected a role, found {quoted(tok.text or 'end of input')}", tok.pos)
 
 
 # The default feature set, which accepts every construct; feature sets are
@@ -270,7 +271,7 @@ def _parse(text: str, read, features: Optional[s.FeatureSet]) -> Union[s.Concept
     node = read(parser)
     trailing = parser.cur
     if trailing.kind != "end":
-        raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)
+        raise ParseError(f"trailing input {quoted(trailing.text)}", trailing.pos)
     s.validate(node, features)
     return node
 

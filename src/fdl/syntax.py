@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .errors import FeatureError, InputError, json_text, quoted, too_many_digits
+from .errors import FeatureError, InputError, briefly, json_text, quoted, too_many_digits
 from .godel import degree, format_degree
 
 # The two bisimulation modes: graded (fuzzy) and all-or-nothing (crisp).
@@ -413,20 +413,20 @@ def children(expr: Expr) -> Tuple[Expr, ...]:
 def validate(expr: Expr, features: FeatureSet) -> None:
     """Raise :class:`FeatureError` if ``expr`` uses a disabled feature."""
     if isinstance(expr, Inverse) and not features.inverse:
-        raise FeatureError(f"inverse roles need feature I: {to_text(expr)}")
+        raise FeatureError(f"inverse roles need feature I: {briefly(to_text(expr))}")
     if isinstance(expr, Universal) and not features.universal:
         raise FeatureError("the universal role needs feature U")
     if isinstance(expr, Nominal) and not features.nominals:
-        raise FeatureError(f"nominals need feature O: {to_text(expr)}")
+        raise FeatureError(f"nominals need feature O: {briefly(to_text(expr))}")
     if isinstance(expr, SelfLoop) and not features.self_loops:
-        raise FeatureError(f"local reflexivity needs feature Self: {to_text(expr)}")
+        raise FeatureError(f"local reflexivity needs feature Self: {briefly(to_text(expr))}")
     if isinstance(expr, (AtLeast, Less)) and not features.allows_qualified(expr.n):
         raise FeatureError(
-            f"qualified number restriction needs feature Q{expr.n}: {to_text(expr)}"
+            f"qualified number restriction needs feature Q{expr.n}: {briefly(to_text(expr))}"
         )
     if isinstance(expr, (AtLeastUnq, LessUnq)) and not features.allows_unqualified(expr.n):
         raise FeatureError(
-            f"unqualified number restriction needs feature N{expr.n}: {to_text(expr)}"
+            f"unqualified number restriction needs feature N{expr.n}: {briefly(to_text(expr))}"
         )
     for child in children(expr):
         validate(child, features)

@@ -654,8 +654,8 @@ class TestCountingBudget:
         assert bisimilar(ia, ib, FeatureSet.parse("Q1,Q2,Q16"), "crisp").holds
 
     def test_bounds_beyond_the_domain_are_dropped(self):
-        # no element has more successors than its model has elements, so
-        # Q1000000000 and N1000000000 bind nowhere; the checker must not
+        # no element has more successors than the most edges of any element,
+        # so Q1000000000 and N1000000000 bind nowhere; the checker must not
         # enumerate subsets of that size, as it would allocate that many
         # indices before finding none
         ia, ib = doubled_hub_pair(4)
@@ -667,10 +667,53 @@ class TestCountingBudget:
         assert not report.satisfied
 
     def test_out_degree_eleven_stays_within_budget(self):
-        # the largest hubs of the fixpoint benchmark: 2047 subsets
+        # the largest hubs of the fixpoint benchmark: Q1..Q11 cover every
+        # size of their 11 successors, so the refinement keys up to 11
+        # successors per block and lists no subset
         ia, ib = counting_hub_pair(11)
         features = FeatureSet(q_bounds=frozenset(range(1, 12)))
         assert bisimilar(ia, ib, features, "fuzzy").holds
+
+    @staticmethod
+    def most_edges(ia, ib, inverse):
+        """The most edges of any element of either model: its successors,
+        and under I its predecessors too."""
+        counts = []
+        for m in (ia, ib):
+            edges = [0] * len(m.domain)
+            for name in m.roles:
+                for x, row in enumerate(m.successors(name)):
+                    edges[x] += len(row)
+                    for j, _d in row if inverse else ():
+                        edges[j] += 1
+            counts += edges
+        return max(counts, default=0)
+
+    def test_unrestricted_bounds_stop_at_the_most_edges(self):
+        # Q* and N* get the bounds 1..D, D the most edges of any element: a
+        # bound above every out-degree binds nowhere, so the answers are
+        # those under the explicit list Q1..QD,N1..ND.  The hubs have five
+        # successors in domains of six, the random pairs up to five elements
+        ia, ib = counting_hub_pair(5)
+        ctx = _Context(ia, ib, FeatureSet.parse("Q*,N*"))
+        assert ctx.q_bounds == ctx.n_bounds == (1, 2, 3, 4, 5)
+        rng = random.Random(211)
+        pairs = [(ia, ib)] + [
+            (random_model(rng, "x", rng.randint(1, 5), POOL3, role_names=("r", "s"), density=0.5),
+             random_model(rng, "y", rng.randint(1, 5), POOL3, role_names=("r", "s"), density=0.5))
+            for _ in range(12)]
+        for k, (ia, ib) in enumerate(pairs):
+            inv = k % 2 == 1
+            d = self.most_edges(ia, ib, inv)
+            star = FeatureSet(inverse=inv, q_bounds=None, n_bounds=None)
+            explicit = FeatureSet(inverse=inv, q_bounds=frozenset(range(1, d + 1)),
+                                  n_bounds=frozenset(range(1, d + 1)))
+            ctx = _Context(ia, ib, star)
+            assert ctx.q_bounds == ctx.n_bounds == tuple(range(1, d + 1)), k
+            half = constant(ia.domain, ib.domain, F(1, 2))
+            assert check_bisim(ia, ib, half, star) == check_bisim(ia, ib, half, explicit), k
+            for mode in MODES:
+                assert greatest_bisim(ia, ib, star, mode) == greatest_bisim(ia, ib, explicit, mode)
 
 
 class TestCountingByMatching:

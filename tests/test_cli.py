@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import fdl.cli
+import fdl.fixtures
 import fdl.kb
 from fdl.cli import main
 from fdl.fixtures import edge_pair, fan_model, fold_pair, hub_pair, twin_islands
@@ -658,6 +659,36 @@ class TestHarness:
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines), out
 
+    @pytest.mark.parametrize("table, line, fail", [
+        ("HUB_PAIR_GREATEST", 1, "FAIL  hub pair greatest fuzzy bisimulation: "
+                                 "refinement (u, u'): expected 0.7, got 0.8"),
+        ("LEAF_TRIPLE_GREATEST", 4, "FAIL  separation matrices: "
+                                    "leaf-triple pair (u, u'): expected 0.7, got 1"),
+    ])
+    def test_selftest_names_the_first_differing_comparison(self, table, line, fail, monkeypatch):
+        # one check's expected matrix made wrong at its first pair
+        known = getattr(fdl.fixtures, table)
+        first = (known.rows[0], known.cols[0])
+        wrong = FuzzyRelation.from_entries(known.rows, known.cols, [
+            (x, y, F(7, 10) if (x, y) == first else v) for x, y, v in known.nonzero()])
+        monkeypatch.setattr(fdl.fixtures, table, wrong)
+        code, out, err = run_cli(["selftest"])
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert lines[line] == fail
+        assert [l[:4] for l in lines] == ["FAIL" if k == line else "PASS" for k in range(5)]
+
+    def test_selftest_names_the_error_of_a_check_that_raises(self, monkeypatch):
+        def broken(*_args):
+            raise RuntimeError("no quotient here")
+
+        monkeypatch.setattr(fdl.fixtures, "quotient", broken)
+        code, out, err = run_cli(["selftest"])
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert lines[3] == "FAIL  twin-island quotients: error: no quotient here"
+        assert [l[:4] for l in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+
     @pytest.mark.parametrize(
         "script", ["bisimulation_walkthrough.py", "minimization_walkthrough.py"]
     )
@@ -998,6 +1029,31 @@ MALFORMED = {
     "long concept not a map": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A" * 5000: ["u"]}}),
     "long nominal": (["eval", "-m", "{model}", "-c", "{{" + "a" * 5000 + "}}"], None),
     "long evaluated element": (["eval", "-m", "{model}", "-c", "A", "-e", "w" * 5000], None),
+    "long trailing input": (["eval", "-m", "{model}", "-c", "A " + "B" * 5000], None),
+    "long token for a parenthesis": (["eval", "-m", "{model}", "-c", "(A " + "B" * 5000], None),
+    "long token for a name": (["eval", "-m", "{model}", "-c", "{{" + "7" * 5000 + "}}"], None),
+    "long token for a role": (["eval", "-m", "{model}", "-c", f"exists {'7' * 5000} . A"], None),
+    "long inverse without I": (["eval", "-m", "{model}", "-c", f"exists {'r' * 5000}- . A",
+                                "--features", ""], None),
+    "long nominal without O": (["eval", "-m", "{model}", "-c", "{{" + "a" * 5000 + "}}",
+                                "--features", ""], None),
+    "long self without Self": (["eval", "-m", "{model}", "-c", f"exists {'r' * 5000} . self",
+                                "--features", ""], None),
+    "long count without Q2": (["eval", "-m", "{model}", "-c", f">= 2 {'r' * 5000} . A",
+                               "--features", ""], None),
+    "long count without N2": (["eval", "-m", "{model}", "-c", f">= 2 {'r' * 5000}",
+                               "--features", ""], None),
+    "long individual name": (EVAL_DOC, {**GOOD_MODEL, "individuals": {"a" * 5000: "w"}}),
+    "long concept name": (EVAL_DOC, {**GOOD_MODEL, "concepts": {"A" * 5000: {"w": "1"}}}),
+    "long role name": (EVAL_DOC, {**GOOD_MODEL, "roles": {"r" * 5000: [["u", "w", "1"]]}}),
+    "long individual in one model": (
+        ["bisimilar", "-l", "{model}", "-r", "{doc}", "--features", ""],
+        {"domain": ["u"], "individuals": {"a": "u", "b" * 5000: "u"}},
+    ),
+    "long individual in one model under O": (
+        ["bisim", "-l", "{model}", "-r", "{doc}", "--features", "O"],
+        {"domain": ["u"], "individuals": {"a": "u", "b" * 5000: "u"}},
+    ),
 }
 
 # MALFORMED cases of long text, first those of a numeral past the digit limit:
@@ -1058,6 +1114,34 @@ LONG_NAMED.update({
                               "must map elements to degrees\n",
     "long nominal": "error: unknown individual 'aaaaaaaaaaaa'... of 5000 characters\n",
     "long evaluated element": "error: unknown element 'wwwwwwwwwwww'... of 5000 characters\n",
+    "long trailing input": "error: trailing input 'BBBBBBBBBBBB'... of 5000 characters "
+                           "(at position 2)\n",
+    "long token for a parenthesis": "error: expected ), found 'BBBBBBBBBBBB'... of 5000 "
+                                    "characters (at position 3)\n",
+    "long token for a name": "error: expected a name, found '777777777777'... of 5000 "
+                             "characters (at position 1)\n",
+    "long token for a role": "error: expected a role, found '777777777777'... of 5000 "
+                             "characters (at position 7)\n",
+    "long inverse without I": "error: inverse roles need feature I: "
+                              "'rrrrrrrrrrrr'... of 5001 characters\n",
+    "long nominal without O": "error: nominals need feature O: '{{aaaaaaaaaaa'... of 5002 "
+                              "characters\n",
+    "long self without Self": "error: local reflexivity needs feature Self: "
+                              "'exists rrrrr'... of 5014 characters\n",
+    "long count without Q2": "error: qualified number restriction needs feature Q2: "
+                             "'>= 2 rrrrrrr'... of 5009 characters\n",
+    "long count without N2": "error: unqualified number restriction needs feature N2: "
+                             "'>= 2 rrrrrrr'... of 5005 characters\n",
+    "long individual name": "error: individual 'aaaaaaaaaaaa'... of 5000 characters maps to "
+                            "unknown element \"w\"\n",
+    "long concept name": "error: concept 'AAAAAAAAAAAA'... of 5000 characters grades unknown "
+                         "element 'w'\n",
+    "long role name": "error: role 'rrrrrrrrrrrr'... of 5000 characters uses an unknown element "
+                      "in (u, w)\n",
+    "long individual in one model": "error: individual 'bbbbbbbbbbbb'... of 5000 characters is "
+                                    "not interpreted in both models\n",
+    "long individual in one model under O": "error: individual 'bbbbbbbbbbbb'... of 5000 "
+                                            "characters is not interpreted in both models\n",
 })
 needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any numeral here")
 
@@ -1099,6 +1183,11 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("case", ["deep parentheses", "deep negation", "deep JSON",
+                                      "deep concept in a box"])
+    def test_deep_input_is_one_error_line(self, case, tmp_path):
+        assert self.run_malformed(case, tmp_path) == (2, "", "error: input nests too deeply\n")
+
     @pytest.mark.parametrize("case", list(JSON_SPELLED))
     def test_bad_values_spelled_as_json(self, case, tmp_path):
         code, _out, err = self.run_malformed(case, tmp_path)
@@ -1133,15 +1222,17 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: fdl hm: argument --depth: invalid int value: {LONG + 'x'!r}\n"
 
-    def test_recursion_past_the_input_keeps_its_traceback(self, files, monkeypatch):
-        # only parsing, loading and evaluating input map RecursionError to
-        # "input nests too deeply"
+    def test_recursion_in_a_handler_is_one_error_line(self, files, monkeypatch):
+        # main maps a RecursionError from any part of a handler, not only
+        # from parsing, loading and evaluating input
         def deep(*_args):
             raise RecursionError("in the refinement")
 
         monkeypatch.setattr(fdl.cli, "greatest_bisim", deep)
-        with pytest.raises(RecursionError, match="in the refinement"):
-            main(["bisim", "-l", files["hub_a"], "-r", files["hub_b"], "--features", ""])
+        code, out, err = run_cli(["bisim", "-l", files["hub_a"], "-r", files["hub_b"],
+                                  "--features", ""])
+        assert (code, out, err) == (2, "", "error: input nests too deeply\n")
+        assert gc.isenabled()
 
     def test_parser_built_once(self, files, monkeypatch):
         built = []

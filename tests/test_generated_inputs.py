@@ -1,8 +1,9 @@
 """No traceback reaches a user: every command, run through ``fdl.cli.main``
 on seeded mutations of valid documents, concept texts and ``--features``
-text, exits 0, 1 or 2, and exit 2 comes with one ``error:`` line and no
-output.  No run leaves garbage that only the cyclic collector would free,
-which is why ``main`` may pause the collector while a command runs."""
+text, exits 0, 1 or 2, and exit 2 comes with one ``error:`` line of under
+1000 bytes, which names long input briefly, and no output.  No run leaves
+garbage that only the cyclic collector would free, which is why ``main``
+may pause the collector while a command runs."""
 
 import gc
 import io
@@ -37,18 +38,21 @@ CONCEPTS = ["A", "exists r . A", "A and not B", "forall s . (A -> B)", "A or {a}
 FEATURES = ["", "I", "O", "I,O", "Q2", "N1", "I,O,Q2,N2", "U", "Self", "Q*"]
 
 # replacements: another JSON type, empty values, a numeral past int's digit
-# limit (as a number and as text), non-ASCII text and deep nesting (written
-# in place of a marker, since json.dumps itself refuses deep nesting)
+# limit (as a number and as text), a long name, non-ASCII text and deep
+# nesting (written in place of a marker, since json.dumps itself refuses
+# deep nesting)
 LONG_NUMERAL = "7" * 5000
+LONG_NAME = "n" * 5000
 MARKERS = {"<long numeral>": LONG_NUMERAL, "<nested 60>": "[" * 60 + "]" * 60,
            "<nested 5000>": "[" * 5000 + "]" * 5000}
 VALUES = [None, True, False, 0, 1, -3, 0.5, 1e308, "", [], {}, "x", "é", "漢字", "\U0001f642",
-          "0.5", "2", "-1", "1/0", LONG_NUMERAL, "0." + LONG_NUMERAL, ["u"], ["u", "v", "0.5"],
-          {"u": "1"}, *MARKERS]
+          "0.5", "2", "-1", "1/0", LONG_NUMERAL, "0." + LONG_NUMERAL, LONG_NAME, ["u"],
+          ["u", "v", "0.5"], {"u": "1"}, *MARKERS]
 TEXTS = ["", " ", "é", "∀ r . A", "A and", "(A", "exists", ">= r . A", LONG_NUMERAL,
          ">= " + LONG_NUMERAL + " r . A", "0." + LONG_NUMERAL + " -> A",
          "(" * 3000 + "A" + ")" * 3000, "not " * 3000 + "A", "exists r . " * 3000 + "A",
-         "Q" + LONG_NUMERAL, "N" + LONG_NUMERAL, "Q0", "QQ", "-I", "A\x00"]
+         "Q" + LONG_NUMERAL, "N" + LONG_NUMERAL, LONG_NAME, "A " + LONG_NAME, "Q0", "QQ", "-I",
+         "A\x00"]
 
 
 def paths(node, path=()):
@@ -85,7 +89,7 @@ def mutate_document(rng, document):
             else parent[:path[-1]] + parent[path[-1] + 1:]))
     if kind == 2:  # an unknown key, or a list entry more
         return replaced(document, path, lambda old: (
-            dict(old, **{rng.choice(["extra", "é", ""]): rng.choice(VALUES)})
+            dict(old, **{rng.choice(["extra", "é", "", LONG_NAME]): rng.choice(VALUES)})
             if isinstance(old, dict) else old + [rng.choice(VALUES)]
             if isinstance(old, list) else old))
     # a string changed in place: text of the grammar or a degree
@@ -194,6 +198,7 @@ def test_no_traceback_reaches_a_user(seed, tmp_path, frozen_heap):
             if code == 2:
                 assert out.getvalue() == "", where
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, where
+                assert len(err.getvalue().encode()) < 1000, where
             else:
                 assert err.getvalue() == "", where
             exits[code] += 1
